@@ -53,6 +53,8 @@ class CalibEntry:
 @dataclass
 class CalibrationTable:
     entries: list = field(default_factory=list)
+    # (entries list, its length, {key: first entry}); rebuilt when either changes
+    _index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, entry: CalibEntry) -> None:
         self.entries.append(entry)
@@ -65,12 +67,20 @@ class CalibrationTable:
         return sorted(out, key=lambda e: e.rmax)
 
     def lookup(self, precision: str, mode: str, w: int, rmax: int) -> CalibEntry:
-        for e in self.entries:
-            if e.key == (precision, mode, w, rmax):
-                return e
-        raise CalibrationMissingError(
-            f"no calibration entry for ({precision}, {mode}, W={w}, rmax={rmax})"
-        )
+        """Entry for the key; on duplicate keys the earliest entry wins."""
+        entries = self.entries
+        if self._index is None or self._index[0] is not entries \
+                or self._index[1] != len(entries):
+            by_key = {}
+            for e in entries:
+                by_key.setdefault(e.key, e)
+            self._index = (entries, len(entries), by_key)
+        entry = self._index[2].get((precision, mode, w, rmax))
+        if entry is None:
+            raise CalibrationMissingError(
+                f"no calibration entry for ({precision}, {mode}, W={w}, rmax={rmax})"
+            )
+        return entry
 
     def admitted(self, precision: str, mode: str, w: int,
                  bias_limit: float = 1e-4, rmax_cap: int | None = None):
@@ -262,9 +272,28 @@ class SolutionRow:
 @dataclass
 class OfflineSolutionTable:
     rows: list = field(default_factory=list)
+    # (rows list, its length, {W: (sigma_a array, sigma_b array, rows of W)});
+    # rebuilt when either changes
+    _index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def ws(self):
         return sorted({r.solution.w for r in self.rows})
+
+    def rows_by_w(self) -> dict:
+        """Per W, float64 arrays of the rows' sigmas and the rows, in table order."""
+        rows = self.rows
+        if self._index is None or self._index[0] is not rows \
+                or self._index[1] != len(rows):
+            groups = {}
+            for r in rows:
+                groups.setdefault(r.solution.w, []).append(r)
+            by_w = {
+                w: (np.array([r.sigma_a for r in g], dtype=np.float64),
+                    np.array([r.sigma_b for r in g], dtype=np.float64), g)
+                for w, g in groups.items()
+            }
+            self._index = (rows, len(rows), by_w)
+        return self._index[2]
 
 
 def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str, mode: str,
@@ -292,18 +321,21 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
 
 def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a: float, sigma_b: float,
                             w: int) -> CompanderSolution:
-    """Stored solution with the closest sigmas; ties go to the earlier row."""
-    best = None
-    best_d = None
-    for row in table.rows:
-        if row.solution.w != w:
-            continue
-        d = (sigma_a - row.sigma_a) ** 2 + (sigma_b - row.sigma_b) ** 2
-        if best_d is None or d < best_d:
-            best, best_d = row, d
-    if best is None:
+    """Stored solution with the closest sigmas; ties go to the earlier row.
+
+    Distance is squared Euclidean in linear sigma. A NaN distance never
+    displaces an earlier row, so a NaN query returns the first row of W.
+    """
+    group = table.rows_by_w().get(w)
+    if group is None:
         raise CalibrationMissingError(f"solution table has no entries for W={w}")
-    return best.solution
+    sa, sb, rows = group
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = (sigma_a - sa) ** 2 + (sigma_b - sb) ** 2
+    i = int(np.argmin(d))  # the first minimum, or the first NaN if there is one
+    if i and math.isnan(d[i]):
+        i = int(np.nanargmin(d))  # d[0] is not NaN here
+    return rows[i].solution
 
 
 # ---------------------------------------------------------------------------

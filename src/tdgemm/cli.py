@@ -18,8 +18,12 @@ import numpy as np
 from . import __version__, calibration, controller, matrixio, packing
 from .blocking import tiered_gemm
 from .config import EngineConfig, dtype_of
-from .errors import CalibrationMissingError, EngineError, InfeasibleConstraintError
-from .noise import InputStats
+from .errors import (
+    CalibrationMissingError,
+    EngineError,
+    InfeasibleConstraintError,
+    NonFiniteInputError,
+)
 
 TABLE_FILES = {
     "calibration": "calibration.csv",
@@ -121,11 +125,11 @@ def cmd_solutions(args) -> int:
     return 0
 
 
-def _overall_model_snr(plan: controller.KernelPlan, sigmas, L: int) -> float:
+def _overall_model_snr(plan: controller.KernelPlan, kernel_stats, L: int) -> float:
     signal = 0.0
     noise = 0.0
     for key, entry in plan.entries.items():
-        signal += L * sum((sa * sb) ** 2 for sa, sb in sigmas[key])
+        signal += L * sum((s.sigma_a * s.sigma_b) ** 2 for s in kernel_stats[key])
         noise += entry.total_d_hat
     if noise == 0.0:
         return math.inf
@@ -141,26 +145,22 @@ def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:
     return 10.0 * math.log10(p_sig / p_err)
 
 
-def _plan_sigmas(a, b, L):
-    from .blocking import reorder_block_major, ROWWISE, COLUMNWISE
-
-    abm = reorder_block_major(a, L, ROWWISE)
-    bbm = reorder_block_major(b, L, COLUMNWISE)
-    out = {}
-    for i in range(abm.block_rows):
-        for j in range(bbm.block_cols):
-            out[(i, j)] = [
-                (abm.tile_stats(i, l).sigma, bbm.tile_stats(l, j).sigma)
-                for l in range(abm.block_cols)
-            ]
-    return out
+def _load_finite_matrix(path) -> np.ndarray:
+    """The matrix in ``path``; NonFiniteInputError names its first NaN or infinity."""
+    m = matrixio.load_matrix(path)
+    if not np.isfinite(m).all():
+        row, col = np.argwhere(~np.isfinite(m))[0]
+        raise NonFiniteInputError(
+            f"{path}: non-finite value {m[row, col]} at row {row}, column {col}"
+        )
+    return m
 
 
 def cmd_multiply(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    a = matrixio.load_matrix(args.a)
-    b = matrixio.load_matrix(args.b)
+    a = _load_finite_matrix(args.a)
+    b = _load_finite_matrix(args.b)
     L = args.l
     report = {}
     t0 = time.perf_counter()
@@ -187,8 +187,8 @@ def cmd_multiply(args) -> int:
     result_path = out_dir / "result.tgmm"
     matrixio.save_matrix(result, result_path)
     if plan is not None:
-        sigmas = _plan_sigmas(a, b, L)
-        model_snr = _overall_model_snr(plan, sigmas, L)
+        kernel_stats = controller.kernel_input_stats(a, b, L)
+        model_snr = _overall_model_snr(plan, kernel_stats, L)
         report["model_snr_db"] = model_snr
         report["w_histogram"] = {str(k): v for k, v in sorted(plan.w_histogram().items())}
         controller.dump_plan(plan, out_dir / "plan.csv")
@@ -238,17 +238,21 @@ def cmd_sweep(args) -> int:
     kernels = [(i, j) for i in range(blocks) for j in range(blocks)]
     rows = []
     w = args.sweep_w
+    # options depend only on the inputs, so every step reuses them
+    options_per_kernel = {
+        key: controller.build_options(
+            stats_per_l, tables["solutions"], args.mode, args.precision,
+            tables["calibration"], w_set=(w,),
+        )
+        for key, stats_per_l in controller.kernel_input_stats(a, b, L).items()
+    }
     for step in range(11):
         pct = 10 * step
         n_acc = round(len(kernels) * pct / 100)
         plan = controller.KernelPlan()
         packed_subblocks = 0
         for idx, key in enumerate(kernels):
-            stats_per_l = _kernel_stats(a, b, L, key)
-            options = controller.build_options(
-                stats_per_l, tables["solutions"], args.mode, args.precision,
-                tables["calibration"], w_set=(w,),
-            )
+            options = options_per_kernel[key]
             if idx < n_acc:
                 choices = [opts[0] for opts in options]
             else:
@@ -283,22 +287,6 @@ def cmd_sweep(args) -> int:
     print(f"wrote {path}")
     _write_manifest(out_dir, "sweep", args, [], [path])
     return 0
-
-
-def _kernel_stats(a, b, L, key):
-    from .blocking import reorder_block_major, ROWWISE, COLUMNWISE
-
-    abm = reorder_block_major(a, L, ROWWISE)
-    bbm = reorder_block_major(b, L, COLUMNWISE)
-    i, j = key
-    out = []
-    for l in range(abm.block_cols):
-        sa = abm.tile_stats(i, l)
-        sb = bbm.tile_stats(l, j)
-        out.append(InputStats(sigma_a=sa.sigma, sigma_b=sb.sigma,
-                              a_min=sa.vmin, a_max=sa.vmax,
-                              b_min=sb.vmin, b_max=sb.vmax, L=L))
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -249,14 +249,11 @@ def plan_kernel_throughput(options_per_l, f_kernel: float) -> KernelPlanEntry:
     return _entry_from_indices(options_per_l, idx, trace)
 
 
-def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
-              solutions: OfflineSolutionTable, calib: CalibrationTable, mode: str,
-              precision: str, profile: SpeedupProfile | None = None,
-              w_set=(2, 3, 4)) -> KernelPlan:
-    """Plan every inner kernel of A @ B under a uniform per-kernel constraint."""
+def kernel_input_stats(a: np.ndarray, b: np.ndarray, L: int) -> dict:
+    """Per inner kernel ``(i, j)`` of A @ B, the InputStats of each subblock l."""
     abm = reorder_block_major(a, L, ROWWISE)
     bbm = reorder_block_major(b, L, COLUMNWISE)
-    plan = KernelPlan()
+    out = {}
     for i in range(abm.block_rows):
         for j in range(bbm.block_cols):
             stats_per_l = []
@@ -268,19 +265,30 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
                                a_min=sa.vmin, a_max=sa.vmax,
                                b_min=sb.vmin, b_max=sb.vmax, L=L)
                 )
-            options = build_options(stats_per_l, solutions, mode, precision, calib,
-                                    profile=profile, w_set=w_set)
-            if constraint.target_snr_db is not None:
-                d_kernel = snr_to_distortion(
-                    constraint.target_snr_db,
-                    [(s.sigma_a, s.sigma_b) for s in stats_per_l],
-                    L,
-                )
-                plan.entries[(i, j)] = plan_kernel_distortion(options, d_kernel)
-            else:
-                plan.entries[(i, j)] = plan_kernel_throughput(
-                    options, constraint.target_accel_percent
-                )
+            out[(i, j)] = stats_per_l
+    return out
+
+
+def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
+              solutions: OfflineSolutionTable, calib: CalibrationTable, mode: str,
+              precision: str, profile: SpeedupProfile | None = None,
+              w_set=(2, 3, 4)) -> KernelPlan:
+    """Plan every inner kernel of A @ B under a uniform per-kernel constraint."""
+    plan = KernelPlan()
+    for key, stats_per_l in kernel_input_stats(a, b, L).items():
+        options = build_options(stats_per_l, solutions, mode, precision, calib,
+                                profile=profile, w_set=w_set)
+        if constraint.target_snr_db is not None:
+            d_kernel = snr_to_distortion(
+                constraint.target_snr_db,
+                [(s.sigma_a, s.sigma_b) for s in stats_per_l],
+                L,
+            )
+            plan.entries[key] = plan_kernel_distortion(options, d_kernel)
+        else:
+            plan.entries[key] = plan_kernel_throughput(
+                options, constraint.target_accel_percent
+            )
     return plan
 
 

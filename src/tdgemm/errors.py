@@ -39,3 +39,7 @@ class TimerResolutionError(EngineError):
 
 class TableFormatError(EngineError):
     """Persisted table file is malformed or has an unsupported version."""
+
+
+class NonFiniteInputError(EngineError):
+    """An input matrix holds a NaN or an infinity."""

@@ -181,17 +181,14 @@ def test_criterion_05_packing_count_bound_values():
 
 def _all_w2_plan(a, b, mode, solutions, calib):
     plan = ctl.KernelPlan()
-    blocks = a.shape[0] // L
-    for i in range(blocks):
-        for j in range(blocks):
-            stats = cli._kernel_stats(a, b, L, (i, j))
-            options = ctl.build_options(stats, solutions, mode, "single", calib, w_set=(2,))
-            choices = [opts[0] for opts in options]
-            plan.entries[(i, j)] = ctl.KernelPlanEntry(
-                choices=choices,
-                total_d_hat=sum(o.d_hat for o in choices),
-                accel_percent=100.0,
-            )
+    for key, stats in ctl.kernel_input_stats(a, b, L).items():
+        options = ctl.build_options(stats, solutions, mode, "single", calib, w_set=(2,))
+        choices = [opts[0] for opts in options]
+        plan.entries[key] = ctl.KernelPlanEntry(
+            choices=choices,
+            total_d_hat=sum(o.d_hat for o in choices),
+            accel_percent=100.0,
+        )
     return plan
 
 

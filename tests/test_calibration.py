@@ -119,6 +119,153 @@ class TestSolutions:
             cal.lookup_nearest_solution(self._solutions(small_table), 1.0, 1.0, 3)
 
 
+def _scan_nearest(table, sigma_a, sigma_b, w):
+    """The linear scan the indexed lookup replaced, kept as its oracle."""
+    best = None
+    best_d = None
+    for row in table.rows:
+        if row.solution.w != w:
+            continue
+        d = (sigma_a - row.sigma_a) ** 2 + (sigma_b - row.sigma_b) ** 2
+        if best_d is None or d < best_d:
+            best, best_d = row, d
+    if best is None:
+        raise CalibrationMissingError(f"solution table has no entries for W={w}")
+    return best.solution
+
+
+# dyadic sigmas: sums, midpoints and squared distances between them are
+# exact, so duplicate rows and exact ties occur; inf and NaN rows (a NaN
+# can come from a malformed table file) make NaN distances
+_ROW_SIGMA = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0]),
+    st.floats(0.0, 1e6),
+    st.sampled_from([math.inf, math.nan]),
+)
+# bounded so that the oracle's float ** 2 does not raise OverflowError
+_QUERY_SIGMA = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0]),
+)
+_ROWS = st.lists(st.tuples(_ROW_SIGMA, _ROW_SIGMA, st.sampled_from([2, 3, 4])),
+                 min_size=1, max_size=30)
+
+
+def _solution_rows(specs, start=0):
+    # a distinct solution per row, so the returned object names the row
+    return [cal.SolutionRow(sa, sb, CompanderSolution(1.0, 1.0, start + i, 0.0, w))
+            for i, (sa, sb, w) in enumerate(specs)]
+
+
+def _query(data, rows):
+    """A free query, or the midpoint of two rows of the same W."""
+    a = data.draw(st.sampled_from(rows))
+    b = data.draw(st.sampled_from([r for r in rows if r.solution.w == a.solution.w]))
+    free = (data.draw(_QUERY_SIGMA), data.draw(_QUERY_SIGMA))
+    mid = ((a.sigma_a + b.sigma_a) / 2, (a.sigma_b + b.sigma_b) / 2)
+    return data.draw(st.sampled_from([free, mid])), a.solution.w
+
+
+class TestSolutionIndex:
+    def _check(self, table, sa, sb, w):
+        try:
+            want = _scan_nearest(table, sa, sb, w)
+        except CalibrationMissingError:
+            with pytest.raises(CalibrationMissingError):
+                cal.lookup_nearest_solution(table, sa, sb, w)
+            return
+        assert cal.lookup_nearest_solution(table, sa, sb, w) is want
+
+    @given(_ROWS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, specs, data):
+        rows = _solution_rows(specs)
+        table = cal.OfflineSolutionTable(rows=list(rows))
+        for _ in range(4):
+            (sa, sb), w = _query(data, rows)
+            self._check(table, sa, sb, w)
+            self._check(table, sa, sb, data.draw(st.sampled_from([2, 3, 4, 5])))
+
+    @given(_ROWS, _ROWS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sees_rows_appended_after_a_lookup(self, first, extra, data):
+        table = cal.OfflineSolutionTable(rows=_solution_rows(first))
+        (sa, sb), w = _query(data, table.rows)
+        self._check(table, sa, sb, w)
+        table.rows.extend(_solution_rows(extra, start=len(first)))
+        (sa, sb), w = _query(data, table.rows)
+        self._check(table, sa, sb, w)
+        for new_w in (2, 3, 4):
+            self._check(table, sa, sb, new_w)
+
+    def test_duplicate_rows_earlier_wins(self):
+        rows = _solution_rows([(1.0, 1.0, 2), (3.0, 1.0, 2), (1.0, 1.0, 2), (3.0, 1.0, 2)])
+        table = cal.OfflineSolutionTable(rows=rows)
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is rows[0].solution
+        assert cal.lookup_nearest_solution(table, 3.0, 1.0, 2) is rows[1].solution
+        # halfway between the duplicates: the first row of all four wins
+        assert cal.lookup_nearest_solution(table, 2.0, 1.0, 2) is rows[0].solution
+
+    def test_nan_query_returns_first_row_of_w(self):
+        rows = _solution_rows([(1.0, 1.0, 3), (5.0, 5.0, 2), (0.5, 0.5, 2)])
+        table = cal.OfflineSolutionTable(rows=rows)
+        for sa, sb in ((math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf)):
+            assert cal.lookup_nearest_solution(table, sa, sb, 2) is rows[1].solution
+
+    def test_nan_distance_never_displaces_a_row(self):
+        rows = _solution_rows([(1.0, 1.0, 2), (math.inf, 1.0, 2)])
+        table = cal.OfflineSolutionTable(rows=rows)
+        # inf - inf is NaN for the second row; the scan keeps the first
+        assert cal.lookup_nearest_solution(table, math.inf, 1.0, 2) is rows[0].solution
+        # nor is a NaN distance on the first row, even by an exact match
+        rows = _solution_rows([(math.nan, 1.0, 2), (1.0, 1.0, 2)])
+        table = cal.OfflineSolutionTable(rows=rows)
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is rows[0].solution
+
+    def test_sees_replaced_row_list(self):
+        table = cal.OfflineSolutionTable(rows=_solution_rows([(1.0, 1.0, 2)]))
+        cal.lookup_nearest_solution(table, 1.0, 1.0, 2)
+        table.rows = _solution_rows([(2.0, 2.0, 2)], start=1)
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is table.rows[0].solution
+
+
+class TestCalibrationLookup:
+    @staticmethod
+    def _entry(rmax, rmse, w=2):
+        return cal.CalibEntry("single", "symmetric", w, rmax, 0.0, rmse, 3, 0)
+
+    def test_duplicate_key_first_wins(self):
+        first, dup = self._entry(100, 1.0), self._entry(100, 2.0)
+        t = cal.CalibrationTable(entries=[self._entry(50, 0.5), first, dup])
+        assert t.lookup("single", "symmetric", 2, 100) is first
+
+    def test_add_after_lookup_is_seen(self):
+        t = cal.CalibrationTable()
+        t.add(self._entry(100, 1.0))
+        t.lookup("single", "symmetric", 2, 100)
+        late = self._entry(200, 2.0)
+        t.add(late)
+        assert t.lookup("single", "symmetric", 2, 200) is late
+
+    def test_extend_after_lookup_is_seen(self):
+        t = cal.CalibrationTable(entries=[self._entry(100, 1.0)])
+        t.lookup("single", "symmetric", 2, 100)
+        late = [self._entry(300, 3.0), self._entry(100, 9.0, w=3)]
+        t.extend(late)
+        assert t.lookup("single", "symmetric", 2, 300) is late[0]
+        assert t.lookup("single", "symmetric", 3, 100) is late[1]
+
+    def test_missing_key_raises(self):
+        t = cal.CalibrationTable(entries=[self._entry(100, 1.0)])
+        t.lookup("single", "symmetric", 2, 100)
+        for key in (("single", "symmetric", 2, 101), ("double", "symmetric", 2, 100),
+                    ("single", "asymmetric", 2, 100), ("single", "symmetric", 3, 100)):
+            with pytest.raises(CalibrationMissingError):
+                t.lookup(*key)
+        with pytest.raises(CalibrationMissingError):
+            cal.CalibrationTable().lookup("single", "symmetric", 2, 100)
+
+
 class TestPersistence:
     def test_calibration_round_trip(self, small_table, tmp_path):
         p = tmp_path / "c.csv"

@@ -118,6 +118,26 @@ class TestMultiplyCommand:
                          str(workdir / "b.tgmm"), "--accel-percent", "100000"])
         assert code == 2
 
+    @pytest.mark.parametrize("operand,bad,row,col",
+                             [("a", math.nan, 1, 2), ("b", math.inf, 3, 0)])
+    def test_non_finite_input_exit_code(self, workdir, tmp_path, capsys,
+                                        operand, bad, row, col):
+        paths = {"a": workdir / "a.tgmm", "b": workdir / "b.tgmm"}
+        m = matrixio.load_matrix(paths[operand]).copy()
+        m[row, col] = bad
+        m[row + 1, col] = bad  # only the first bad entry is named
+        paths[operand] = tmp_path / f"bad_{operand}.tgmm"
+        matrixio.save_matrix(m, paths[operand])
+        out = tmp_path / "nonfinite"
+        code = cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                         "--out", str(out), "multiply", str(paths["a"]), str(paths["b"]),
+                         "--snr-db", "30"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(paths[operand]) in err
+        assert f"at row {row}, column {col}" in err
+        assert not (out / "result.tgmm").exists()
+
     def test_missing_tables_exit_code(self, workdir, tmp_path):
         code = cli.main(["--l", str(L), "--tables", str(tmp_path / "absent"),
                          "--out", str(tmp_path / "o"), "multiply",
@@ -169,3 +189,25 @@ class TestSweepCommand:
                 for r in _read_sweep(out / "sweep.csv")
             ])
         assert rows[0] == rows[1]
+
+    def test_nontiming_columns_match_recorded_run(self, workdir):
+        """Recorded from the sweep that rebuilt tile stats and options on every
+        step: computing them once must not change a byte of these columns."""
+        out = workdir / "recorded"
+        assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                         "--out", str(out), "--seed", "5", "sweep", "--blocks", "3"]) == 0
+        got = [(r["accel_pct"], r["measured_snr_db"], r["mac_ratio"])
+               for r in _read_sweep(out / "sweep.csv")]
+        assert got == [
+            ("0", "inf", "1.0"),
+            ("10", "43.70776844263397", "1.0588235294117647"),
+            ("20", "39.37443203102787", "1.125"),
+            ("30", "38.111401380467534", "1.2"),
+            ("40", "37.98399051630056", "1.2857142857142858"),
+            ("50", "37.98399051630056", "1.2857142857142858"),
+            ("60", "37.71513626753409", "1.3846153846153846"),
+            ("70", "37.60641531102553", "1.5"),
+            ("80", "36.14817480200402", "1.6363636363636365"),
+            ("90", "34.90659960696709", "1.8"),
+            ("100", "34.46857178708642", "2.0"),
+        ]
