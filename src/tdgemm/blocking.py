@@ -14,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidConfigError
 
 ROWWISE = "rowwise-raster"
 COLUMNWISE = "columnwise-raster"
+
+# Elements of the per-step product buffer in plain_subblock_gemm: enough
+# inner indices per step to amortise NumPy's per-call cost at L=48, one index
+# per step (the plain loop) at L=288.
+_STEP_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,17 +107,37 @@ def inverse_reorder(bm: BlockMajorMatrix) -> np.ndarray:
 def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Native-precision product with ascending-l accumulation.
 
-    Equivalent to the naive triple loop with the reduction innermost, but
-    vectorized one rank-1 update at a time so the per-element rounding
-    sequence is identical to the scalar loop.
+    Bitwise equal to the naive triple loop with the reduction innermost. Each
+    step takes a batch of ``c = min(k, _STEP_ELEMS // (m*n))`` inner indices:
+    one multiply writes their rank-1 products into a C-ordered ``(c, m, n)``
+    buffer, the running sum is added into slice 0, and an add-reduce over
+    axis 0 folds the batch back in. Reducing over the outermost axis of a
+    C-ordered buffer adds the slices one after another in ascending ``l``,
+    so every element sees the same rounding sequence as the scalar loop.
+
+    A step of one index (``c == 1``, large tiles) keeps the plain rank-1
+    update, which is faster there than going through the buffer. A 1 x 1
+    output takes it too: the reduce axis would then be the only one, and
+    NumPy sums such an axis pairwise, which changes the order.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"non-conformable operands {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
-    r = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    for l in range(a.shape[1]):
-        r += a[:, l][:, None] * b[l, :][None, :]
+    (m, k), n = a.shape, b.shape[1]
+    r = np.zeros((m, n), dtype=a.dtype)
+    c = min(k, _STEP_ELEMS // max(1, m * n))
+    if c < 2 or m * n <= 1:
+        for l in range(k):
+            r += a[:, l][:, None] * b[l, :][None, :]
+        return r
+    buf = np.empty((c, m, n), dtype=a.dtype)
+    for l0 in range(0, k, c):
+        p = buf[:min(c, k - l0)]
+        ls = slice(l0, l0 + len(p))
+        np.multiply(a[:, ls].T[:, :, None], b[ls, None, :], out=p)
+        p[0] += r
+        np.add.reduce(p, axis=0, out=r)
     return r
 
 
@@ -136,11 +161,21 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
         for i in range(m // L):
             for j in range(n // L):
                 entry = _plan_entry(plan, i, j)
-                if entry is not None and len(entry) != k // L:
+                if entry is None:
+                    continue
+                if len(entry) != k // L:
                     raise DimensionError(
                         f"plan for kernel ({i},{j}) has {len(entry)} subblock choices, "
                         f"tiling needs {k // L}"
                     )
+                for l, choice in enumerate(entry):
+                    if choice is not None and choice.w > 1:
+                        try:
+                            choice.validate()
+                        except InvalidConfigError as exc:
+                            raise InvalidConfigError(
+                                f"kernel ({i},{j}) subblock {l}: {exc}"
+                            ) from exc
     r = np.zeros((m, n), dtype=a.dtype)
     for i in range(m // L):
         rows = slice(i * L, (i + 1) * L)

@@ -24,13 +24,16 @@ MODES = (SYMMETRIC, ASYMMETRIC)
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, half-way ties away from zero.
 
-    The arithmetic runs in float64 (exact for every magnitude the engine
-    produces after unpack-scaling) and the result is cast back to the input
-    dtype.
+    The arithmetic runs in the input dtype and is exact: the fractional part
+    ``x - trunc(x)`` is representable, so comparing it with one half decides
+    the rounding without the rounding error of ``floor(|x| + 0.5)``. Signed
+    zeros and infinities pass through.
     """
     arr = np.asarray(x)
-    r = np.copysign(np.floor(np.abs(arr.astype(np.float64)) + 0.5), arr.astype(np.float64))
-    return r.astype(arr.dtype)
+    t = np.trunc(arr)
+    with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
+        up = np.abs(arr - t) >= 0.5
+    return t + np.copysign(up, arr)
 
 
 @dataclass(frozen=True)

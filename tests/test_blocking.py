@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdgemm import blocking, packing
 from tdgemm.blocking import (
     COLUMNWISE,
     ROWWISE,
@@ -24,6 +27,28 @@ def naive_gemm(a, b):
                 acc += a[m, l] * b[l, n]
             r[m, n] = acc
     return r
+
+
+def rank1_loop(a, b):
+    """plain_subblock_gemm before batching: one rank-1 update per inner index."""
+    r = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
+    for l in range(a.shape[1]):
+        r += a[:, l][:, None] * b[l, :][None, :]
+    return r
+
+
+def _layout(x, kind):
+    """The same values as ``x`` in a C, Fortran, reversed-stride or sliced array."""
+    if kind == "fortran":
+        return np.asfortranarray(x)
+    if kind == "reversed":
+        return np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1]
+    if kind == "slice":
+        # a tile of a wider matrix, as tiered_gemm passes its subblocks
+        wide = np.zeros((x.shape[0] + 2, 3 * x.shape[1] + 1), dtype=x.dtype)
+        wide[1:-1, x.shape[1]:2 * x.shape[1]] = x
+        return wide[1:-1, x.shape[1]:2 * x.shape[1]]
+    return x
 
 
 class TestComputeL:
@@ -114,6 +139,45 @@ class TestPlainGemm:
         r2 = plain_subblock_gemm(a, b)
         np.testing.assert_array_equal(r1, r2)
 
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        # a side of 1 (m = 1, n = 1, 1 x 1 outputs) about half the time
+        st.one_of(st.just(1), st.integers(1, 64)),
+        st.one_of(st.just(1), st.integers(1, 64)),
+        st.integers(1, 64),
+        st.sampled_from(["c", "fortran", "reversed", "slice"]),
+        st.sampled_from(["c", "fortran", "reversed", "slice"]),
+        st.booleans(),
+        st.sampled_from([blocking._STEP_ELEMS, 4096, 256, 16, 1]),
+        st.integers(0, 2 ** 31),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rank1_loop_bitwise(self, dtype, m, n, k, lay_a, lay_b,
+                                        integer, step_elems, seed):
+        # small step budgets move the same shapes across the one-index cutoff
+        # and give batches that do not divide k
+        rng = np.random.default_rng(seed)
+        if integer:
+            # integer-valued with signed zeros, as on the packed path
+            a = rng.integers(-3, 4, size=(m, k)) * rng.choice([-1.0, 1.0], size=(m, k))
+            b = rng.integers(-3, 4, size=(k, n)) * rng.choice([-1.0, 1.0], size=(k, n))
+        else:
+            a = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-4, 5, size=(m, k))
+            b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
+        a = _layout(a.astype(dtype), lay_a)
+        b = _layout(b.astype(dtype), lay_b)
+        with mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
+            got = plain_subblock_gemm(a, b)
+        want = rank1_loop(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_inner_dimension_gives_zeros(self):
+        for dtype in (np.float32, np.float64):
+            out = plain_subblock_gemm(np.zeros((3, 0), dtype), np.zeros((0, 4), dtype))
+            assert out.dtype == dtype
+            np.testing.assert_array_equal(out, np.zeros((3, 4)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             plain_subblock_gemm(np.zeros((2, 3)), np.zeros((4, 2)))
@@ -155,6 +219,23 @@ class TestTieredGemm:
         with pytest.raises(DimensionError):
             tiered_gemm(a, a, 4, plan={(0, 0): [None], (0, 1): [None],
                                        (1, 0): [None], (1, 1): [None, None, None]})
+
+    def test_invalid_packing_choice_rejected_before_any_product(self):
+        a = np.ones((8, 8), np.float32)
+        ok = packing.PackingConfig(
+            mode=packing.SYMMETRIC, w=2, z=2.0 ** -8, c_a=1.0, c_b=1.0, rmax=10
+        )
+        oversized = packing.PackingConfig(
+            mode=packing.SYMMETRIC, w=2, z=0.25, c_a=1.0, c_b=1.0, rmax=10
+        )
+        plan = {(i, j): [ok, ok] for i in range(2) for j in range(2)}
+        plan[(1, 1)] = [ok, oversized]
+        with mock.patch.object(blocking, "plain_subblock_gemm") as plain, \
+                mock.patch.object(packing, "packed_subblock_product") as packed:
+            with pytest.raises(InvalidConfigError, match=r"kernel \(1,1\) subblock 1: .*bound"):
+                tiered_gemm(a, a, 4, plan)
+        plain.assert_not_called()
+        packed.assert_not_called()
 
     def test_none_plan_entries_mean_plain(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,39 @@ from tdgemm import packing
 from tdgemm.blocking import plain_subblock_gemm
 from tdgemm.config import dtype_of, u_sys_of
 from tdgemm.errors import DimensionError, InvalidConfigError, QuantizerOverflowError
+
+
+def _round_via_float64(x):
+    """The float64 round trip round_half_away used before it ran in-dtype."""
+    arr = np.asarray(x)
+    r = np.copysign(np.floor(np.abs(arr.astype(np.float64)) + 0.5), arr.astype(np.float64))
+    return r.astype(arr.dtype)
+
+
+def _round_exact(v):
+    """Ties-away rounding of a float64 in exact rational arithmetic."""
+    return math.copysign(float(math.floor(abs(Fraction(v)) + Fraction(1, 2))), v)
+
+
+def _f32_values():
+    """float32 values from every magnitude class 2^-30..2^30 (so [2^23, 2^24)
+    too), the half-integer ties, both neighbours of each tie, signed zeros
+    and infinities."""
+    sign = st.sampled_from([1.0, -1.0])
+    by_class = st.builds(
+        lambda s, e, frac: s * float(np.float32(2.0 ** e * (1 + frac / 2 ** 23))),
+        sign, st.integers(-30, 30), st.integers(0, 2 ** 23 - 1),
+    )
+
+    def near_tie(s, i, step):
+        tie = np.float32(i + 0.5)
+        return s * float(np.nextafter(tie, np.float32(step * np.inf)) if step else tie)
+
+    ties = st.builds(near_tie, sign, st.integers(0, 2 ** 23 - 1), st.sampled_from([-1, 0, 1]))
+    return st.one_of(
+        by_class, ties, st.floats(width=32, allow_nan=False),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    )
 
 
 class TestRounding:
@@ -26,6 +60,39 @@ class TestRounding:
         r = float(packing.round_half_away(np.array([v]))[0])
         assert abs(r - v) <= 0.5
         assert r == int(r)
+
+    @given(st.lists(_f32_values(), min_size=1, max_size=32))
+    @settings(max_examples=300)
+    def test_float32_matches_float64_round_trip(self, values):
+        x = np.array(values, dtype=np.float32)
+        got = packing.round_half_away(x)
+        assert got.dtype == np.float32
+        assert got.tobytes() == _round_via_float64(x).tobytes()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300)
+    def test_float64_matches_exact_oracle(self, v):
+        got = packing.round_half_away(np.array([v]))
+        assert got.dtype == np.float64
+        want = np.array([_round_exact(v)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("v, want", [
+        (0.49999999999999994, 0.0),
+        (-0.49999999999999994, -0.0),
+        (4503599627370497.0, 4503599627370497.0),
+        (-4503599627370497.0, -4503599627370497.0),
+        (9007199254740991.0, 9007199254740991.0),
+    ])
+    def test_float64_pinned(self, v, want):
+        got = packing.round_half_away(np.array([v]))
+        assert got.tobytes() == np.array([want]).tobytes()
+
+    def test_signed_zeros_and_infinities_pass_through(self):
+        for dtype in (np.float32, np.float64):
+            x = np.array([0.0, -0.0, -0.25, np.inf, -np.inf], dtype=dtype)
+            want = np.array([0.0, -0.0, -0.0, np.inf, -np.inf], dtype=dtype)
+            assert packing.round_half_away(x).tobytes() == want.tobytes()
 
 
 class TestQuantize:
