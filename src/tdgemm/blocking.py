@@ -1,11 +1,12 @@
-"""Dense matrix tiering: block-major reordering, tile statistics, and the
-plain (full-precision) blocked multiply used both standalone and under packed
-operands.
+"""Dense matrix tiering: block-major reordering, tile statistics, the blocked
+multiply, and the order-matched plain subblock product.
 
 The accumulation order is fixed everywhere: subblocks accumulate over the
-inner index ``l`` in ascending order, and each subblock product accumulates
-its own inner dimension in ascending order. This makes every result bitwise
-reproducible and testable against an order-matched oracle.
+inner index ``l`` in ascending order, and each plain subblock product
+accumulates its own inner dimension in ascending order. This makes every
+plain result bitwise reproducible and testable against an order-matched
+oracle. Packed subblocks run through ``packing.packed_subblock_product`` on
+BLAS; the plain product stays their reference.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ def inverse_reorder(bm: BlockMajorMatrix) -> np.ndarray:
 def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Native-precision product with ascending-l accumulation.
 
+    It runs every plain subblock (W=1, unplanned, borders) and is the bitwise
+    oracle the packed BLAS path is checked against.
+
     Bitwise equal to the naive triple loop with the reduction innermost. Each
     step takes a batch of ``c = min(k, _STEP_ELEMS // (m*n))`` inner indices:
     one multiply writes their rank-1 products into a C-ordered ``(c, m, n)``
@@ -148,7 +152,7 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
     options (``None`` or W=1 meaning the plain path). Border regions not
     covered by full tiles are always computed with the plain path.
     """
-    from . import packing  # deferred: packing multiplies via plain_subblock_gemm
+    from . import packing  # deferred: packing imports blocking
 
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"non-conformable operands {a.shape} x {b.shape}")

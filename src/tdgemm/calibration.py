@@ -113,8 +113,9 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
     """Measure mean error and per-element RMSE of packed multiplication.
 
     Integer uniform tiles with unit companders isolate the representation
-    noise; the reference is the plain W=1 product of the same tiles (exact at
-    these amplitudes in either precision).
+    noise; the reference is the float64 product of the same tiles (exact at
+    these amplitudes). The packed product measured is ``packing.packed_product``,
+    the one ``multiply`` executes.
     """
     if w < 2:
         raise InvalidConfigError("representation noise is only defined for W >= 2")
@@ -135,12 +136,7 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
             at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
             bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
             exact = at.astype(np.float64) @ bt.astype(np.float64)
-            if mode == packing.SYMMETRIC:
-                abar, bbar = packing.pack_symmetric(at, bt, w, z)
-                got = packing.unpack_symmetric(packing.multiply_packed_symmetric(abar, bbar), z)
-            else:
-                abar = packing.pack_asymmetric(at, w, z)
-                got = packing.unpack_asymmetric(packing.multiply_packed_asymmetric(abar, bt), z, w)
+            got = packing.packed_product(at, bt, mode, w, z)
             err = got.astype(np.float64) - exact
             sq_sum += float((err * err).sum())
             err_sum += float(err.sum())
@@ -191,7 +187,12 @@ class SpeedupProfile:
 
 def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
                             repetitions: int = 5, seed: int = 0) -> SpeedupProfile:
-    """Median wall-clock of the packed pipeline vs plain, as percentile gain."""
+    """Median wall-clock of the packed pipeline vs plain, as percentile gain.
+
+    The plain baseline is the order-matched ``plain_subblock_gemm``, not
+    ``np.matmul``: ``fw_percent`` is the gain of a packed subblock over a
+    plain one inside ``tiered_gemm``.
+    """
     if repetitions < 3:
         raise InvalidConfigError("repetitions must be >= 3")
     dtype = dtype_of(precision)
@@ -203,12 +204,7 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
         plain_subblock_gemm(at, bt)
 
     def run_packed(w, z):
-        if mode == packing.SYMMETRIC:
-            abar, bbar = packing.pack_symmetric(at, bt, w, z)
-            packing.unpack_symmetric(packing.multiply_packed_symmetric(abar, bbar), z)
-        else:
-            abar = packing.pack_asymmetric(at, w, z)
-            packing.unpack_asymmetric(packing.multiply_packed_asymmetric(abar, bt), z, w)
+        packing.packed_product(at, bt, mode, w, z)
 
     def timed(fn):
         fn()  # warm-up

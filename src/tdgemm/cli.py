@@ -40,8 +40,17 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _blas_build() -> dict:
+    """numpy version and the BLAS it was built against: packed outputs outside
+    the exact region are reproducible from (seed, flags, inputs, BLAS build)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version")}
+
+
 def _write_manifest(out_dir: Path, command: str, args, inputs, outputs) -> None:
     manifest = {
+        "build": _blas_build(),
         "command": command,
         "seed": args.seed,
         "engine": {"L": args.l, "precision": args.precision, "mode": args.mode},
@@ -136,6 +145,17 @@ def _overall_model_snr(plan: controller.KernelPlan, kernel_stats, L: int) -> flo
     return 10.0 * math.log10(signal / noise)
 
 
+def _exact_subblocks(plan: controller.KernelPlan, precision: str) -> int:
+    """Packed subblocks inside the exact region: their outputs do not depend
+    on the GEMM's summation order."""
+    return sum(
+        1
+        for entry in plan.entries.values()
+        for o in entry.choices
+        if 1 < o.w <= packing.exact_w_limit(o.rmax, o.z, o.mode, precision, max_w=o.w)
+    )
+
+
 def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:
     err = got.astype(np.float64) - ref.astype(np.float64)
     p_err = float((err * err).sum())
@@ -191,6 +211,7 @@ def cmd_multiply(args) -> int:
         model_snr = _overall_model_snr(plan, kernel_stats, L)
         report["model_snr_db"] = model_snr
         report["w_histogram"] = {str(k): v for k, v in sorted(plan.w_histogram().items())}
+        report["exact_subblocks"] = _exact_subblocks(plan, args.precision)
         controller.dump_plan(plan, out_dir / "plan.csv")
     if args.verify:
         ref = tiered_gemm(a, b, L)

@@ -133,7 +133,8 @@ def build_options(stats_per_l, solutions: OfflineSolutionTable, mode: str, preci
 
     For each W the nearest offline solution fixes R_max; companders and the
     distortion prediction are recomputed from the runtime sigmas. Without a
-    measured profile the speedup falls back to the MAC-count gain.
+    measured profile the speedup falls back to the MAC-count gain. A W whose
+    measured gain is not positive is left out: W=1 dominates it.
     """
     options_per_l = []
     for l, stats in enumerate(stats_per_l):
@@ -143,12 +144,14 @@ def build_options(stats_per_l, solutions: OfflineSolutionTable, mode: str, preci
             for w in sorted(set(w_set), reverse=True):
                 if w < 2:
                     continue
+                fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
+                if fw <= 0:
+                    continue  # W=1 is at least as fast, at zero distortion
                 stored = lookup_nearest_solution(solutions, stats.sigma_a, stats.sigma_b, w)
                 rmax = stored.rmax
                 s_repr = calib.lookup(precision, mode, w, rmax).rmse
                 sol = optimal_companders(stats, rmax, s_repr=s_repr, w=w)
                 d_hat = combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
-                fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
                 opts.append(
                     SubblockOption(
                         l=l, w=w, mode=mode, c_a=sol.c_a, c_b=sol.c_b, rmax=rmax,

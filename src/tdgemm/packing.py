@@ -3,7 +3,8 @@
 Quantized inputs are folded W at a time into one native float using powers of
 the packing coefficient z, so a single multiply-accumulate advances W partial
 results. Symmetric mode packs both operands (rows of A against columns of B);
-asymmetric mode packs W rows of A and leaves B unpacked.
+asymmetric mode packs W rows of A and leaves B unpacked. The packed operands
+are multiplied by the BLAS GEMM behind ``np.matmul``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocking import plain_subblock_gemm
 from .config import mantissa_bits, precision_of_dtype, u_sys_of
 from .errors import DimensionError, InvalidConfigError, QuantizerOverflowError
 
@@ -148,6 +150,14 @@ def exact_packing_limit(rmax: int, z: float, mode: str, precision: str, max_w: i
     return best
 
 
+def exact_w_limit(rmax: int, z: float, mode: str, precision: str, max_w: int = 4) -> int:
+    """Largest W of the exact region: the intersection of ``compute_wef`` and
+    ``exact_packing_limit``. There every unpacked field is an exact integer,
+    so the output does not depend on the GEMM's summation order."""
+    return min(compute_wef(z, rmax, u_sys_of(precision)),
+               exact_packing_limit(rmax, z, mode, precision, max_w))
+
+
 def _check_quantized_pair(at, bt):
     if at.shape != bt.shape or at.ndim != 2 or at.shape[0] != at.shape[1]:
         raise DimensionError(f"expected square tiles of equal side, got {at.shape}, {bt.shape}")
@@ -173,15 +183,13 @@ def pack_symmetric(at: np.ndarray, bt: np.ndarray, w: int, z: float):
 
 
 def multiply_packed_symmetric(abar: PackedTile, bbar: PackedTile) -> np.ndarray:
-    from .blocking import plain_subblock_gemm
-
     if abar.mode != SYMMETRIC or bbar.mode != SYMMETRIC:
         raise DimensionError("operands are not symmetric-packed")
     if abar.w != bbar.w or abar.z != bbar.z:
         raise DimensionError(
             f"packing mismatch: W {abar.w}/{bbar.w}, z {abar.z}/{bbar.z}"
         )
-    return plain_subblock_gemm(abar.values, bbar.values)
+    return np.matmul(abar.values, bbar.values)
 
 
 def unpack_symmetric(rbar: np.ndarray, z: float) -> np.ndarray:
@@ -209,11 +217,9 @@ def pack_asymmetric(at: np.ndarray, w: int, z: float) -> PackedTile:
 
 
 def multiply_packed_asymmetric(abar: PackedTile, bt: np.ndarray) -> np.ndarray:
-    from .blocking import plain_subblock_gemm
-
     if abar.mode != ASYMMETRIC:
         raise DimensionError("operand is not asymmetric-packed")
-    return plain_subblock_gemm(abar.values, bt)
+    return np.matmul(abar.values, bt)
 
 
 def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
@@ -235,21 +241,29 @@ def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
     return out
 
 
+def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float) -> np.ndarray:
+    """Product of two quantized tiles through packing: pack, multiply, unpack.
+
+    The packed operands are multiplied by BLAS. Inside the exact region
+    (``exact_w_limit``) the result is bitwise the order-matched product;
+    outside it the bits depend on the BLAS build. W=1 is the order-matched
+    plain product.
+    """
+    if w == 1:
+        return plain_subblock_gemm(at, bt)
+    if mode == SYMMETRIC:
+        abar, bbar = pack_symmetric(at, bt, w, z)
+        return unpack_symmetric(multiply_packed_symmetric(abar, bbar), z)
+    if mode == ASYMMETRIC:
+        abar = pack_asymmetric(at, w, z)
+        return unpack_asymmetric(multiply_packed_asymmetric(abar, bt), z, w)
+    raise InvalidConfigError(f"unknown mode {mode!r}")
+
+
 def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig) -> np.ndarray:
     """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
     reverse-compand. W=1 falls back to quantize-multiply-dequantize."""
-    from .blocking import plain_subblock_gemm
-
     at = quantize_subblock(a_tile, cfg.c_a)
     bt = quantize_subblock(b_tile, cfg.c_b)
-    if cfg.w == 1:
-        rt = plain_subblock_gemm(at, bt)
-    elif cfg.mode == SYMMETRIC:
-        abar, bbar = pack_symmetric(at, bt, cfg.w, cfg.z)
-        rt = unpack_symmetric(multiply_packed_symmetric(abar, bbar), cfg.z)
-    elif cfg.mode == ASYMMETRIC:
-        abar = pack_asymmetric(at, cfg.w, cfg.z)
-        rt = unpack_asymmetric(multiply_packed_asymmetric(abar, bt), cfg.z, cfg.w)
-    else:
-        raise InvalidConfigError(f"unknown mode {cfg.mode!r}")
+    rt = packed_product(at, bt, cfg.mode, cfg.w, cfg.z)
     return np.asarray(dequantize(rt, cfg.c_a, cfg.c_b), dtype=a_tile.dtype)

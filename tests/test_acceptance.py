@@ -43,14 +43,6 @@ def solutions48(calib48):
     }
 
 
-def _pipeline(at, bt, mode, w, z):
-    if mode == packing.SYMMETRIC:
-        abar, bbar = packing.pack_symmetric(at, bt, w, z)
-        return packing.unpack_symmetric(packing.multiply_packed_symmetric(abar, bbar), z)
-    abar = packing.pack_asymmetric(at, w, z)
-    return packing.unpack_asymmetric(packing.multiply_packed_asymmetric(abar, bt), z, w)
-
-
 def test_criterion_01_exact_region():
     """Pack-multiply-unpack is bit-exact wherever the engine claims exactness."""
     rng = np.random.default_rng(SEED)
@@ -68,7 +60,7 @@ def test_criterion_01_exact_region():
                 for _ in range(200):
                     at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
                     bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
-                    got = _pipeline(at, bt, mode, w, z)
+                    got = packing.packed_product(at, bt, mode, w, z)
                     exact = at.astype(np.int64) @ bt.astype(np.int64)
                     np.testing.assert_array_equal(got.astype(np.int64), exact)
                 checked.append((precision, mode, w))
@@ -91,7 +83,7 @@ def test_criterion_01_published_bound_alone():
     assert w == 4
     at = rng.integers(-1, 2, size=(L, L)).astype(np.float32)
     bt = rng.integers(-1, 2, size=(L, L)).astype(np.float32)
-    got = _pipeline(at, bt, packing.SYMMETRIC, w, z)
+    got = packing.packed_product(at, bt, packing.SYMMETRIC, w, z)
     np.testing.assert_array_equal(got.astype(np.int64), at.astype(np.int64) @ bt.astype(np.int64))
 
 
@@ -230,7 +222,7 @@ def test_criterion_07_error_source_independence():
         exact = a.astype(np.float64) @ b.astype(np.float64)
         int_prod = at.astype(np.float64) @ bt.astype(np.float64)
         e_quant.append((int_prod / c ** 2 - exact).ravel())
-        packed = _pipeline(at, bt, packing.SYMMETRIC, 2, z).astype(np.float64)
+        packed = packing.packed_product(at, bt, packing.SYMMETRIC, 2, z).astype(np.float64)
         e_repr.append(((packed - int_prod) / c ** 2).ravel())
     corr = float(np.corrcoef(np.concatenate(e_quant), np.concatenate(e_repr))[0, 1])
     verdict(7, abs(corr) < 0.05, f"|Pearson correlation| = {abs(corr):.4f} (< 0.05)")
@@ -299,7 +291,7 @@ def test_criterion_09_throughput():
 
     def t_packed():
         t0 = time.perf_counter()
-        _pipeline(a, b, packing.SYMMETRIC, 2, z)
+        packing.packed_product(a, b, packing.SYMMETRIC, 2, z)
         return time.perf_counter() - t0
 
     t_plain(), t_packed()  # warm-up

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tdgemm import cli, matrixio
+from tdgemm import calibration, cli, matrixio
 from tdgemm.blocking import tiered_gemm
 from tdgemm.errors import TableFormatError
 
@@ -80,6 +80,13 @@ class TestCalibrateCommand:
         assert manifest["command"] == "calibrate"
         assert manifest["tool_version"]
 
+    def test_manifest_records_blas_build(self, workdir):
+        """Packed outputs are reproducible from (seed, flags, inputs, BLAS build)."""
+        build = json.loads((workdir / "tables" / "calibrate_manifest.json").read_text())["build"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert build == {"numpy": np.__version__, "blas": blas["name"],
+                         "blas_version": blas["version"]}
+
 
 class TestMultiplyCommand:
     def test_plain_matches_reference(self, workdir, tmp_path):
@@ -110,6 +117,31 @@ class TestMultiplyCommand:
         report = json.loads((out / "multiply_report.json").read_text())
         assert report["model_gap_db"] <= 1.5
         assert report["measured_snr_db"] >= 25.0 - 1.5
+
+    def test_report_counts_exact_subblocks(self, workdir, tmp_path):
+        def report(tables, out):
+            assert cli.main(["--l", str(L), "--tables", str(tables), "--out", str(out),
+                             "multiply", str(workdir / "a.tgmm"), str(workdir / "b.tgmm"),
+                             "--accel-percent", "100"]) == 0
+            return json.loads((out / "multiply_report.json").read_text())
+
+        # the CLI tables plan rmax=16632, beyond exact_packing_limit for W=2
+        wide = report(workdir / "tables", tmp_path / "wide")
+        assert wide["w_histogram"] == {"2": 8}
+        assert wide["exact_subblocks"] == 0
+        # a table holding only rmax=264 (W_ef=3, exact_packing_limit 2) plans
+        # every packed subblock inside the exact region
+        tables = tmp_path / "narrow_tables"
+        tables.mkdir()
+        calibration.save_calibration(
+            calibration.CalibrationTable(calibration.measure_repr_noise(
+                L, "single", "symmetric", 2, sweep=[(22, 1)], trials=2)),
+            tables / "calibration.csv")
+        assert cli.main(["--l", str(L), "--tables", str(tables), "--out", str(tables),
+                         "solutions", "--w", "2", "--per-decade", "1"]) == 0
+        narrow = report(tables, tmp_path / "narrow")
+        assert narrow["w_histogram"] == {"2": 8}
+        assert narrow["exact_subblocks"] == 8
 
     def test_infeasible_acceleration_exit_code(self, workdir, tmp_path):
         out = tmp_path / "inf"
@@ -191,8 +223,11 @@ class TestSweepCommand:
         assert rows[0] == rows[1]
 
     def test_nontiming_columns_match_recorded_run(self, workdir):
-        """Recorded from the sweep that rebuilt tile stats and options on every
-        step: computing them once must not change a byte of these columns."""
+        """Recorded from the sweep with packed products on BLAS: ``mac_ratio``
+        is unchanged since the sweep first ran, ``measured_snr_db`` was
+        re-recorded when packed products moved off the order-matched loop.
+        Outside the exact region packed bits depend on the BLAS build; these
+        were recorded with OpenBLAS 0.3.31."""
         out = workdir / "recorded"
         assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
                          "--out", str(out), "--seed", "5", "sweep", "--blocks", "3"]) == 0
@@ -200,14 +235,14 @@ class TestSweepCommand:
                for r in _read_sweep(out / "sweep.csv")]
         assert got == [
             ("0", "inf", "1.0"),
-            ("10", "43.70776844263397", "1.0588235294117647"),
-            ("20", "39.37443203102787", "1.125"),
-            ("30", "38.111401380467534", "1.2"),
-            ("40", "37.98399051630056", "1.2857142857142858"),
-            ("50", "37.98399051630056", "1.2857142857142858"),
-            ("60", "37.71513626753409", "1.3846153846153846"),
-            ("70", "37.60641531102553", "1.5"),
-            ("80", "36.14817480200402", "1.6363636363636365"),
-            ("90", "34.90659960696709", "1.8"),
-            ("100", "34.46857178708642", "2.0"),
+            ("10", "43.665342184386866", "1.0588235294117647"),
+            ("20", "39.360693837967574", "1.125"),
+            ("30", "38.093908195803756", "1.2"),
+            ("40", "37.960254959643464", "1.2857142857142858"),
+            ("50", "37.960254959643464", "1.2857142857142858"),
+            ("60", "37.684982846246754", "1.3846153846153846"),
+            ("70", "37.575847522896495", "1.5"),
+            ("80", "36.12973052356393", "1.6363636363636365"),
+            ("90", "34.89861303104303", "1.8"),
+            ("100", "34.45155120456673", "2.0"),
         ]

@@ -184,6 +184,29 @@ class TestBuildOptions:
         assert abs(np.mean(errs) - 1.0) < 0.25
 
 
+    def test_nonpositive_measured_gain_is_never_planned(self, desk_tables):
+        """W=1 dominates a packed option that costs accuracy and buys no speed."""
+        calib, sols = desk_tables
+        rng = np.random.default_rng(34)
+        L = 12
+        a = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
+        b = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
+
+        def histogram(fw_percent, constraint):
+            profile = cal.SpeedupProfile(
+                [cal.ProfileEntry("single", "symmetric", 2, L, fw_percent, 2.0, 3)])
+            plan = ctl.plan_gemm(a, b, L, constraint, sols, calib, "symmetric", "single",
+                                 profile=profile, w_set=(2,))
+            return plan.w_histogram()
+
+        snr_floor = ctl.KernelConstraint(target_snr_db=0.0)
+        accel_floor = ctl.KernelConstraint(target_accel_percent=0.0)
+        assert histogram(50.0, snr_floor) == {2: 8}
+        for fw_percent in (-20.0, 0.0):
+            assert histogram(fw_percent, snr_floor) == {1: 8}
+            assert histogram(fw_percent, accel_floor) == {1: 8}
+
+
 class TestPlanGemm:
     def test_infinite_snr_is_bitwise_plain(self, desk_tables):
         calib, sols = desk_tables

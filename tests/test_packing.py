@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tdgemm import packing
+from tdgemm import calibration, packing
 from tdgemm.blocking import plain_subblock_gemm
 from tdgemm.config import dtype_of, u_sys_of
 from tdgemm.errors import DimensionError, InvalidConfigError, QuantizerOverflowError
@@ -167,18 +167,82 @@ def test_exact_region_round_trip(precision, mode):
         for _ in range(20):
             at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
             bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
-            exact = _exact_int_product(at, bt)
-            if mode == packing.SYMMETRIC:
-                abar, bbar = packing.pack_symmetric(at, bt, w, z)
-                got = packing.unpack_symmetric(
-                    packing.multiply_packed_symmetric(abar, bbar), z
-                )
-            else:
-                abar = packing.pack_asymmetric(at, w, z)
-                got = packing.unpack_asymmetric(
-                    packing.multiply_packed_asymmetric(abar, bt), z, w
-                )
-            np.testing.assert_array_equal(got.astype(np.int64), exact)
+            got = packing.packed_product(at, bt, mode, w, z)
+            np.testing.assert_array_equal(got.astype(np.int64), _exact_int_product(at, bt))
+
+
+def _order_matched(at, bt, mode, w, z):
+    """pack -> order-matched plain_subblock_gemm -> unpack: the packed product
+    with the rank-1 loop's summation order."""
+    if mode == packing.SYMMETRIC:
+        abar, bbar = packing.pack_symmetric(at, bt, w, z)
+        return packing.unpack_symmetric(plain_subblock_gemm(abar.values, bbar.values), z)
+    abar = packing.pack_asymmetric(at, w, z)
+    return packing.unpack_asymmetric(plain_subblock_gemm(abar.values, bt), z, w)
+
+
+def _integer_tiles(rng, L, amax, bmax, dtype):
+    at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
+    bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
+    return at, bt
+
+
+class TestPackedProductAgainstOrderMatched:
+    """The BLAS packed product against the order-matched oracle."""
+
+    @given(st.sampled_from(["single", "double"]), st.sampled_from(packing.MODES),
+           st.sampled_from([12, 24, 48]), st.integers(1, 16), st.integers(1, 16),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_inside_exact_region(self, precision, mode, L, amax, bmax, seed, data):
+        rmax = packing.compute_rmax(1.0, 1.0, L, amax, bmax)
+        z = packing.compute_z(rmax)
+        w_top = packing.exact_w_limit(rmax, z, mode, precision)
+        assume(w_top >= 2)
+        w = data.draw(st.sampled_from([w for w in range(2, w_top + 1) if L % w == 0]))
+        at, bt = _integer_tiles(np.random.default_rng(seed), L, amax, bmax,
+                                dtype_of(precision))
+        got = packing.packed_product(at, bt, mode, w, z)
+        assert got.tobytes() == _order_matched(at, bt, mode, w, z).tobytes()
+        np.testing.assert_array_equal(got.astype(np.int64), _exact_int_product(at, bt))
+
+    @staticmethod
+    def _rmse_pair(L, amax, bmax, precision, mode, w, seed, trials):
+        """RMSE against the float64 product of the BLAS and order-matched
+        packed products, over ``trials`` tile pairs of one calibration point."""
+        rmax = packing.compute_rmax(1.0, 1.0, L, amax, bmax)
+        z = packing.compute_z(rmax)
+        assert packing.exact_w_limit(rmax, z, mode, precision) < w  # outside the exact region
+        rng = np.random.default_rng(seed)
+        sq_blas = sq_oracle = 0.0
+        for _ in range(trials):
+            at, bt = _integer_tiles(rng, L, amax, bmax, dtype_of(precision))
+            exact = at.astype(np.float64) @ bt.astype(np.float64)
+            sq_blas += float(((packing.packed_product(at, bt, mode, w, z) - exact) ** 2).sum())
+            sq_oracle += float(((_order_matched(at, bt, mode, w, z) - exact) ** 2).sum())
+        count = trials * L * L
+        return math.sqrt(sq_blas / count), math.sqrt(sq_oracle / count)
+
+    # the upper half of the L=48 calibration sweep, where unpacking errors hit
+    # most elements; near the exact-region boundary they are rare events and
+    # a five-trial RMSE ratio is noise
+    @given(st.sampled_from(["single", "double"]), st.sampled_from(packing.MODES),
+           st.sampled_from([2, 3, 4]),
+           st.sampled_from(calibration.amplitude_sweep(48)[31:]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_rmse_outside_exact_region_l48(self, precision, mode, w, point, seed):
+        amax, bmax = point
+        rmax = packing.compute_rmax(1.0, 1.0, 48, amax, bmax)
+        assume(packing.exact_w_limit(rmax, packing.compute_z(rmax), mode, precision) < w)
+        blas, oracle = self._rmse_pair(48, amax, bmax, precision, mode, w, seed, trials=5)
+        assert blas <= 1.15 * oracle
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    @pytest.mark.parametrize("bmax", [8, 32, 63])
+    def test_rmse_outside_exact_region_l288(self, mode, bmax):
+        blas, oracle = self._rmse_pair(288, 22, bmax, "single", mode, 2, seed=bmax, trials=2)
+        assert blas <= 1.15 * oracle
 
 
 class TestPackShapes:
