@@ -1,5 +1,5 @@
-"""Dense matrix tiering: block-major reordering, tile statistics, the blocked
-multiply, and the order-matched plain subblock product.
+"""Dense matrix tiering: per-tile statistics, the blocked multiply, and the
+order-matched plain subblock product.
 
 The accumulation order is fixed everywhere: subblocks accumulate over the
 inner index ``l`` in ascending order, and each plain subblock product
@@ -17,92 +17,58 @@ import numpy as np
 
 from .errors import DimensionError, InvalidConfigError
 
-ROWWISE = "rowwise-raster"
-COLUMNWISE = "columnwise-raster"
-
 # Elements of the per-step product buffer in plain_subblock_gemm: enough
 # inner indices per step to amortise NumPy's per-call cost at L=48, one index
 # per step (the plain loop) at L=288.
 _STEP_ELEMS = 1 << 16
+# Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
+_STATS_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
 class TileStats:
-    vmin: float
-    vmax: float
-    sigma: float
+    """Per-tile statistics of a matrix's full-tile region.
 
-    @property
-    def absmax(self) -> float:
-        return max(abs(self.vmin), abs(self.vmax))
-
-
-@dataclass
-class BlockMajorMatrix:
-    """L x L tiles of the leading region of a matrix, with per-tile stats.
-
-    ``tiles[i][j]`` is the L x L tile at block row ``i``, block column ``j``.
-    Only the top-left region covered by full tiles is represented; border
-    residue stays with the original matrix and is handled by ``tiered_gemm``.
+    Each field has shape ``(rows // L, cols // L)``; entry ``[i, j]``
+    describes the L x L tile at block row ``i``, block column ``j``. Border
+    residue is not covered; ``tiered_gemm`` multiplies it plainly.
     """
 
-    L: int
-    orientation: str
-    tiles: list
-    stats: list
-    src_shape: tuple
-
-    @property
-    def block_rows(self) -> int:
-        return len(self.tiles)
-
-    @property
-    def block_cols(self) -> int:
-        return len(self.tiles[0]) if self.tiles else 0
-
-    def tile(self, i: int, j: int) -> np.ndarray:
-        return self.tiles[i][j]
-
-    def tile_stats(self, i: int, j: int) -> TileStats:
-        return self.stats[i][j]
+    sigma: np.ndarray
+    vmin: np.ndarray
+    vmax: np.ndarray
 
 
-def _tile_stats(tile: np.ndarray) -> TileStats:
-    t = tile.astype(np.float64, copy=False)
-    # sigma about the tile's own sample mean, computed in double precision
-    sigma = float(t.std(ddof=1)) if t.size > 1 else 0.0
-    return TileStats(float(t.min()), float(t.max()), sigma)
+def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
+    """Stats of the L x L tiles of ``m``'s full-tile region.
 
-
-def reorder_block_major(m: np.ndarray, L: int, orientation: str = ROWWISE) -> BlockMajorMatrix:
-    """Cut the full-tile region of ``m`` into L x L tiles and collect stats."""
+    Tiles are copied, a block row's worth or ``_STATS_ELEMS`` elements at a
+    time, into the rows of one reused contiguous float64 buffer, and
+    ``std(axis=1, ddof=1)`` reduces each row exactly as ``t.std(ddof=1)``
+    reduces the tile on its own: sigma is taken about the tile's own sample
+    mean, in double precision. A buffer of every tile at once runs slower
+    at L=288: its passes miss the cache.
+    """
     if m.ndim != 2 or m.size == 0:
         raise DimensionError("expected a nonempty 2-D matrix")
     if L < 1:
         raise DimensionError(f"tile side must be >= 1, got {L}")
-    if orientation not in (ROWWISE, COLUMNWISE):
-        raise DimensionError(f"unknown orientation {orientation!r}")
-    rows, cols = m.shape
-    tiles, stats = [], []
-    for i in range(rows // L):
-        trow, srow = [], []
-        for j in range(cols // L):
-            tile = np.ascontiguousarray(m[i * L:(i + 1) * L, j * L:(j + 1) * L])
-            trow.append(tile)
-            srow.append(_tile_stats(tile))
-        tiles.append(trow)
-        stats.append(srow)
-    return BlockMajorMatrix(L, orientation, tiles, stats, m.shape)
-
-
-def inverse_reorder(bm: BlockMajorMatrix) -> np.ndarray:
-    """Reassemble the region covered by the tiles."""
-    L = bm.L
-    out = np.empty((bm.block_rows * L, bm.block_cols * L), dtype=bm.tiles[0][0].dtype)
-    for i in range(bm.block_rows):
-        for j in range(bm.block_cols):
-            out[i * L:(i + 1) * L, j * L:(j + 1) * L] = bm.tiles[i][j]
-    return out
+    bi, bj = m.shape[0] // L, m.shape[1] // L
+    n = L * L
+    sigma, vmin, vmax = np.zeros((bi, bj)), np.empty((bi, bj)), np.empty((bi, bj))
+    step = max(1, _STATS_ELEMS // n)  # tiles per step
+    buf = np.empty((min(step, bj), L, L))
+    for i in range(bi):
+        block_row = m[i * L:(i + 1) * L]
+        for j in range(0, bj, step):
+            g = min(step, bj - j)
+            buf[:g] = block_row[:, j * L:(j + g) * L].reshape(L, g, L).swapaxes(0, 1)
+            t = buf[:g].reshape(g, n)
+            vmin[i, j:j + g] = t.min(axis=1)
+            vmax[i, j:j + g] = t.max(axis=1)
+            if n > 1:
+                sigma[i, j:j + g] = t.std(axis=1, ddof=1)
+    return TileStats(sigma, vmin, vmax)
 
 
 def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -265,31 +265,72 @@ class SolutionRow:
     solution: CompanderSolution
 
 
-@dataclass
-class OfflineSolutionTable:
-    rows: list = field(default_factory=list)
-    # (rows list, its length, {W: (sigma_a array, sigma_b array, rows of W)});
-    # rebuilt when either changes
-    _index: tuple = field(default=None, init=False, repr=False, compare=False)
+# a solution table as a structured array: one record per row, fields in file order
+_SOLUTION_DTYPE = np.dtype([("sigma_a", "f8"), ("sigma_b", "f8"), ("w", "i8"), ("rmax", "i8"),
+                            ("c_a", "f8"), ("c_b", "f8"), ("snr_db", "f8")])
 
-    def ws(self):
-        return sorted({r.solution.w for r in self.rows})
+
+class OfflineSolutionTable:
+    """Stored compander solutions, one per (sigma_a, sigma_b, W), in table order.
+
+    A table is built from a list of SolutionRow (``rows``) or loaded as a
+    structured array (``from_array``); a loaded table builds its row objects
+    only when ``rows`` is read. Lookups read per-W arrays, rebuilt when
+    ``rows`` is replaced or changes length.
+    """
+
+    def __init__(self, rows=None):
+        self._rows = [] if rows is None else rows
+        self._data = None  # a loaded table's array, until its rows are built
+        self._index = None  # (rows or array indexed, its length, array, rows_by_w)
+
+    @classmethod
+    def from_array(cls, data: np.ndarray) -> "OfflineSolutionTable":
+        table = cls()
+        table._rows, table._data = None, data
+        return table
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = [
+                SolutionRow(sa, sb, CompanderSolution(c_a=ca, c_b=cb, rmax=rmax,
+                                                      expected_snr_db=snr, w=w))
+                for sa, sb, w, rmax, ca, cb, snr in self._data.tolist()
+            ]
+            if self._index is not None and self._index[0] is self._data:
+                self._index = (self._rows, *self._index[1:])
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: list) -> None:
+        self._rows = rows
+
+    def _indexed(self):
+        source = self._data if self._rows is None else self._rows
+        if self._index is None or self._index[0] is not source \
+                or self._index[1] != len(source):
+            data = source if self._rows is None else np.array(
+                [(r.sigma_a, r.sigma_b, r.solution.w, r.solution.rmax, r.solution.c_a,
+                  r.solution.c_b, r.solution.expected_snr_db) for r in source],
+                dtype=_SOLUTION_DTYPE)
+            by_w = {}
+            for w in np.unique(data["w"]).tolist():
+                pos = np.flatnonzero(data["w"] == w)
+                by_w[w] = (data["sigma_a"][pos], data["sigma_b"][pos], pos)
+            self._index = (source, len(source), data, by_w)
+        return self._index[2:]
+
+    def as_array(self) -> np.ndarray:
+        """The table as a structured array of ``_SOLUTION_DTYPE``, in table order."""
+        return self._indexed()[0]
 
     def rows_by_w(self) -> dict:
-        """Per W, float64 arrays of the rows' sigmas and the rows, in table order."""
-        rows = self.rows
-        if self._index is None or self._index[0] is not rows \
-                or self._index[1] != len(rows):
-            groups = {}
-            for r in rows:
-                groups.setdefault(r.solution.w, []).append(r)
-            by_w = {
-                w: (np.array([r.sigma_a for r in g], dtype=np.float64),
-                    np.array([r.sigma_b for r in g], dtype=np.float64), g)
-                for w, g in groups.items()
-            }
-            self._index = (rows, len(rows), by_w)
-        return self._index[2]
+        """Per W: float64 arrays of the rows' sigmas and the rows' positions."""
+        return self._indexed()[1]
+
+    def ws(self):
+        return sorted(self.rows_by_w())
 
 
 def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str, mode: str,
@@ -315,23 +356,58 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
     return table
 
 
-def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a: float, sigma_b: float,
-                            w: int) -> CompanderSolution:
+# distances per step of the nearest-solution search, which bounds its
+# temporaries whatever the number of queries
+_LOOKUP_CHUNK = 1 << 15
+
+
+def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: int):
     """Stored solution with the closest sigmas; ties go to the earlier row.
 
     Distance is squared Euclidean in linear sigma. A NaN distance never
     displaces an earlier row, so a NaN query returns the first row of W.
+    Float sigmas return the stored solution. Array sigmas (broadcast
+    together) return a CompanderSolution whose c_a, c_b, rmax and
+    expected_snr_db are arrays of their shape, one entry per query; the
+    search runs over chunks of queries of about ``_LOOKUP_CHUNK`` distances.
     """
     group = table.rows_by_w().get(w)
     if group is None:
         raise CalibrationMissingError(f"solution table has no entries for W={w}")
-    sa, sb, rows = group
+    sa, sb, pos = group
+    qa, qb = np.broadcast_arrays(np.asarray(sigma_a, dtype=np.float64),
+                                 np.asarray(sigma_b, dtype=np.float64))
+    shape = qa.shape
+    qa, qb = qa.ravel(), qb.ravel()
+    # only a NaN or infinite sigma makes a NaN distance
+    finite = all(np.isfinite(x).all() for x in (qa, qb, sa, sb))
+    near = np.empty(qa.size, dtype=np.intp)
+    step = max(1, min(qa.size, _LOOKUP_CHUNK // len(sa)))
+    buf_a, buf_b = np.empty((step, len(sa))), np.empty((step, len(sa)))
     with np.errstate(invalid="ignore", over="ignore"):
-        d = (sigma_a - sa) ** 2 + (sigma_b - sb) ** 2
-    i = int(np.argmin(d))  # the first minimum, or the first NaN if there is one
-    if i and math.isnan(d[i]):
-        i = int(np.nanargmin(d))  # d[0] is not NaN here
-    return rows[i].solution
+        for q in range(0, qa.size, step):
+            g = min(step, qa.size - q)
+            d, d_b = buf_a[:g], buf_b[:g]
+            np.subtract(qa[q:q + g, None], sa, out=d)
+            np.subtract(qb[q:q + g, None], sb, out=d_b)
+            d *= d
+            d_b *= d_b
+            d += d_b
+            if finite:
+                near[q:q + g] = d.argmin(axis=1)
+                continue
+            # the first minimum of the rest, or row 0 if its distance is NaN
+            first_nan = np.isnan(d[:, 0])
+            d[np.isnan(d)] = np.inf
+            i = d.argmin(axis=1)
+            i[first_nan] = 0
+            near[q:q + g] = i
+    hit = pos[near]
+    if not shape:
+        return table.rows[int(hit[0])].solution
+    found = table.as_array()[hit].reshape(shape)
+    return CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
+                             expected_snr_db=found["snr_db"], w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +421,8 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _read_csv(path, header):
+def _data_lines(path, header) -> list:
+    """The lines after a table file's version line and header, both checked."""
     with open(path, newline="") as f:
         first = f.readline().strip()
         if not first.startswith("# version"):
@@ -358,11 +435,34 @@ def _read_csv(path, header):
             raise TableFormatError(
                 f"{path}: unsupported version {version}, expected {FORMAT_VERSION}"
             )
-        reader = csv.reader(f)
-        got_header = next(reader, None)
+        got_header = next(csv.reader([f.readline()]), None)
         if got_header != header:
             raise TableFormatError(f"{path}: unexpected header {got_header}")
-        return [row for row in reader if row]
+        return f.readlines()
+
+
+def _typed_rows(path, lines, header, types) -> list:
+    """Each nonblank row of ``lines`` with its fields converted by ``types``.
+
+    A row with the wrong number of fields, or a field that does not convert,
+    raises TableFormatError naming the file and line.
+    """
+    reader = csv.reader(lines)
+    out = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}, line {reader.line_num + 2}"  # after version and header
+        if len(row) != len(header):
+            raise TableFormatError(f"{where}: {len(row)} fields, expected {len(header)}")
+        fields = []
+        for name, kind, v in zip(header, types, row):
+            try:
+                fields.append(kind(v))
+            except ValueError as exc:
+                raise TableFormatError(f"{where}: bad {name} value {v!r}") from exc
+        out.append(fields)
+    return out
 
 
 CALIB_HEADER = ["precision", "mode", "W", "rmax", "mean_err", "rmse", "trials", "seed"]
@@ -379,16 +479,9 @@ def save_calibration(table: CalibrationTable, path) -> None:
 
 
 def load_calibration(path) -> CalibrationTable:
-    table = CalibrationTable()
-    for row in _read_csv(path, CALIB_HEADER):
-        table.add(
-            CalibEntry(
-                precision=row[0], mode=row[1], w=int(row[2]), rmax=int(row[3]),
-                mean_err=float(row[4]), rmse=float(row[5]), trials=int(row[6]),
-                seed=int(row[7]),
-            )
-        )
-    return table
+    lines = _data_lines(path, CALIB_HEADER)
+    types = (str, str, int, int, float, float, int, int)
+    return CalibrationTable([CalibEntry(*r) for r in _typed_rows(path, lines, CALIB_HEADER, types)])
 
 
 def save_speedup(profile: SpeedupProfile, path) -> None:
@@ -400,15 +493,9 @@ def save_speedup(profile: SpeedupProfile, path) -> None:
 
 
 def load_speedup(path) -> SpeedupProfile:
-    profile = SpeedupProfile()
-    for row in _read_csv(path, SPEEDUP_HEADER):
-        profile.entries.append(
-            ProfileEntry(
-                precision=row[0], mode=row[1], w=int(row[2]), L=int(row[3]),
-                fw_percent=float(row[4]), mac_ratio=float(row[5]), reps=int(row[6]),
-            )
-        )
-    return profile
+    lines = _data_lines(path, SPEEDUP_HEADER)
+    types = (str, str, int, int, float, float, int)
+    return SpeedupProfile([ProfileEntry(*r) for r in _typed_rows(path, lines, SPEEDUP_HEADER, types)])
 
 
 def save_solutions(table: OfflineSolutionTable, path) -> None:
@@ -421,16 +508,15 @@ def save_solutions(table: OfflineSolutionTable, path) -> None:
 
 
 def load_solutions(path) -> OfflineSolutionTable:
-    table = OfflineSolutionTable()
-    for row in _read_csv(path, SOLUTION_HEADER):
-        table.rows.append(
-            SolutionRow(
-                sigma_a=float(row[0]),
-                sigma_b=float(row[1]),
-                solution=CompanderSolution(
-                    c_a=float(row[4]), c_b=float(row[5]), rmax=int(row[3]),
-                    expected_snr_db=float(row[6]), w=int(row[2]),
-                ),
-            )
-        )
-    return table
+    """The table as one structured array, parsed by one ``np.loadtxt`` call."""
+    lines = _data_lines(path, SOLUTION_HEADER)
+    if any(map(str.strip, lines)):
+        try:
+            return OfflineSolutionTable.from_array(np.loadtxt(
+                lines, delimiter=",", dtype=_SOLUTION_DTYPE, ndmin=1, comments=None))
+        except ValueError:
+            pass  # parsed again below, row by row, to name the line at fault
+    types = (float, float, int, int, float, float, float)
+    rows = _typed_rows(path, lines, SOLUTION_HEADER, types)
+    return OfflineSolutionTable.from_array(
+        np.array([tuple(r) for r in rows], dtype=_SOLUTION_DTYPE))

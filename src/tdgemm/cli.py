@@ -138,7 +138,11 @@ def _overall_model_snr(plan: controller.KernelPlan, kernel_stats, L: int) -> flo
     signal = 0.0
     noise = 0.0
     for key, entry in plan.entries.items():
-        signal += L * sum((s.sigma_a * s.sigma_b) ** 2 for s in kernel_stats[key])
+        power = 0.0
+        for s in kernel_stats[key]:
+            p = s.sigma_a * s.sigma_b
+            power += p * p
+        signal += L * power
         noise += entry.total_d_hat
     if noise == 0.0:
         return math.inf
@@ -186,6 +190,7 @@ def cmd_multiply(args) -> int:
     t0 = time.perf_counter()
     if args.plain:
         plan = None
+        t_loaded = t_planned = t0
         result = tiered_gemm(a, b, L)
     else:
         tables = _load_tables(Path(args.tables))
@@ -193,6 +198,7 @@ def cmd_multiply(args) -> int:
         speedup_path = Path(args.tables) / TABLE_FILES["speedup"]
         if speedup_path.exists():
             profile = calibration.load_speedup(speedup_path)
+        t_loaded = time.perf_counter()
         if args.snr_db is not None:
             constraint = controller.KernelConstraint(target_snr_db=args.snr_db)
         else:
@@ -202,8 +208,12 @@ def cmd_multiply(args) -> int:
             a, b, L, constraint, tables["solutions"], tables["calibration"],
             args.mode, args.precision, profile=profile, w_set=w_set,
         )
+        t_planned = time.perf_counter()
         result = tiered_gemm(a, b, L, plan)
-    report["wallclock_s"] = time.perf_counter() - t0
+    t_done = time.perf_counter()
+    report["wallclock_s"] = t_done - t0
+    report["timings"] = {"load_tables_s": t_loaded - t0, "plan_s": t_planned - t_loaded,
+                         "execute_s": t_done - t_planned}
     result_path = out_dir / "result.tgmm"
     matrixio.save_matrix(result, result_path)
     if plan is not None:
@@ -260,13 +270,11 @@ def cmd_sweep(args) -> int:
     rows = []
     w = args.sweep_w
     # options depend only on the inputs, so every step reuses them
-    options_per_kernel = {
-        key: controller.build_options(
-            stats_per_l, tables["solutions"], args.mode, args.precision,
-            tables["calibration"], w_set=(w,),
-        )
-        for key, stats_per_l in controller.kernel_input_stats(a, b, L).items()
-    }
+    stats = controller.subblock_stats(a, b, L)
+    options = controller.build_options(stats, tables["solutions"], args.mode, args.precision,
+                                       tables["calibration"], w_set=(w,))
+    options_per_kernel = {key: options[k * blocks:(k + 1) * blocks]
+                          for k, key in enumerate(kernels)}
     for step in range(11):
         pct = 10 * step
         n_acc = round(len(kernels) * pct / 100)

@@ -1,9 +1,10 @@
 """Per-kernel constraint controller.
 
 Converts an SNR or acceleration target for each L x L output kernel into
-per-subblock packing choices. The planner starts every subblock at its
-highest-throughput option and greedily demotes the option with the highest
-predicted distortion until the constraint is met.
+per-subblock packing choices. The options of every subblock of a multiply
+are built in one batched array pass; then, per kernel, the planner starts
+every subblock at its highest-throughput option and greedily demotes the
+option with the highest predicted distortion until the constraint is met.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import packing
-from .blocking import reorder_block_major, ROWWISE, COLUMNWISE
+from .blocking import reorder_block_major
 from .calibration import (
     CalibrationTable,
     FORMAT_VERSION,
@@ -23,8 +24,14 @@ from .calibration import (
     SpeedupProfile,
     lookup_nearest_solution,
 )
-from .errors import CalibrationMissingError, InfeasibleConstraintError, InvalidConfigError
-from .noise import InputStats, combined_distortion, optimal_companders
+from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigError
+from .noise import (
+    STATS_FIELDS,
+    BatchStats,
+    InputStats,
+    combined_distortion,
+    optimal_companders,
+)
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,15 @@ def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int) -> float:
 
     ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l.
     """
+    power = 0.0
     for sa, sb in sigma_pairs:
         if sa < 0 or sb < 0:
             raise InvalidConfigError("sigmas must be >= 0")
+        p = sa * sb
+        power += p * p
     if math.isinf(s_kernel_db):
         return 0.0
-    return 10.0 ** (-0.1 * s_kernel_db) * L * sum((sa * sb) ** 2 for sa, sb in sigma_pairs)
+    return 10.0 ** (-0.1 * s_kernel_db) * L * power
 
 
 def _mac_speedup(w: int) -> float:
@@ -126,44 +136,61 @@ def _mac_speedup(w: int) -> float:
     return (w - 1) * 100.0
 
 
-def build_options(stats_per_l, solutions: OfflineSolutionTable, mode: str, precision: str,
+def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: str,
                   calib: CalibrationTable, profile: SpeedupProfile | None = None,
                   w_set=(2, 3, 4)):
-    """Per-subblock option lists, sorted by W descending, W=1 always last.
+    """Option lists of many subblocks, each sorted by W descending, W=1 last.
 
-    For each W the nearest offline solution fixes R_max; companders and the
-    distortion prediction are recomputed from the runtime sigmas. Without a
-    measured profile the speedup falls back to the MAC-count gain. A W whose
-    measured gain is not positive is left out: W=1 dominates it.
+    ``stats`` holds one entry per subblock: the InputStats of one kernel's
+    subblocks in order of l, or a BatchStats whose last axis is l (the
+    subblocks of a whole multiply). One list per entry comes back, in C
+    order.
+
+    For each W one array pass over the subblocks finds the nearest offline
+    solution, which fixes R_max; companders and the distortion prediction
+    are recomputed from the runtime sigmas. Without a measured profile the
+    speedup falls back to the MAC-count gain. A W whose measured gain is not
+    positive is left out: W=1 dominates it. A subblock with a zero sigma
+    gets only W=1.
     """
-    options_per_l = []
-    for l, stats in enumerate(stats_per_l):
-        opts = []
-        degenerate = stats.sigma_a <= 0 or stats.sigma_b <= 0
-        if not degenerate:
-            for w in sorted(set(w_set), reverse=True):
-                if w < 2:
-                    continue
-                fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
-                if fw <= 0:
-                    continue  # W=1 is at least as fast, at zero distortion
-                stored = lookup_nearest_solution(solutions, stats.sigma_a, stats.sigma_b, w)
-                rmax = stored.rmax
-                s_repr = calib.lookup(precision, mode, w, rmax).rmse
-                sol = optimal_companders(stats, rmax, s_repr=s_repr, w=w)
-                d_hat = combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
-                opts.append(
-                    SubblockOption(
-                        l=l, w=w, mode=mode, c_a=sol.c_a, c_b=sol.c_b, rmax=rmax,
-                        z=packing.compute_z(rmax), d_hat=d_hat, fw_percent=fw,
-                    )
-                )
+    if not isinstance(stats, BatchStats):
+        stats = BatchStats.of(stats)
+    sa, sb = stats.sigma_a.reshape(-1), stats.sigma_b.reshape(-1)
+    live = np.flatnonzero(~((sa <= 0) | (sb <= 0)))
+    packed = []  # per W: (w, fw, c_a, c_b, rmax, z, d_hat), lists over live
+    if live.size:
+        sub = stats.take(live)
+        for w in sorted(set(w_set), reverse=True):
+            if w < 2:
+                continue
+            fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
+            if fw <= 0:
+                continue  # W=1 is at least as fast, at zero distortion
+            rmax = lookup_nearest_solution(solutions, sub.sigma_a, sub.sigma_b, w).rmax
+            found, at = np.unique(rmax, return_inverse=True)
+            found = found.tolist()
+            s_repr = np.array([calib.lookup(precision, mode, w, r).rmse for r in found])[at]
+            z = [packing.compute_z(r) for r in found]
+            sol = optimal_companders(sub, rmax, s_repr=s_repr, w=w)
+            d_hat = combined_distortion(sub, sol.c_a, sol.c_b, s_repr).total
+            at = at.tolist()
+            packed.append((w, fw, sol.c_a.tolist(), sol.c_b.tolist(), [found[k] for k in at],
+                           [z[k] for k in at], d_hat.tolist()))
+    n_l = stats.shape[-1]
+    options = [[] for _ in range(sa.size)]
+    live = live.tolist()
+    for w, fw, c_a, c_b, rmax, z, d_hat in packed:
+        for k, p in enumerate(live):
+            options[p].append(
+                SubblockOption(l=p % n_l, w=w, mode=mode, c_a=c_a[k], c_b=c_b[k],
+                               rmax=rmax[k], z=z[k], d_hat=d_hat[k], fw_percent=fw)
+            )
+    for p, opts in enumerate(options):
         opts.append(
-            SubblockOption(l=l, w=1, mode=mode, c_a=1.0, c_b=1.0, rmax=0, z=0.0,
+            SubblockOption(l=p % n_l, w=1, mode=mode, c_a=1.0, c_b=1.0, rmax=0, z=0.0,
                            d_hat=0.0, fw_percent=0.0)
         )
-        options_per_l.append(opts)
-    return options_per_l
+    return options
 
 
 def _entry_from_indices(options_per_l, idx, trace):
@@ -252,46 +279,67 @@ def plan_kernel_throughput(options_per_l, f_kernel: float) -> KernelPlanEntry:
     return _entry_from_indices(options_per_l, idx, trace)
 
 
+def subblock_stats(a: np.ndarray, b: np.ndarray, L: int) -> BatchStats:
+    """Stats of every subblock pair of A @ B, shape ``(m/L, n/L, k/L)``.
+
+    Entry ``[i, j, l]`` pairs A's tile ``(i, l)`` with B's tile ``(l, j)``:
+    subblock l of output kernel ``(i, j)``.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"non-conformable operands {a.shape} x {b.shape}")
+    ta = reorder_block_major(a, L)
+    tb = reorder_block_major(b, L)
+    shape = (ta.sigma.shape[0], tb.sigma.shape[1], ta.sigma.shape[1])
+
+    def of_a(x):
+        return np.broadcast_to(x[:, None, :], shape)
+
+    def of_b(x):
+        return np.broadcast_to(x.T[None, :, :], shape)
+
+    return BatchStats(sigma_a=of_a(ta.sigma), sigma_b=of_b(tb.sigma),
+                      a_min=of_a(ta.vmin), a_max=of_a(ta.vmax),
+                      b_min=of_b(tb.vmin), b_max=of_b(tb.vmax), L=L)
+
+
 def kernel_input_stats(a: np.ndarray, b: np.ndarray, L: int) -> dict:
     """Per inner kernel ``(i, j)`` of A @ B, the InputStats of each subblock l."""
-    abm = reorder_block_major(a, L, ROWWISE)
-    bbm = reorder_block_major(b, L, COLUMNWISE)
-    out = {}
-    for i in range(abm.block_rows):
-        for j in range(bbm.block_cols):
-            stats_per_l = []
-            for l in range(abm.block_cols):
-                sa = abm.tile_stats(i, l)
-                sb = bbm.tile_stats(l, j)
-                stats_per_l.append(
-                    InputStats(sigma_a=sa.sigma, sigma_b=sb.sigma,
-                               a_min=sa.vmin, a_max=sa.vmax,
-                               b_min=sb.vmin, b_max=sb.vmax, L=L)
-                )
-            out[(i, j)] = stats_per_l
-    return out
+    stats = subblock_stats(a, b, L)
+    cols = [getattr(stats, f).tolist() for f in STATS_FIELDS]
+    blocks_i, blocks_j, n_l = stats.shape
+    return {
+        (i, j): [InputStats(*(c[i][j][l] for c in cols), L=L) for l in range(n_l)]
+        for i in range(blocks_i) for j in range(blocks_j)
+    }
 
 
 def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
               solutions: OfflineSolutionTable, calib: CalibrationTable, mode: str,
               precision: str, profile: SpeedupProfile | None = None,
               w_set=(2, 3, 4)) -> KernelPlan:
-    """Plan every inner kernel of A @ B under a uniform per-kernel constraint."""
+    """Plan every inner kernel of A @ B under a uniform per-kernel constraint.
+
+    One ``build_options`` call covers every subblock; each kernel is then
+    pruned on its own slice of the options.
+    """
+    stats = subblock_stats(a, b, L)
+    options = build_options(stats, solutions, mode, precision, calib,
+                            profile=profile, w_set=w_set)
+    blocks_i, blocks_j, n_l = stats.shape
+    sigma_a, sigma_b = stats.sigma_a.tolist(), stats.sigma_b.tolist()
     plan = KernelPlan()
-    for key, stats_per_l in kernel_input_stats(a, b, L).items():
-        options = build_options(stats_per_l, solutions, mode, precision, calib,
-                                profile=profile, w_set=w_set)
-        if constraint.target_snr_db is not None:
-            d_kernel = snr_to_distortion(
-                constraint.target_snr_db,
-                [(s.sigma_a, s.sigma_b) for s in stats_per_l],
-                L,
-            )
-            plan.entries[key] = plan_kernel_distortion(options, d_kernel)
-        else:
-            plan.entries[key] = plan_kernel_throughput(
-                options, constraint.target_accel_percent
-            )
+    for i in range(blocks_i):
+        for j in range(blocks_j):
+            start = (i * blocks_j + j) * n_l
+            kernel_options = options[start:start + n_l]
+            if constraint.target_snr_db is not None:
+                d_kernel = snr_to_distortion(
+                    constraint.target_snr_db, zip(sigma_a[i][j], sigma_b[i][j]), L)
+                plan.entries[(i, j)] = plan_kernel_distortion(kernel_options, d_kernel)
+            else:
+                plan.entries[(i, j)] = plan_kernel_throughput(
+                    kernel_options, constraint.target_accel_percent
+                )
     return plan
 
 

@@ -1,4 +1,4 @@
-"""Matrix file I/O: a little-endian binary container and a CSV alternative."""
+"""Matrix file I/O: a little-endian binary container."""
 
 from __future__ import annotations
 
@@ -41,12 +41,3 @@ def load_matrix(path) -> np.ndarray:
         raise TableFormatError(f"{path}: payload is {len(data)} bytes, expected {expected}")
     m = np.frombuffer(data, dtype=dtype).reshape(rows, cols)
     return np.ascontiguousarray(m, dtype=dtype.newbyteorder("="))
-
-
-def save_matrix_csv(m: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(m), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path, precision: str = "double") -> np.ndarray:
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return m.astype(dtype_of(precision))

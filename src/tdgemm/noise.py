@@ -1,11 +1,21 @@
 """Closed-form error model: quantization noise power, combined distortion,
-admissible and optimal companders, and the R_max grid search.
+optimal companders, and the R_max grid search.
 
 The model treats subblock entries as zero-mean iid variables; rounding after
 companding adds uniform noise of standard deviation 1/(c*sqrt(12)) per
 operand. The representation-induced error enters as a per-element RMSE
 ``s(R_max, W)`` measured by the calibration module, mapped back to the output
 domain through the reverse companding.
+
+The distortion formulas take one subblock (InputStats and floats) or many
+(BatchStats and arrays of its shape), with the same bits per subblock either
+way: squares are written ``t * t``, because CPython's ``t ** 2`` calls libm
+``pow``, which is not always correctly rounded, while NumPy squares arrays
+by multiplication.
+A check's condition ``bad`` is a bool for floats and a bool array for arrays;
+``bad is True or bad is not False and bad.any()`` tests either without a
+function call, so the float path costs what it did before batching (set-up
+calls ``optimal_companders`` about 10^5 times).
 """
 
 from __future__ import annotations
@@ -61,6 +71,57 @@ class InputStats:
         )
 
 
+STATS_FIELDS = ("sigma_a", "sigma_b", "a_min", "a_max", "b_min", "b_max")
+
+
+@dataclass(frozen=True)
+class BatchStats:
+    """InputStats of many subblock pairs: each field an array of one shape,
+    one entry per subblock, all of tile side L."""
+
+    sigma_a: np.ndarray
+    sigma_b: np.ndarray
+    a_min: np.ndarray
+    a_max: np.ndarray
+    b_min: np.ndarray
+    b_max: np.ndarray
+    L: int
+
+    def __post_init__(self):
+        if (self.sigma_a < 0).any() or (self.sigma_b < 0).any():
+            raise InvalidConfigError("sigmas must be >= 0")
+        if (self.a_min > self.a_max).any() or (self.b_min > self.b_max).any():
+            raise InvalidConfigError("inconsistent extremes (min > max)")
+
+    @classmethod
+    def of(cls, stats) -> "BatchStats":
+        """A sequence of InputStats of one tile side, as a 1-D batch."""
+        stats = list(stats)
+        sides = {s.L for s in stats}
+        if len(sides) > 1:
+            raise InvalidConfigError(f"mixed tile sides {sorted(sides)}")
+        cols = {f: np.array([getattr(s, f) for s in stats], dtype=np.float64)
+                for f in STATS_FIELDS}
+        return cls(**cols, L=sides.pop() if sides else 0)
+
+    @property
+    def shape(self) -> tuple:
+        return self.sigma_a.shape
+
+    def take(self, flat_index) -> "BatchStats":
+        """The entries at ``flat_index`` of the flattened batch, as a 1-D batch."""
+        return BatchStats(**{f: getattr(self, f).reshape(-1)[flat_index]
+                             for f in STATS_FIELDS}, L=self.L)
+
+    @property
+    def a_absmax(self) -> np.ndarray:
+        return np.maximum(np.abs(self.a_min), np.abs(self.a_max))
+
+    @property
+    def b_absmax(self) -> np.ndarray:
+        return np.maximum(np.abs(self.b_min), np.abs(self.b_max))
+
+
 @dataclass(frozen=True)
 class NoiseBudget:
     quant_power: float
@@ -73,6 +134,10 @@ class NoiseBudget:
 
 @dataclass(frozen=True)
 class CompanderSolution:
+    """Companders at one R_max. For BatchStats the fields are arrays and
+    ``expected_snr_db`` is None: the planner needs no SNR, and ``np.log10``
+    is not bitwise ``math.log10``."""
+
     c_a: float
     c_b: float
     rmax: int
@@ -80,21 +145,22 @@ class CompanderSolution:
     w: int
 
 
-def quant_noise_power(stats: InputStats, c_a: float, c_b: float) -> float:
+def quant_noise_power(stats, c_a, c_b):
     """Expected per-element squared error from companding and rounding."""
-    if c_a <= 0 or c_b <= 0:
+    bad = (c_a <= 0) | (c_b <= 0)
+    if bad is True or bad is not False and bad.any():
         raise InvalidConfigError("companders must be positive")
     nv_a = 1.0 / (c_a * _SQRT12)
     nv_b = 1.0 / (c_b * _SQRT12)
-    return stats.L * (
-        (stats.sigma_a * nv_b) ** 2
-        + (stats.sigma_b * nv_a) ** 2
-        + (nv_a * nv_b) ** 2
-    )
+    e_a = stats.sigma_a * nv_b
+    e_b = stats.sigma_b * nv_a
+    e_ab = nv_a * nv_b
+    return stats.L * (e_a * e_a + e_b * e_b + e_ab * e_ab)
 
 
-def signal_power(stats: InputStats) -> float:
-    return stats.L * (stats.sigma_a * stats.sigma_b) ** 2
+def signal_power(stats):
+    p = stats.sigma_a * stats.sigma_b
+    return stats.L * (p * p)
 
 
 def expected_snr(stats: InputStats, c_a: float, c_b: float) -> float:
@@ -104,18 +170,20 @@ def expected_snr(stats: InputStats, c_a: float, c_b: float) -> float:
     return 10.0 * math.log10(signal_power(stats) / quant_noise_power(stats, c_a, c_b))
 
 
-def combined_distortion(stats: InputStats, c_a: float, c_b: float, s_repr: float) -> NoiseBudget:
+def combined_distortion(stats, c_a, c_b, s_repr) -> NoiseBudget:
     """Quantization plus representation noise power per output element.
 
     ``s_repr`` is the per-element RMSE measured at the (R_max, W) the
     companders imply, expressed in the quantized domain; reverse companding
     maps it to the output domain.
     """
-    if s_repr < 0:
+    bad = s_repr < 0
+    if bad is True or bad is not False and bad.any():
         raise InvalidConfigError("s_repr must be >= 0")
+    e_repr = s_repr / (c_a * c_b)
     return NoiseBudget(
         quant_power=quant_noise_power(stats, c_a, c_b),
-        repr_power=(s_repr / (c_a * c_b)) ** 2,
+        repr_power=e_repr * e_repr,
     )
 
 
@@ -127,30 +195,34 @@ def model_snr_db(stats: InputStats, c_a: float, c_b: float, s_repr: float) -> fl
     return 10.0 * math.log10(signal_power(stats) / total)
 
 
-def c_tot(L: int, a_absmax: float, b_absmax: float, rmax: int) -> float:
+def c_tot(L: int, a_absmax, b_absmax, rmax):
     """Compander-independent ratio linking R_max to the input extremes."""
-    if rmax < 1:
+    bad = rmax < 1
+    if bad is True or bad is not False and bad.any():
         raise InvalidConfigError(f"rmax must be >= 1, got {rmax}")
     return L * a_absmax * b_absmax / rmax
 
 
-def optimal_companders(stats: InputStats, rmax: int, s_repr: float = 0.0, w: int = 1) -> CompanderSolution:
+def optimal_companders(stats, rmax, s_repr=0.0, w: int = 1) -> CompanderSolution:
     """Minimum-distortion companders at a fixed R_max.
 
     On the constraint c_a * c_b = 1/c_tot the distortion is minimized by
     balancing the two linear quantization terms, giving
     c_a = sqrt(sigma_b / (sigma_a * c_tot)) and its mirror.
     """
-    if stats.sigma_a <= 0 or stats.sigma_b <= 0:
+    batch = isinstance(stats, BatchStats)
+    bad = (stats.sigma_a <= 0) | (stats.sigma_b <= 0)
+    if bad is True or bad is not False and bad.any():
         raise DegenerateInputError("optimal companders undefined for zero-sigma input")
     ct = c_tot(stats.L, stats.a_absmax, stats.b_absmax, rmax)
-    c_a = math.sqrt(stats.sigma_b / (stats.sigma_a * ct))
-    c_b = math.sqrt(stats.sigma_a / (stats.sigma_b * ct))
+    sqrt = np.sqrt if batch else math.sqrt
+    c_a = sqrt(stats.sigma_b / (stats.sigma_a * ct))
+    c_b = sqrt(stats.sigma_a / (stats.sigma_b * ct))
     return CompanderSolution(
         c_a=c_a,
         c_b=c_b,
         rmax=rmax,
-        expected_snr_db=model_snr_db(stats, c_a, c_b, s_repr),
+        expected_snr_db=None if batch else model_snr_db(stats, c_a, c_b, s_repr),
         w=w,
     )
 
@@ -168,43 +240,3 @@ def optimize_rmax(stats: InputStats, w: int, mode: str, precision: str, calib) -
         if best is None or sol.expected_snr_db > best.expected_snr_db:
             best = sol
     return best
-
-
-def admissible_companders(stats: InputStats, target_snr_db: float, rmax: int, s_repr: float):
-    """All compander pairs hitting a target SNR at fixed R_max.
-
-    Eliminating c_b through the R_max relation turns the distortion equation
-    into a quadratic in c_a^2; zero, one, or two positive roots exist
-    depending on whether the target is above, at, or below the attainable
-    maximum for this R_max.
-    """
-    if stats.sigma_a <= 0 or stats.sigma_b <= 0:
-        raise DegenerateInputError("companders undefined for zero-sigma input")
-    if not math.isfinite(target_snr_db):
-        raise InvalidConfigError("target SNR must be finite")
-    L = stats.L
-    ct = c_tot(L, stats.a_absmax, stats.b_absmax, rmax)
-    d_target = signal_power(stats) * 10.0 ** (-0.1 * target_snr_db)
-    # (L/12) sa^2 ct^2 t^2 + (L ct^2/144 + s^2 ct^2 - D) t + (L/12) sb^2 = 0, t = c_a^2
-    qa = (L / 12.0) * stats.sigma_a ** 2 * ct ** 2
-    qb = L * ct ** 2 / 144.0 + (s_repr * ct) ** 2 - d_target
-    qc = (L / 12.0) * stats.sigma_b ** 2
-    disc = qb * qb - 4.0 * qa * qc
-    if qb >= 0 or disc < 0:
-        return []
-    roots = sorted({(-qb - math.sqrt(disc)) / (2 * qa), (-qb + math.sqrt(disc)) / (2 * qa)})
-    out = []
-    for t in roots:
-        if t <= 0:
-            continue
-        c_a = math.sqrt(t)
-        out.append(
-            CompanderSolution(
-                c_a=c_a,
-                c_b=1.0 / (ct * c_a),
-                rmax=rmax,
-                expected_snr_db=target_snr_db,
-                w=1,
-            )
-        )
-    return out

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdgemm import blocking, packing
-from tdgemm.blocking import (
-    COLUMNWISE,
-    ROWWISE,
-    inverse_reorder,
-    plain_subblock_gemm,
-    reorder_block_major,
-    tiered_gemm,
-)
+from tdgemm.blocking import plain_subblock_gemm, reorder_block_major, tiered_gemm
 from tdgemm.config import EngineConfig, compute_L
 from tdgemm.errors import DimensionError, InvalidConfigError
 
@@ -77,34 +70,64 @@ class TestComputeL:
             EngineConfig(simd_bytes=12, b_repr=8)
 
 
+def tile_stats_loop(m, L):
+    """Tile stats as computed before the batched pass: one tile at a time."""
+    out = []
+    for i in range(m.shape[0] // L):
+        row = []
+        for j in range(m.shape[1] // L):
+            t = np.ascontiguousarray(m[i * L:(i + 1) * L, j * L:(j + 1) * L])
+            t = t.astype(np.float64, copy=False)
+            sigma = float(t.std(ddof=1)) if t.size > 1 else 0.0
+            row.append((sigma, float(t.min()), float(t.max())))
+        out.append(row)
+    return out
+
+
 class TestReorder:
     def test_structure_and_stats(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(8, 8))
-        bm = reorder_block_major(m, 4, ROWWISE)
-        assert bm.block_rows == bm.block_cols == 2
-        assert bm.tile(1, 0).shape == (4, 4)
-        s = bm.tile_stats(0, 1)
-        assert s.vmin <= s.vmax and s.sigma >= 0
+        stats = reorder_block_major(m, 4)
+        for arr in (stats.sigma, stats.vmin, stats.vmax):
+            assert arr.shape == (2, 2) and arr.dtype == np.float64
+        tile = m[0:4, 4:8]
+        assert stats.vmin[0, 1] == tile.min() and stats.vmax[0, 1] == tile.max()
+        assert stats.sigma[0, 1] == tile.std(ddof=1)
 
     def test_constant_tile_stats(self):
-        bm = reorder_block_major(np.full((4, 4), 5.0), 4)
-        s = bm.tile_stats(0, 0)
-        assert s.vmin == s.vmax == 5.0 and s.sigma == 0.0
+        stats = reorder_block_major(np.full((4, 4), 5.0), 4)
+        assert stats.vmin[0, 0] == stats.vmax[0, 0] == 5.0 and stats.sigma[0, 0] == 0.0
 
     def test_uniform_sigma(self):
         rng = np.random.default_rng(1)
         a = 7.0
-        bm = reorder_block_major(rng.uniform(-a, a, size=(288, 288)), 288)
-        assert bm.tile_stats(0, 0).sigma == pytest.approx(a / np.sqrt(3), rel=0.05)
+        stats = reorder_block_major(rng.uniform(-a, a, size=(288, 288)), 288)
+        assert stats.sigma[0, 0] == pytest.approx(a / np.sqrt(3), rel=0.05)
 
-    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31))
-    @settings(max_examples=40)
-    def test_round_trip(self, L, bi, bj, seed):
-        m = np.random.default_rng(seed).normal(size=(bi * L, bj * L))
-        for orientation in (ROWWISE, COLUMNWISE):
-            back = inverse_reorder(reorder_block_major(m, L, orientation))
-            np.testing.assert_array_equal(back, m)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 13),
+           st.integers(0, 3), st.integers(0, 4), st.integers(0, 5), st.integers(0, 5),
+           st.sampled_from(["c", "fortran", "reversed", "slice"]),
+           st.sampled_from([1 << 16, 64, 1]), st.integers(0, 2 ** 31))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_tile_loop_bitwise(self, dtype, L, bi, bj, extra_r, extra_c,
+                                           layout, stats_elems, seed):
+        """Bitwise equal to per-tile ``std(ddof=1)``, min and max, whatever the
+        border residue, operand layout, and number of tiles per step."""
+        rng = np.random.default_rng(seed)
+        shape = (bi * L + extra_r, bj * L + extra_c)
+        if 0 in shape:
+            return
+        scale = 10.0 ** rng.integers(-4, 5)
+        m = _layout((rng.normal(size=shape) * scale + rng.normal() * scale).astype(dtype),
+                    layout)
+        with mock.patch.object(blocking, "_STATS_ELEMS", stats_elems):
+            stats = reorder_block_major(m, L)
+        want = tile_stats_loop(m, L)
+        assert stats.sigma.shape == (shape[0] // L, shape[1] // L)
+        got = [[(s, lo, hi) for s, lo, hi in zip(*rows)]
+               for rows in zip(stats.sigma.tolist(), stats.vmin.tolist(), stats.vmax.tolist())]
+        assert got == want
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):

@@ -1,4 +1,6 @@
+import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +231,49 @@ class TestSolutionIndex:
         assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is table.rows[0].solution
 
 
+class TestArrayLookup:
+    @given(_ROWS, st.data(), st.integers(1, 40), st.sampled_from([1, 3, 7, 64, 1 << 15]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_linear_scan(self, specs, data, n, chunk):
+        """Many queries in one call, over chunks that need not divide them."""
+        rows = _solution_rows(specs)
+        table = cal.OfflineSolutionTable(rows=rows)
+        w = data.draw(st.sampled_from(sorted({r.solution.w for r in rows})))
+        queries = [_query(data, [r for r in rows if r.solution.w == w])[0] for _ in range(n)]
+        with mock.patch.object(cal, "_LOOKUP_CHUNK", chunk):
+            got = cal.lookup_nearest_solution(table, [q[0] for q in queries],
+                                              [q[1] for q in queries], w)
+        assert got.w == w and got.rmax.shape == (n,)
+        for k, (sa, sb) in enumerate(queries):
+            want = _scan_nearest(table, sa, sb, w)
+            # rmax is distinct per row, so it names the row
+            assert (got.rmax[k], got.c_a[k], got.c_b[k], got.expected_snr_db[k]) == \
+                (want.rmax, want.c_a, want.c_b, want.expected_snr_db)
+
+    def test_query_shape_and_broadcast(self):
+        rows = _solution_rows([(1.0, 1.0, 2), (4.0, 4.0, 2), (9.0, 1.0, 3)])
+        table = cal.OfflineSolutionTable(rows=rows)
+        got = cal.lookup_nearest_solution(table, np.array([[0.0, 5.0], [3.0, 1.5]]), 2.0, 2)
+        # (3, 2) is equidistant from both rows of W=2: the earlier one wins
+        assert got.rmax.tolist() == [[0, 1], [0, 0]]
+        assert got.c_a.shape == got.expected_snr_db.shape == (2, 2)
+
+    def test_loaded_table_matches_built_table(self, tmp_path):
+        rows = _solution_rows([(1.0, 1.0, 2), (4.0, 4.0, 2), (9.0, 1.0, 3), (2.0, 3.0, 3)])
+        path = tmp_path / "s.csv"
+        cal.save_solutions(cal.OfflineSolutionTable(rows=rows), path)
+        loaded = cal.load_solutions(path)
+        assert loaded.ws() == [2, 3]
+        for w in (2, 3):
+            got = cal.lookup_nearest_solution(loaded, [0.5, 3.0, 8.0], [0.5, 3.0, 1.0], w)
+            want = [cal.lookup_nearest_solution(cal.OfflineSolutionTable(rows=rows), sa, sb, w)
+                    for sa, sb in ((0.5, 0.5), (3.0, 3.0), (8.0, 1.0))]
+            assert got.rmax.tolist() == [s.rmax for s in want]
+        # scalar lookups of a loaded table return its row objects, built on demand
+        assert cal.lookup_nearest_solution(loaded, 9.0, 1.0, 3) is loaded.rows[2].solution
+        assert loaded.rows == rows
+
+
 class TestCalibrationLookup:
     @staticmethod
     def _entry(rmax, rmse, w=2):
@@ -303,6 +348,72 @@ class TestPersistence:
         p.write_text("precision,mode\n")
         with pytest.raises(TableFormatError):
             cal.load_calibration(p)
+
+
+@pytest.fixture(params=["calibration", "speedup", "solutions"])
+def table_file(request, small_table, tmp_path):
+    """A saved table of each kind, with its loader and a numeric column of
+    each type (integer, float)."""
+    path = tmp_path / f"{request.param}.csv"
+    if request.param == "calibration":
+        cal.save_calibration(small_table, path)
+        return path, cal.load_calibration, ("rmax", "rmse")
+    if request.param == "speedup":
+        cal.save_speedup(cal.SpeedupProfile(
+            [cal.ProfileEntry("single", "symmetric", w, 48, 10.0 * w, float(w), 5)
+             for w in (2, 3, 4)]), path)
+        return path, cal.load_speedup, ("W", "fw_percent")
+    cal.save_solutions(cal.build_offline_solutions(
+        [(1.0, 3.0), (2.0, 2.0), (4.0, 1.0)], small_table, "single", "symmetric", 12,
+        w_set=(2,)), path)
+    return path, cal.load_solutions, ("rmax", "sigma_b")
+
+
+def _entries(table):
+    return table.rows if isinstance(table, cal.OfflineSolutionTable) else table.entries
+
+
+class TestMalformedRows:
+    @staticmethod
+    def _rewrite(path, edit=None):
+        """Insert a blank line after the first data row, so that the second
+        data row sits on line 5, and apply ``edit`` to that row."""
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        if edit is not None:
+            rows[3] = edit(rows[1], rows[3])
+        with open(path, "w", newline="") as f:
+            f.write(rows[0][0] + "\n")
+            writer = csv.writer(f)
+            writer.writerows(rows[1:3])
+            f.write("\n")
+            writer.writerows(rows[3:])
+
+    def test_blank_lines_are_skipped(self, table_file):
+        path, load, _cols = table_file
+        before = _entries(load(path))
+        self._rewrite(path)
+        assert _entries(load(path)) == before
+
+    @pytest.mark.parametrize("kind", ["int", "float", "short", "long"])
+    def test_error_names_file_and_line(self, table_file, kind):
+        path, load, (int_col, float_col) = table_file
+
+        def edit(header, row):
+            if kind == "short":
+                return row[:3]
+            if kind == "long":
+                return row + ["1"]
+            row = list(row)
+            row[header.index(int_col if kind == "int" else float_col)] = "abc"
+            return row
+
+        self._rewrite(path, edit)
+        with pytest.raises(TableFormatError) as exc:
+            load(path)
+        assert f"{path}, line 5:" in str(exc.value)
+        if kind in ("int", "float"):
+            assert (int_col if kind == "int" else float_col) in str(exc.value)
 
 
 def test_amplitude_sweep_reproduces_reference_grid():

@@ -60,11 +60,6 @@ class TestMatrixIO:
         with pytest.raises(TableFormatError):
             matrixio.load_matrix(tmp_path / "m.tgmm")
 
-    def test_csv_round_trip(self, tmp_path):
-        m = np.array([[1.5, -2.0], [0.25, 3.0]])
-        matrixio.save_matrix_csv(m, tmp_path / "m.csv")
-        np.testing.assert_array_equal(matrixio.load_matrix_csv(tmp_path / "m.csv"), m)
-
 
 class TestCalibrateCommand:
     def test_deterministic_rerun(self, tmp_path):
@@ -169,6 +164,37 @@ class TestMultiplyCommand:
         assert str(paths[operand]) in err
         assert f"at row {row}, column {col}" in err
         assert not (out / "result.tgmm").exists()
+
+    def test_report_has_stage_timings(self, workdir, tmp_path):
+        for flag in (["--snr-db", "30"], ["--plain"]):
+            out = tmp_path / flag[0].strip("-")
+            assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                             "--out", str(out), "multiply", str(workdir / "a.tgmm"),
+                             str(workdir / "b.tgmm"), *flag]) == 0
+            report = json.loads((out / "multiply_report.json").read_text())
+            timings = report["timings"]
+            assert sorted(timings) == ["execute_s", "load_tables_s", "plan_s"]
+            assert all(v >= 0.0 for v in timings.values())
+            assert sum(timings.values()) <= report["wallclock_s"] * (1 + 1e-9)
+            if flag == ["--plain"]:
+                assert timings["load_tables_s"] == timings["plan_s"] == 0.0
+
+    def test_malformed_table_exit_code(self, workdir, tmp_path, capsys):
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        for name in ("calibration.csv", "solutions.csv"):
+            (tables / name).write_bytes((workdir / "tables" / name).read_bytes())
+        path = tables / "solutions.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        fields = lines[3].split(b",")
+        fields[3] = b"abc"  # rmax of the second data row, on line 4
+        lines[3] = b",".join(fields)
+        path.write_bytes(b"".join(lines))
+        code = cli.main(["--l", str(L), "--tables", str(tables), "--out", str(tmp_path / "o"),
+                         "multiply", str(workdir / "a.tgmm"), str(workdir / "b.tgmm"),
+                         "--snr-db", "30"])
+        assert code == 1
+        assert f"{path}, line 4: bad rmax value 'abc'" in capsys.readouterr().err
 
     def test_missing_tables_exit_code(self, workdir, tmp_path):
         code = cli.main(["--l", str(L), "--tables", str(tmp_path / "absent"),

@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdgemm import calibration as cal, controller as ctl, packing
-from tdgemm.blocking import tiered_gemm
+from tdgemm import calibration as cal, controller as ctl, noise, packing
+from tdgemm.blocking import reorder_block_major, tiered_gemm
 from tdgemm.errors import InfeasibleConstraintError, InvalidConfigError
 from tdgemm.noise import InputStats
 
@@ -228,12 +230,10 @@ class TestPlanGemm:
         target = 30.0
         plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=target),
                              sols, calib, "symmetric", "single", w_set=(2,))
-        from tdgemm.blocking import reorder_block_major, ROWWISE, COLUMNWISE
-        abm = reorder_block_major(a, L, ROWWISE)
-        bbm = reorder_block_major(b, L, COLUMNWISE)
+        sigma_a = reorder_block_major(a, L).sigma
+        sigma_b = reorder_block_major(b, L).sigma
         for (i, j), entry in plan.entries.items():
-            sig = [(abm.tile_stats(i, l).sigma, bbm.tile_stats(l, j).sigma)
-                   for l in range(2)]
+            sig = [(sigma_a[i, l], sigma_b[l, j]) for l in range(2)]
             assert entry.total_d_hat <= ctl.snr_to_distortion(target, sig, L) + 1e-12
 
     def test_constraint_requires_exactly_one_target(self):
@@ -241,6 +241,159 @@ class TestPlanGemm:
             ctl.KernelConstraint()
         with pytest.raises(InvalidConfigError):
             ctl.KernelConstraint(target_snr_db=1.0, target_accel_percent=1.0)
+
+
+# -- the per-kernel planner before batching, kept as the batched planner's oracle
+
+def frozen_kernel_stats(a, b, L):
+    """InputStats per kernel and l, from per-tile stats taken one tile at a time."""
+    def tile(m, i, j):
+        t = np.ascontiguousarray(m[i * L:(i + 1) * L, j * L:(j + 1) * L]).astype(np.float64)
+        return float(t.std(ddof=1)) if t.size > 1 else 0.0, float(t.min()), float(t.max())
+
+    out = {}
+    for i in range(a.shape[0] // L):
+        for j in range(b.shape[1] // L):
+            stats = []
+            for l in range(a.shape[1] // L):
+                sa, a_lo, a_hi = tile(a, i, l)
+                sb, b_lo, b_hi = tile(b, l, j)
+                stats.append(InputStats(sa, sb, a_lo, a_hi, b_lo, b_hi, L))
+            out[(i, j)] = stats
+    return out
+
+
+def frozen_build_options(stats_per_l, solutions, mode, precision, calib, profile, w_set):
+    options_per_l = []
+    for l, stats in enumerate(stats_per_l):
+        opts = []
+        if not (stats.sigma_a <= 0 or stats.sigma_b <= 0):
+            for w in sorted(set(w_set), reverse=True):
+                if w < 2:
+                    continue
+                fw = profile.fw(precision, mode, w) if profile is not None else (w - 1) * 100.0
+                if fw <= 0:
+                    continue
+                rmax = cal.lookup_nearest_solution(solutions, stats.sigma_a, stats.sigma_b,
+                                                   w).rmax
+                s_repr = calib.lookup(precision, mode, w, rmax).rmse
+                sol = noise.optimal_companders(stats, rmax, s_repr=s_repr, w=w)
+                d_hat = noise.combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
+                opts.append(ctl.SubblockOption(l, w, mode, sol.c_a, sol.c_b, rmax,
+                                               packing.compute_z(rmax), d_hat, fw))
+        opts.append(ctl.SubblockOption(l, 1, mode, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
+        options_per_l.append(opts)
+    return options_per_l
+
+
+def frozen_plan_gemm(a, b, L, constraint, solutions, calib, mode, precision, profile, w_set):
+    entries = {}
+    for key, stats_per_l in frozen_kernel_stats(a, b, L).items():
+        options = frozen_build_options(stats_per_l, solutions, mode, precision, calib,
+                                       profile, w_set)
+        if constraint.target_snr_db is not None:
+            d_kernel = ctl.snr_to_distortion(
+                constraint.target_snr_db, [(s.sigma_a, s.sigma_b) for s in stats_per_l], L)
+            entries[key] = ctl.plan_kernel_distortion(options, d_kernel)
+        else:
+            entries[key] = ctl.plan_kernel_throughput(options,
+                                                      constraint.target_accel_percent)
+    return entries
+
+
+@pytest.fixture(scope="module")
+def grid_tables():
+    """W = 2, 3, 4 at L=12 over a coarse sigma grid spanning the input scales."""
+    L = 12
+    calib = cal.CalibrationTable()
+    for w in (2, 3, 4):
+        calib.extend(cal.measure_repr_noise(L, "single", "symmetric", w,
+                                            sweep=[(1, 1), (2, 1), (2, 2), (4, 2), (4, 4),
+                                                   (22, 1), (22, 3), (22, 9)],
+                                            trials=2, seed=6))
+    sigmas = cal.log_sigma_grid(per_decade=2)
+    sols = cal.build_offline_solutions([(sa, sb) for sa in sigmas for sb in sigmas], calib,
+                                       "single", "symmetric", L, w_set=(2, 3, 4))
+    # every row of a W plans the same rmax here; spread them over the admitted
+    # values so that one W needs several calibration lookups
+    rows = []
+    for k, r in enumerate(sols.rows):
+        admitted = [e.rmax for e in calib.admitted("single", "symmetric", r.solution.w)]
+        rows.append(cal.SolutionRow(r.sigma_a, r.sigma_b, dataclasses.replace(
+            r.solution, rmax=admitted[k % len(admitted)])))
+    return calib, cal.OfflineSolutionTable(rows)
+
+
+class TestBatchedPlanMatchesPerKernelPlanner:
+    @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.sampled_from(["snr", "accel"]), st.sampled_from([None, "gains", "no_gain"]),
+           st.sampled_from([1 << 15, 50, 1]), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_same_options_and_prune(self, grid_tables, seed, bi, bj, bl, kind, prof,
+                                    lookup_chunk, reuse_table):
+        calib, sols = grid_tables
+        if not reuse_table:  # a freshly built index, over the table as a loaded array
+            sols = cal.OfflineSolutionTable.from_array(sols.as_array())
+        L = 12
+        rng = np.random.default_rng(seed)
+
+        def operand(rows, cols):
+            m = np.empty((rows * L, cols * L), dtype=np.float32)
+            for i in range(rows):
+                for j in range(cols):
+                    scale = 10.0 ** rng.uniform(-2.5, 3.5)
+                    t = rng.uniform(-scale, scale, size=(L, L))
+                    if rng.random() < 0.2:
+                        t[:] = rng.choice([0.0, scale])  # a constant tile: sigma = 0
+                    m[i * L:(i + 1) * L, j * L:(j + 1) * L] = t
+            return m
+
+        a, b = operand(bi, bl), operand(bl, bj)
+        if kind == "snr":
+            constraint = ctl.KernelConstraint(target_snr_db=float(rng.choice([0, 20, 40])))
+        else:
+            constraint = ctl.KernelConstraint(
+                target_accel_percent=float(rng.choice([0, 50, 100])))
+        profile = None
+        if prof is not None:
+            gains = {2: 40.0, 3: -5.0 if prof == "no_gain" else 80.0, 4: 0.0}
+            profile = cal.SpeedupProfile(
+                [cal.ProfileEntry("single", "symmetric", w, L, g, float(w), 3)
+                 for w, g in gains.items()])
+        args = (sols, calib, "symmetric", "single")
+        try:
+            want = frozen_plan_gemm(a, b, L, constraint, *args, profile, (2, 3, 4))
+        except InfeasibleConstraintError:
+            with pytest.raises(InfeasibleConstraintError):
+                ctl.plan_gemm(a, b, L, constraint, *args, profile=profile, w_set=(2, 3, 4))
+            return
+        with mock.patch.object(cal, "_LOOKUP_CHUNK", lookup_chunk):
+            got = ctl.plan_gemm(a, b, L, constraint, *args, profile=profile,
+                                w_set=(2, 3, 4)).entries
+        assert list(got) == list(want)
+        for key, entry in want.items():
+            assert got[key].choices == entry.choices
+            assert got[key].prune_trace == entry.prune_trace
+            assert got[key].total_d_hat == entry.total_d_hat
+            for o in got[key].choices:
+                assert all(type(v) is type(getattr(entry.choices[o.l], f))
+                           for f, v in vars(o).items())
+
+    def test_option_lists_match_per_kernel_calls(self, grid_tables):
+        """The whole-multiply call and one call per kernel give the same lists."""
+        calib, sols = grid_tables
+        rng = np.random.default_rng(36)
+        L = 12
+        a = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
+        b = rng.uniform(-0.1, 0.1, size=(3 * L, 2 * L)).astype(np.float32)
+        batched = ctl.build_options(ctl.subblock_stats(a, b, L), sols, "symmetric",
+                                    "single", calib)
+        per_kernel = [opts for stats in ctl.kernel_input_stats(a, b, L).values()
+                      for opts in ctl.build_options(stats, sols, "symmetric", "single",
+                                                    calib)]
+        assert batched == per_kernel
+        assert [len(opts) for opts in batched] == [4] * 12
+        assert [opts[-1].w for opts in batched] == [1] * 12
 
 
 def test_dump_plan(tmp_path, desk_tables):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdgemm import noise
 from tdgemm.calibration import CalibEntry, CalibrationTable
@@ -63,21 +64,6 @@ class TestCompanders:
             other = noise.combined_distortion(st, ca, 1.0 / (ct * ca), 0.0).total
             assert best <= other + 1e-12
 
-    def test_admissible_roots_hit_target(self):
-        st = stats()
-        sol = noise.optimal_companders(st, rmax=1000)
-        target = sol.expected_snr_db - 3.0
-        roots = noise.admissible_companders(st, target, 1000, 0.0)
-        assert len(roots) == 2
-        for r in roots:
-            assert noise.model_snr_db(st, r.c_a, r.c_b, 0.0) == pytest.approx(target, abs=1e-9)
-        assert roots[0].c_a < sol.c_a < roots[1].c_a
-
-    def test_admissible_empty_above_maximum(self):
-        st = stats()
-        sol = noise.optimal_companders(st, rmax=1000)
-        assert noise.admissible_companders(st, sol.expected_snr_db + 1.0, 1000, 0.0) == []
-
     def test_repr_noise_lowers_snr(self):
         st = stats()
         clean = noise.optimal_companders(st, rmax=1000, s_repr=0.0)
@@ -121,3 +107,64 @@ class TestValidation:
         st = noise.InputStats.from_tiles(a, a)
         assert st.a_absmax == pytest.approx(np.abs(a).max())
         assert st.sigma_a == pytest.approx(a.std(ddof=1))
+
+
+class TestBatchForm:
+    @given(st.integers(0, 2 ** 31), st.integers(1, 30), st.sampled_from([12, 48, 288]))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_scalar_calls(self, seed, n, L):
+        """Each entry of an array call equals the scalar call on that entry."""
+        rng = np.random.default_rng(seed)
+        sa, sb = 10.0 ** rng.uniform(-3, 4, size=(2, n))
+        a_min, b_min = -np.abs(rng.normal(size=(2, n))) * [sa, sb] * 2
+        a_max, b_max = np.abs(rng.normal(size=(2, n))) * [sa, sb] * 2
+        batch = noise.BatchStats(sa, sb, a_min, a_max, b_min, b_max, L)
+        rmax = rng.integers(1, 10 ** 6, size=n)
+        s_repr = np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-3, 4, size=n))
+        sol = noise.optimal_companders(batch, rmax, s_repr=s_repr, w=2)
+        assert sol.expected_snr_db is None and sol.w == 2
+        budget = noise.combined_distortion(batch, sol.c_a, sol.c_b, s_repr)
+        for k in range(n):
+            one = noise.InputStats(sa[k], sb[k], a_min[k], a_max[k], b_min[k], b_max[k], L)
+            want = noise.optimal_companders(one, int(rmax[k]), s_repr=float(s_repr[k]), w=2)
+            assert (sol.c_a[k], sol.c_b[k]) == (want.c_a, want.c_b)
+            want_budget = noise.combined_distortion(one, want.c_a, want.c_b, float(s_repr[k]))
+            assert budget.quant_power[k] == want_budget.quant_power
+            assert budget.repr_power[k] == want_budget.repr_power
+            assert budget.total[k] == want_budget.total
+            assert noise.signal_power(batch)[k] == noise.signal_power(one)
+
+    def test_of_stacks_input_stats(self):
+        rows = [stats(sa=1.0, sb=2.0), stats(sa=3.0, sb=0.0)]
+        batch = noise.BatchStats.of(rows)
+        assert batch.shape == (2,) and batch.L == 48
+        assert batch.sigma_b.tolist() == [2.0, 0.0]
+        assert batch.a_absmax.tolist() == [4.0, 4.0]
+        assert batch.take([1]).sigma_a.tolist() == [3.0]
+
+    def test_validation(self):
+        with pytest.raises(InvalidConfigError):
+            noise.BatchStats.of([stats(L=12), stats(L=48)])
+        with pytest.raises(InvalidConfigError):
+            noise.BatchStats(*np.array([[1.0], [-1.0], [0.0], [1.0], [0.0], [1.0]]), L=4)
+        batch = noise.BatchStats.of([stats(sa=1.0), stats(sa=0.0)])
+        with pytest.raises(DegenerateInputError):
+            noise.optimal_companders(batch, np.array([100, 100]))
+        with pytest.raises(InvalidConfigError):
+            noise.optimal_companders(batch.take([0]), np.array([0]))
+        with pytest.raises(InvalidConfigError):
+            noise.combined_distortion(batch, np.array([1.0, 1.0]), np.array([1.0, 1.0]),
+                                      np.array([0.0, -1.0]))
+        with pytest.raises(InvalidConfigError):
+            noise.quant_noise_power(batch, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+
+class TestSquares:
+    def test_model_squares_by_multiplication(self):
+        """The model squares as ``t * t``, which NumPy arrays compute the same
+        way; CPython's ``t ** 2`` calls libm ``pow``, which is not always
+        correctly rounded (on glibc it differs for about 1 in 1200 doubles)."""
+        for t in np.random.default_rng(23).uniform(1, 2, size=20000).tolist():
+            one = noise.InputStats(t, 1.0, -2.0, 2.0, -1.0, 1.0, 1)
+            assert noise.signal_power(one) == t * t
+            assert noise.combined_distortion(one, 1.0, 1.0, t).repr_power == t * t
