@@ -43,11 +43,12 @@ def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
     """Stats of the L x L tiles of ``m``'s full-tile region.
 
     Tiles are copied, a block row's worth or ``_STATS_ELEMS`` elements at a
-    time, into the rows of one reused contiguous float64 buffer, and
-    ``std(axis=1, ddof=1)`` reduces each row exactly as ``t.std(ddof=1)``
-    reduces the tile on its own: sigma is taken about the tile's own sample
-    mean, in double precision. A buffer of every tile at once runs slower
-    at L=288: its passes miss the cache.
+    time, into the rows of one reused contiguous float64 buffer, and each
+    row is reduced exactly as ``t.min()``, ``t.max()`` and ``t.std(ddof=1)``
+    reduce the tile on its own: sigma is taken about the tile's own sample
+    mean, in double precision, by NumPy's ``_var`` steps run on the buffer
+    itself. A buffer of every tile at once runs slower at L=288: its passes
+    miss the cache.
     """
     if m.ndim != 2 or m.size == 0:
         raise DimensionError("expected a nonempty 2-D matrix")
@@ -64,10 +65,12 @@ def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
             g = min(step, bj - j)
             buf[:g] = block_row[:, j * L:(j + g) * L].reshape(L, g, L).swapaxes(0, 1)
             t = buf[:g].reshape(g, n)
-            vmin[i, j:j + g] = t.min(axis=1)
-            vmax[i, j:j + g] = t.max(axis=1)
-            if n > 1:
-                sigma[i, j:j + g] = t.std(axis=1, ddof=1)
+            np.minimum.reduce(t, axis=1, out=vmin[i, j:j + g])
+            np.maximum.reduce(t, axis=1, out=vmax[i, j:j + g])
+            if n > 1:  # t.std(axis=1, ddof=1) by NumPy's own steps, in place on t
+                t -= np.add.reduce(t, axis=1, keepdims=True) / n
+                np.square(t, out=t)
+                sigma[i, j:j + g] = np.sqrt(np.add.reduce(t, axis=1) / (n - 1))
     return TileStats(sigma, vmin, vmax)
 
 

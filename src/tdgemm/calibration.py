@@ -181,9 +181,6 @@ class SpeedupProfile:
             f"no speedup profile entry for ({precision}, {mode}, W={w})"
         )
 
-    def available_ws(self, precision: str, mode: str):
-        return sorted({e.w for e in self.entries if (e.precision, e.mode) == (precision, mode)})
-
 
 def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
                             repetitions: int = 5, seed: int = 0) -> SpeedupProfile:

@@ -13,7 +13,6 @@ PRECISIONS = ("single", "double")
 
 _DTYPES = {"single": np.float32, "double": np.float64}
 _MANTISSA_BITS = {"single": 24, "double": 53}
-_BYTES = {"single": 4, "double": 8}
 
 
 def dtype_of(precision: str):
@@ -29,11 +28,6 @@ def mantissa_bits(precision: str) -> int:
 def u_sys_of(precision: str) -> float:
     """Relative machine precision of the native format (half-ulp of 1.0)."""
     return 2.0 ** -mantissa_bits(precision)
-
-
-def bytes_of(precision: str) -> int:
-    _check_precision(precision)
-    return _BYTES[precision]
 
 
 def precision_of_dtype(dtype) -> str:

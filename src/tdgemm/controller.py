@@ -93,9 +93,6 @@ class KernelPlan:
 
     entries: dict = field(default_factory=dict)
 
-    def entry(self, i: int, j: int) -> KernelPlanEntry:
-        return self.entries[(i, j)]
-
     def subblock_choices(self, i: int, j: int):
         entry = self.entries.get((i, j))
         if entry is None:
@@ -108,11 +105,6 @@ class KernelPlan:
             for opt in entry.choices:
                 hist[opt.w] = hist.get(opt.w, 0) + 1
         return hist
-
-    def mean_accel_percent(self) -> float:
-        if not self.entries:
-            return 0.0
-        return sum(e.accel_percent for e in self.entries.values()) / len(self.entries)
 
 
 def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int) -> float:

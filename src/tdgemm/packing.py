@@ -23,19 +23,32 @@ ASYMMETRIC = "asymmetric"
 MODES = (SYMMETRIC, ASYMMETRIC)
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, half-way ties away from zero.
+def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Round a float array to nearest integer, half-way ties away from zero.
 
-    The arithmetic runs in the input dtype and is exact: the fractional part
-    ``x - trunc(x)`` is representable, so comparing it with one half decides
-    the rounding without the rounding error of ``floor(|x| + 0.5)``. Signed
-    zeros and infinities pass through.
+    ``np.rint`` rounds every entry but the ties this way; it sends a tie to
+    the even side. ``d = |x - rint(x)|`` is exact and is 0.5 at a tie, so one
+    ``np.fmax`` reduction finds whether any tie exists; ``fmax`` skips NaN,
+    so the ``inf - inf`` of an infinite entry cannot hide one. Only then are
+    the ties set to ``x + copysign(0.5, x)``, which is exact: a float that
+    holds a half has room for the integer next to it. Signed zeros, ±inf
+    and NaN pass through ``rint`` as they are. Runs in the input dtype;
+    ``out`` may be ``x`` itself.
     """
     arr = np.asarray(x)
-    t = np.trunc(arr)
+    d = np.rint(arr, out=np.empty_like(arr))
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        up = np.abs(arr - t) >= 0.5
-    return t + np.copysign(up, arr)
+        np.subtract(arr, d, out=d)
+    np.abs(d, out=d)
+    ties = None
+    if d.size and np.fmax.reduce(d, axis=None) == 0.5:
+        ties = np.flatnonzero(d == 0.5)
+        fix = arr.flat[ties]
+        fix += np.copysign(0.5, fix)
+    out = np.rint(arr, out=d if out is None else out)
+    if ties is not None:
+        out.flat[ties] = fix
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,25 +89,28 @@ class PackedTile:
 
 
 def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
-    """Scale by the compander and round to integer-valued native floats."""
+    """Scale by the compander in float64, round once to the tile's dtype, and
+    round that to integer-valued native floats."""
     if c <= 0:
         raise InvalidConfigError(f"compander must be positive, got {c}")
     precision = precision_of_dtype(tile.dtype)
     limit = 2.0 ** mantissa_bits(precision)
     peak = c * float(np.abs(tile).max()) if tile.size else 0.0
-    if peak >= limit:
+    if not peak < limit:  # NaN compares false
+        bound = ("is not finite" if not math.isfinite(peak)
+                 else f"exceeds exact-integer range {limit:.4g}")
         raise QuantizerOverflowError(
-            f"companded amplitude {peak:.4g} exceeds exact-integer range {limit:.4g} "
-            f"of {precision} precision"
+            f"companded amplitude {peak:.4g} {bound} of {precision} precision"
         )
-    return round_half_away(np.asarray(c * tile.astype(np.float64), dtype=tile.dtype))
+    q = np.multiply(tile, c, out=np.empty_like(tile), dtype=np.float64, casting="unsafe")
+    return round_half_away(q, out=q)
 
 
-def dequantize(value, c_a: float, c_b: float):
+def dequantize(value, c_a: float, c_b: float, out=None):
     """Reverse companding: divide by the product of both companders."""
     if c_a <= 0 or c_b <= 0:
         raise InvalidConfigError("companders must be positive")
-    return value / (c_a * c_b)
+    return np.divide(value, c_a * c_b, out=out)
 
 
 def compute_rmax(c_a: float, c_b: float, L: int, a_absmax: float, b_absmax: float) -> int:
@@ -174,9 +190,10 @@ def pack_symmetric(at: np.ndarray, bt: np.ndarray, w: int, z: float):
     dtype = at.dtype
     zf = dtype.type(z)
     zinv = dtype.type(1.0 / z)
-    abar = np.zeros((L, L // w), dtype=dtype)
-    bbar = np.zeros((L // w, L), dtype=dtype)
-    for i in range(w):
+    # a fold starts at 0 + x0, so -0 turns +0 as in a sum from zeros
+    abar = np.add(at[:, 0::w], dtype.type(0), order="C")
+    bbar = np.add(bt[0::w, :], dtype.type(0), order="C")
+    for i in range(1, w):
         abar += zf ** i * at[:, i::w]
         bbar += zinv ** i * bt[i::w, :]
     return PackedTile(abar, SYMMETRIC, w, z), PackedTile(bbar, SYMMETRIC, w, z)
@@ -186,19 +203,18 @@ def multiply_packed_symmetric(abar: PackedTile, bbar: PackedTile) -> np.ndarray:
     if abar.mode != SYMMETRIC or bbar.mode != SYMMETRIC:
         raise DimensionError("operands are not symmetric-packed")
     if abar.w != bbar.w or abar.z != bbar.z:
-        raise DimensionError(
-            f"packing mismatch: W {abar.w}/{bbar.w}, z {abar.z}/{bbar.z}"
-        )
+        raise DimensionError(f"packing mismatch: W {abar.w}/{bbar.w}, z {abar.z}/{bbar.z}")
     return np.matmul(abar.values, bbar.values)
 
 
 def unpack_symmetric(rbar: np.ndarray, z: float) -> np.ndarray:
     """Strip side results: rounding drops the low side, the z^-1 peel the high."""
     dtype = rbar.dtype
-    zf = dtype.type(z)
-    zinv = dtype.type(1.0 / z)
     u = round_half_away(rbar)
-    return u - zinv * round_half_away(zf * u)
+    high = np.multiply(u, dtype.type(z))
+    round_half_away(high, out=high)
+    high *= dtype.type(1.0 / z)
+    return np.subtract(u, high, out=u)
 
 
 def pack_asymmetric(at: np.ndarray, w: int, z: float) -> PackedTile:
@@ -210,8 +226,8 @@ def pack_asymmetric(at: np.ndarray, w: int, z: float) -> PackedTile:
         raise DimensionError(f"tile side {L} not divisible by W={w}")
     dtype = at.dtype
     zf = dtype.type(z)
-    abar = np.zeros((L // w, L), dtype=dtype)
-    for i in range(w):
+    abar = np.add(at[0::w, :], dtype.type(0), order="C")  # 0 + x0, as in pack_symmetric
+    for i in range(1, w):
         abar += zf ** i * at[i::w, :]
     return PackedTile(abar, ASYMMETRIC, w, z)
 
@@ -229,15 +245,13 @@ def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
     """
     dtype = rbar.dtype
     zinv = dtype.type(1.0 / z)
-    L = rbar.shape[1]
-    out = np.empty((rbar.shape[0] * w, L), dtype=dtype)
-    resid = rbar
-    current = round_half_away(resid)
-    out[0::w, :] = current
+    out = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=dtype)
+    current = round_half_away(rbar, out=out[0::w, :])
+    resid = None
     for i in range(1, w):
-        resid = zinv * (resid - current)
-        current = round_half_away(resid)
-        out[i::w, :] = current
+        resid = np.subtract(rbar if resid is None else resid, current, out=resid)
+        resid *= zinv
+        current = round_half_away(resid, out=out[i::w, :])
     return out
 
 
@@ -266,4 +280,4 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
     at = quantize_subblock(a_tile, cfg.c_a)
     bt = quantize_subblock(b_tile, cfg.c_b)
     rt = packed_product(at, bt, cfg.mode, cfg.w, cfg.z)
-    return np.asarray(dequantize(rt, cfg.c_a, cfg.c_b), dtype=a_tile.dtype)
+    return dequantize(rt, cfg.c_a, cfg.c_b, out=rt)

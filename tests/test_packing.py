@@ -108,6 +108,19 @@ class TestQuantize:
         with pytest.raises(QuantizerOverflowError):
             packing.quantize_subblock(tile, 1.0)
 
+    def test_nan_raises(self):
+        tile = np.ones((4, 4), np.float32)
+        tile[1, 2] = np.nan
+        with pytest.raises(QuantizerOverflowError, match="not finite"):
+            packing.quantize_subblock(tile, 1.0)
+
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinity_raises(self, inf):
+        tile = np.ones((4, 4), np.float64)
+        tile[3, 0] = inf
+        with pytest.raises(QuantizerOverflowError, match="not finite"):
+            packing.quantize_subblock(tile, 1.0)
+
     def test_dequantize_inverts_scaling(self):
         assert packing.dequantize(6.0, 2.0, 3.0) == 1.0
 
@@ -299,3 +312,187 @@ def test_full_pipeline_packed_close_to_exact():
     # quantization step 1/c on each operand bounds the per-element error
     tol = L * (5 / c + 5 / c + 0.25 / c ** 2) * 0.5 + 1.0
     assert np.max(np.abs(got - exact)) < tol
+
+
+# Reference copies of the elementwise stages in their allocating form, with
+# trunc-based rounding: the in-place, rint-based stages must match them bit
+# for bit.
+def _frozen_round(x):
+    arr = np.asarray(x)
+    t = np.trunc(arr)
+    with np.errstate(invalid="ignore"):
+        up = np.abs(arr - t) >= 0.5
+    return t + np.copysign(up, arr)
+
+
+def _frozen_quantize(tile, c):
+    return _frozen_round(np.asarray(c * tile.astype(np.float64), dtype=tile.dtype))
+
+
+def _frozen_pack_symmetric(at, bt, w, z):
+    L, dtype = at.shape[0], at.dtype
+    zf, zinv = dtype.type(z), dtype.type(1.0 / z)
+    abar = np.zeros((L, L // w), dtype=dtype)
+    bbar = np.zeros((L // w, L), dtype=dtype)
+    for i in range(w):
+        abar += zf ** i * at[:, i::w]
+        bbar += zinv ** i * bt[i::w, :]
+    return abar, bbar
+
+
+def _frozen_unpack_symmetric(rbar, z):
+    zf, zinv = rbar.dtype.type(z), rbar.dtype.type(1.0 / z)
+    u = _frozen_round(rbar)
+    return u - zinv * _frozen_round(zf * u)
+
+
+def _frozen_pack_asymmetric(at, w, z):
+    L, dtype = at.shape[0], at.dtype
+    zf = dtype.type(z)
+    abar = np.zeros((L // w, L), dtype=dtype)
+    for i in range(w):
+        abar += zf ** i * at[i::w, :]
+    return abar
+
+
+def _frozen_unpack_asymmetric(rbar, z, w):
+    zinv = rbar.dtype.type(1.0 / z)
+    out = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=rbar.dtype)
+    resid = rbar
+    current = _frozen_round(resid)
+    out[0::w, :] = current
+    for i in range(1, w):
+        resid = zinv * (resid - current)
+        current = _frozen_round(resid)
+        out[i::w, :] = current
+    return out
+
+
+def _frozen_packed_subblock_product(a_tile, b_tile, cfg):
+    at = _frozen_quantize(a_tile, cfg.c_a)
+    bt = _frozen_quantize(b_tile, cfg.c_b)
+    if cfg.mode == packing.SYMMETRIC:
+        abar, bbar = _frozen_pack_symmetric(at, bt, cfg.w, cfg.z)
+        rt = _frozen_unpack_symmetric(np.matmul(abar, bbar), cfg.z)
+    else:
+        abar = _frozen_pack_asymmetric(at, cfg.w, cfg.z)
+        rt = _frozen_unpack_asymmetric(np.matmul(abar, bt), cfg.z, cfg.w)
+    return np.asarray(rt / (cfg.c_a * cfg.c_b), dtype=a_tile.dtype)
+
+
+def _planted(rng, L, dtype, scale, special=True):
+    """Gaussian entries times ``scale`` (almost never a tie), with ties,
+    signed zeros and, if ``special``, NaN of both signs and infinities
+    planted at random places."""
+    x = (rng.standard_normal((L, L)) * scale).astype(dtype)
+    flat = x.reshape(-1)
+    ties = rng.integers(-1000, 1000, 8) + 0.5
+    plants = [*ties, 0.5, -0.5, 1.5, -2.5, -0.0, -0.25, 0.0, -3.0]
+    if special:
+        plants += [np.nan, -np.nan, np.inf, -np.inf]
+    flat[rng.choice(flat.size, len(plants), replace=False)] = plants
+    return x
+
+
+_DTYPES = [np.float32, np.float64]
+
+
+class TestStagesMatchFrozenCopy:
+    """The in-place, rint-based stages against frozen copies of the stages
+    they replaced, on whole tiles: tie detection is one reduction over the
+    whole array, so a tie must be found among many non-ties."""
+
+    @pytest.mark.parametrize("L", [48, 288])
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_round(self, L, dtype):
+        rng = np.random.default_rng(L)
+        for scale in (1.0, 1e3, 1e7):
+            x = _planted(rng, L, dtype, scale)
+            want = _frozen_round(x).tobytes()
+            assert packing.round_half_away(x).tobytes() == want
+            strided = np.empty((2 * L, L), dtype)[::2]
+            assert packing.round_half_away(x, out=strided).tobytes() == want
+            assert packing.round_half_away(x.T).tobytes() == _frozen_round(x.T).tobytes()
+            packing.round_half_away(x, out=x)
+            assert x.tobytes() == want
+
+    def test_round_without_ties(self):
+        x = np.array([[0.49999999999999994, -0.2, 3.0], [np.nan, np.inf, -7.75]])
+        assert packing.round_half_away(x).tobytes() == _frozen_round(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_round_zero_d_and_empty(self, dtype):
+        for v in (2.5, -0.5, -0.0, 0.25, np.inf):
+            got = packing.round_half_away(dtype(v))
+            assert np.asarray(got).tobytes() == np.asarray(_frozen_round(dtype(v))).tobytes()
+        empty = np.empty((0, 3), dtype)
+        assert packing.round_half_away(empty).shape == (0, 3)
+
+    @pytest.mark.parametrize("L", [48, 288])
+    def test_quantize_matches_float64_round_trip(self, L):
+        rng = np.random.default_rng(L + 1)
+        for dtype in _DTYPES:
+            for c in (*rng.uniform(0.05, 40.0, 6), 2.0, 0.5):
+                tile = _planted(rng, L, dtype, 3.0, special=False)
+                # entries whose companded value lands at or next to a tie,
+                # where the product's precision decides the rounding
+                near = ((rng.integers(-300, 300, L) + 0.5) / c).astype(dtype)
+                tile[:3] = [near, np.nextafter(near, dtype(np.inf)),
+                            np.nextafter(near, dtype(-np.inf))]
+                got = packing.quantize_subblock(tile, float(c))
+                assert got.tobytes() == _frozen_quantize(tile, float(c)).tobytes()
+
+    @pytest.mark.parametrize("w", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_pack_turns_negative_zero_positive(self, w, dtype):
+        rng = np.random.default_rng(w)
+        at = rng.integers(-9, 10, (48, 48)).astype(dtype)
+        bt = rng.integers(-9, 10, (48, 48)).astype(dtype)
+        at[:, 0::2] = -0.0
+        bt[0::2, :] = -0.0
+        at[5, 1::2] = -0.0  # row 5 and column 1 are all -0.0
+        bt[1::2, 1] = -0.0
+        z = 2.0 ** -12
+        abar, bbar = packing.pack_symmetric(at, bt, w, z)
+        want_a, want_b = _frozen_pack_symmetric(at, bt, w, z)
+        assert abar.values.tobytes() == want_a.tobytes()
+        assert bbar.values.tobytes() == want_b.tobytes()
+        assert abar.values.flags.c_contiguous and bbar.values.flags.c_contiguous
+        for packed in (abar.values, bbar.values):  # 0 + (-0) is +0
+            assert (packed == 0).any() and not np.signbit(packed[packed == 0]).any()
+        asym = packing.pack_asymmetric(bt, w, z)
+        assert asym.values.tobytes() == _frozen_pack_asymmetric(bt, w, z).tobytes()
+
+    @pytest.mark.parametrize("L", [48, 288])
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_unpack(self, L, dtype):
+        rng = np.random.default_rng(L + 2)
+        z = 2.0 ** -10
+        for scale in (1e2, 1e5):
+            rbar = _planted(rng, L, dtype, scale)
+            # entries whose high field z*u is a tie
+            rbar[3, :8] = (2 * rng.integers(-50, 50, 8) + 1) * (0.5 / z)
+            with np.errstate(invalid="ignore"):
+                got = packing.unpack_symmetric(rbar, z)
+                want = _frozen_unpack_symmetric(rbar, z)
+                assert got.tobytes() == want.tobytes()
+                for w in (2, 3, 4):
+                    got = packing.unpack_asymmetric(rbar, z, w)
+                    assert got.tobytes() == _frozen_unpack_asymmetric(rbar, z, w).tobytes()
+
+    @pytest.mark.parametrize("L", [48, 288])
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_packed_subblock_product(self, L, dtype, mode):
+        rng = np.random.default_rng(L + 3)
+        for w in (2, 3, 4):
+            # c = 2 turns the planted quarter-integers into ties
+            for c_a, c_b in ((3.2110535885461537, 3.2143586241124074), (2.0, 2.0)):
+                a = _planted(rng, L, dtype, 1.0, special=False)
+                b = _planted(rng, L, dtype, 1.0, special=False)
+                a[7, :6] = rng.integers(-20, 20, 6) + 0.25
+                rmax = packing.compute_rmax(c_a, c_b, L, 2500.0, 2500.0)
+                cfg = packing.PackingConfig(mode, w, packing.compute_z(rmax), c_a, c_b, rmax)
+                got = packing.packed_subblock_product(a, b, cfg)
+                assert got.dtype == dtype
+                assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
