@@ -1,6 +1,7 @@
 """Offline measurement artifacts: representation-noise curves m/s(R_max, W),
-throughput profiling F_W, and the precomputed compander-solution table with
-nearest-sigma runtime lookup. All three persist as versioned CSV files.
+throughput profiling F_W, and the precomputed compander-solution table (one
+structured array, built per W by an array search over sigma pairs and R_max)
+with nearest-sigma runtime lookup. All three persist as versioned CSV files.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .errors import (
     TableFormatError,
     TimerResolutionError,
 )
-from .noise import CompanderSolution, InputStats, optimize_rmax
+from .noise import (BatchStats, CompanderSolution, combined_distortion, optimal_companders,
+                    signal_power)
 
 FORMAT_VERSION = 1
 
@@ -82,19 +84,15 @@ class CalibrationTable:
             )
         return entry
 
-    def admitted(self, precision: str, mode: str, w: int,
-                 bias_limit: float = 1e-4, rmax_cap: int | None = None):
+    def admitted(self, precision: str, mode: str, w: int, rmax_cap: int | None = None):
         """Entries usable by the controller: near-zero bias, optional R_max cap."""
-        out = []
-        for e in self.slice(precision, mode, w):
-            if rmax_cap is not None and e.rmax > rmax_cap:
-                continue
-            if abs(e.mean_err) / e.rmax >= bias_limit:
-                continue
-            out.append(e)
-        return out
+        return [e for e in self.slice(precision, mode, w)
+                if not (rmax_cap is not None and e.rmax > rmax_cap
+                        or abs(e.mean_err) / e.rmax >= BIAS_LIMIT)]
 
 
+# largest admitted |mean error| / R_max
+BIAS_LIMIT = 1e-4
 # double precision W=4 breaks down early; larger R_max values are never admitted
 DEFAULT_RMAX_CAPS = {("double", 4): 120000}
 
@@ -255,102 +253,75 @@ def uniform_extremes(sigma_a: float, sigma_b: float):
     return math.sqrt(3.0) * sigma_a, math.sqrt(3.0) * sigma_b
 
 
-@dataclass(frozen=True)
-class SolutionRow:
-    sigma_a: float
-    sigma_b: float
-    solution: CompanderSolution
-
-
 # a solution table as a structured array: one record per row, fields in file order
 _SOLUTION_DTYPE = np.dtype([("sigma_a", "f8"), ("sigma_b", "f8"), ("w", "i8"), ("rmax", "i8"),
                             ("c_a", "f8"), ("c_b", "f8"), ("snr_db", "f8")])
 
 
 class OfflineSolutionTable:
-    """Stored compander solutions, one per (sigma_a, sigma_b, W), in table order.
+    """Stored compander solutions, one per (sigma_a, sigma_b, W): ``data`` is a
+    read-only copy of the rows as a structured array of ``_SOLUTION_DTYPE``, in
+    table order; the per-W sigmas and row positions lookups read are indexed here."""
 
-    A table is built from a list of SolutionRow (``rows``) or loaded as a
-    structured array (``from_array``); a loaded table builds its row objects
-    only when ``rows`` is read. Lookups read per-W arrays, rebuilt when
-    ``rows`` is replaced or changes length.
-    """
-
-    def __init__(self, rows=None):
-        self._rows = [] if rows is None else rows
-        self._data = None  # a loaded table's array, until its rows are built
-        self._index = None  # (rows or array indexed, its length, array, rows_by_w)
-
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "OfflineSolutionTable":
-        table = cls()
-        table._rows, table._data = None, data
-        return table
-
-    @property
-    def rows(self) -> list:
-        if self._rows is None:
-            self._rows = [
-                SolutionRow(sa, sb, CompanderSolution(c_a=ca, c_b=cb, rmax=rmax,
-                                                      expected_snr_db=snr, w=w))
-                for sa, sb, w, rmax, ca, cb, snr in self._data.tolist()
-            ]
-            if self._index is not None and self._index[0] is self._data:
-                self._index = (self._rows, *self._index[1:])
-        return self._rows
-
-    @rows.setter
-    def rows(self, rows: list) -> None:
-        self._rows = rows
-
-    def _indexed(self):
-        source = self._data if self._rows is None else self._rows
-        if self._index is None or self._index[0] is not source \
-                or self._index[1] != len(source):
-            data = source if self._rows is None else np.array(
-                [(r.sigma_a, r.sigma_b, r.solution.w, r.solution.rmax, r.solution.c_a,
-                  r.solution.c_b, r.solution.expected_snr_db) for r in source],
-                dtype=_SOLUTION_DTYPE)
-            by_w = {}
-            for w in np.unique(data["w"]).tolist():
-                pos = np.flatnonzero(data["w"] == w)
-                by_w[w] = (data["sigma_a"][pos], data["sigma_b"][pos], pos)
-            self._index = (source, len(source), data, by_w)
-        return self._index[2:]
-
-    def as_array(self) -> np.ndarray:
-        """The table as a structured array of ``_SOLUTION_DTYPE``, in table order."""
-        return self._indexed()[0]
-
-    def rows_by_w(self) -> dict:
-        """Per W: float64 arrays of the rows' sigmas and the rows' positions."""
-        return self._indexed()[1]
+    def __init__(self, data):
+        self.data = np.array(data, dtype=_SOLUTION_DTYPE)
+        self.data.flags.writeable = False
+        self._by_w = {}
+        for w in np.unique(self.data["w"]).tolist():
+            pos = np.flatnonzero(self.data["w"] == w)
+            self._by_w[w] = (self.data["sigma_a"][pos], self.data["sigma_b"][pos], pos)
 
     def ws(self):
-        return sorted(self.rows_by_w())
+        return sorted(self._by_w)
+
+
+# (sigma pair, R_max) elements per step of the solution build, which bounds
+# its temporaries whatever the sigma grid
+_BUILD_CHUNK = 1 << 11
 
 
 def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str, mode: str,
-                            L: int, w_set=(2, 3, 4), extremes_model=uniform_extremes,
-                            bias_limit: float = 1e-4,
-                            rmax_caps=DEFAULT_RMAX_CAPS) -> OfflineSolutionTable:
-    """Precompute the best operating point per (sigma_a, sigma_b, W)."""
-    table = OfflineSolutionTable()
-    for w in sorted(set(w_set)):
-        admitted = calib.admitted(precision, mode, w, bias_limit=bias_limit,
-                                  rmax_cap=rmax_caps.get((precision, w)))
+                            L: int, w_set=(2, 3, 4)) -> OfflineSolutionTable:
+    """Precompute the best operating point per (sigma_a, sigma_b, W).
+
+    Each sigma pair stands for zero-mean uniform operands
+    (``uniform_extremes``). Per W, one array pass over the (pair, admitted
+    R_max) elements, a chunk of about ``_BUILD_CHUNK`` at a time, computes
+    the optimal companders and the model SNR at every admitted R_max; each
+    pair keeps the first R_max, in ascending order, of highest SNR. The SNR
+    is ``10 * math.log10`` per element, because ``np.log10`` is not bitwise
+    ``math.log10``. Rows are in W order, then pair order.
+    """
+    ws = sorted(set(w_set))
+    pairs = np.array(sigma_pairs, dtype=np.float64).reshape(-1, 2)
+    out = np.empty(len(ws) * len(pairs), dtype=_SOLUTION_DTYPE)
+    for k, w in enumerate(ws):
+        admitted = calib.admitted(precision, mode, w,
+                                  rmax_cap=DEFAULT_RMAX_CAPS.get((precision, w)))
         if not admitted:
             raise CalibrationMissingError(
                 f"no admitted calibration entries for ({precision}, {mode}, W={w})"
             )
-        view = CalibrationTable(entries=admitted)
-        for sa, sb in sigma_pairs:
-            a_abs, b_abs = extremes_model(sa, sb)
-            stats = InputStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
+        rmax = np.array([e.rmax for e in admitted], dtype=np.int64)
+        s_repr = np.array([e.rmse for e in admitted])
+        rows = out[k * len(pairs):(k + 1) * len(pairs)]
+        rows["sigma_a"], rows["sigma_b"], rows["w"] = pairs[:, 0], pairs[:, 1], w
+        step = max(1, _BUILD_CHUNK // len(admitted))
+        for p in range(0, len(pairs), step):
+            sa, sb = pairs[p:p + step, :1], pairs[p:p + step, 1:]
+            a_abs, b_abs = uniform_extremes(sa, sb)
+            stats = BatchStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
                                b_min=-b_abs, b_max=b_abs, L=L)
-            sol = optimize_rmax(stats, w, mode, precision, view)
-            table.rows.append(SolutionRow(sigma_a=sa, sigma_b=sb, solution=sol))
-    return table
+            sol = optimal_companders(stats, rmax, s_repr=s_repr, w=w)
+            total = combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
+            ratio = signal_power(stats) / total
+            snr = 10.0 * np.fromiter(map(math.log10, ratio.ravel().tolist()),
+                                     dtype=np.float64, count=ratio.size).reshape(ratio.shape)
+            best = (np.arange(len(snr)), snr.argmax(axis=1))
+            chunk = rows[p:p + step]
+            chunk["rmax"], chunk["c_a"], chunk["c_b"], chunk["snr_db"] = \
+                rmax[best[1]], sol.c_a[best], sol.c_b[best], snr[best]
+    return OfflineSolutionTable(out)
 
 
 # distances per step of the nearest-solution search, which bounds its
@@ -363,12 +334,12 @@ def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: in
 
     Distance is squared Euclidean in linear sigma. A NaN distance never
     displaces an earlier row, so a NaN query returns the first row of W.
-    Float sigmas return the stored solution. Array sigmas (broadcast
-    together) return a CompanderSolution whose c_a, c_b, rmax and
-    expected_snr_db are arrays of their shape, one entry per query; the
-    search runs over chunks of queries of about ``_LOOKUP_CHUNK`` distances.
+    The sigmas, floats or arrays, broadcast together; the CompanderSolution
+    returned holds c_a, c_b, rmax and expected_snr_db as arrays of that
+    shape (0-d for float sigmas), one entry per query. The search runs over
+    chunks of queries of about ``_LOOKUP_CHUNK`` distances.
     """
-    group = table.rows_by_w().get(w)
+    group = table._by_w.get(w)
     if group is None:
         raise CalibrationMissingError(f"solution table has no entries for W={w}")
     sa, sb, pos = group
@@ -399,10 +370,7 @@ def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: in
             i = d.argmin(axis=1)
             i[first_nan] = 0
             near[q:q + g] = i
-    hit = pos[near]
-    if not shape:
-        return table.rows[int(hit[0])].solution
-    found = table.as_array()[hit].reshape(shape)
+    found = table.data[pos[near]].reshape(shape)
     return CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
                              expected_snr_db=found["snr_db"], w=w)
 
@@ -495,12 +463,15 @@ def load_speedup(path) -> SpeedupProfile:
     return SpeedupProfile([ProfileEntry(*r) for r in _typed_rows(path, lines, SPEEDUP_HEADER, types)])
 
 
+# rows per step of a save, which bounds its memory whatever the table size
+_SAVE_CHUNK = 1 << 10
+
+
 def save_solutions(table: OfflineSolutionTable, path) -> None:
-    rows = [
-        [repr(r.sigma_a), repr(r.sigma_b), r.solution.w, r.solution.rmax,
-         repr(r.solution.c_a), repr(r.solution.c_b), repr(r.solution.expected_snr_db)]
-        for r in table.rows
-    ]
+    data = table.data
+    rows = ([repr(sa), repr(sb), w, rmax, repr(ca), repr(cb), repr(snr)]
+            for k in range(0, len(data), _SAVE_CHUNK)
+            for sa, sb, w, rmax, ca, cb, snr in data[k:k + _SAVE_CHUNK].tolist())
     _write_csv(path, SOLUTION_HEADER, rows)
 
 
@@ -509,11 +480,10 @@ def load_solutions(path) -> OfflineSolutionTable:
     lines = _data_lines(path, SOLUTION_HEADER)
     if any(map(str.strip, lines)):
         try:
-            return OfflineSolutionTable.from_array(np.loadtxt(
+            return OfflineSolutionTable(np.loadtxt(
                 lines, delimiter=",", dtype=_SOLUTION_DTYPE, ndmin=1, comments=None))
         except ValueError:
             pass  # parsed again below, row by row, to name the line at fault
     types = (float, float, int, int, float, float, float)
     rows = _typed_rows(path, lines, SOLUTION_HEADER, types)
-    return OfflineSolutionTable.from_array(
-        np.array([tuple(r) for r in rows], dtype=_SOLUTION_DTYPE))
+    return OfflineSolutionTable([tuple(r) for r in rows])

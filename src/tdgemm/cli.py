@@ -129,7 +129,7 @@ def cmd_solutions(args) -> int:
     )
     path = out_dir / TABLE_FILES["solutions"]
     calibration.save_solutions(table, path)
-    print(f"{len(table.rows)} solutions over {len(pairs)} sigma pairs")
+    print(f"{len(table.data)} solutions over {len(pairs)} sigma pairs")
     _write_manifest(out_dir, "solutions", args, [Path(args.tables) / TABLE_FILES["calibration"]], [path])
     return 0
 

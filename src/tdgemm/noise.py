@@ -1,5 +1,5 @@
-"""Closed-form error model: quantization noise power, combined distortion,
-optimal companders, and the R_max grid search.
+"""Closed-form error model: quantization noise power, combined distortion
+and optimal companders.
 
 The model treats subblock entries as zero-mean iid variables; rounding after
 companding adds uniform noise of standard deviation 1/(c*sqrt(12)) per
@@ -12,10 +12,6 @@ The distortion formulas take one subblock (InputStats and floats) or many
 way: squares are written ``t * t``, because CPython's ``t ** 2`` calls libm
 ``pow``, which is not always correctly rounded, while NumPy squares arrays
 by multiplication.
-A check's condition ``bad`` is a bool for floats and a bool array for arrays;
-``bad is True or bad is not False and bad.any()`` tests either without a
-function call, so the float path costs what it did before batching (set-up
-calls ``optimal_companders`` about 10^5 times).
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationMissingError, DegenerateInputError, InvalidConfigError
+from .errors import DegenerateInputError, InvalidConfigError
 
 _SQRT12 = math.sqrt(12.0)
 
@@ -147,8 +143,7 @@ class CompanderSolution:
 
 def quant_noise_power(stats, c_a, c_b):
     """Expected per-element squared error from companding and rounding."""
-    bad = (c_a <= 0) | (c_b <= 0)
-    if bad is True or bad is not False and bad.any():
+    if np.any((c_a <= 0) | (c_b <= 0)):
         raise InvalidConfigError("companders must be positive")
     nv_a = 1.0 / (c_a * _SQRT12)
     nv_b = 1.0 / (c_b * _SQRT12)
@@ -177,8 +172,7 @@ def combined_distortion(stats, c_a, c_b, s_repr) -> NoiseBudget:
     companders imply, expressed in the quantized domain; reverse companding
     maps it to the output domain.
     """
-    bad = s_repr < 0
-    if bad is True or bad is not False and bad.any():
+    if np.any(s_repr < 0):
         raise InvalidConfigError("s_repr must be >= 0")
     e_repr = s_repr / (c_a * c_b)
     return NoiseBudget(
@@ -197,8 +191,7 @@ def model_snr_db(stats: InputStats, c_a: float, c_b: float, s_repr: float) -> fl
 
 def c_tot(L: int, a_absmax, b_absmax, rmax):
     """Compander-independent ratio linking R_max to the input extremes."""
-    bad = rmax < 1
-    if bad is True or bad is not False and bad.any():
+    if np.any(rmax < 1):
         raise InvalidConfigError(f"rmax must be >= 1, got {rmax}")
     return L * a_absmax * b_absmax / rmax
 
@@ -211,8 +204,7 @@ def optimal_companders(stats, rmax, s_repr=0.0, w: int = 1) -> CompanderSolution
     c_a = sqrt(sigma_b / (sigma_a * c_tot)) and its mirror.
     """
     batch = isinstance(stats, BatchStats)
-    bad = (stats.sigma_a <= 0) | (stats.sigma_b <= 0)
-    if bad is True or bad is not False and bad.any():
+    if np.any((stats.sigma_a <= 0) | (stats.sigma_b <= 0)):
         raise DegenerateInputError("optimal companders undefined for zero-sigma input")
     ct = c_tot(stats.L, stats.a_absmax, stats.b_absmax, rmax)
     sqrt = np.sqrt if batch else math.sqrt
@@ -225,18 +217,3 @@ def optimal_companders(stats, rmax, s_repr=0.0, w: int = 1) -> CompanderSolution
         expected_snr_db=None if batch else model_snr_db(stats, c_a, c_b, s_repr),
         w=w,
     )
-
-
-def optimize_rmax(stats: InputStats, w: int, mode: str, precision: str, calib) -> CompanderSolution:
-    """Grid search over the calibrated R_max values for the best expected SNR."""
-    entries = calib.slice(precision, mode, w)
-    if not entries:
-        raise CalibrationMissingError(
-            f"no calibration entries for ({precision}, {mode}, W={w})"
-        )
-    best = None
-    for entry in entries:
-        sol = optimal_companders(stats, entry.rmax, s_repr=entry.rmse, w=w)
-        if best is None or sol.expected_snr_db > best.expected_snr_db:
-            best = sol
-    return best

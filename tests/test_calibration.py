@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tdgemm import calibration as cal, packing
 from tdgemm.config import u_sys_of
 from tdgemm.errors import CalibrationMissingError, InvalidConfigError, TableFormatError
-from tdgemm.noise import CompanderSolution
+from tdgemm.noise import InputStats, optimal_companders
 
 SMALL_SWEEP = [(2, b) for b in (1, 2, 4, 8, 16)]
 
@@ -81,6 +81,23 @@ class TestSpeedupProfile:
             cal.SpeedupProfile().fw("single", "symmetric", 2)
 
 
+def _solution_data(specs):
+    """A table's structured array from (sigma_a, sigma_b, W) specs. Each row
+    gets a distinct rmax, which names it."""
+    return np.array([(sa, sb, w, i, 1.0, 1.0, 0.0) for i, (sa, sb, w) in enumerate(specs)],
+                    dtype=cal._SOLUTION_DTYPE)
+
+
+def _picked(sol):
+    """A 0-d lookup result as plain values, in the order of ``_row``."""
+    return (sol.rmax.item(), sol.c_a.item(), sol.c_b.item(), sol.expected_snr_db.item(), sol.w)
+
+
+def _row(data, i):
+    r = data[i]
+    return (int(r["rmax"]), float(r["c_a"]), float(r["c_b"]), float(r["snr_db"]), int(r["w"]))
+
+
 class TestSolutions:
     def _solutions(self, small_table):
         return cal.build_offline_solutions(
@@ -90,50 +107,56 @@ class TestSolutions:
     def test_one_point_grid(self, small_table):
         t = cal.build_offline_solutions([(2.0, 2.0)], small_table,
                                         "single", "symmetric", 12, w_set=(2,))
-        assert len(t.rows) == 1 and t.rows[0].solution.w == 2
+        assert len(t.data) == 1 and t.data["w"][0] == 2
 
     def test_grid_point_lookup_exact(self, small_table):
         t = self._solutions(small_table)
         sol = cal.lookup_nearest_solution(t, 4.0, 2.0, 2)
-        assert sol == t.rows[1].solution
+        assert sol.rmax.shape == () and _picked(sol) == _row(t.data, 1)
 
     def test_tie_goes_to_earlier_row(self, small_table):
         t = self._solutions(small_table)
         # (2.5, 1.5) is equidistant from both grid points
-        assert cal.lookup_nearest_solution(t, 2.5, 1.5, 2) == t.rows[0].solution
+        assert _picked(cal.lookup_nearest_solution(t, 2.5, 1.5, 2)) == _row(t.data, 0)
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
     @settings(max_examples=25)
     def test_nearest_beats_all_rows(self, sa, sb):
-        rows = [
-            cal.SolutionRow(x, y, CompanderSolution(1.0, 1.0, 100, 0.0, 2))
-            for x in (0.5, 2.0, 8.0) for y in (0.5, 2.0, 8.0)
-        ]
-        t = cal.OfflineSolutionTable(rows=rows)
-        got = cal.lookup_nearest_solution(t, sa, sb, 2)
-        picked = next(r for r in rows if r.solution is got)
-        d = (sa - picked.sigma_a) ** 2 + (sb - picked.sigma_b) ** 2
-        for r in rows:
-            assert d <= (sa - r.sigma_a) ** 2 + (sb - r.sigma_b) ** 2 + 1e-12
+        data = _solution_data([(x, y, 2) for x in (0.5, 2.0, 8.0) for y in (0.5, 2.0, 8.0)])
+        got = cal.lookup_nearest_solution(cal.OfflineSolutionTable(data), sa, sb, 2)
+        picked = data[int(got.rmax)]
+        d = (sa - picked["sigma_a"]) ** 2 + (sb - picked["sigma_b"]) ** 2
+        for r in data:
+            assert d <= (sa - r["sigma_a"]) ** 2 + (sb - r["sigma_b"]) ** 2 + 1e-12
 
     def test_missing_w(self, small_table):
         with pytest.raises(CalibrationMissingError):
             cal.lookup_nearest_solution(self._solutions(small_table), 1.0, 1.0, 3)
 
+    def test_data_is_read_only_and_owned(self):
+        data = _solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2)])
+        t = cal.OfflineSolutionTable(data)
+        with pytest.raises(ValueError):
+            t.data["rmax"][0] = 7
+        data["sigma_a"][1] = 1.0  # the caller's array is not the table's
+        assert t.data["sigma_a"][1] == 4.0
+        assert _picked(cal.lookup_nearest_solution(t, 4.0, 4.0, 2)) == _row(t.data, 1)
+
 
 def _scan_nearest(table, sigma_a, sigma_b, w):
-    """The linear scan the indexed lookup replaced, kept as its oracle."""
+    """The linear scan the indexed lookup replaced, kept as its oracle; the
+    row it finds, in the order of ``_row``."""
     best = None
     best_d = None
-    for row in table.rows:
-        if row.solution.w != w:
+    for i, r in enumerate(table.data.tolist()):
+        if r[2] != w:
             continue
-        d = (sigma_a - row.sigma_a) ** 2 + (sigma_b - row.sigma_b) ** 2
+        d = (sigma_a - r[0]) ** 2 + (sigma_b - r[1]) ** 2
         if best_d is None or d < best_d:
-            best, best_d = row, d
+            best, best_d = i, d
     if best is None:
         raise CalibrationMissingError(f"solution table has no entries for W={w}")
-    return best.solution
+    return _row(table.data, best)
 
 
 # dyadic sigmas: sums, midpoints and squared distances between them are
@@ -153,19 +176,13 @@ _ROWS = st.lists(st.tuples(_ROW_SIGMA, _ROW_SIGMA, st.sampled_from([2, 3, 4])),
                  min_size=1, max_size=30)
 
 
-def _solution_rows(specs, start=0):
-    # a distinct solution per row, so the returned object names the row
-    return [cal.SolutionRow(sa, sb, CompanderSolution(1.0, 1.0, start + i, 0.0, w))
-            for i, (sa, sb, w) in enumerate(specs)]
-
-
-def _query(data, rows):
+def _query(data, specs):
     """A free query, or the midpoint of two rows of the same W."""
-    a = data.draw(st.sampled_from(rows))
-    b = data.draw(st.sampled_from([r for r in rows if r.solution.w == a.solution.w]))
+    a = data.draw(st.sampled_from(specs))
+    b = data.draw(st.sampled_from([r for r in specs if r[2] == a[2]]))
     free = (data.draw(_QUERY_SIGMA), data.draw(_QUERY_SIGMA))
-    mid = ((a.sigma_a + b.sigma_a) / 2, (a.sigma_b + b.sigma_b) / 2)
-    return data.draw(st.sampled_from([free, mid])), a.solution.w
+    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    return data.draw(st.sampled_from([free, mid])), a[2]
 
 
 class TestSolutionIndex:
@@ -176,59 +193,38 @@ class TestSolutionIndex:
             with pytest.raises(CalibrationMissingError):
                 cal.lookup_nearest_solution(table, sa, sb, w)
             return
-        assert cal.lookup_nearest_solution(table, sa, sb, w) is want
+        assert _picked(cal.lookup_nearest_solution(table, sa, sb, w)) == want
 
     @given(_ROWS, st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_linear_scan(self, specs, data):
-        rows = _solution_rows(specs)
-        table = cal.OfflineSolutionTable(rows=list(rows))
+        table = cal.OfflineSolutionTable(_solution_data(specs))
         for _ in range(4):
-            (sa, sb), w = _query(data, rows)
+            (sa, sb), w = _query(data, specs)
             self._check(table, sa, sb, w)
             self._check(table, sa, sb, data.draw(st.sampled_from([2, 3, 4, 5])))
 
-    @given(_ROWS, _ROWS, st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_sees_rows_appended_after_a_lookup(self, first, extra, data):
-        table = cal.OfflineSolutionTable(rows=_solution_rows(first))
-        (sa, sb), w = _query(data, table.rows)
-        self._check(table, sa, sb, w)
-        table.rows.extend(_solution_rows(extra, start=len(first)))
-        (sa, sb), w = _query(data, table.rows)
-        self._check(table, sa, sb, w)
-        for new_w in (2, 3, 4):
-            self._check(table, sa, sb, new_w)
-
     def test_duplicate_rows_earlier_wins(self):
-        rows = _solution_rows([(1.0, 1.0, 2), (3.0, 1.0, 2), (1.0, 1.0, 2), (3.0, 1.0, 2)])
-        table = cal.OfflineSolutionTable(rows=rows)
-        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is rows[0].solution
-        assert cal.lookup_nearest_solution(table, 3.0, 1.0, 2) is rows[1].solution
+        table = cal.OfflineSolutionTable(_solution_data(
+            [(1.0, 1.0, 2), (3.0, 1.0, 2), (1.0, 1.0, 2), (3.0, 1.0, 2)]))
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2).rmax == 0
+        assert cal.lookup_nearest_solution(table, 3.0, 1.0, 2).rmax == 1
         # halfway between the duplicates: the first row of all four wins
-        assert cal.lookup_nearest_solution(table, 2.0, 1.0, 2) is rows[0].solution
+        assert cal.lookup_nearest_solution(table, 2.0, 1.0, 2).rmax == 0
 
     def test_nan_query_returns_first_row_of_w(self):
-        rows = _solution_rows([(1.0, 1.0, 3), (5.0, 5.0, 2), (0.5, 0.5, 2)])
-        table = cal.OfflineSolutionTable(rows=rows)
+        table = cal.OfflineSolutionTable(_solution_data(
+            [(1.0, 1.0, 3), (5.0, 5.0, 2), (0.5, 0.5, 2)]))
         for sa, sb in ((math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf)):
-            assert cal.lookup_nearest_solution(table, sa, sb, 2) is rows[1].solution
+            assert cal.lookup_nearest_solution(table, sa, sb, 2).rmax == 1
 
     def test_nan_distance_never_displaces_a_row(self):
-        rows = _solution_rows([(1.0, 1.0, 2), (math.inf, 1.0, 2)])
-        table = cal.OfflineSolutionTable(rows=rows)
+        table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (math.inf, 1.0, 2)]))
         # inf - inf is NaN for the second row; the scan keeps the first
-        assert cal.lookup_nearest_solution(table, math.inf, 1.0, 2) is rows[0].solution
+        assert cal.lookup_nearest_solution(table, math.inf, 1.0, 2).rmax == 0
         # nor is a NaN distance on the first row, even by an exact match
-        rows = _solution_rows([(math.nan, 1.0, 2), (1.0, 1.0, 2)])
-        table = cal.OfflineSolutionTable(rows=rows)
-        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is rows[0].solution
-
-    def test_sees_replaced_row_list(self):
-        table = cal.OfflineSolutionTable(rows=_solution_rows([(1.0, 1.0, 2)]))
-        cal.lookup_nearest_solution(table, 1.0, 1.0, 2)
-        table.rows = _solution_rows([(2.0, 2.0, 2)], start=1)
-        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2) is table.rows[0].solution
+        table = cal.OfflineSolutionTable(_solution_data([(math.nan, 1.0, 2), (1.0, 1.0, 2)]))
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2).rmax == 0
 
 
 class TestArrayLookup:
@@ -236,42 +232,140 @@ class TestArrayLookup:
     @settings(max_examples=100, deadline=None)
     def test_matches_linear_scan(self, specs, data, n, chunk):
         """Many queries in one call, over chunks that need not divide them."""
-        rows = _solution_rows(specs)
-        table = cal.OfflineSolutionTable(rows=rows)
-        w = data.draw(st.sampled_from(sorted({r.solution.w for r in rows})))
-        queries = [_query(data, [r for r in rows if r.solution.w == w])[0] for _ in range(n)]
+        table = cal.OfflineSolutionTable(_solution_data(specs))
+        w = data.draw(st.sampled_from(sorted({r[2] for r in specs})))
+        queries = [_query(data, [r for r in specs if r[2] == w])[0] for _ in range(n)]
         with mock.patch.object(cal, "_LOOKUP_CHUNK", chunk):
             got = cal.lookup_nearest_solution(table, [q[0] for q in queries],
                                               [q[1] for q in queries], w)
         assert got.w == w and got.rmax.shape == (n,)
         for k, (sa, sb) in enumerate(queries):
-            want = _scan_nearest(table, sa, sb, w)
-            # rmax is distinct per row, so it names the row
-            assert (got.rmax[k], got.c_a[k], got.c_b[k], got.expected_snr_db[k]) == \
-                (want.rmax, want.c_a, want.c_b, want.expected_snr_db)
+            assert (got.rmax[k], got.c_a[k], got.c_b[k], got.expected_snr_db[k], w) == \
+                _scan_nearest(table, sa, sb, w)
 
     def test_query_shape_and_broadcast(self):
-        rows = _solution_rows([(1.0, 1.0, 2), (4.0, 4.0, 2), (9.0, 1.0, 3)])
-        table = cal.OfflineSolutionTable(rows=rows)
+        table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2),
+                                                         (9.0, 1.0, 3)]))
         got = cal.lookup_nearest_solution(table, np.array([[0.0, 5.0], [3.0, 1.5]]), 2.0, 2)
         # (3, 2) is equidistant from both rows of W=2: the earlier one wins
         assert got.rmax.tolist() == [[0, 1], [0, 0]]
         assert got.c_a.shape == got.expected_snr_db.shape == (2, 2)
 
     def test_loaded_table_matches_built_table(self, tmp_path):
-        rows = _solution_rows([(1.0, 1.0, 2), (4.0, 4.0, 2), (9.0, 1.0, 3), (2.0, 3.0, 3)])
+        table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2),
+                                                         (9.0, 1.0, 3), (2.0, 3.0, 3)]))
         path = tmp_path / "s.csv"
-        cal.save_solutions(cal.OfflineSolutionTable(rows=rows), path)
+        cal.save_solutions(table, path)
         loaded = cal.load_solutions(path)
         assert loaded.ws() == [2, 3]
+        assert loaded.data.tolist() == table.data.tolist()
         for w in (2, 3):
             got = cal.lookup_nearest_solution(loaded, [0.5, 3.0, 8.0], [0.5, 3.0, 1.0], w)
-            want = [cal.lookup_nearest_solution(cal.OfflineSolutionTable(rows=rows), sa, sb, w)
+            want = [cal.lookup_nearest_solution(table, sa, sb, w).rmax
                     for sa, sb in ((0.5, 0.5), (3.0, 3.0), (8.0, 1.0))]
-            assert got.rmax.tolist() == [s.rmax for s in want]
-        # scalar lookups of a loaded table return its row objects, built on demand
-        assert cal.lookup_nearest_solution(loaded, 9.0, 1.0, 3) is loaded.rows[2].solution
-        assert loaded.rows == rows
+            assert got.rmax.tolist() == want
+        assert _picked(cal.lookup_nearest_solution(loaded, 9.0, 1.0, 3)) == _row(loaded.data, 2)
+
+
+def _frozen_build(sigma_pairs, calib, precision, mode, L, w_set):
+    """The scalar build the array search replaced, kept as its oracle: per W
+    and sigma pair, the R_max grid search over the admitted entries in
+    ascending R_max, keeping the first maximum of the model SNR."""
+    rows = []
+    for w in sorted(set(w_set)):
+        admitted = calib.admitted(precision, mode, w,
+                                  rmax_cap=cal.DEFAULT_RMAX_CAPS.get((precision, w)))
+        if not admitted:
+            raise CalibrationMissingError(f"no admitted entries for W={w}")
+        for sa, sb in sigma_pairs:
+            a_abs, b_abs = cal.uniform_extremes(sa, sb)
+            stats = InputStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
+                               b_min=-b_abs, b_max=b_abs, L=L)
+            best = None
+            for e in admitted:
+                sol = optimal_companders(stats, e.rmax, s_repr=e.rmse, w=w)
+                if best is None or sol.expected_snr_db > best.expected_snr_db:
+                    best = sol
+            rows.append((sa, sb, w, best.rmax, best.c_a, best.c_b, best.expected_snr_db))
+    return rows
+
+
+_BUILD_CHUNKS = [1, 7, 64, cal._BUILD_CHUNK]
+
+
+def _assert_build_matches_oracle(pairs, calib, precision, mode, L, w_set, chunk):
+    try:
+        want = _frozen_build(pairs, calib, precision, mode, L, w_set)
+    except CalibrationMissingError:
+        with pytest.raises(CalibrationMissingError):
+            cal.build_offline_solutions(pairs, calib, precision, mode, L, w_set=w_set)
+        return None
+    with mock.patch.object(cal, "_BUILD_CHUNK", chunk):
+        got = cal.build_offline_solutions(pairs, calib, precision, mode, L, w_set=w_set)
+    assert [tuple(map(repr, r)) for r in got.data.tolist()] == \
+        [tuple(map(repr, r)) for r in want]
+    return got
+
+
+@pytest.fixture(scope="module")
+def measured_table():
+    """Measured entries for both modes and W = 2, 3, 4 at L=12."""
+    t = cal.CalibrationTable()
+    for mode in packing.MODES:
+        for w in (2, 3, 4):
+            t.extend(cal.measure_repr_noise(12, "single", mode, w,
+                                            sweep=SMALL_SWEEP + [(22, 1), (22, 9), (22, 63)],
+                                            trials=2, seed=5))
+    return t
+
+
+def _entry(rmax, rmse, mean_err=0.0, w=2, precision="single"):
+    return cal.CalibEntry(precision, "symmetric", w, rmax, mean_err, rmse, 3, 0)
+
+
+class TestBuildMatchesScalarSearch:
+    @pytest.mark.parametrize("chunk", _BUILD_CHUNKS)
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_measured_tables(self, measured_table, mode, chunk):
+        sigmas = cal.log_sigma_grid(per_decade=2)
+        pairs = [(sa, sb) for sa in sigmas for sb in sigmas]
+        got = _assert_build_matches_oracle(pairs, measured_table, "single", mode, 12,
+                                           (2, 3, 4), chunk)
+        assert got.ws() == [2, 3, 4] and len(got.data) == 3 * len(pairs)
+
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)), max_size=12),
+           st.dictionaries(st.sampled_from([2, 3, 4]), st.lists(
+               st.tuples(st.integers(1, 10 ** 9), st.floats(1e-3, 1e3),
+                         st.sampled_from([0.0, 5e-5, 1e-4, 1e-3]), st.booleans()),
+               max_size=8), min_size=1),
+           st.sampled_from(["single", "double"]), st.sampled_from([12, 48]),
+           st.sampled_from(_BUILD_CHUNKS))
+    @settings(max_examples=100, deadline=None)
+    def test_random_entries(self, pairs, entries, precision, L, chunk):
+        """Entries whose repr noise trades against quantization noise near
+        R_max, some biased, some over the double W=4 cap, some with rmse 0."""
+        calib = cal.CalibrationTable()
+        for w, specs in entries.items():
+            for rmax, u, bias, zero in specs:
+                rmse = 0.0 if zero else math.sqrt(rmax * u / (18 * L))
+                calib.add(_entry(rmax, rmse, bias * rmax, w, precision))
+        _assert_build_matches_oracle(pairs, calib, precision, "symmetric", L,
+                                     tuple(entries), chunk)
+
+    @pytest.mark.parametrize("chunk", _BUILD_CHUNKS)
+    def test_exact_tie_and_rejected_entries(self, chunk):
+        tie = 10 ** 15  # rmse 0 at tie and tie + 1 gives the same SNR
+        calib = cal.CalibrationTable([
+            _entry(tie + 1, 0.0), _entry(tie, 0.0), _entry(1000, 0.0),
+            _entry(10 * tie, 0.0, mean_err=tie * 1e-2),  # best SNR, but biased
+        ])
+        pairs = [(1.0, 2.0), (3.0, 0.5), (1.0, 2.0)]
+        got = _assert_build_matches_oracle(pairs, calib, "single", "symmetric", 12, (2,), chunk)
+        a_abs, b_abs = cal.uniform_extremes(1.0, 2.0)
+        stats = InputStats(1.0, 2.0, -a_abs, a_abs, -b_abs, b_abs, 12)
+        snr = [optimal_companders(stats, r, 0.0, 2).expected_snr_db for r in (tie, tie + 1)]
+        assert snr[0] == snr[1]
+        assert got.data["rmax"][0] == tie and got.data["rmax"][2] == tie
 
 
 class TestCalibrationLookup:
@@ -330,7 +424,7 @@ class TestPersistence:
                                         "single", "symmetric", 12, w_set=(2,))
         p = tmp_path / "o.csv"
         cal.save_solutions(t, p)
-        assert cal.load_solutions(p).rows == t.rows
+        assert cal.load_solutions(p).data.tolist() == t.data.tolist()
 
     def test_empty_table_round_trip(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -370,7 +464,7 @@ def table_file(request, small_table, tmp_path):
 
 
 def _entries(table):
-    return table.rows if isinstance(table, cal.OfflineSolutionTable) else table.entries
+    return table.data.tolist() if isinstance(table, cal.OfflineSolutionTable) else table.entries
 
 
 class TestMalformedRows:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -274,8 +273,8 @@ def frozen_build_options(stats_per_l, solutions, mode, precision, calib, profile
                 fw = profile.fw(precision, mode, w) if profile is not None else (w - 1) * 100.0
                 if fw <= 0:
                     continue
-                rmax = cal.lookup_nearest_solution(solutions, stats.sigma_a, stats.sigma_b,
-                                                   w).rmax
+                rmax = int(cal.lookup_nearest_solution(solutions, stats.sigma_a, stats.sigma_b,
+                                                       w).rmax)
                 s_repr = calib.lookup(precision, mode, w, rmax).rmse
                 sol = noise.optimal_companders(stats, rmax, s_repr=s_repr, w=w)
                 d_hat = noise.combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
@@ -316,12 +315,11 @@ def grid_tables():
                                        "single", "symmetric", L, w_set=(2, 3, 4))
     # every row of a W plans the same rmax here; spread them over the admitted
     # values so that one W needs several calibration lookups
-    rows = []
-    for k, r in enumerate(sols.rows):
-        admitted = [e.rmax for e in calib.admitted("single", "symmetric", r.solution.w)]
-        rows.append(cal.SolutionRow(r.sigma_a, r.sigma_b, dataclasses.replace(
-            r.solution, rmax=admitted[k % len(admitted)])))
-    return calib, cal.OfflineSolutionTable(rows)
+    data = sols.data.copy()
+    for k, w in enumerate(data["w"].tolist()):
+        admitted = [e.rmax for e in calib.admitted("single", "symmetric", w)]
+        data["rmax"][k] = admitted[k % len(admitted)]
+    return calib, cal.OfflineSolutionTable(data)
 
 
 class TestBatchedPlanMatchesPerKernelPlanner:
@@ -332,8 +330,8 @@ class TestBatchedPlanMatchesPerKernelPlanner:
     def test_same_options_and_prune(self, grid_tables, seed, bi, bj, bl, kind, prof,
                                     lookup_chunk, reuse_table):
         calib, sols = grid_tables
-        if not reuse_table:  # a freshly built index, over the table as a loaded array
-            sols = cal.OfflineSolutionTable.from_array(sols.as_array())
+        if not reuse_table:  # a second table over a copy of the rows, with its own index
+            sols = cal.OfflineSolutionTable(sols.data)
         L = 12
         rng = np.random.default_rng(seed)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdgemm import noise
-from tdgemm.calibration import CalibEntry, CalibrationTable
+from tdgemm.calibration import CalibEntry, CalibrationTable, build_offline_solutions
 from tdgemm.errors import CalibrationMissingError, DegenerateInputError, InvalidConfigError
 
 
@@ -72,28 +72,33 @@ class TestCompanders:
 
 
 class TestOptimizeRmax:
+    """The R_max search of ``build_offline_solutions`` for one sigma pair."""
+
     def _calib(self, rmse_by_rmax):
         t = CalibrationTable()
         for rmax, s in rmse_by_rmax.items():
             t.add(CalibEntry("single", "symmetric", 2, rmax, 0.0, s, 5, 0))
         return t
 
+    def _rmax(self, calib, w=2, sigmas=(2.0, 3.0), L=48):
+        table = build_offline_solutions([sigmas], calib, "single", "symmetric", L, w_set=(w,))
+        return int(table.data["rmax"][0])
+
     def test_picks_best_tradeoff(self):
-        st = stats()
         # large rmax shrinks quantization noise but brings representation noise
         calib = self._calib({1000: 0.0, 10000: 0.0, 100000: 5000.0})
-        sol = noise.optimize_rmax(st, 2, "symmetric", "single", calib)
-        assert sol.rmax == 10000
+        assert self._rmax(calib) == 10000
 
     def test_missing_slice(self):
         with pytest.raises(CalibrationMissingError):
-            noise.optimize_rmax(stats(), 3, "symmetric", "single", self._calib({100: 0.0}))
+            self._rmax(self._calib({100: 0.0}), w=3)
 
     def test_first_max_on_tie(self):
-        st = stats()
         calib = self._calib({1000: 0.0, 1000000000: 0.0})
-        sol = noise.optimize_rmax(st, 2, "symmetric", "single", calib)
-        assert sol.rmax == 1000000000  # zero s: bigger rmax means less quant noise
+        assert self._rmax(calib) == 1000000000  # zero s: bigger rmax means less quant noise
+        # at these sigmas 10^15 and 10^15 + 1 give the same SNR: the first wins
+        calib = self._calib({10 ** 15 + 1: 0.0, 10 ** 15: 0.0})
+        assert self._rmax(calib, sigmas=(1.0, 2.0), L=12) == 10 ** 15
 
 
 class TestValidation:
