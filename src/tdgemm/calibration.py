@@ -261,15 +261,19 @@ _SOLUTION_DTYPE = np.dtype([("sigma_a", "f8"), ("sigma_b", "f8"), ("w", "i8"), (
 class OfflineSolutionTable:
     """Stored compander solutions, one per (sigma_a, sigma_b, W): ``data`` is a
     read-only copy of the rows as a structured array of ``_SOLUTION_DTYPE``, in
-    table order; the per-W sigmas and row positions lookups read are indexed here."""
+    table order; the per-W sigmas and row positions lookups read are indexed here.
+    ``_search_of`` maps each W to the first W whose sigma columns are bitwise
+    the same, whose nearest-row search it shares."""
 
     def __init__(self, data):
         self.data = np.array(data, dtype=_SOLUTION_DTYPE)
         self.data.flags.writeable = False
-        self._by_w = {}
+        self._by_w, self._search_of, first = {}, {}, {}
         for w in np.unique(self.data["w"]).tolist():
             pos = np.flatnonzero(self.data["w"] == w)
-            self._by_w[w] = (self.data["sigma_a"][pos], self.data["sigma_b"][pos], pos)
+            sa, sb = self.data["sigma_a"][pos], self.data["sigma_b"][pos]
+            self._by_w[w] = (sa, sb, pos)
+            self._search_of[w] = first.setdefault((sa.tobytes(), sb.tobytes()), w)
 
     def ws(self):
         return sorted(self._by_w)
@@ -329,24 +333,42 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
 _LOOKUP_CHUNK = 1 << 15
 
 
-def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: int):
+def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w):
     """Stored solution with the closest sigmas; ties go to the earlier row.
 
     Distance is squared Euclidean in linear sigma. A NaN distance never
     displaces an earlier row, so a NaN query returns the first row of W.
     The sigmas, floats or arrays, broadcast together; the CompanderSolution
     returned holds c_a, c_b, rmax and expected_snr_db as arrays of that
-    shape (0-d for float sigmas), one entry per query. The search runs over
-    chunks of queries of about ``_LOOKUP_CHUNK`` distances.
+    shape (0-d for float sigmas), one entry per query. ``w`` is one W, or a
+    sequence of them: then a tuple of one CompanderSolution per W comes back,
+    and every W whose rows hold the same sigma columns (all of them, in a
+    ``build_offline_solutions`` table) is served by one search.
     """
-    group = table._by_w.get(w)
-    if group is None:
-        raise CalibrationMissingError(f"solution table has no entries for W={w}")
-    sa, sb, pos = group
+    ws = [w] if np.ndim(w) == 0 else list(w)
+    missing = [v for v in ws if v not in table._by_w]
+    if missing:
+        raise CalibrationMissingError(f"solution table has no entries for W={missing[0]}")
     qa, qb = np.broadcast_arrays(np.asarray(sigma_a, dtype=np.float64),
                                  np.asarray(sigma_b, dtype=np.float64))
-    shape = qa.shape
-    qa, qb = qa.ravel(), qb.ravel()
+    near = {}
+    out = []
+    for v in ws:
+        key = table._search_of[v]
+        if key not in near:
+            near[key] = _nearest_rows(qa.ravel(), qb.ravel(), *table._by_w[key][:2])
+        found = table.data[table._by_w[v][2][near[key]]].reshape(qa.shape)
+        out.append(CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
+                                     expected_snr_db=found["snr_db"], w=v))
+    return out[0] if np.ndim(w) == 0 else tuple(out)
+
+
+def _nearest_rows(qa, qb, sa, sb):
+    """Per query, the position of the first row of least distance.
+
+    The search runs over chunks of queries of about ``_LOOKUP_CHUNK``
+    distances.
+    """
     # only a NaN or infinite sigma makes a NaN distance
     finite = all(np.isfinite(x).all() for x in (qa, qb, sa, sb))
     near = np.empty(qa.size, dtype=np.intp)
@@ -370,9 +392,7 @@ def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: in
             i = d.argmin(axis=1)
             i[first_nan] = 0
             near[q:q + g] = i
-    found = table.data[pos[near]].reshape(shape)
-    return CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
-                             expected_snr_db=found["snr_db"], w=w)
+    return near
 
 
 # ---------------------------------------------------------------------------

@@ -134,16 +134,13 @@ def cmd_solutions(args) -> int:
     return 0
 
 
-def _overall_model_snr(plan: controller.KernelPlan, kernel_stats, L: int) -> float:
-    signal = 0.0
-    noise = 0.0
-    for key, entry in plan.entries.items():
-        power = 0.0
-        for s in kernel_stats[key]:
-            p = s.sigma_a * s.sigma_b
-            power += p * p
-        signal += L * power
-        noise += entry.total_d_hat
+def _overall_model_snr(plan: controller.KernelPlan, stats, L: int) -> float:
+    """Model SNR of the whole product: signal and noise each add the kernels
+    in plan order, and a kernel's signal adds its subblocks in ascending l."""
+    p = stats.sigma_a * stats.sigma_b  # shape (m/L, n/L, k/L)
+    power = controller.ordered_sum(np.moveaxis(p * p, -1, 0))
+    signal = float(controller.ordered_sum((L * power).reshape(-1)))
+    noise = float(controller.ordered_sum([e.total_d_hat for e in plan.entries.values()]))
     if noise == 0.0:
         return math.inf
     return 10.0 * math.log10(signal / noise)
@@ -217,8 +214,7 @@ def cmd_multiply(args) -> int:
     result_path = out_dir / "result.tgmm"
     matrixio.save_matrix(result, result_path)
     if plan is not None:
-        kernel_stats = controller.kernel_input_stats(a, b, L)
-        model_snr = _overall_model_snr(plan, kernel_stats, L)
+        model_snr = _overall_model_snr(plan, controller.subblock_stats(a, b, L), L)
         report["model_snr_db"] = model_snr
         report["w_histogram"] = {str(k): v for k, v in sorted(plan.w_histogram().items())}
         report["exact_subblocks"] = _exact_subblocks(plan, args.precision)
@@ -271,8 +267,9 @@ def cmd_sweep(args) -> int:
     w = args.sweep_w
     # options depend only on the inputs, so every step reuses them
     stats = controller.subblock_stats(a, b, L)
-    options = controller.build_options(stats, tables["solutions"], args.mode, args.precision,
-                                       tables["calibration"], w_set=(w,))
+    options = controller.option_lists(
+        controller.build_options(stats, tables["solutions"], args.mode, args.precision,
+                                 tables["calibration"], w_set=(w,)), args.mode)
     options_per_kernel = {key: options[k * blocks:(k + 1) * blocks]
                           for k, key in enumerate(kernels)}
     for step in range(11):

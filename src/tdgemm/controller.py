@@ -2,9 +2,12 @@
 
 Converts an SNR or acceleration target for each L x L output kernel into
 per-subblock packing choices. The options of every subblock of a multiply
-are built in one batched array pass; then, per kernel, the planner starts
-every subblock at its highest-throughput option and greedily demotes the
-option with the highest predicted distortion until the constraint is met.
+are built in one batched array pass, as one array per W, after one
+nearest-solution search. The planner starts every subblock at its
+highest-throughput option and greedily demotes the option with the highest
+predicted distortion until the constraint is met. Under an SNR floor every
+kernel's prune runs in one lockstep array loop, one demotion per unfinished
+kernel per step, with the bits of the per-kernel loop.
 """
 
 from __future__ import annotations
@@ -25,13 +28,7 @@ from .calibration import (
     lookup_nearest_solution,
 )
 from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigError
-from .noise import (
-    STATS_FIELDS,
-    BatchStats,
-    InputStats,
-    combined_distortion,
-    optimal_companders,
-)
+from .noise import BatchStats, combined_distortion, optimal_companders
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class SubblockOption:
 
 @dataclass(frozen=True)
 class KernelConstraint:
-    """Exactly one of the two targets is set."""
+    """Exactly one of the two targets is set, and it is not NaN."""
 
     target_snr_db: float | None = None
     target_accel_percent: float | None = None
@@ -68,6 +65,9 @@ class KernelConstraint:
             raise InvalidConfigError(
                 "set exactly one of target_snr_db and target_accel_percent"
             )
+        for name in ("target_snr_db", "target_accel_percent"):
+            if math.isnan(getattr(self, name) or 0.0):
+                raise InvalidConfigError(f"{name} must be a number, got NaN")
 
 
 @dataclass(frozen=True)
@@ -107,19 +107,37 @@ class KernelPlan:
         return hist
 
 
-def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int) -> float:
+def ordered_sum(x):
+    """Sum over axis 0, adding its entries one after another to +0.0.
+
+    This is the order of an explicit ``+=`` loop, and of Python's ``sum`` of
+    floats before CPython 3.12. An accumulate adds in that order whatever the
+    other axes hold; ``np.add.reduce`` sums pairwise when they hold one
+    element (a single kernel). Adding +0.0 to the last partial sum gives what
+    starting from +0.0 gives: the two can differ only in the sign of a zero.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) == 0:
+        return np.zeros(x.shape[1:])
+    return np.add.accumulate(x, axis=0)[-1] + 0.0
+
+
+def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int):
     """Kernel distortion budget equivalent to an SNR floor.
 
-    ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l.
+    ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l: a sequence
+    of pairs, or an array of shape ``(n_l, 2, kernels)`` for one budget per
+    kernel. The signal power adds the subblocks in ascending l.
     """
-    power = 0.0
-    for sa, sb in sigma_pairs:
-        if sa < 0 or sb < 0:
-            raise InvalidConfigError("sigmas must be >= 0")
-        p = sa * sb
-        power += p * p
+    pairs = np.asarray(sigma_pairs, dtype=np.float64)
+    if pairs.ndim == 1:
+        pairs = pairs.reshape(-1, 2)
+    if (pairs < 0).any():
+        raise InvalidConfigError("sigmas must be >= 0")
+    p = pairs[:, 0] * pairs[:, 1]
+    power = ordered_sum(p * p)
     if math.isinf(s_kernel_db):
-        return 0.0
+        return np.zeros_like(power)
     return 10.0 ** (-0.1 * s_kernel_db) * L * power
 
 
@@ -128,61 +146,126 @@ def _mac_speedup(w: int) -> float:
     return (w - 1) * 100.0
 
 
+# one option of one subblock: SubblockOption's fields but the mode, after the
+# flat position ``p`` of the subblock
+OPTION_DTYPE = np.dtype([("p", "i8"), ("l", "i8"), ("w", "i8"), ("c_a", "f8"), ("c_b", "f8"),
+                         ("rmax", "i8"), ("z", "f8"), ("d_hat", "f8"), ("fw_percent", "f8")])
+
+
+def _option_rows(p, n_l, **fields):
+    rows = np.zeros(len(p), dtype=OPTION_DTYPE)
+    rows["p"], rows["l"] = p, p % n_l
+    for name, value in fields.items():
+        rows[name] = value
+    return rows
+
+
 def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: str,
                   calib: CalibrationTable, profile: SpeedupProfile | None = None,
-                  w_set=(2, 3, 4)):
-    """Option lists of many subblocks, each sorted by W descending, W=1 last.
+                  w_set=(2, 3, 4)) -> list:
+    """Options of many subblocks, as one ``OPTION_DTYPE`` array per W.
 
     ``stats`` holds one entry per subblock: the InputStats of one kernel's
     subblocks in order of l, or a BatchStats whose last axis is l (the
-    subblocks of a whole multiply). One list per entry comes back, in C
-    order.
+    subblocks of a whole multiply). The arrays come in W descending order,
+    W=1 last; each holds the subblocks that have that W, in C order of
+    ``stats``. ``option_lists`` turns them into one list per subblock.
 
-    For each W one array pass over the subblocks finds the nearest offline
-    solution, which fixes R_max; companders and the distortion prediction
-    are recomputed from the runtime sigmas. Without a measured profile the
-    speedup falls back to the MAC-count gain. A W whose measured gain is not
-    positive is left out: W=1 dominates it. A subblock with a zero sigma
+    One nearest-solution search serves every W; the solution it finds fixes
+    R_max, and companders and the distortion prediction are recomputed from
+    the runtime sigmas in one array pass per W. Without a measured profile
+    the speedup falls back to the MAC-count gain. A W whose measured gain is
+    not positive is left out: W=1 dominates it. A subblock with a zero sigma
     gets only W=1.
     """
     if not isinstance(stats, BatchStats):
         stats = BatchStats.of(stats)
     sa, sb = stats.sigma_a.reshape(-1), stats.sigma_b.reshape(-1)
     live = np.flatnonzero(~((sa <= 0) | (sb <= 0)))
-    packed = []  # per W: (w, fw, c_a, c_b, rmax, z, d_hat), lists over live
+    n_l = stats.shape[-1]
+    options = []
     if live.size:
-        sub = stats.take(live)
+        ladder = []  # (w, fw) of every W that can gain
         for w in sorted(set(w_set), reverse=True):
             if w < 2:
                 continue
             fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
-            if fw <= 0:
-                continue  # W=1 is at least as fast, at zero distortion
-            rmax = lookup_nearest_solution(solutions, sub.sigma_a, sub.sigma_b, w).rmax
-            found, at = np.unique(rmax, return_inverse=True)
-            found = found.tolist()
-            s_repr = np.array([calib.lookup(precision, mode, w, r).rmse for r in found])[at]
-            z = [packing.compute_z(r) for r in found]
-            sol = optimal_companders(sub, rmax, s_repr=s_repr, w=w)
-            d_hat = combined_distortion(sub, sol.c_a, sol.c_b, s_repr).total
-            at = at.tolist()
-            packed.append((w, fw, sol.c_a.tolist(), sol.c_b.tolist(), [found[k] for k in at],
-                           [z[k] for k in at], d_hat.tolist()))
-    n_l = stats.shape[-1]
-    options = [[] for _ in range(sa.size)]
-    live = live.tolist()
-    for w, fw, c_a, c_b, rmax, z, d_hat in packed:
-        for k, p in enumerate(live):
-            options[p].append(
-                SubblockOption(l=p % n_l, w=w, mode=mode, c_a=c_a[k], c_b=c_b[k],
-                               rmax=rmax[k], z=z[k], d_hat=d_hat[k], fw_percent=fw)
-            )
-    for p, opts in enumerate(options):
-        opts.append(
-            SubblockOption(l=p % n_l, w=1, mode=mode, c_a=1.0, c_b=1.0, rmax=0, z=0.0,
-                           d_hat=0.0, fw_percent=0.0)
-        )
+            if fw > 0:  # else W=1 is at least as fast, at zero distortion
+                ladder.append((w, fw))
+        sub = stats.take(live)
+        found = lookup_nearest_solution(solutions, sub.sigma_a, sub.sigma_b,
+                                        [w for w, _ in ladder])
+        for (w, fw), sol in zip(ladder, found):
+            rmax = sol.rmax
+            values, at = np.unique(rmax, return_inverse=True)
+            s_repr = np.array([calib.lookup(precision, mode, w, r).rmse
+                               for r in values.tolist()])[at]
+            z = np.array([packing.compute_z(r) for r in values.tolist()])[at]
+            comp = optimal_companders(sub, rmax, s_repr=s_repr, w=w)
+            d_hat = combined_distortion(sub, comp.c_a, comp.c_b, s_repr).total
+            options.append(_option_rows(live, n_l, w=w, c_a=comp.c_a, c_b=comp.c_b, rmax=rmax,
+                                        z=z, d_hat=d_hat, fw_percent=fw))
+    options.append(_option_rows(np.arange(sa.size), n_l, w=1, c_a=1.0, c_b=1.0))
     return options
+
+
+def _subblock_option(row, mode: str) -> SubblockOption:
+    """The SubblockOption of one ``OPTION_DTYPE`` row, given as a tuple."""
+    _p, l, w, *rest = row
+    return SubblockOption(l, w, mode, *rest)
+
+
+def option_lists(options, mode: str) -> list:
+    """``build_options``' arrays as one list per subblock, in C order: its
+    SubblockOptions in W descending order, W=1 last."""
+    lists = [[] for _ in range(len(options[-1]))]
+    for rows in options:
+        for row in rows.tolist():
+            lists[row[0]].append(_subblock_option(row, mode))
+    return lists
+
+
+def _prune(d_hat, w, idx, budget):
+    """Greedy distortion prune of many kernels in lockstep.
+
+    ``d_hat`` and ``w`` hold, per ladder row, subblock l and kernel, the
+    predicted distortion and the W of an option (shape
+    ``(rows, n_l, kernels)``); a ladder runs down the rows to W=1 on the
+    last, which predicts zero. ``idx`` (shape ``(n_l, kernels)``) holds each
+    subblock's starting row and is left at its chosen one; ``budget`` holds
+    one distortion budget per kernel.
+
+    Each step sums every kernel's current predictions over l, and every
+    kernel still over its budget demotes the subblock of highest prediction
+    by one row; the first maximum is taken, so ties go to the lower l. Each
+    kernel so takes the steps of the greedy loop run on it alone, with the
+    same bits: totals add l = 0, 1, ... in turn (``ordered_sum``) and a
+    step's ``total_after`` is ``total - removed + next``. Returns the final
+    per-kernel totals and each kernel's list of PruneSteps.
+    """
+    n_l, n_k = idx.shape
+    ls, ks = np.ogrid[:n_l, :n_k]
+    cur = d_hat[idx, ls, ks]
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python floats give
+        while True:
+            total = ordered_sum(cur)
+            over = np.flatnonzero(~(total <= budget))
+            if not over.size:
+                break
+            worst = cur[:, over].argmax(axis=0)
+            row = idx[worst, over]
+            removed = cur[worst, over]
+            nxt = d_hat[row + 1, worst, over]
+            steps.append((over, worst, w[row, worst, over], w[row + 1, worst, over], removed,
+                          total[over] - removed + nxt))
+            idx[worst, over] = row + 1
+            cur[worst, over] = nxt
+    traces = [[] for _ in range(n_k)]
+    if steps:
+        for k, *step in zip(*(np.concatenate(col).tolist() for col in zip(*steps))):
+            traces[k].append(PruneStep(*step))
+    return total, traces
 
 
 def _entry_from_indices(options_per_l, idx, trace):
@@ -201,27 +284,26 @@ def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
     Start all subblocks at maximum W; while the summed prediction exceeds the
     budget, demote the subblock whose current option has the highest
     prediction (ties to the lower l). Always terminates: W=1 predicts zero.
+    This is ``plan_gemm``'s lockstep prune (``_prune``) run on one kernel.
     """
-    if d_kernel < 0:
+    if not d_kernel >= 0:
         raise InvalidConfigError(f"distortion budget must be >= 0, got {d_kernel}")
-    idx = [0] * len(options_per_l)
-    trace = []
-    while True:
-        total = sum(opts[i].d_hat for opts, i in zip(options_per_l, idx))
-        if total <= d_kernel:
-            break
-        worst = max(
-            range(len(idx)),
-            key=lambda l: (options_per_l[l][idx[l]].d_hat, -l),
-        )
-        cur = options_per_l[worst][idx[worst]]
-        idx[worst] += 1
-        nxt = options_per_l[worst][idx[worst]]
-        trace.append(
-            PruneStep(l=worst, from_w=cur.w, to_w=nxt.w, removed_d_hat=cur.d_hat,
-                      total_after=total - cur.d_hat + nxt.d_hat)
-        )
-    return _entry_from_indices(options_per_l, idx, trace)
+    n_l = len(options_per_l)
+    rows = max(map(len, options_per_l), default=1)
+    d_hat, w = np.zeros((rows, n_l, 1)), np.ones((rows, n_l, 1), dtype=np.int64)
+    top = np.array([rows - len(opts) for opts in options_per_l], dtype=np.intp)
+    for l, opts in enumerate(options_per_l):  # every ladder ends on the last row
+        d_hat[top[l]:, l, 0] = [o.d_hat for o in opts]
+        w[top[l]:, l, 0] = [o.w for o in opts]
+    idx = top[:, None].copy()
+    total, (trace,) = _prune(d_hat, w, idx, np.array([d_kernel], dtype=np.float64))
+    choices = [opts[i] for opts, i in zip(options_per_l, (idx[:, 0] - top).tolist())]
+    return KernelPlanEntry(
+        choices=choices,
+        total_d_hat=float(total[0]),
+        accel_percent=float(ordered_sum([o.fw_percent for o in choices])) / n_l,
+        prune_trace=trace,
+    )
 
 
 def plan_kernel_throughput(options_per_l, f_kernel: float) -> KernelPlanEntry:
@@ -294,44 +376,48 @@ def subblock_stats(a: np.ndarray, b: np.ndarray, L: int) -> BatchStats:
                       b_min=of_b(tb.vmin), b_max=of_b(tb.vmax), L=L)
 
 
-def kernel_input_stats(a: np.ndarray, b: np.ndarray, L: int) -> dict:
-    """Per inner kernel ``(i, j)`` of A @ B, the InputStats of each subblock l."""
-    stats = subblock_stats(a, b, L)
-    cols = [getattr(stats, f).tolist() for f in STATS_FIELDS]
-    blocks_i, blocks_j, n_l = stats.shape
-    return {
-        (i, j): [InputStats(*(c[i][j][l] for c in cols), L=L) for l in range(n_l)]
-        for i in range(blocks_i) for j in range(blocks_j)
-    }
-
-
 def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
               solutions: OfflineSolutionTable, calib: CalibrationTable, mode: str,
               precision: str, profile: SpeedupProfile | None = None,
               w_set=(2, 3, 4)) -> KernelPlan:
     """Plan every inner kernel of A @ B under a uniform per-kernel constraint.
 
-    One ``build_options`` call covers every subblock; each kernel is then
-    pruned on its own slice of the options.
+    One ``build_options`` call covers every subblock. Under an SNR floor one
+    lockstep prune (``_prune``) then plans every kernel, and a SubblockOption
+    is made only for the option each subblock ends up with; under an
+    acceleration floor each kernel is pruned on its own option lists.
     """
     stats = subblock_stats(a, b, L)
     options = build_options(stats, solutions, mode, precision, calib,
                             profile=profile, w_set=w_set)
     blocks_i, blocks_j, n_l = stats.shape
-    sigma_a, sigma_b = stats.sigma_a.tolist(), stats.sigma_b.tolist()
+    keys = [(i, j) for i in range(blocks_i) for j in range(blocks_j)]
     plan = KernelPlan()
-    for i in range(blocks_i):
-        for j in range(blocks_j):
-            start = (i * blocks_j + j) * n_l
-            kernel_options = options[start:start + n_l]
-            if constraint.target_snr_db is not None:
-                d_kernel = snr_to_distortion(
-                    constraint.target_snr_db, zip(sigma_a[i][j], sigma_b[i][j]), L)
-                plan.entries[(i, j)] = plan_kernel_distortion(kernel_options, d_kernel)
-            else:
-                plan.entries[(i, j)] = plan_kernel_throughput(
-                    kernel_options, constraint.target_accel_percent
-                )
+    if constraint.target_snr_db is None:
+        lists = option_lists(options, mode)
+        for k, key in enumerate(keys):
+            plan.entries[key] = plan_kernel_throughput(lists[k * n_l:(k + 1) * n_l],
+                                                       constraint.target_accel_percent)
+        return plan
+    # every option by ladder row (W descending, W=1 last), subblock l and kernel
+    ladder = np.zeros((len(options), len(keys) * n_l), dtype=OPTION_DTYPE)
+    for r, rows in enumerate(options):
+        ladder[r, rows["p"]] = rows
+    ladder = ladder.reshape(len(options), len(keys), n_l).transpose(0, 2, 1)
+    idx = np.full((len(keys), n_l), len(options) - 1, dtype=np.intp)
+    idx.reshape(-1)[options[0]["p"]] = 0  # subblocks that have a W>1 start at the top
+    idx = idx.T.copy()
+    pairs = np.stack([stats.sigma_a, stats.sigma_b]).reshape(2, len(keys), n_l)
+    budget = snr_to_distortion(constraint.target_snr_db, pairs.transpose(2, 0, 1), L)
+    total, traces = _prune(ladder["d_hat"], ladder["w"], idx, budget)
+    ls, ks = np.ogrid[:n_l, :len(keys)]
+    chosen = ladder[idx, ls, ks]
+    accel = (ordered_sum(chosen["fw_percent"]) / n_l).tolist()
+    chosen, total = chosen.T.tolist(), total.tolist()
+    for k, key in enumerate(keys):
+        plan.entries[key] = KernelPlanEntry(
+            choices=[_subblock_option(row, mode) for row in chosen[k]],
+            total_d_hat=total[k], accel_percent=accel[k], prune_trace=traces[k])
     return plan
 
 

@@ -173,9 +173,12 @@ def test_criterion_05_packing_count_bound_values():
 
 def _all_w2_plan(a, b, mode, solutions, calib):
     plan = ctl.KernelPlan()
-    for key, stats in ctl.kernel_input_stats(a, b, L).items():
-        options = ctl.build_options(stats, solutions, mode, "single", calib, w_set=(2,))
-        choices = [opts[0] for opts in options]
+    stats = ctl.subblock_stats(a, b, L)
+    bi, bj, n_l = stats.shape
+    options = ctl.option_lists(
+        ctl.build_options(stats, solutions, mode, "single", calib, w_set=(2,)), mode)
+    for k, key in enumerate((i, j) for i in range(bi) for j in range(bj)):
+        choices = [opts[0] for opts in options[k * n_l:(k + 1) * n_l]]
         plan.entries[key] = ctl.KernelPlanEntry(
             choices=choices,
             total_d_hat=sum(o.d_hat for o in choices),

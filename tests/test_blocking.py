@@ -195,6 +195,24 @@ class TestPlainGemm:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_products_past_first_slice(self, dtype):
+        """-0.0 products at l = 1..3 of one batch of 4 land on running sums of
+        +0.0, of an exact cancellation and of a nonzero value. The einsum
+        writes them as +0.0, and the result keeps the loop's bits."""
+        a = np.array([[1.0, -1.0, -0.0, -2.0],
+                      [-0.0, -3.0, 3.0, -1.0]], dtype)
+        b = np.array([[1.0, 2.0],
+                      [1.0, 0.0],
+                      [1.0, -0.0],
+                      [0.0, 5.0]], dtype)
+        with mock.patch.object(blocking, "_STEP_ELEMS", 16):  # c = 16 // (2*2) = k
+            got = plain_subblock_gemm(a, b)
+        want = rank1_loop(a, b)
+        assert got.tobytes() == want.tobytes()
+        assert got.tolist() == [[0.0, -8.0], [0.0, -5.0]]
+        assert not np.signbit(got[:, 0]).any()
+
     def test_empty_inner_dimension_gives_zeros(self):
         for dtype in (np.float32, np.float64):
             out = plain_subblock_gemm(np.zeros((3, 0), dtype), np.zeros((0, 4), dtype))

@@ -243,6 +243,41 @@ class TestArrayLookup:
             assert (got.rmax[k], got.c_a[k], got.c_b[k], got.expected_snr_db[k], w) == \
                 _scan_nearest(table, sa, sb, w)
 
+    @given(st.lists(st.tuples(_ROW_SIGMA, _ROW_SIGMA), min_size=1, max_size=20),
+           st.sampled_from(["shared", "own_w3", "missing_w4"]), st.data(),
+           st.integers(1, 30), st.sampled_from([1, 7, 1 << 15]))
+    @settings(max_examples=100, deadline=None)
+    def test_many_ws_match_linear_scan(self, sigmas, layout, data, n, chunk):
+        """One call for several W's: W's whose rows hold bitwise equal sigma
+        columns share one search, and every W finds what a scan of its own
+        rows finds."""
+        specs = [(sa, sb, w) for w in (2, 3, 4) for sa, sb in sigmas]
+        if layout == "own_w3":
+            specs = [(sa, sb, w) for sa, sb, w in specs if w != 3] + \
+                [(sb, sa + 1.0, 3) for sa, sb in sigmas]
+        elif layout == "missing_w4":
+            specs = [r for r in specs if r[2] != 4]
+        table = cal.OfflineSolutionTable(_solution_data(specs))
+        ws = data.draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3,
+                                unique=True))
+        queries = [_query(data, specs)[0] for _ in range(n)]
+        qa, qb = [q[0] for q in queries], [q[1] for q in queries]
+        search = mock.patch.object(cal, "_nearest_rows", wraps=cal._nearest_rows)
+        with mock.patch.object(cal, "_LOOKUP_CHUNK", chunk), search as nearest:
+            if layout == "missing_w4" and 4 in ws:
+                with pytest.raises(CalibrationMissingError):
+                    cal.lookup_nearest_solution(table, qa, qb, ws)
+                return
+            got = cal.lookup_nearest_solution(table, qa, qb, ws)
+        columns = {w: [(r[0], r[1]) for r in specs if r[2] == w] for w in ws}
+        distinct = {repr(np.array(c).tobytes()) for c in columns.values()}
+        assert nearest.call_count == len(distinct)
+        assert [sol.w for sol in got] == ws
+        for sol in got:
+            for k, (sa, sb) in enumerate(queries):
+                assert (sol.rmax[k], sol.c_a[k], sol.c_b[k], sol.expected_snr_db[k],
+                        sol.w) == _scan_nearest(table, sa, sb, sol.w)
+
     def test_query_shape_and_broadcast(self):
         table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2),
                                                          (9.0, 1.0, 3)]))

@@ -165,6 +165,16 @@ class TestMultiplyCommand:
         assert f"at row {row}, column {col}" in err
         assert not (out / "result.tgmm").exists()
 
+    @pytest.mark.parametrize("flag", ["--snr-db", "--accel-percent"])
+    def test_nan_target_exit_code(self, workdir, tmp_path, capsys, flag):
+        out = tmp_path / "nan"
+        code = cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                         "--out", str(out), "multiply", str(workdir / "a.tgmm"),
+                         str(workdir / "b.tgmm"), flag, "nan"])
+        assert code == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not (out / "result.tgmm").exists()
+
     def test_report_has_stage_timings(self, workdir, tmp_path):
         for flag in (["--snr-db", "30"], ["--plain"]):
             out = tmp_path / flag[0].strip("-")

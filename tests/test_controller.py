@@ -146,11 +146,17 @@ def desk_tables():
     return calib, sols
 
 
+def option_lists(stats, sols, calib, **kwargs):
+    """Per-subblock option lists of a ``build_options`` call, symmetric mode."""
+    options = ctl.build_options(stats, sols, "symmetric", "single", calib, **kwargs)
+    return ctl.option_lists(options, "symmetric")
+
+
 class TestBuildOptions:
     def test_compander_product_invariant(self, desk_tables):
         calib, sols = desk_tables
         stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, 12)]
-        opts = ctl.build_options(stats, sols, "symmetric", "single", calib, w_set=(2,))[0]
+        opts = option_lists(stats, sols, calib, w_set=(2,))[0]
         packed = opts[0]
         ct = 12 * 4.0 * 6.0 / packed.rmax
         assert packed.c_a * packed.c_b * ct == pytest.approx(1.0)
@@ -159,8 +165,21 @@ class TestBuildOptions:
     def test_degenerate_sigma_only_plain(self, desk_tables):
         calib, sols = desk_tables
         stats = [InputStats(0.0, 3.0, -1.0, 1.0, -6.0, 6.0, 12)]
-        opts = ctl.build_options(stats, sols, "symmetric", "single", calib, w_set=(2,))[0]
+        opts = option_lists(stats, sols, calib, w_set=(2,))[0]
         assert [o.w for o in opts] == [1]
+
+    def test_one_array_per_w(self, desk_tables):
+        """W descending, W=1 last; a W array holds only the subblocks that have
+        the W, so the lengths add up to the options built."""
+        calib, sols = desk_tables
+        stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, 12),
+                 InputStats(0.0, 3.0, -1.0, 1.0, -6.0, 6.0, 12),
+                 InputStats(1.0, 1.0, -2.0, 2.0, -2.0, 2.0, 12)]
+        options = ctl.build_options(stats, sols, "symmetric", "single", calib, w_set=(2,))
+        assert [rows["w"].tolist() for rows in options] == [[2, 2], [1, 1, 1]]
+        assert [rows["p"].tolist() for rows in options] == [[0, 2], [0, 1, 2]]
+        lists = ctl.option_lists(options, "symmetric")
+        assert sum(map(len, options)) == sum(map(len, lists)) == 5
 
     def test_d_hat_matches_monte_carlo(self, desk_tables):
         calib, sols = desk_tables
@@ -169,16 +188,14 @@ class TestBuildOptions:
         a = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
         b = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
         stats = [InputStats.from_tiles(a, b)]
-        packed = ctl.build_options(stats, sols, "symmetric", "single", calib,
-                                   w_set=(2,))[0][0]
+        packed = option_lists(stats, sols, calib, w_set=(2,))[0][0]
         exact = a.astype(np.float64) @ b.astype(np.float64)
         errs = []
         for _ in range(200):
             aa = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
             bb = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
             st_mc = InputStats.from_tiles(aa, bb)
-            o = ctl.build_options([st_mc], sols, "symmetric", "single", calib,
-                                  w_set=(2,))[0][0]
+            o = option_lists([st_mc], sols, calib, w_set=(2,))[0][0]
             got = packing.packed_subblock_product(aa, bb, o.to_packing_config())
             e = got.astype(np.float64) - aa.astype(np.float64) @ bb.astype(np.float64)
             errs.append(float((e ** 2).mean()) / o.d_hat)
@@ -241,8 +258,110 @@ class TestPlanGemm:
         with pytest.raises(InvalidConfigError):
             ctl.KernelConstraint(target_snr_db=1.0, target_accel_percent=1.0)
 
+    def test_nan_target_rejected(self):
+        for field in ("target_snr_db", "target_accel_percent"):
+            with pytest.raises(InvalidConfigError):
+                ctl.KernelConstraint(**{field: math.nan})
+
 
 # -- the per-kernel planner before batching, kept as the batched planner's oracle
+
+def frozen_sum(xs):
+    """Floats added left to right from 0, as ``sum`` added them for the
+    frozen distortion planner. CPython 3.12 made ``sum`` of floats
+    compensated; the lockstep prune keeps the left-to-right order."""
+    total = 0
+    for x in xs:
+        total += x
+    return total
+
+
+def frozen_snr_to_distortion(s_kernel_db, sigma_pairs, L):
+    power = 0.0
+    for sa, sb in sigma_pairs:
+        if sa < 0 or sb < 0:
+            raise InvalidConfigError("sigmas must be >= 0")
+        p = sa * sb
+        power += p * p
+    if math.isinf(s_kernel_db):
+        return 0.0
+    return 10.0 ** (-0.1 * s_kernel_db) * L * power
+
+
+def frozen_entry(options_per_l, idx, trace, add=sum):
+    choices = [opts[i] for opts, i in zip(options_per_l, idx)]
+    return ctl.KernelPlanEntry(
+        choices=choices,
+        total_d_hat=add(o.d_hat for o in choices),
+        accel_percent=add(o.fw_percent for o in choices) / len(choices),
+        prune_trace=trace,
+    )
+
+
+def frozen_plan_kernel_distortion(options_per_l, d_kernel):
+    """The per-kernel greedy loop the lockstep prune replaced."""
+    if d_kernel < 0:
+        raise InvalidConfigError(f"distortion budget must be >= 0, got {d_kernel}")
+    idx = [0] * len(options_per_l)
+    trace = []
+    while True:
+        total = frozen_sum(opts[i].d_hat for opts, i in zip(options_per_l, idx))
+        if total <= d_kernel:
+            break
+        worst = max(
+            range(len(idx)),
+            key=lambda l: (options_per_l[l][idx[l]].d_hat, -l),
+        )
+        cur = options_per_l[worst][idx[worst]]
+        idx[worst] += 1
+        nxt = options_per_l[worst][idx[worst]]
+        trace.append(
+            ctl.PruneStep(l=worst, from_w=cur.w, to_w=nxt.w, removed_d_hat=cur.d_hat,
+                          total_after=total - cur.d_hat + nxt.d_hat)
+        )
+    return frozen_entry(options_per_l, idx, trace, add=frozen_sum)
+
+
+def frozen_plan_kernel_throughput(options_per_l, f_kernel):
+    n = len(options_per_l)
+    idx = [0] * n
+
+    def mean_accel():
+        return sum(opts[i].fw_percent for opts, i in zip(options_per_l, idx)) / n
+
+    accel = mean_accel()
+    if accel < f_kernel:
+        raise InfeasibleConstraintError(
+            f"acceleration floor {f_kernel}% exceeds the achievable maximum {accel:.4g}%",
+            achievable_percent=accel,
+        )
+    trace = []
+    while True:
+        order = sorted(
+            (l for l in range(n) if idx[l] + 1 < len(options_per_l[l])),
+            key=lambda l: (-options_per_l[l][idx[l]].d_hat, l),
+        )
+        demoted = False
+        for l in order:
+            cur = options_per_l[l][idx[l]]
+            nxt = options_per_l[l][idx[l] + 1]
+            idx[l] += 1
+            accel = mean_accel()
+            if accel < f_kernel:
+                idx[l] -= 1
+                accel = mean_accel()
+                continue
+            total = sum(opts[i].d_hat for opts, i in zip(options_per_l, idx))
+            trace.append(
+                ctl.PruneStep(l=l, from_w=cur.w, to_w=nxt.w, removed_d_hat=cur.d_hat,
+                              total_after=total)
+            )
+            demoted = True
+            break
+        if not demoted:
+            break
+    return frozen_entry(options_per_l, idx, trace)
+
 
 def frozen_kernel_stats(a, b, L):
     """InputStats per kernel and l, from per-tile stats taken one tile at a time."""
@@ -291,13 +410,75 @@ def frozen_plan_gemm(a, b, L, constraint, solutions, calib, mode, precision, pro
         options = frozen_build_options(stats_per_l, solutions, mode, precision, calib,
                                        profile, w_set)
         if constraint.target_snr_db is not None:
-            d_kernel = ctl.snr_to_distortion(
+            d_kernel = frozen_snr_to_distortion(
                 constraint.target_snr_db, [(s.sigma_a, s.sigma_b) for s in stats_per_l], L)
-            entries[key] = ctl.plan_kernel_distortion(options, d_kernel)
+            entries[key] = frozen_plan_kernel_distortion(options, d_kernel)
         else:
-            entries[key] = ctl.plan_kernel_throughput(options,
-                                                      constraint.target_accel_percent)
+            entries[key] = frozen_plan_kernel_throughput(options,
+                                                         constraint.target_accel_percent)
     return entries
+
+
+def entry_bits(entry):
+    """An entry's float results as exact hex strings."""
+    return ([(s.l, s.from_w, s.to_w, float(s.removed_d_hat).hex(), float(s.total_after).hex())
+             for s in entry.prune_trace],
+            float(entry.total_d_hat).hex(), float(entry.accel_percent).hex())
+
+
+# dyadic predictions tie exactly across l and sum exactly; huge ones overflow
+# a kernel's total to inf
+_D_HAT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308]),
+                   st.floats(0.0, 1e3))
+
+
+class TestLockstepPrune:
+    @given(st.sampled_from([(1,), (2, 1), (3, 2, 1), (4, 3, 2, 1)]), st.integers(1, 9),
+           st.integers(1, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_kernel_greedy(self, ws, n_l, n_kernels, data):
+        """Every kernel's choices, trace and total match the frozen greedy loop
+        bit for bit, whether pruned together or alone."""
+        kernels, budgets = [], []
+        for _ in range(n_kernels):
+            options = []
+            for l in range(n_l):
+                # a zero-sigma subblock has only W=1
+                live = data.draw(st.booleans()) or data.draw(st.booleans())
+                packed = [opt(l, w, data.draw(_D_HAT)) for w in ws[:-1]] if live else []
+                options.append(packed + [opt(l, 1, 0.0)])
+            kernels.append(options)
+            full = frozen_plan_kernel_distortion(options, 0.0)  # the most steps there are
+            exact = [frozen_sum(opts[0].d_hat for opts in options)]
+            exact += [s.total_after for s in full.prune_trace]
+            budgets.append(data.draw(st.one_of(
+                st.just(0.0), st.just(math.inf), st.sampled_from(exact), st.floats(0.0, 10.0))))
+        want = [frozen_plan_kernel_distortion(o, d) for o, d in zip(kernels, budgets)]
+
+        rows = len(ws)
+        d_hat = np.zeros((rows, n_l, n_kernels))
+        w = np.ones((rows, n_l, n_kernels), dtype=np.int64)
+        top = np.zeros((n_l, n_kernels), dtype=np.intp)
+        for k, options in enumerate(kernels):
+            for l, opts in enumerate(options):
+                top[l, k] = rows - len(opts)
+                d_hat[top[l, k]:, l, k] = [o.d_hat for o in opts]
+                w[top[l, k]:, l, k] = [o.w for o in opts]
+        idx = top.copy()
+        total, traces = ctl._prune(d_hat, w, idx, np.array(budgets))
+        for k, entry in enumerate(want):
+            got_w = [int(w[idx[l, k], l, k]) for l in range(n_l)]
+            assert got_w == [o.w for o in entry.choices]
+            assert traces[k] == entry.prune_trace
+            assert entry_bits(ctl.KernelPlanEntry([], total[k], 0.0, traces[k]))[:2] == \
+                entry_bits(entry)[:2]
+            alone = ctl.plan_kernel_distortion(kernels[k], budgets[k])
+            assert all(a is b for a, b in zip(alone.choices, entry.choices))
+            assert entry_bits(alone) == entry_bits(entry)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            ctl.plan_kernel_distortion(synth_options([[1.0]]), math.nan)
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +553,7 @@ class TestBatchedPlanMatchesPerKernelPlanner:
         for key, entry in want.items():
             assert got[key].choices == entry.choices
             assert got[key].prune_trace == entry.prune_trace
-            assert got[key].total_d_hat == entry.total_d_hat
+            assert entry_bits(got[key]) == entry_bits(entry)
             for o in got[key].choices:
                 assert all(type(v) is type(getattr(entry.choices[o.l], f))
                            for f, v in vars(o).items())
@@ -384,11 +565,9 @@ class TestBatchedPlanMatchesPerKernelPlanner:
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
         b = rng.uniform(-0.1, 0.1, size=(3 * L, 2 * L)).astype(np.float32)
-        batched = ctl.build_options(ctl.subblock_stats(a, b, L), sols, "symmetric",
-                                    "single", calib)
-        per_kernel = [opts for stats in ctl.kernel_input_stats(a, b, L).values()
-                      for opts in ctl.build_options(stats, sols, "symmetric", "single",
-                                                    calib)]
+        batched = option_lists(ctl.subblock_stats(a, b, L), sols, calib)
+        per_kernel = [opts for stats in frozen_kernel_stats(a, b, L).values()
+                      for opts in option_lists(stats, sols, calib)]
         assert batched == per_kernel
         assert [len(opts) for opts in batched] == [4] * 12
         assert [opts[-1].w for opts in batched] == [1] * 12
