@@ -112,8 +112,10 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
 
     Integer uniform tiles with unit companders isolate the representation
     noise; the reference is the float64 product of the same tiles (exact at
-    these amplitudes). The packed product measured is ``packing.packed_product``,
-    the one ``multiply`` executes.
+    these amplitudes). The packed product measured is ``packing.packed_product``:
+    the pack, multiply and unpack that ``multiply`` runs on a packed subblock
+    (both go through ``packing._pack_multiply_unpack``), without its quantize
+    and dequantize.
     """
     if w < 2:
         raise InvalidConfigError("representation noise is only defined for W >= 2")
@@ -182,11 +184,12 @@ class SpeedupProfile:
 
 def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
                             repetitions: int = 5, seed: int = 0) -> SpeedupProfile:
-    """Median wall-clock of the packed pipeline vs plain, as percentile gain.
+    """Median wall-clock of a packed subblock vs a plain one, as percentile gain.
 
-    The plain baseline is the order-matched ``plain_subblock_gemm``, not
-    ``np.matmul``: ``fw_percent`` is the gain of a packed subblock over a
-    plain one inside ``tiered_gemm``.
+    Each side is timed as ``tiered_gemm`` runs it on one L x L subblock:
+    ``packing.packed_subblock_product`` with unit companders, whose quantize
+    and dequantize are part of the cost, against the order-matched
+    ``plain_subblock_gemm``, not ``np.matmul``, on the same integer tiles.
     """
     if repetitions < 3:
         raise InvalidConfigError("repetitions must be >= 3")
@@ -195,22 +198,16 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     at = packing.round_half_away(rng.uniform(-20, 20, size=(L, L)).astype(dtype))
     bt = packing.round_half_away(rng.uniform(-20, 20, size=(L, L)).astype(dtype))
 
-    def run_plain():
-        plain_subblock_gemm(at, bt)
-
-    def run_packed(w, z):
-        packing.packed_product(at, bt, mode, w, z)
-
-    def timed(fn):
-        fn()  # warm-up
+    def timed(fn, *args):
+        fn(*args)  # warm-up
         samples = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            fn()
+            fn(*args)
             samples.append(time.perf_counter() - t0)
         return statistics.median(samples)
 
-    t_plain = timed(run_plain)
+    t_plain = timed(plain_subblock_gemm, at, bt)
     if t_plain < 100 * _timer_resolution():
         raise TimerResolutionError(
             f"plain pipeline at L={L} runs in {t_plain:.2e}s, below reliable timer "
@@ -222,7 +219,8 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     for w in sorted(set(w_set)):
         if w == 1:
             continue
-        t_packed = timed(lambda: run_packed(w, z))
+        cfg = packing.PackingConfig(mode=mode, w=w, z=z, c_a=1.0, c_b=1.0, rmax=rmax)
+        t_packed = timed(packing.packed_subblock_product, at, bt, cfg)
         profile.entries.append(
             ProfileEntry(
                 precision=precision,

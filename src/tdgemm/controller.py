@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +33,12 @@ from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigErro
 from .noise import BatchStats, combined_distortion, optimal_companders
 
 
-@dataclass(frozen=True)
-class SubblockOption:
-    """One candidate configuration for one subblock product."""
+class SubblockOption(NamedTuple):
+    """One candidate configuration for one subblock product.
+
+    A named tuple: a multiply makes one per subblock, and the planner makes
+    them in bulk from array rows (``_options_of``).
+    """
 
     l: int
     w: int
@@ -70,8 +75,10 @@ class KernelConstraint:
                 raise InvalidConfigError(f"{name} must be a number, got NaN")
 
 
-@dataclass(frozen=True)
-class PruneStep:
+class PruneStep(NamedTuple):
+    """One demotion of a prune: subblock l went from W ``from_w`` to
+    ``to_w``, and the kernel's predicted total became ``total_after``."""
+
     l: int
     from_w: int
     to_w: int
@@ -209,10 +216,14 @@ def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: 
     return options
 
 
-def _subblock_option(row, mode: str) -> SubblockOption:
-    """The SubblockOption of one ``OPTION_DTYPE`` row, given as a tuple."""
-    _p, l, w, *rest = row
-    return SubblockOption(l, w, mode, *rest)
+_OPTION_FIELDS = ("l", "w", "c_a", "c_b", "rmax", "z", "d_hat", "fw_percent")
+
+
+def _options_of(rows, mode: str) -> list:
+    """The SubblockOptions of a 1-D ``OPTION_DTYPE`` array, in its order:
+    one list per field, and one ``_make`` per row."""
+    l, w, *rest = (rows[name].tolist() for name in _OPTION_FIELDS)
+    return list(map(SubblockOption._make, zip(l, w, repeat(mode), *rest)))
 
 
 def option_lists(options, mode: str) -> list:
@@ -220,8 +231,8 @@ def option_lists(options, mode: str) -> list:
     SubblockOptions in W descending order, W=1 last."""
     lists = [[] for _ in range(len(options[-1]))]
     for rows in options:
-        for row in rows.tolist():
-            lists[row[0]].append(_subblock_option(row, mode))
+        for p, opt in zip(rows["p"].tolist(), _options_of(rows, mode)):
+            lists[p].append(opt)
     return lists
 
 
@@ -263,9 +274,15 @@ def _prune(d_hat, w, idx, budget):
             cur[worst, over] = nxt
     traces = [[] for _ in range(n_k)]
     if steps:
-        for k, *step in zip(*(np.concatenate(col).tolist() for col in zip(*steps))):
-            traces[k].append(PruneStep(*step))
+        kernels, *cols = (np.concatenate(col).tolist() for col in zip(*steps))
+        for k, step in zip(kernels, map(PruneStep._make, zip(*cols))):
+            traces[k].append(step)
     return total, traces
+
+
+def _mean(total: float, n: int) -> float:
+    """``total / n``, and 0.0 for a kernel with no subblock (k < L)."""
+    return total / n if n else 0.0
 
 
 def _entry_from_indices(options_per_l, idx, trace):
@@ -273,7 +290,7 @@ def _entry_from_indices(options_per_l, idx, trace):
     return KernelPlanEntry(
         choices=choices,
         total_d_hat=sum(o.d_hat for o in choices),
-        accel_percent=sum(o.fw_percent for o in choices) / len(choices),
+        accel_percent=_mean(sum(o.fw_percent for o in choices), len(choices)),
         prune_trace=trace,
     )
 
@@ -301,7 +318,7 @@ def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
     return KernelPlanEntry(
         choices=choices,
         total_d_hat=float(total[0]),
-        accel_percent=float(ordered_sum([o.fw_percent for o in choices])) / n_l,
+        accel_percent=_mean(float(ordered_sum([o.fw_percent for o in choices])), n_l),
         prune_trace=trace,
     )
 
@@ -317,7 +334,7 @@ def plan_kernel_throughput(options_per_l, f_kernel: float) -> KernelPlanEntry:
     idx = [0] * n
 
     def mean_accel():
-        return sum(opts[i].fw_percent for opts, i in zip(options_per_l, idx)) / n
+        return _mean(sum(opts[i].fw_percent for opts, i in zip(options_per_l, idx)), n)
 
     accel = mean_accel()
     if accel < f_kernel:
@@ -412,12 +429,12 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
     total, traces = _prune(ladder["d_hat"], ladder["w"], idx, budget)
     ls, ks = np.ogrid[:n_l, :len(keys)]
     chosen = ladder[idx, ls, ks]
-    accel = (ordered_sum(chosen["fw_percent"]) / n_l).tolist()
-    chosen, total = chosen.T.tolist(), total.tolist()
-    for k, key in enumerate(keys):
+    fw = ordered_sum(chosen["fw_percent"]).tolist()
+    choices = _options_of(chosen.T.reshape(-1), mode)
+    for k, (key, total_k) in enumerate(zip(keys, total.tolist())):
         plan.entries[key] = KernelPlanEntry(
-            choices=[_subblock_option(row, mode) for row in chosen[k]],
-            total_d_hat=total[k], accel_percent=accel[k], prune_trace=traces[k])
+            choices=choices[k * n_l:(k + 1) * n_l], total_d_hat=total_k,
+            accel_percent=_mean(fw[k], n_l), prune_trace=traces[k])
     return plan
 
 
@@ -427,9 +444,8 @@ def dump_plan(plan: KernelPlan, path) -> None:
         f.write(f"# version {FORMAT_VERSION}\n")
         writer = csv.writer(f)
         writer.writerow(["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"])
-        for (i, j) in sorted(plan.entries):
-            for opt in plan.entries[(i, j)].choices:
-                writer.writerow(
-                    [i, j, opt.l, opt.w, repr(opt.c_a), repr(opt.c_b), opt.rmax,
-                     repr(opt.d_hat)]
-                )
+        writer.writerows(
+            (i, j, l, w, repr(c_a), repr(c_b), rmax, repr(d_hat))
+            for i, j in sorted(plan.entries)
+            for l, w, _mode, c_a, c_b, rmax, _z, d_hat, _fw in plan.entries[i, j].choices
+        )

@@ -80,6 +80,36 @@ class TestSpeedupProfile:
         with pytest.raises(CalibrationMissingError):
             cal.SpeedupProfile().fw("single", "symmetric", 2)
 
+    def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
+        """Each timed side is one call of what ``tiered_gemm`` runs per
+        subblock: the whole packed pipeline with unit companders, and the
+        plain product, on the same tiles."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append((name, args))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cal.packing, "packed_subblock_product",
+                            counted("packed", cal.packing.packed_subblock_product))
+        monkeypatch.setattr(cal.packing, "packed_product",
+                            counted("packed_product", cal.packing.packed_product))
+        monkeypatch.setattr(cal, "plain_subblock_gemm", counted("plain", cal.plain_subblock_gemm))
+        cal.measure_speedup_profile(48, "single", "asymmetric", w_set=(2, 3),
+                                    repetitions=3, seed=1)
+        names = [name for name, _ in calls]
+        assert names == ["plain"] * 4 + ["packed"] * 8  # warm-up + 3 each
+        at, bt = calls[0][1]
+        ws = []
+        for _, (a, b, *cfg) in calls[4:]:
+            assert a is at and b is bt
+            (cfg,) = cfg
+            assert (cfg.mode, cfg.c_a, cfg.c_b) == ("asymmetric", 1.0, 1.0)
+            ws.append(cfg.w)
+        assert ws == [2] * 4 + [3] * 4
+
 
 def _solution_data(specs):
     """A table's structured array from (sigma_a, sigma_b, W) specs. Each row

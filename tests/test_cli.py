@@ -214,6 +214,41 @@ class TestMultiplyCommand:
         assert code == 1
 
 
+class TestNoFullInnerTile:
+    """k < L: no subblock to plan, so every output kernel is planned empty
+    and computed as a border product."""
+
+    @pytest.fixture
+    def short(self, workdir, tmp_path):
+        rng = np.random.default_rng(41)
+        a = rng.uniform(-8, 8, size=(2 * L, L - 2)).astype(np.float32)
+        b = rng.uniform(-8, 8, size=(L - 2, 2 * L)).astype(np.float32)
+        matrixio.save_matrix(a, tmp_path / "a.tgmm")
+        matrixio.save_matrix(b, tmp_path / "b.tgmm")
+
+        def multiply(*flag):
+            return cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                             "--out", str(tmp_path / "out"), "multiply",
+                             str(tmp_path / "a.tgmm"), str(tmp_path / "b.tgmm"), *flag])
+        return a, b, tmp_path / "out", multiply
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flag", [("--snr-db", "30"), ("--accel-percent", "0")])
+    def test_plans_nothing_and_multiplies_plainly(self, short, flag):
+        a, b, out, multiply = short
+        assert multiply(*flag) == 0
+        np.testing.assert_array_equal(matrixio.load_matrix(out / "result.tgmm"),
+                                      tiered_gemm(a, b, L))
+        assert json.loads((out / "multiply_report.json").read_text())["w_histogram"] == {}
+        assert (out / "plan.csv").read_text().splitlines()[1:] == ["i,j,l,W,c_a,c_b,rmax,d_hat"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_positive_acceleration_floor_is_infeasible(self, short):
+        *_, out, multiply = short
+        assert multiply("--accel-percent", "10") == 2
+        assert not (out / "result.tgmm").exists()
+
+
 def _read_sweep(path):
     with open(path) as f:
         assert f.readline().startswith("# version")

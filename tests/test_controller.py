@@ -556,7 +556,7 @@ class TestBatchedPlanMatchesPerKernelPlanner:
             assert entry_bits(got[key]) == entry_bits(entry)
             for o in got[key].choices:
                 assert all(type(v) is type(getattr(entry.choices[o.l], f))
-                           for f, v in vars(o).items())
+                           for f, v in o._asdict().items())
 
     def test_option_lists_match_per_kernel_calls(self, grid_tables):
         """The whole-multiply call and one call per kernel give the same lists."""
@@ -586,3 +586,11 @@ def test_dump_plan(tmp_path, desk_tables):
     assert lines[0] == "# version 1"
     assert lines[1] == "i,j,l,W,c_a,c_b,rmax,d_hat"
     assert len(lines) == 3
+
+
+def test_record_fields_unchanged():
+    """plan.csv, the prune traces and callers read these fields by name and
+    build the records by position."""
+    assert ctl.SubblockOption._fields == ("l", "w", "mode", "c_a", "c_b", "rmax", "z", "d_hat",
+                                          "fw_percent")
+    assert ctl.PruneStep._fields == ("l", "from_w", "to_w", "removed_d_hat", "total_after")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,13 @@ class TestQuantize:
 
     def test_dequantize_inverts_scaling(self):
         assert packing.dequantize(6.0, 2.0, 3.0) == 1.0
+
+    def test_ties_of_one_sign(self):
+        """A tie is found whichever side ``rint`` rounds it to."""
+        for ties, want in (([-2.5, -0.5], [-3.0, -1.0]), ([2.5, 0.5], [3.0, 1.0])):
+            tile = np.array([ties, [0.25, 1.0]], np.float32)
+            got = packing.quantize_subblock(tile, 1.0)
+            np.testing.assert_array_equal(got, [want, [0.0, 1.0]])
 
     def test_nonpositive_compander_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -496,3 +504,90 @@ class TestStagesMatchFrozenCopy:
                 got = packing.packed_subblock_product(a, b, cfg)
                 assert got.dtype == dtype
                 assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_consecutive_products_keep_their_results(self, dtype, mode):
+        """Results of earlier calls survive later ones: each call's buffer is
+        its own, and no scratch carries over into the next product."""
+        rng = np.random.default_rng(7)
+        L = 48
+        runs = []
+        for w in (2, 2, 3, 3, 4, 4):
+            c_a, c_b = rng.uniform(1.5, 4.0, 2)
+            a = _planted(rng, L, dtype, 1.0, special=False)
+            b = _planted(rng, L, dtype, 1.0, special=False)
+            rmax = packing.compute_rmax(c_a, c_b, L, 2500.0, 2500.0)
+            cfg = packing.PackingConfig(mode, w, packing.compute_z(rmax), c_a, c_b, rmax)
+            runs.append((packing.packed_subblock_product(a, b, cfg), a, b, cfg))
+        for got, a, b, cfg in runs:
+            assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
+            assert not any(np.shares_memory(got, other) for other, *_ in runs if other is not got)
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("mode", packing.MODES)
+    @pytest.mark.parametrize("main", [0.0, 1.0])  # the tie's remainder is +0.5, -0.5
+    def test_unpack_tie(self, dtype, mode, main):
+        """A tie in the unpack's first rounding goes away from zero, as in
+        the stages run one at a time."""
+        L, w, z = 12, 2, 2.0 ** -16
+        cfg = packing.PackingConfig(mode, w, z, 1.0, 1.0, 100)
+        rng = np.random.default_rng(8)
+        a = rng.integers(-3, 4, (L, L)).astype(dtype)
+        b = rng.integers(-3, 4, (L, L)).astype(dtype)
+        # element (0, 0) of the packed product is main + z * 2^15, the only tie
+        a[:2], b[0], b[:, 0] = 0, 0, 0
+        if mode == packing.SYMMETRIC:  # A's pairs are columns, B's rows
+            a[0, 1], b[0, 0], a[0, 2], b[2, 0] = 2.0 ** 15, 1, main, 1
+        else:  # A's pairs are rows
+            a[1, 0], b[0, 0], a[0, 1], b[1, 0] = 2.0 ** 15, 1, main, 1
+        got = packing.packed_subblock_product(a, b, cfg)
+        assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
+        assert got[0, 0] == main + 1  # the tie main + 1/2 rounded up
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("mode", packing.MODES)
+    @pytest.mark.parametrize("bad", [3e7, -3e7, np.nan, -np.inf])
+    def test_overflow_raises(self, dtype, mode, bad):
+        """Every companded amplitude out of the exact-integer range, of
+        either sign, is rejected as by ``quantize_subblock``."""
+        rng = np.random.default_rng(11)
+        for operand in (0, 1):
+            # no ties: only the peak check can stop the product
+            tiles = [rng.standard_normal((12, 12)).astype(dtype) for _ in range(2)]
+            tiles[operand][5, 6] = bad * (1.0 if dtype == np.float32 else 1e9)
+            cfg = packing.PackingConfig(mode, 2, 2.0 ** -20, 1.0, 1.0, 100)
+            with pytest.raises(QuantizerOverflowError):
+                packing.packed_subblock_product(*tiles, cfg)
+
+
+class TestRoundingOutputs:
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_out_separate_in_place_and_strided(self, dtype):
+        rng = np.random.default_rng(9)
+        x = _planted(rng, 48, dtype, 1e3)
+        x[0, :8] = [2.5, -2.5, 0.5, -0.5, 0.0, -0.0, np.inf, -np.inf]
+        x[1, :2] = [np.nan, -np.nan]
+        want = _frozen_round(x).tobytes()
+        separate = np.empty_like(x)
+        assert packing.round_half_away(x, out=separate) is separate
+        assert separate.tobytes() == want
+        strided = np.full((96, 48), 7.0, dtype)
+        assert packing.round_half_away(x, out=strided[1::2]).tobytes() == want
+        assert (strided[0::2] == 7.0).all()  # the rows between stay as they were
+        packing.round_half_away(x[::-1], out=x[::-1])  # in place, through a view
+        assert x.tobytes() == want
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_no_warnings(self, dtype):
+        rng = np.random.default_rng(10)
+        a = _planted(rng, 48, dtype, 1.0, special=False)
+        b = _planted(rng, 48, dtype, 1.0, special=False)
+        rmax = packing.compute_rmax(3.0, 3.0, 48, 2500.0, 2500.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            packing.round_half_away(np.array([np.inf, -np.inf, 2.5, np.nan], dtype))
+            for mode in packing.MODES:
+                for c in (3.0, 2.0):
+                    cfg = packing.PackingConfig(mode, 2, packing.compute_z(rmax), c, c, rmax)
+                    packing.packed_subblock_product(a, b, cfg)
