@@ -4,7 +4,9 @@ order-matched plain subblock product.
 The accumulation order is fixed everywhere: subblocks accumulate over the
 inner index ``l`` in ascending order, and each plain subblock product
 accumulates its own inner dimension in ascending order, in batches of
-rank-1 products written by ``np.einsum``. This makes every plain result
+rank-1 products written by ``np.einsum`` (one batch of all k inner indices
+whenever k*m*n <= ``_ONE_STEP_ELEMS``, which covers every subblock at
+L <= 50). This makes every plain result
 bitwise reproducible and testable against an order-matched oracle. Packed
 subblocks run through ``packing.packed_subblock_product`` on BLAS; the plain
 product stays their reference.
@@ -18,9 +20,12 @@ import numpy as np
 
 from .errors import DimensionError, InvalidConfigError
 
-# Elements of the per-step product buffer in plain_subblock_gemm: enough
-# inner indices per step to amortise NumPy's per-call cost at L=48, one index
-# per step (the plain loop) at L=288.
+# Elements of the product buffer in plain_subblock_gemm. A product of at
+# most _ONE_STEP_ELEMS rank-1 elements (every subblock at L <= 50) takes all
+# its inner indices in one step; a larger one takes enough per step to
+# amortise NumPy's per-call cost, and one index per step (the plain loop) at
+# L=288.
+_ONE_STEP_ELEMS = 1 << 17
 _STEP_ELEMS = 1 << 16
 # Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
 _STATS_ELEMS = 1 << 16
@@ -75,20 +80,42 @@ def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
     return TileStats(sigma, vmin, vmax)
 
 
-def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _inner_step(m: int, k: int, n: int) -> int:
+    """Inner indices per step of an m x k by k x n ``plain_subblock_gemm``;
+    below 2 it runs the rank-1 loop."""
+    if m * n <= 1:
+        return 0
+    if k * m * n <= _ONE_STEP_ELEMS:
+        return k
+    return min(k, _STEP_ELEMS // (m * n))
+
+
+def plain_scratch(L: int, dtype) -> np.ndarray:
+    """The product buffer ``plain_subblock_gemm`` uses on an L x L subblock,
+    allocated once per multiply by ``tiered_gemm`` and passed to every call.
+    Empty where the subblock runs the rank-1 loop (L=288)."""
+    c = _inner_step(L, L, L)
+    return np.empty(c * L * L if c >= 2 else 0, dtype=dtype)
+
+
+def plain_subblock_gemm(a: np.ndarray, b: np.ndarray, scratch=None) -> np.ndarray:
     """Native-precision product with ascending-l accumulation.
 
     It runs every plain subblock (W=1, unplanned, borders) and is the bitwise
     oracle the packed BLAS path is checked against.
 
     Bitwise equal to the naive triple loop with the reduction innermost. Each
-    step takes a batch of ``c = min(k, _STEP_ELEMS // (m*n))`` inner indices:
-    one ``einsum`` writes their rank-1 products into a C-ordered
-    ``(c, m, n)`` buffer, the running sum is added into slice 0, and an
-    add-reduce over axis 0 folds the batch back in. Reducing over the
-    outermost axis of a C-ordered buffer adds the slices one after another
-    in ascending ``l``, so every element sees the same rounding sequence as
-    the scalar loop.
+    step takes a batch of c inner indices (``_inner_step``): one ``einsum``
+    writes their rank-1 products into a C-ordered ``(c, m, n)`` buffer, and
+    an add-reduce over axis 0 folds the batch into the running sum. Reducing
+    over the outermost axis of a C-ordered buffer adds the slices one after
+    another in ascending ``l``, so every element sees the same rounding
+    sequence as the scalar loop.
+
+    The first batch is reduced with ``initial=0``, so the sum starts from
+    +0.0, as the loop's does, with no zero-filled accumulator; each later
+    batch has the running sum added into its slice 0 before the reduce.
+    When k*m*n <= ``_ONE_STEP_ELEMS`` the first batch holds all k indices.
 
     ``einsum`` adds each product into a zeroed output, which is exact except
     that a ``-0.0`` product is written as ``+0.0``. That cannot change a
@@ -97,7 +124,12 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``s + 0.0 == s + (-0.0)`` for every ``s`` but ``-0.0``. At L=48
     ``einsum`` writes a batch faster than a broadcast ``np.multiply`` does.
 
-    A step of one index (``c == 1``, large tiles) keeps the plain rank-1
+    ``scratch`` is an optional flat buffer of the operands' dtype
+    (``plain_scratch``); when it holds at least c*m*n elements the batches
+    are written there instead of into a buffer allocated per call. The
+    result never shares memory with it.
+
+    A step of one index (c == 1, large tiles) keeps the plain rank-1
     update, which is faster there than going through the buffer. A 1 x 1
     output takes it too: the reduce axis would then be the only one, and
     NumPy sums such an axis pairwise, which changes the order.
@@ -107,19 +139,25 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.dtype != b.dtype:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
     (m, k), n = a.shape, b.shape[1]
-    r = np.zeros((m, n), dtype=a.dtype)
-    c = min(k, _STEP_ELEMS // max(1, m * n))
-    if c < 2 or m * n <= 1:
+    c = _inner_step(m, k, n)
+    if c < 2:
+        r = np.zeros((m, n), dtype=a.dtype)
         for l in range(k):
             r += a[:, l][:, None] * b[l, :][None, :]
         return r
-    buf = np.empty((c, m, n), dtype=a.dtype)
+    if scratch is None or scratch.size < c * m * n or scratch.dtype != a.dtype:
+        scratch = np.empty(c * m * n, dtype=a.dtype)
+    buf = scratch[:c * m * n].reshape(c, m, n)
+    r = None
     for l0 in range(0, k, c):
         p = buf[:min(c, k - l0)]
         ls = slice(l0, l0 + len(p))
         np.einsum("li,lj->lij", a[:, ls].T, b[ls, :], out=p)
-        p[0] += r
-        np.add.reduce(p, axis=0, out=r)
+        if r is None:
+            r = np.add.reduce(p, axis=0, initial=0)
+        else:
+            p[0] += r
+            np.add.reduce(p, axis=0, out=r)
     return r
 
 
@@ -160,6 +198,7 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                             raise InvalidConfigError(
                                 f"kernel ({i},{j}) subblock {l}: {exc}"
                             ) from exc
+    scratch = plain_scratch(L, a.dtype)
     r = np.zeros((m, n), dtype=a.dtype)
     for i in range(m // L):
         rows = slice(i * L, (i + 1) * L)
@@ -172,16 +211,16 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                 bt = b[l * L:(l + 1) * L, cols]
                 choice = entry[l] if entry is not None else None
                 if choice is None or choice.w == 1:
-                    acc += plain_subblock_gemm(at, bt)
+                    acc += plain_subblock_gemm(at, bt, scratch)
                 else:
                     acc += packing.packed_subblock_product(at, bt, choice)
             if kf < k:
-                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols])
+                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols], scratch)
             r[rows, cols] = acc
     if mf < m:
-        r[mf:, :] = plain_subblock_gemm(a[mf:, :], b)
+        r[mf:, :] = plain_subblock_gemm(a[mf:, :], b, scratch)
     if nf < n:
-        r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:])
+        r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:], scratch)
     return r
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import packing
-from .blocking import plain_subblock_gemm
+from .blocking import plain_scratch, plain_subblock_gemm
 from .config import dtype_of, PRECISIONS
 from .errors import (
     CalibrationMissingError,
@@ -182,6 +182,11 @@ class SpeedupProfile:
         )
 
 
+# least wall time of one timed sample in measure_speedup_profile: at L=48 a
+# single call (~0.06-0.1 ms) is too short to fix the sign of a gain
+_SAMPLE_S = 1e-3
+
+
 def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
                             repetitions: int = 5, seed: int = 0) -> SpeedupProfile:
     """Median wall-clock of a packed subblock vs a plain one, as percentile gain.
@@ -189,7 +194,11 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     Each side is timed as ``tiered_gemm`` runs it on one L x L subblock:
     ``packing.packed_subblock_product`` with unit companders, whose quantize
     and dequantize are part of the cost, against the order-matched
-    ``plain_subblock_gemm``, not ``np.matmul``, on the same integer tiles.
+    ``plain_subblock_gemm`` on the multiply's scratch buffer
+    (``blocking.plain_scratch``), not ``np.matmul``, on the same integer
+    tiles. A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of
+    the ``repetitions`` samples times a batch of as many calls, so that a
+    sample spans about ``_SAMPLE_S`` whatever L is.
     """
     if repetitions < 3:
         raise InvalidConfigError("repetitions must be >= 3")
@@ -199,15 +208,22 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     bt = packing.round_half_away(rng.uniform(-20, 20, size=(L, L)).astype(dtype))
 
     def timed(fn, *args):
-        fn(*args)  # warm-up
+        batch = 0
+        t0 = time.perf_counter()
+        while True:  # warm-up, which sizes the batch
+            fn(*args)
+            batch += 1
+            if time.perf_counter() - t0 >= _SAMPLE_S:
+                break
         samples = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            fn(*args)
-            samples.append(time.perf_counter() - t0)
+            for _ in range(batch):
+                fn(*args)
+            samples.append((time.perf_counter() - t0) / batch)
         return statistics.median(samples)
 
-    t_plain = timed(plain_subblock_gemm, at, bt)
+    t_plain = timed(plain_subblock_gemm, at, bt, plain_scratch(L, dtype))
     if t_plain < 100 * _timer_resolution():
         raise TimerResolutionError(
             f"plain pipeline at L={L} runs in {t_plain:.2e}s, below reliable timer "
@@ -261,20 +277,31 @@ class OfflineSolutionTable:
     read-only copy of the rows as a structured array of ``_SOLUTION_DTYPE``, in
     table order; the per-W sigmas and row positions lookups read are indexed here.
     ``_search_of`` maps each W to the first W whose sigma columns are bitwise
-    the same, whose nearest-row search it shares."""
+    the same, whose nearest-row search it shares. ``_single_rmax`` maps each
+    W whose rows all hold one R_max to it."""
 
     def __init__(self, data):
         self.data = np.array(data, dtype=_SOLUTION_DTYPE)
         self.data.flags.writeable = False
-        self._by_w, self._search_of, first = {}, {}, {}
+        self._by_w, self._search_of, self._single_rmax, first = {}, {}, {}, {}
         for w in np.unique(self.data["w"]).tolist():
             pos = np.flatnonzero(self.data["w"] == w)
             sa, sb = self.data["sigma_a"][pos], self.data["sigma_b"][pos]
             self._by_w[w] = (sa, sb, pos)
             self._search_of[w] = first.setdefault((sa.tobytes(), sb.tobytes()), w)
+            rmax = np.unique(self.data["rmax"][pos])
+            if len(rmax) == 1:
+                self._single_rmax[w] = int(rmax[0])
 
     def ws(self):
         return sorted(self._by_w)
+
+    def single_rmax(self, w: int):
+        """The R_max every row of W holds, or None if they differ or W has
+        no rows: then only ``lookup_nearest_solution`` can tell the R_max
+        of a sigma pair. Every ``build_offline_solutions`` table holds one
+        R_max per W."""
+        return self._single_rmax.get(w)
 
 
 # (sigma pair, R_max) elements per step of the solution build, which bounds

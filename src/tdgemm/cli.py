@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -148,13 +149,12 @@ def _overall_model_snr(plan: controller.KernelPlan, stats, L: int) -> float:
 
 def _exact_subblocks(plan: controller.KernelPlan, precision: str) -> int:
     """Packed subblocks inside the exact region: their outputs do not depend
-    on the GEMM's summation order."""
-    return sum(
-        1
-        for entry in plan.entries.values()
-        for o in entry.choices
-        if 1 < o.w <= packing.exact_w_limit(o.rmax, o.z, o.mode, precision, max_w=o.w)
-    )
+    on the GEMM's summation order. The region is checked once per distinct
+    (R_max, z, mode, W) of the plan."""
+    counts = Counter((o.rmax, o.z, o.mode, o.w)
+                     for entry in plan.entries.values() for o in entry.choices if o.w > 1)
+    return sum(n for (rmax, z, mode, w), n in counts.items()
+               if w <= packing.exact_w_limit(rmax, z, mode, precision, max_w=w))
 
 
 def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:

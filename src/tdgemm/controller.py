@@ -2,8 +2,8 @@
 
 Converts an SNR or acceleration target for each L x L output kernel into
 per-subblock packing choices. The options of every subblock of a multiply
-are built in one batched array pass, as one array per W, after one
-nearest-solution search. The planner starts every subblock at its
+are built in one batched array pass, as one array per W, from the solution
+table's R_max per W. The planner starts every subblock at its
 highest-throughput option and greedily demotes the option with the highest
 predicted distortion until the constraint is met. Under an SNR floor every
 kernel's prune runs in one lockstep array loop, one demotion per unfinished
@@ -178,12 +178,13 @@ def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: 
     W=1 last; each holds the subblocks that have that W, in C order of
     ``stats``. ``option_lists`` turns them into one list per subblock.
 
-    One nearest-solution search serves every W; the solution it finds fixes
-    R_max, and companders and the distortion prediction are recomputed from
-    the runtime sigmas in one array pass per W. Without a measured profile
-    the speedup falls back to the MAC-count gain. A W whose measured gain is
-    not positive is left out: W=1 dominates it. A subblock with a zero sigma
-    gets only W=1.
+    R_max comes from the solution table: a W whose rows all hold one R_max
+    (every table ``tdgemm solutions`` writes) takes it without a search, and
+    one nearest-solution search serves every other W. Companders and the
+    distortion prediction are recomputed from the runtime sigmas in one
+    array pass per W. Without a measured profile the speedup falls back to
+    the MAC-count gain. A W whose measured gain is not positive is left out:
+    W=1 dominates it. A subblock with a zero sigma gets only W=1.
     """
     if not isinstance(stats, BatchStats):
         stats = BatchStats.of(stats)
@@ -200,10 +201,16 @@ def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: 
             if fw > 0:  # else W=1 is at least as fast, at zero distortion
                 ladder.append((w, fw))
         sub = stats.take(live)
-        found = lookup_nearest_solution(solutions, sub.sigma_a, sub.sigma_b,
-                                        [w for w, _ in ladder])
-        for (w, fw), sol in zip(ladder, found):
-            rmax = sol.rmax
+        searched = [w for w, _ in ladder if solutions.single_rmax(w) is None]
+        found = {}
+        if searched:
+            found = dict(zip(searched, lookup_nearest_solution(solutions, sub.sigma_a,
+                                                               sub.sigma_b, searched)))
+        for w, fw in ladder:
+            if w in found:
+                rmax = found[w].rmax
+            else:
+                rmax = np.full(live.shape, solutions.single_rmax(w), dtype=np.int64)
             values, at = np.unique(rmax, return_inverse=True)
             s_repr = np.array([calib.lookup(precision, mode, w, r).rmse
                                for r in values.tolist()])[at]

@@ -172,13 +172,15 @@ class TestPlainGemm:
         st.sampled_from(["c", "fortran", "reversed", "slice"]),
         st.booleans(),
         st.sampled_from([blocking._STEP_ELEMS, 4096, 256, 16, 1]),
+        st.sampled_from([blocking._ONE_STEP_ELEMS, 0]),
         st.integers(0, 2 ** 31),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_rank1_loop_bitwise(self, dtype, m, n, k, lay_a, lay_b,
-                                        integer, step_elems, seed):
+                                        integer, step_elems, one_step_elems, seed):
         # small step budgets move the same shapes across the one-index cutoff
-        # and give batches that do not divide k
+        # and give batches that do not divide k; a one-step bound of 0 sends
+        # every shape through the batched steps
         rng = np.random.default_rng(seed)
         if integer:
             # integer-valued with signed zeros, as on the packed path
@@ -189,29 +191,93 @@ class TestPlainGemm:
             b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
         a = _layout(a.astype(dtype), lay_a)
         b = _layout(b.astype(dtype), lay_b)
-        with mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
+        with mock.patch.object(blocking, "_STEP_ELEMS", step_elems), \
+                mock.patch.object(blocking, "_ONE_STEP_ELEMS", one_step_elems):
             got = plain_subblock_gemm(a, b)
         want = rank1_loop(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        # m * n = 1 (the rank-1 loop whatever the bound) about a quarter of the time
+        st.one_of(st.just(1), st.integers(1, 16)),
+        st.one_of(st.just(1), st.integers(1, 16)),
+        st.integers(1, 48),
+        st.sampled_from([0, 1]),
+        st.booleans(),
+        st.integers(0, 2 ** 31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_step_bound_bitwise(self, dtype, m, n, k, past, integer, seed):
+        """At k*m*n == ``_ONE_STEP_ELEMS`` the product takes all k inner
+        indices in one step; one element past the bound it takes the batched
+        steps (here batches of k - 1 and 1, or the rank-1 loop). Both are
+        bitwise the rank-1 loop, with signed-zero products included."""
+        rng = np.random.default_rng(seed)
+        if integer:
+            a = rng.integers(-2, 3, size=(m, k)) * rng.choice([-1.0, 1.0], size=(m, k))
+            b = rng.integers(-2, 3, size=(k, n)) * rng.choice([-1.0, 1.0], size=(k, n))
+        else:
+            a = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-4, 5, size=(m, k))
+            b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
+        a, b = a.astype(dtype), b.astype(dtype)
+        bound = k * m * n - past
+        with mock.patch.object(blocking, "_ONE_STEP_ELEMS", bound), \
+                mock.patch.object(blocking, "_STEP_ELEMS", bound):
+            c = blocking._inner_step(m, k, n)
+            got = plain_subblock_gemm(a, b)
+        if m * n == 1:
+            assert c == 0
+        else:
+            assert c == (k - 1 if past else k)
+        assert got.tobytes() == rank1_loop(a, b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_reuse_keeps_earlier_results(self, dtype):
+        """Consecutive calls on one scratch buffer, of the subblock side it was
+        made for, of a border shape and of a shape too large for it, return
+        arrays that share no memory with it, and no call alters an earlier
+        result."""
+        rng = np.random.default_rng(11)
+        scratch = blocking.plain_scratch(8, dtype)
+        assert scratch.size == 8 ** 3 and scratch.dtype == dtype
+        shapes = [(8, 8, 8), (8, 8, 8), (3, 8, 8), (8, 5, 3), (16, 8, 16), (8, 8, 8)]
+        results = []
+        for m, k, n in shapes:
+            a = rng.normal(size=(m, k)).astype(dtype)
+            b = rng.normal(size=(k, n)).astype(dtype)
+            got = plain_subblock_gemm(a, b, scratch)
+            assert not np.shares_memory(got, scratch)
+            assert got.tobytes() == rank1_loop(a, b).tobytes()
+            results.append((got, got.copy()))
+        for got, copy in results:
+            assert got.tobytes() == copy.tobytes()
+
+    def test_scratch_sizes(self):
+        assert blocking.plain_scratch(48, np.float32).size == 48 ** 3 <= blocking._ONE_STEP_ELEMS
+        assert blocking.plain_scratch(288, np.float64).size == 0  # the rank-1 loop
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_negative_zero_products_past_first_slice(self, dtype):
-        """-0.0 products at l = 1..3 of one batch of 4 land on running sums of
-        +0.0, of an exact cancellation and of a nonzero value. The einsum
-        writes them as +0.0, and the result keeps the loop's bits."""
+        """-0.0 products at l = 1..3 land on running sums of +0.0, of an exact
+        cancellation and of a nonzero value, in one batch of all 4 inner
+        indices or in two batches. The einsum writes them as +0.0, and the
+        result keeps the loop's bits."""
         a = np.array([[1.0, -1.0, -0.0, -2.0],
                       [-0.0, -3.0, 3.0, -1.0]], dtype)
         b = np.array([[1.0, 2.0],
                       [1.0, 0.0],
                       [1.0, -0.0],
                       [0.0, 5.0]], dtype)
-        with mock.patch.object(blocking, "_STEP_ELEMS", 16):  # c = 16 // (2*2) = k
-            got = plain_subblock_gemm(a, b)
         want = rank1_loop(a, b)
-        assert got.tobytes() == want.tobytes()
-        assert got.tolist() == [[0.0, -8.0], [0.0, -5.0]]
-        assert not np.signbit(got[:, 0]).any()
+        assert want.tolist() == [[0.0, -8.0], [0.0, -5.0]]
+        assert not np.signbit(want[:, 0]).any()
+        for step_elems in (16, 8):  # one batch of 4, or two of 2 (c = step_elems // 4)
+            with mock.patch.object(blocking, "_ONE_STEP_ELEMS", 0), \
+                    mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
+                got = plain_subblock_gemm(a, b)
+            assert got.tobytes() == want.tobytes()
 
     def test_empty_inner_dimension_gives_zeros(self):
         for dtype in (np.float32, np.float64):

@@ -1,12 +1,14 @@
 import csv
 import math
+import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdgemm import calibration as cal, packing
+from tdgemm import blocking, calibration as cal, packing
 from tdgemm.config import u_sys_of
 from tdgemm.errors import CalibrationMissingError, InvalidConfigError, TableFormatError
 from tdgemm.noise import InputStats, optimal_companders
@@ -81,34 +83,47 @@ class TestSpeedupProfile:
             cal.SpeedupProfile().fw("single", "symmetric", 2)
 
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
-        """Each timed side is one call of what ``tiered_gemm`` runs per
-        subblock: the whole packed pipeline with unit companders, and the
-        plain product, on the same tiles."""
-        calls = []
+        """Each timed side is what ``tiered_gemm`` runs per subblock: the whole
+        packed pipeline with unit companders, and the plain product on the
+        multiply's scratch buffer, on the same tiles. The warm-up runs calls
+        until ``_SAMPLE_S`` has passed, and each sample times a batch of as
+        many calls. A fake clock advances 0.3 ms per plain call and 0.45 ms
+        per packed call, so the batches are 4 and 3 calls."""
+        calls, now_ns = [], [0]
 
-        def counted(name, fn):
+        def counted(name, fn, cost_ns):
             def wrapper(*args):
                 calls.append((name, args))
+                now_ns[0] += cost_ns
                 return fn(*args)
             return wrapper
 
+        monkeypatch.setattr(cal, "time", SimpleNamespace(
+            perf_counter=lambda: now_ns[0] * 1e-9, get_clock_info=time.get_clock_info))
         monkeypatch.setattr(cal.packing, "packed_subblock_product",
-                            counted("packed", cal.packing.packed_subblock_product))
+                            counted("packed", cal.packing.packed_subblock_product, 450_000))
         monkeypatch.setattr(cal.packing, "packed_product",
-                            counted("packed_product", cal.packing.packed_product))
-        monkeypatch.setattr(cal, "plain_subblock_gemm", counted("plain", cal.plain_subblock_gemm))
-        cal.measure_speedup_profile(48, "single", "asymmetric", w_set=(2, 3),
-                                    repetitions=3, seed=1)
+                            counted("packed_product", cal.packing.packed_product, 0))
+        monkeypatch.setattr(cal, "plain_subblock_gemm",
+                            counted("plain", cal.plain_subblock_gemm, 300_000))
+        profile = cal.measure_speedup_profile(48, "single", "asymmetric", w_set=(2, 3),
+                                              repetitions=3, seed=1)
         names = [name for name, _ in calls]
-        assert names == ["plain"] * 4 + ["packed"] * 8  # warm-up + 3 each
-        at, bt = calls[0][1]
+        assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (3 + 3 * 3)
+        at, bt, scratch = calls[0][1]
+        want = blocking.plain_scratch(48, np.float32)
+        assert (scratch.shape, scratch.dtype) == (want.shape, want.dtype)
+        for _, args in calls[:16]:
+            assert args[0] is at and args[1] is bt and args[2] is scratch
         ws = []
-        for _, (a, b, *cfg) in calls[4:]:
+        for _, (a, b, *cfg) in calls[16:]:
             assert a is at and b is bt
             (cfg,) = cfg
             assert (cfg.mode, cfg.c_a, cfg.c_b) == ("asymmetric", 1.0, 1.0)
             ws.append(cfg.w)
-        assert ws == [2] * 4 + [3] * 4
+        assert ws == [2] * 12 + [3] * 12
+        for e in profile.entries:
+            assert e.fw_percent == pytest.approx((0.3 / 0.45 - 1.0) * 100.0)
 
 
 def _solution_data(specs):

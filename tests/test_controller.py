@@ -225,6 +225,49 @@ class TestBuildOptions:
             assert histogram(fw_percent, accel_floor) == {1: 8}
 
 
+def test_single_rmax_skips_the_search_with_the_same_options(grid_pinned_tables, monkeypatch):
+    """A W whose rows all hold one R_max takes it without the nearest-solution
+    search, and its options are bitwise those of the search path: the same
+    table with one far row of another R_max added to some Ws searches those
+    Ws and finds the same rows."""
+    calib, pinned = grid_pinned_tables
+    ws = (2, 3, 4)
+    assert all(pinned.single_rmax(w) is not None for w in ws)
+    rng = np.random.default_rng(35)
+    L = 12
+    a = rng.uniform(-4, 4, size=(3 * L, 2 * L)).astype(np.float32)
+    b = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
+    a[:L, :L] = 1.0  # a zero sigma: W=1 only
+    stats = ctl.subblock_stats(a, b, L)
+    searches = []
+    lookup = ctl.lookup_nearest_solution
+
+    def counted(*args):
+        searches.append(args[-1])
+        return lookup(*args)
+
+    monkeypatch.setattr(ctl, "lookup_nearest_solution", counted)
+
+    def options(table):
+        return ctl.build_options(stats, table, "symmetric", "single", calib, w_set=ws)
+
+    want = options(pinned)
+    assert searches == []
+    for varied_ws in ((3,), (2, 3, 4)):
+        far = []
+        for w in varied_ws:
+            other = next(e.rmax for e in calib.admitted("single", "symmetric", w)
+                         if e.rmax != pinned.single_rmax(w))
+            far.append((1e9, 1e9, w, other, 1.0, 1.0, 0.0))
+        varied = cal.OfflineSolutionTable(
+            np.concatenate([pinned.data, np.array(far, dtype=pinned.data.dtype)]))
+        assert [w for w in ws if varied.single_rmax(w) is None] == list(varied_ws)
+        searches.clear()
+        got = options(varied)
+        assert searches == [sorted(varied_ws, reverse=True)]  # the ladder, W descending
+        assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
+
+
 class TestPlanGemm:
     def test_infinite_snr_is_bitwise_plain(self, desk_tables):
         calib, sols = desk_tables
@@ -482,8 +525,9 @@ class TestLockstepPrune:
 
 
 @pytest.fixture(scope="module")
-def grid_tables():
-    """W = 2, 3, 4 at L=12 over a coarse sigma grid spanning the input scales."""
+def grid_pinned_tables():
+    """W = 2, 3, 4 at L=12 over a coarse sigma grid spanning the input scales,
+    as ``build_offline_solutions`` makes it: one R_max per W."""
     L = 12
     calib = cal.CalibrationTable()
     for w in (2, 3, 4):
@@ -494,6 +538,14 @@ def grid_tables():
     sigmas = cal.log_sigma_grid(per_decade=2)
     sols = cal.build_offline_solutions([(sa, sb) for sa in sigmas for sb in sigmas], calib,
                                        "single", "symmetric", L, w_set=(2, 3, 4))
+    return calib, sols
+
+
+@pytest.fixture(scope="module")
+def grid_tables(grid_pinned_tables):
+    """``grid_pinned_tables`` with varied R_max, so that every W goes through
+    the nearest-solution search."""
+    calib, sols = grid_pinned_tables
     # every row of a W plans the same rmax here; spread them over the admitted
     # values so that one W needs several calibration lookups
     data = sols.data.copy()
