@@ -4,12 +4,12 @@ order-matched plain subblock product.
 The accumulation order is fixed everywhere: subblocks accumulate over the
 inner index ``l`` in ascending order, and each plain subblock product
 accumulates its own inner dimension in ascending order, in batches of
-rank-1 products written by ``np.einsum`` (one batch of all k inner indices
-whenever k*m*n <= ``_ONE_STEP_ELEMS``, which covers every subblock at
-L <= 50). This makes every plain result
-bitwise reproducible and testable against an order-matched oracle. Packed
-subblocks run through ``packing.packed_subblock_product`` on BLAS; the plain
-product stays their reference.
+rank-1 products written by ``np.einsum`` (up to ``_STEP_ELEMS`` = 2^17
+elements per batch, so all k inner indices in one step for every subblock
+at L <= 50). This makes every plain result bitwise reproducible and
+testable against an order-matched oracle. Packed subblocks run through
+``packing.packed_subblock_product`` on BLAS; the plain product stays their
+reference.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ import numpy as np
 
 from .errors import DimensionError, InvalidConfigError
 
-# Elements of the product buffer in plain_subblock_gemm. A product of at
-# most _ONE_STEP_ELEMS rank-1 elements (every subblock at L <= 50) takes all
-# its inner indices in one step; a larger one takes enough per step to
-# amortise NumPy's per-call cost, and one index per step (the plain loop) at
+# Elements of the product buffer in plain_subblock_gemm: enough inner
+# indices per step to amortise NumPy's per-call cost, all of them for every
+# subblock at L <= 50 (48^3 < 2^17), and one per step (the plain loop) at
 # L=288.
-_ONE_STEP_ELEMS = 1 << 17
-_STEP_ELEMS = 1 << 16
+_STEP_ELEMS = 1 << 17
 # Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
 _STATS_ELEMS = 1 << 16
 
@@ -85,8 +83,6 @@ def _inner_step(m: int, k: int, n: int) -> int:
     below 2 it runs the rank-1 loop."""
     if m * n <= 1:
         return 0
-    if k * m * n <= _ONE_STEP_ELEMS:
-        return k
     return min(k, _STEP_ELEMS // (m * n))
 
 
@@ -115,7 +111,7 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray, scratch=None) -> np.ndarra
     The first batch is reduced with ``initial=0``, so the sum starts from
     +0.0, as the loop's does, with no zero-filled accumulator; each later
     batch has the running sum added into its slice 0 before the reduce.
-    When k*m*n <= ``_ONE_STEP_ELEMS`` the first batch holds all k indices.
+    When k*m*n <= ``_STEP_ELEMS`` the first batch holds all k indices.
 
     ``einsum`` adds each product into a zeroed output, which is exact except
     that a ``-0.0`` product is written as ``+0.0``. That cannot change a

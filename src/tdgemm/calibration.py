@@ -198,7 +198,10 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     (``blocking.plain_scratch``), not ``np.matmul``, on the same integer
     tiles. A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of
     the ``repetitions`` samples times a batch of as many calls, so that a
-    sample spans about ``_SAMPLE_S`` whatever L is.
+    sample spans about ``_SAMPLE_S`` whatever L is; a median sample shorter
+    than 100 timer ticks raises ``TimerResolutionError``. At L=48 this does
+    not fix the sign of a gain near zero: samples of one side still spread
+    by about +-20% from run to run.
     """
     if repetitions < 3:
         raise InvalidConfigError("repetitions must be >= 3")
@@ -220,15 +223,16 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
             t0 = time.perf_counter()
             for _ in range(batch):
                 fn(*args)
-            samples.append((time.perf_counter() - t0) / batch)
-        return statistics.median(samples)
+            samples.append(time.perf_counter() - t0)
+        sample = statistics.median(samples)
+        if sample < 100 * _timer_resolution():
+            raise TimerResolutionError(
+                f"a sample of {batch} {fn.__name__} calls at L={L} lasts {sample:.2e}s, "
+                "below reliable timer resolution"
+            )
+        return sample / batch
 
     t_plain = timed(plain_subblock_gemm, at, bt, plain_scratch(L, dtype))
-    if t_plain < 100 * _timer_resolution():
-        raise TimerResolutionError(
-            f"plain pipeline at L={L} runs in {t_plain:.2e}s, below reliable timer "
-            "resolution; increase L or batch the measurement"
-        )
     rmax = packing.compute_rmax(1.0, 1.0, L, 20, 20)
     z = packing.compute_z(rmax)
     profile = SpeedupProfile()

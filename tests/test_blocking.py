@@ -171,16 +171,14 @@ class TestPlainGemm:
         st.sampled_from(["c", "fortran", "reversed", "slice"]),
         st.sampled_from(["c", "fortran", "reversed", "slice"]),
         st.booleans(),
-        st.sampled_from([blocking._STEP_ELEMS, 4096, 256, 16, 1]),
-        st.sampled_from([blocking._ONE_STEP_ELEMS, 0]),
+        st.sampled_from([blocking._STEP_ELEMS, 1 << 16, 4096, 256, 16, 1]),
         st.integers(0, 2 ** 31),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_rank1_loop_bitwise(self, dtype, m, n, k, lay_a, lay_b,
-                                        integer, step_elems, one_step_elems, seed):
+                                        integer, step_elems, seed):
         # small step budgets move the same shapes across the one-index cutoff
-        # and give batches that do not divide k; a one-step bound of 0 sends
-        # every shape through the batched steps
+        # and give batches that do not divide k
         rng = np.random.default_rng(seed)
         if integer:
             # integer-valued with signed zeros, as on the packed path
@@ -191,8 +189,7 @@ class TestPlainGemm:
             b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
         a = _layout(a.astype(dtype), lay_a)
         b = _layout(b.astype(dtype), lay_b)
-        with mock.patch.object(blocking, "_STEP_ELEMS", step_elems), \
-                mock.patch.object(blocking, "_ONE_STEP_ELEMS", one_step_elems):
+        with mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
             got = plain_subblock_gemm(a, b)
         want = rank1_loop(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -210,7 +207,7 @@ class TestPlainGemm:
     )
     @settings(max_examples=200, deadline=None)
     def test_one_step_bound_bitwise(self, dtype, m, n, k, past, integer, seed):
-        """At k*m*n == ``_ONE_STEP_ELEMS`` the product takes all k inner
+        """At k*m*n == ``_STEP_ELEMS`` the product takes all k inner
         indices in one step; one element past the bound it takes the batched
         steps (here batches of k - 1 and 1, or the rank-1 loop). Both are
         bitwise the rank-1 loop, with signed-zero products included."""
@@ -223,8 +220,7 @@ class TestPlainGemm:
             b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
         a, b = a.astype(dtype), b.astype(dtype)
         bound = k * m * n - past
-        with mock.patch.object(blocking, "_ONE_STEP_ELEMS", bound), \
-                mock.patch.object(blocking, "_STEP_ELEMS", bound):
+        with mock.patch.object(blocking, "_STEP_ELEMS", bound):
             c = blocking._inner_step(m, k, n)
             got = plain_subblock_gemm(a, b)
         if m * n == 1:
@@ -255,7 +251,7 @@ class TestPlainGemm:
             assert got.tobytes() == copy.tobytes()
 
     def test_scratch_sizes(self):
-        assert blocking.plain_scratch(48, np.float32).size == 48 ** 3 <= blocking._ONE_STEP_ELEMS
+        assert blocking.plain_scratch(48, np.float32).size == 48 ** 3 <= blocking._STEP_ELEMS
         assert blocking.plain_scratch(288, np.float64).size == 0  # the rank-1 loop
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -274,8 +270,7 @@ class TestPlainGemm:
         assert want.tolist() == [[0.0, -8.0], [0.0, -5.0]]
         assert not np.signbit(want[:, 0]).any()
         for step_elems in (16, 8):  # one batch of 4, or two of 2 (c = step_elems // 4)
-            with mock.patch.object(blocking, "_ONE_STEP_ELEMS", 0), \
-                    mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
+            with mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
                 got = plain_subblock_gemm(a, b)
             assert got.tobytes() == want.tobytes()
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from tdgemm import blocking, calibration as cal, packing
 from tdgemm.config import u_sys_of
-from tdgemm.errors import CalibrationMissingError, InvalidConfigError, TableFormatError
+from tdgemm.errors import (
+    CalibrationMissingError, InvalidConfigError, TableFormatError, TimerResolutionError,
+)
 from tdgemm.noise import InputStats, optimal_companders
 
 SMALL_SWEEP = [(2, b) for b in (1, 2, 4, 8, 16)]
@@ -124,6 +126,25 @@ class TestSpeedupProfile:
         assert ws == [2] * 12 + [3] * 12
         for e in profile.entries:
             assert e.fw_percent == pytest.approx((0.3 / 0.45 - 1.0) * 100.0)
+
+    def test_profile_checks_the_sample_not_the_call(self, monkeypatch):
+        """The timer guard compares a whole batch sample, not one call's mean,
+        with the timer resolution: a 0.3 ms call in a batch of 4 passes a
+        10 us timer and fails a 100 us one."""
+        now_ns = [0]
+
+        def plain(*args):
+            now_ns[0] += 300_000
+
+        monkeypatch.setattr(cal, "time", SimpleNamespace(
+            perf_counter=lambda: now_ns[0] * 1e-9, get_clock_info=time.get_clock_info))
+        monkeypatch.setattr(cal, "plain_subblock_gemm", plain)
+        monkeypatch.setattr(cal.packing, "packed_subblock_product", plain)
+        monkeypatch.setattr(cal, "_timer_resolution", lambda: 1e-5)
+        cal.measure_speedup_profile(48, "single", "symmetric", w_set=(2,), repetitions=3)
+        monkeypatch.setattr(cal, "_timer_resolution", lambda: 1e-4)
+        with pytest.raises(TimerResolutionError, match="sample of 4 plain calls"):
+            cal.measure_speedup_profile(48, "single", "symmetric", w_set=(2,), repetitions=3)
 
 
 def _solution_data(specs):
