@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
-"""End-to-end desk-scale run: calibrate, build solution tables, profile
-speedups, then sweep the accelerated fraction. Artifacts land in ./artifacts.
+"""End-to-end desk-scale run: calibrate, profile speedups, write the offline
+solution table, then sweep the accelerated fraction. The sweep plans from
+`calibration.csv` alone; `solutions.csv` is kept as one more artifact.
+Artifacts land in ./artifacts.
+
+Usage: python3 scripts/run_desk_pipeline.py [SEED]
 """
 
 import sys

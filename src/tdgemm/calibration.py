@@ -1,7 +1,14 @@
 """Offline measurement artifacts: representation-noise curves m/s(R_max, W),
-throughput profiling F_W, and the precomputed compander-solution table (one
-structured array, built per W by an array search over sigma pairs and R_max)
-with nearest-sigma runtime lookup. All three persist as versioned CSV files.
+throughput profiling F_W, and the compander-solution table (one structured
+array, built per W by an array search over sigma pairs and R_max). All three
+persist as versioned CSV files.
+
+The planner reads only the first two. Under ``uniform_extremes`` every term
+of the noise model scales as (sigma_a * sigma_b)^2, so the SNR-best R_max of
+a W is the same for every sigma pair, and ``controller.build_options`` takes
+it from ``build_offline_solutions`` at the one pair (1, 1). The full table is
+an offline report; ``load_solutions`` and ``lookup_nearest_solution`` read it
+back.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -55,8 +62,6 @@ class CalibEntry:
 @dataclass
 class CalibrationTable:
     entries: list = field(default_factory=list)
-    # (entries list, its length, {key: first entry}); rebuilt when either changes
-    _index: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def add(self, entry: CalibEntry) -> None:
         self.entries.append(entry)
@@ -70,19 +75,13 @@ class CalibrationTable:
 
     def lookup(self, precision: str, mode: str, w: int, rmax: int) -> CalibEntry:
         """Entry for the key; on duplicate keys the earliest entry wins."""
-        entries = self.entries
-        if self._index is None or self._index[0] is not entries \
-                or self._index[1] != len(entries):
-            by_key = {}
-            for e in entries:
-                by_key.setdefault(e.key, e)
-            self._index = (entries, len(entries), by_key)
-        entry = self._index[2].get((precision, mode, w, rmax))
-        if entry is None:
-            raise CalibrationMissingError(
-                f"no calibration entry for ({precision}, {mode}, W={w}, rmax={rmax})"
-            )
-        return entry
+        key = (precision, mode, w, rmax)
+        for e in self.entries:
+            if e.key == key:
+                return e
+        raise CalibrationMissingError(
+            f"no calibration entry for ({precision}, {mode}, W={w}, rmax={rmax})"
+        )
 
     def admitted(self, precision: str, mode: str, w: int, rmax_cap: int | None = None):
         """Entries usable by the controller: near-zero bias, optional R_max cap."""
@@ -279,33 +278,11 @@ _SOLUTION_DTYPE = np.dtype([("sigma_a", "f8"), ("sigma_b", "f8"), ("w", "i8"), (
 class OfflineSolutionTable:
     """Stored compander solutions, one per (sigma_a, sigma_b, W): ``data`` is a
     read-only copy of the rows as a structured array of ``_SOLUTION_DTYPE``, in
-    table order; the per-W sigmas and row positions lookups read are indexed here.
-    ``_search_of`` maps each W to the first W whose sigma columns are bitwise
-    the same, whose nearest-row search it shares. ``_single_rmax`` maps each
-    W whose rows all hold one R_max to it."""
+    table order."""
 
     def __init__(self, data):
         self.data = np.array(data, dtype=_SOLUTION_DTYPE)
         self.data.flags.writeable = False
-        self._by_w, self._search_of, self._single_rmax, first = {}, {}, {}, {}
-        for w in np.unique(self.data["w"]).tolist():
-            pos = np.flatnonzero(self.data["w"] == w)
-            sa, sb = self.data["sigma_a"][pos], self.data["sigma_b"][pos]
-            self._by_w[w] = (sa, sb, pos)
-            self._search_of[w] = first.setdefault((sa.tobytes(), sb.tobytes()), w)
-            rmax = np.unique(self.data["rmax"][pos])
-            if len(rmax) == 1:
-                self._single_rmax[w] = int(rmax[0])
-
-    def ws(self):
-        return sorted(self._by_w)
-
-    def single_rmax(self, w: int):
-        """The R_max every row of W holds, or None if they differ or W has
-        no rows: then only ``lookup_nearest_solution`` can tell the R_max
-        of a sigma pair. Every ``build_offline_solutions`` table holds one
-        R_max per W."""
-        return self._single_rmax.get(w)
 
 
 # (sigma pair, R_max) elements per step of the solution build, which bounds
@@ -357,77 +334,39 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
     return OfflineSolutionTable(out)
 
 
-# distances per step of the nearest-solution search, which bounds its
-# temporaries whatever the number of queries
-_LOOKUP_CHUNK = 1 << 15
-
-
-def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w):
-    """Stored solution with the closest sigmas; ties go to the earlier row.
+def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: int):
+    """Stored solution of W with the closest sigmas; ties go to the earlier row.
 
     Distance is squared Euclidean in linear sigma. A NaN distance never
     displaces an earlier row, so a NaN query returns the first row of W.
     The sigmas, floats or arrays, broadcast together; the CompanderSolution
     returned holds c_a, c_b, rmax and expected_snr_db as arrays of that
-    shape (0-d for float sigmas), one entry per query. ``w`` is one W, or a
-    sequence of them: then a tuple of one CompanderSolution per W comes back,
-    and every W whose rows hold the same sigma columns (all of them, in a
-    ``build_offline_solutions`` table) is served by one search.
+    shape (0-d for float sigmas), one entry per query.
     """
-    ws = [w] if np.ndim(w) == 0 else list(w)
-    missing = [v for v in ws if v not in table._by_w]
-    if missing:
-        raise CalibrationMissingError(f"solution table has no entries for W={missing[0]}")
+    rows = table.data[table.data["w"] == w]
+    if not len(rows):
+        raise CalibrationMissingError(f"solution table has no entries for W={w}")
     qa, qb = np.broadcast_arrays(np.asarray(sigma_a, dtype=np.float64),
                                  np.asarray(sigma_b, dtype=np.float64))
-    near = {}
-    out = []
-    for v in ws:
-        key = table._search_of[v]
-        if key not in near:
-            near[key] = _nearest_rows(qa.ravel(), qb.ravel(), *table._by_w[key][:2])
-        found = table.data[table._by_w[v][2][near[key]]].reshape(qa.shape)
-        out.append(CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
-                                     expected_snr_db=found["snr_db"], w=v))
-    return out[0] if np.ndim(w) == 0 else tuple(out)
-
-
-def _nearest_rows(qa, qb, sa, sb):
-    """Per query, the position of the first row of least distance.
-
-    The search runs over chunks of queries of about ``_LOOKUP_CHUNK``
-    distances.
-    """
-    # only a NaN or infinite sigma makes a NaN distance
-    finite = all(np.isfinite(x).all() for x in (qa, qb, sa, sb))
-    near = np.empty(qa.size, dtype=np.intp)
-    step = max(1, min(qa.size, _LOOKUP_CHUNK // len(sa)))
-    buf_a, buf_b = np.empty((step, len(sa))), np.empty((step, len(sa)))
     with np.errstate(invalid="ignore", over="ignore"):
-        for q in range(0, qa.size, step):
-            g = min(step, qa.size - q)
-            d, d_b = buf_a[:g], buf_b[:g]
-            np.subtract(qa[q:q + g, None], sa, out=d)
-            np.subtract(qb[q:q + g, None], sb, out=d_b)
-            d *= d
-            d_b *= d_b
-            d += d_b
-            if finite:
-                near[q:q + g] = d.argmin(axis=1)
-                continue
-            # the first minimum of the rest, or row 0 if its distance is NaN
-            first_nan = np.isnan(d[:, 0])
-            d[np.isnan(d)] = np.inf
-            i = d.argmin(axis=1)
-            i[first_nan] = 0
-            near[q:q + g] = i
-    return near
+        da = qa[..., None] - rows["sigma_a"]
+        db = qb[..., None] - rows["sigma_b"]
+        d = da * da + db * db
+    # the first minimum, where a NaN distance never wins, or row 0 if its is NaN
+    first_nan = np.isnan(d[..., 0])
+    d[np.isnan(d)] = np.inf
+    near = np.where(first_nan, 0, d.argmin(axis=-1))
+    found = rows[near.reshape(-1)].reshape(qa.shape)
+    return CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
+                             expected_snr_db=found["snr_db"], w=w)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 def _write_csv(path, header, rows):
+    """The version line, the header and ``rows``; ``csv.writer`` writes a
+    Python float as its ``repr``, which reads back as the same float."""
     with open(path, "w", newline="") as f:
         f.write(f"# version {FORMAT_VERSION}\n")
         writer = csv.writer(f)
@@ -485,25 +424,30 @@ SOLUTION_HEADER = ["sigma_a", "sigma_b", "W", "rmax", "c_a", "c_b", "snr_db"]
 
 
 def save_calibration(table: CalibrationTable, path) -> None:
-    rows = [
-        [e.precision, e.mode, e.w, e.rmax, repr(e.mean_err), repr(e.rmse), e.trials, e.seed]
-        for e in table.entries
-    ]
-    _write_csv(path, CALIB_HEADER, rows)
+    _write_csv(path, CALIB_HEADER, map(astuple, table.entries))
+
+
+def _finite_float(lo: float = -math.inf):
+    """A field parser that takes only a finite float of at least ``lo``."""
+    def parse(text: str) -> float:
+        x = float(text)
+        if not (math.isfinite(x) and x >= lo):
+            raise ValueError(text)
+        return x
+    return parse
 
 
 def load_calibration(path) -> CalibrationTable:
+    """The table in ``path``. A NaN or infinite ``mean_err`` or ``rmse``, or a
+    negative ``rmse``, is a malformed row: the planner would take it as a
+    measurement."""
     lines = _data_lines(path, CALIB_HEADER)
-    types = (str, str, int, int, float, float, int, int)
+    types = (str, str, int, int, _finite_float(), _finite_float(0.0), int, int)
     return CalibrationTable([CalibEntry(*r) for r in _typed_rows(path, lines, CALIB_HEADER, types)])
 
 
 def save_speedup(profile: SpeedupProfile, path) -> None:
-    rows = [
-        [e.precision, e.mode, e.w, e.L, repr(e.fw_percent), repr(e.mac_ratio), e.reps]
-        for e in profile.entries
-    ]
-    _write_csv(path, SPEEDUP_HEADER, rows)
+    _write_csv(path, SPEEDUP_HEADER, map(astuple, profile.entries))
 
 
 def load_speedup(path) -> SpeedupProfile:
@@ -518,9 +462,8 @@ _SAVE_CHUNK = 1 << 10
 
 def save_solutions(table: OfflineSolutionTable, path) -> None:
     data = table.data
-    rows = ([repr(sa), repr(sb), w, rmax, repr(ca), repr(cb), repr(snr)]
-            for k in range(0, len(data), _SAVE_CHUNK)
-            for sa, sb, w, rmax, ca, cb, snr in data[k:k + _SAVE_CHUNK].tolist())
+    rows = (row for k in range(0, len(data), _SAVE_CHUNK)
+            for row in data[k:k + _SAVE_CHUNK].tolist())
     _write_csv(path, SOLUTION_HEADER, rows)
 
 

@@ -1,6 +1,9 @@
 """Command-line front end: calibration runs, speedup profiling, solution-table
 builds, constrained multiplies on file-based matrices, and sweep experiments
-emitting CSV. Every run writes a JSON manifest describing its inputs."""
+emitting CSV. ``multiply`` and ``sweep`` plan from ``calibration.csv``, and
+``multiply`` from ``speedup.csv`` too when it exists; ``solutions.csv`` is an
+offline report that no planner reads. Every run writes a JSON manifest
+describing its inputs."""
 
 from __future__ import annotations
 
@@ -63,23 +66,26 @@ def _write_manifest(out_dir: Path, command: str, args, inputs, outputs) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_tables(tables_dir: Path, need=("calibration", "solutions")):
-    out = {}
-    loaders = {
-        "calibration": calibration.load_calibration,
-        "speedup": calibration.load_speedup,
-        "solutions": calibration.load_solutions,
-    }
-    for name in need:
-        path = tables_dir / TABLE_FILES[name]
-        if not path.exists():
-            raise CalibrationMissingError(f"missing {name} table: {path}")
-        out[name] = loaders[name](path)
-    return out
+def _load_calibration(tables_dir: Path) -> calibration.CalibrationTable:
+    path = tables_dir / TABLE_FILES["calibration"]
+    if not path.exists():
+        raise CalibrationMissingError(f"missing calibration table: {path}")
+    return calibration.load_calibration(path)
 
 
 def _w_set_for_l(L: int, requested) -> tuple:
     return tuple(w for w in requested if L % w == 0)
+
+
+def _calibrated_w_set(calib: calibration.CalibrationTable, precision: str, mode: str,
+                      L: int) -> tuple:
+    """The W's ``calib`` holds for (precision, mode) that divide L."""
+    ws = _w_set_for_l(L, sorted({e.w for e in calib.entries
+                                 if (e.precision, e.mode) == (precision, mode)}))
+    if not ws:
+        raise CalibrationMissingError(
+            f"no calibration entries for ({precision}, {mode}) with a W that divides L={L}")
+    return ws
 
 
 def cmd_calibrate(args) -> int:
@@ -121,11 +127,11 @@ def cmd_profile(args) -> int:
 def cmd_solutions(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = _load_tables(Path(args.tables), need=("calibration",))
+    calib = _load_calibration(Path(args.tables))
     sigmas = calibration.log_sigma_grid(per_decade=args.per_decade)
     pairs = [(sa, sb) for sa in sigmas for sb in sigmas]
     table = calibration.build_offline_solutions(
-        pairs, tables["calibration"], args.precision, args.mode, args.l,
+        pairs, calib, args.precision, args.mode, args.l,
         w_set=_w_set_for_l(args.l, args.w),
     )
     path = out_dir / TABLE_FILES["solutions"]
@@ -190,7 +196,7 @@ def cmd_multiply(args) -> int:
         t_loaded = t_planned = t0
         result = tiered_gemm(a, b, L)
     else:
-        tables = _load_tables(Path(args.tables))
+        calib = _load_calibration(Path(args.tables))
         profile = None
         speedup_path = Path(args.tables) / TABLE_FILES["speedup"]
         if speedup_path.exists():
@@ -200,11 +206,9 @@ def cmd_multiply(args) -> int:
             constraint = controller.KernelConstraint(target_snr_db=args.snr_db)
         else:
             constraint = controller.KernelConstraint(target_accel_percent=args.accel_percent)
-        w_set = _w_set_for_l(L, tables["solutions"].ws())
-        plan = controller.plan_gemm(
-            a, b, L, constraint, tables["solutions"], tables["calibration"],
-            args.mode, args.precision, profile=profile, w_set=w_set,
-        )
+        w_set = _calibrated_w_set(calib, args.precision, args.mode, L)
+        plan = controller.plan_gemm(a, b, L, constraint, calib, args.mode, args.precision,
+                                    profile=profile, w_set=w_set)
         t_planned = time.perf_counter()
         result = tiered_gemm(a, b, L, plan)
     t_done = time.perf_counter()
@@ -254,7 +258,7 @@ def _sweep_inputs(L: int, blocks: int, precision: str, seed: int):
 def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables = _load_tables(Path(args.tables))
+    calib = _load_calibration(Path(args.tables))
     L = args.l
     a, b = _sweep_inputs(L, args.blocks, args.precision, args.seed)
     ref = tiered_gemm(a, b, L)
@@ -268,8 +272,8 @@ def cmd_sweep(args) -> int:
     # options depend only on the inputs, so every step reuses them
     stats = controller.subblock_stats(a, b, L)
     options = controller.option_lists(
-        controller.build_options(stats, tables["solutions"], args.mode, args.precision,
-                                 tables["calibration"], w_set=(w,)), args.mode)
+        controller.build_options(stats, args.mode, args.precision, calib, w_set=(w,)),
+        args.mode)
     options_per_kernel = {key: options[k * blocks:(k + 1) * blocks]
                           for k, key in enumerate(kernels)}
     for step in range(11):

@@ -2,8 +2,10 @@
 
 Converts an SNR or acceleration target for each L x L output kernel into
 per-subblock packing choices. The options of every subblock of a multiply
-are built in one batched array pass, as one array per W, from the solution
-table's R_max per W. The planner starts every subblock at its
+are built in one batched array pass, as one array per W, at one R_max per
+W: the calibration table's SNR-best R_max, which under the zero-mean
+uniform model is the same for every sigma pair, so the solution build at
+the one pair (1, 1) finds it. The planner starts every subblock at its
 highest-throughput option and greedily demotes the option with the highest
 predicted distortion until the constraint is met. Under an SNR floor every
 kernel's prune runs in one lockstep array loop, one demotion per unfinished
@@ -25,9 +27,9 @@ from .blocking import reorder_block_major
 from .calibration import (
     CalibrationTable,
     FORMAT_VERSION,
-    OfflineSolutionTable,
     SpeedupProfile,
-    lookup_nearest_solution,
+    build_offline_solutions,
+    lookup_nearest_solution,  # noqa: F401  no caller; perfbench's tracer requires it here
 )
 from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigError
 from .noise import BatchStats, combined_distortion, optimal_companders
@@ -167,9 +169,8 @@ def _option_rows(p, n_l, **fields):
     return rows
 
 
-def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: str,
-                  calib: CalibrationTable, profile: SpeedupProfile | None = None,
-                  w_set=(2, 3, 4)) -> list:
+def build_options(stats, mode: str, precision: str, calib: CalibrationTable,
+                  profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> list:
     """Options of many subblocks, as one ``OPTION_DTYPE`` array per W.
 
     ``stats`` holds one entry per subblock: the InputStats of one kernel's
@@ -178,13 +179,14 @@ def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: 
     W=1 last; each holds the subblocks that have that W, in C order of
     ``stats``. ``option_lists`` turns them into one list per subblock.
 
-    R_max comes from the solution table: a W whose rows all hold one R_max
-    (every table ``tdgemm solutions`` writes) takes it without a search, and
-    one nearest-solution search serves every other W. Companders and the
-    distortion prediction are recomputed from the runtime sigmas in one
-    array pass per W. Without a measured profile the speedup falls back to
-    the MAC-count gain. A W whose measured gain is not positive is left out:
-    W=1 dominates it. A subblock with a zero sigma gets only W=1.
+    Each W takes one R_max for every subblock: the one
+    ``build_offline_solutions`` finds at the sigma pair (1, 1), which its
+    zero-mean uniform model finds at every pair, with the RMSE the
+    calibration table holds for it. Companders and the distortion prediction
+    are computed from the runtime sigmas in one array pass per W. Without a
+    measured profile the speedup falls back to the MAC-count gain. A W whose
+    measured gain is not positive is left out: W=1 dominates it. A subblock
+    with a zero sigma gets only W=1.
     """
     if not isinstance(stats, BatchStats):
         stats = BatchStats.of(stats)
@@ -200,25 +202,17 @@ def build_options(stats, solutions: OfflineSolutionTable, mode: str, precision: 
             fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
             if fw > 0:  # else W=1 is at least as fast, at zero distortion
                 ladder.append((w, fw))
+        best = build_offline_solutions([(1.0, 1.0)], calib, precision, mode, stats.L,
+                                       w_set=[w for w, _ in ladder]).data
+        rmax_of = dict(zip(best["w"].tolist(), best["rmax"].tolist()))
         sub = stats.take(live)
-        searched = [w for w, _ in ladder if solutions.single_rmax(w) is None]
-        found = {}
-        if searched:
-            found = dict(zip(searched, lookup_nearest_solution(solutions, sub.sigma_a,
-                                                               sub.sigma_b, searched)))
         for w, fw in ladder:
-            if w in found:
-                rmax = found[w].rmax
-            else:
-                rmax = np.full(live.shape, solutions.single_rmax(w), dtype=np.int64)
-            values, at = np.unique(rmax, return_inverse=True)
-            s_repr = np.array([calib.lookup(precision, mode, w, r).rmse
-                               for r in values.tolist()])[at]
-            z = np.array([packing.compute_z(r) for r in values.tolist()])[at]
+            rmax = rmax_of[w]
+            s_repr = calib.lookup(precision, mode, w, rmax).rmse
             comp = optimal_companders(sub, rmax, s_repr=s_repr, w=w)
             d_hat = combined_distortion(sub, comp.c_a, comp.c_b, s_repr).total
             options.append(_option_rows(live, n_l, w=w, c_a=comp.c_a, c_b=comp.c_b, rmax=rmax,
-                                        z=z, d_hat=d_hat, fw_percent=fw))
+                                        z=packing.compute_z(rmax), d_hat=d_hat, fw_percent=fw))
     options.append(_option_rows(np.arange(sa.size), n_l, w=1, c_a=1.0, c_b=1.0))
     return options
 
@@ -401,9 +395,8 @@ def subblock_stats(a: np.ndarray, b: np.ndarray, L: int) -> BatchStats:
 
 
 def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
-              solutions: OfflineSolutionTable, calib: CalibrationTable, mode: str,
-              precision: str, profile: SpeedupProfile | None = None,
-              w_set=(2, 3, 4)) -> KernelPlan:
+              calib: CalibrationTable, mode: str, precision: str,
+              profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> KernelPlan:
     """Plan every inner kernel of A @ B under a uniform per-kernel constraint.
 
     One ``build_options`` call covers every subblock. Under an SNR floor one
@@ -412,8 +405,7 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
     acceleration floor each kernel is pruned on its own option lists.
     """
     stats = subblock_stats(a, b, L)
-    options = build_options(stats, solutions, mode, precision, calib,
-                            profile=profile, w_set=w_set)
+    options = build_options(stats, mode, precision, calib, profile=profile, w_set=w_set)
     blocks_i, blocks_j, n_l = stats.shape
     keys = [(i, j) for i in range(blocks_i) for j in range(blocks_j)]
     plan = KernelPlan()

@@ -33,16 +33,6 @@ def calib48():
     return t
 
 
-@pytest.fixture(scope="module")
-def solutions48(calib48):
-    sigmas = cal.log_sigma_grid(per_decade=2)
-    pairs = [(sa, sb) for sa in sigmas for sb in sigmas]
-    return {
-        mode: cal.build_offline_solutions(pairs, calib48, "single", mode, L, w_set=(2,))
-        for mode in packing.MODES
-    }
-
-
 def test_criterion_01_exact_region():
     """Pack-multiply-unpack is bit-exact wherever the engine claims exactness."""
     rng = np.random.default_rng(SEED)
@@ -171,12 +161,12 @@ def test_criterion_05_packing_count_bound_values():
             f"W_ef at rmax=32768: single={wef_single} (want 2), double={wef_double} (want 4)")
 
 
-def _all_w2_plan(a, b, mode, solutions, calib):
+def _all_w2_plan(a, b, mode, calib):
     plan = ctl.KernelPlan()
     stats = ctl.subblock_stats(a, b, L)
     bi, bj, n_l = stats.shape
     options = ctl.option_lists(
-        ctl.build_options(stats, solutions, mode, "single", calib, w_set=(2,)), mode)
+        ctl.build_options(stats, mode, "single", calib, w_set=(2,)), mode)
     for k, key in enumerate((i, j) for i in range(bi) for j in range(bj)):
         choices = [opts[0] for opts in options[k * n_l:(k + 1) * n_l]]
         plan.entries[key] = ctl.KernelPlanEntry(
@@ -187,7 +177,7 @@ def _all_w2_plan(a, b, mode, solutions, calib):
     return plan
 
 
-def test_criterion_06_mode_ordering(calib48, solutions48):
+def test_criterion_06_mode_ordering(calib48):
     """Symmetric packing is never noisier than asymmetric."""
     grid_ok = True
     for e_sym in calib48.slice("single", "symmetric", 2):
@@ -198,7 +188,7 @@ def test_criterion_06_mode_ordering(calib48, solutions48):
     ref = a.astype(np.float64) @ b.astype(np.float64)
     snr = {}
     for mode in packing.MODES:
-        plan = _all_w2_plan(a, b, mode, solutions48[mode], calib48)
+        plan = _all_w2_plan(a, b, mode, calib48)
         got = tiered_gemm(a, b, L, plan).astype(np.float64)
         snr[mode] = 10.0 * math.log10(float((ref ** 2).sum()) /
                                       float(((got - ref) ** 2).sum()))
@@ -231,7 +221,7 @@ def test_criterion_07_error_source_independence():
     verdict(7, abs(corr) < 0.05, f"|Pearson correlation| = {abs(corr):.4f} (< 0.05)")
 
 
-def test_criterion_08_controller_correctness(calib48, solutions48):
+def test_criterion_08_controller_correctness(calib48):
     import itertools
 
     rng = np.random.default_rng(SEED + 4)
@@ -268,8 +258,7 @@ def test_criterion_08_controller_correctness(calib48, solutions48):
     a = rng.uniform(-8, 8, size=(2 * L, 2 * L)).astype(np.float32)
     b = rng.uniform(-8, 8, size=(2 * L, 2 * L)).astype(np.float32)
     plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=math.inf),
-                         solutions48["symmetric"], calib48, "symmetric", "single",
-                         w_set=(2,))
+                         calib48, "symmetric", "single", w_set=(2,))
     plain_ok = bool(np.array_equal(tiered_gemm(a, b, L, plan), tiered_gemm(a, b, L)))
     verdict(8, bound_ok and exhaustive_ok and plain_ok,
             f"budget respected={bound_ok}, greedy=exhaustive={exhaustive_ok}, "

@@ -63,6 +63,8 @@ def _traced_multiply(tables, tmp_path, mean, snr_db):
 def test_traced_multiply_counts(tables, tmp_path):
     count = _traced_multiply(tables, tmp_path, 0.0, 33)
     assert count("controller.build_options", "n") > 0
+    assert count("calibration.load_calibration") == 1
+    assert count("calibration.load_solutions") == 0
     assert count("blocking.reorder_block_major") == 4
     plain = count("blocking.plain_subblock_gemm@blocking.tiered_gemm")
     packed = count("packing.packed_subblock_product")
@@ -73,10 +75,11 @@ def test_traced_multiply_counts(tables, tmp_path):
 def test_traced_all_plain_multiply_counts(tables, tmp_path):
     """A +100 mean makes the zero-mean model demote every subblock to W=1
     under a 20 dB floor, as on the benchmark's offset workload: every
-    subblock still runs one traced plain call, and no nearest-solution search
-    runs, since the table holds one R_max per W."""
+    subblock still runs one traced plain call. The solution table is neither
+    loaded nor searched: the planner takes R_max from the calibration table."""
     count = _traced_multiply(tables, tmp_path, 100.0, 20)
     assert count("blocking.reorder_block_major") == 4
     assert count("blocking.plain_subblock_gemm@blocking.tiered_gemm") == BLOCKS ** 3
     assert count("packing.packed_subblock_product") == 0
     assert count("calibration.lookup_nearest_solution") == 0
+    assert count("calibration.load_solutions") == 0

@@ -132,8 +132,6 @@ class TestMultiplyCommand:
             calibration.CalibrationTable(calibration.measure_repr_noise(
                 L, "single", "symmetric", 2, sweep=[(22, 1)], trials=2)),
             tables / "calibration.csv")
-        assert cli.main(["--l", str(L), "--tables", str(tables), "--out", str(tables),
-                         "solutions", "--w", "2", "--per-decade", "1"]) == 0
         narrow = report(tables, tmp_path / "narrow")
         assert narrow["w_histogram"] == {"2": 8}
         assert narrow["exact_subblocks"] == 8
@@ -192,9 +190,8 @@ class TestMultiplyCommand:
     def test_malformed_table_exit_code(self, workdir, tmp_path, capsys):
         tables = tmp_path / "tables"
         tables.mkdir()
-        for name in ("calibration.csv", "solutions.csv"):
-            (tables / name).write_bytes((workdir / "tables" / name).read_bytes())
-        path = tables / "solutions.csv"
+        path = tables / "calibration.csv"
+        path.write_bytes((workdir / "tables" / "calibration.csv").read_bytes())
         lines = path.read_bytes().splitlines(keepends=True)
         fields = lines[3].split(b",")
         fields[3] = b"abc"  # rmax of the second data row, on line 4
@@ -205,6 +202,32 @@ class TestMultiplyCommand:
                          "--snr-db", "30"])
         assert code == 1
         assert f"{path}, line 4: bad rmax value 'abc'" in capsys.readouterr().err
+
+    def test_solution_table_is_not_read(self, workdir, tmp_path):
+        """Without ``solutions.csv`` a multiply plans and computes what it does
+        with it."""
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "calibration.csv").write_bytes(
+            (workdir / "tables" / "calibration.csv").read_bytes())
+        outputs = []
+        for tag, tables_dir in (("with", workdir / "tables"), ("without", tables)):
+            out = tmp_path / tag
+            assert cli.main(["--l", str(L), "--tables", str(tables_dir), "--out", str(out),
+                             "multiply", str(workdir / "a.tgmm"), str(workdir / "b.tgmm"),
+                             "--snr-db", "30"]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("plan.csv", "result.tgmm")])
+        assert outputs[0] == outputs[1]
+
+    def test_uncalibrated_mode_exit_code(self, workdir, tmp_path, capsys):
+        """The tables hold symmetric curves only: an asymmetric multiply fails
+        and names the pair, rather than planning every subblock plain."""
+        code = cli.main(["--l", str(L), "--mode", "asymmetric", "--tables",
+                         str(workdir / "tables"), "--out", str(tmp_path / "o"), "multiply",
+                         str(workdir / "a.tgmm"), str(workdir / "b.tgmm"), "--snr-db", "30"])
+        assert code == 1
+        assert "(single, asymmetric)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "result.tgmm").exists()
 
     def test_missing_tables_exit_code(self, workdir, tmp_path):
         code = cli.main(["--l", str(L), "--tables", str(tmp_path / "absent"),

@@ -1,6 +1,5 @@
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdgemm import calibration as cal, controller as ctl, noise, packing
 from tdgemm.blocking import reorder_block_major, tiered_gemm
-from tdgemm.errors import InfeasibleConstraintError, InvalidConfigError
+from tdgemm.errors import CalibrationMissingError, InfeasibleConstraintError, InvalidConfigError
 from tdgemm.noise import InputStats
 
 
@@ -135,76 +134,69 @@ class TestThroughputPlanner:
 
 
 @pytest.fixture(scope="module")
-def desk_tables():
+def calib():
     L = 12
     calib = cal.CalibrationTable()
     calib.extend(cal.measure_repr_noise(L, "single", "symmetric", 2,
                                         sweep=[(2, b) for b in (1, 4, 16)],
                                         trials=3, seed=5))
-    sols = cal.build_offline_solutions([(1.0, 1.0), (5.0, 5.0)], calib,
-                                       "single", "symmetric", L, w_set=(2,))
-    return calib, sols
+    return calib
 
 
-def option_lists(stats, sols, calib, **kwargs):
+def option_lists(stats, calib, **kwargs):
     """Per-subblock option lists of a ``build_options`` call, symmetric mode."""
-    options = ctl.build_options(stats, sols, "symmetric", "single", calib, **kwargs)
+    options = ctl.build_options(stats, "symmetric", "single", calib, **kwargs)
     return ctl.option_lists(options, "symmetric")
 
 
 class TestBuildOptions:
-    def test_compander_product_invariant(self, desk_tables):
-        calib, sols = desk_tables
+    def test_compander_product_invariant(self, calib):
         stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, 12)]
-        opts = option_lists(stats, sols, calib, w_set=(2,))[0]
+        opts = option_lists(stats, calib, w_set=(2,))[0]
         packed = opts[0]
         ct = 12 * 4.0 * 6.0 / packed.rmax
         assert packed.c_a * packed.c_b * ct == pytest.approx(1.0)
         assert opts[-1].w == 1 and opts[-1].d_hat == 0.0
 
-    def test_degenerate_sigma_only_plain(self, desk_tables):
-        calib, sols = desk_tables
+    def test_degenerate_sigma_only_plain(self, calib):
         stats = [InputStats(0.0, 3.0, -1.0, 1.0, -6.0, 6.0, 12)]
-        opts = option_lists(stats, sols, calib, w_set=(2,))[0]
+        opts = option_lists(stats, calib, w_set=(2,))[0]
         assert [o.w for o in opts] == [1]
 
-    def test_one_array_per_w(self, desk_tables):
+    def test_one_array_per_w(self, calib):
         """W descending, W=1 last; a W array holds only the subblocks that have
         the W, so the lengths add up to the options built."""
-        calib, sols = desk_tables
         stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, 12),
                  InputStats(0.0, 3.0, -1.0, 1.0, -6.0, 6.0, 12),
                  InputStats(1.0, 1.0, -2.0, 2.0, -2.0, 2.0, 12)]
-        options = ctl.build_options(stats, sols, "symmetric", "single", calib, w_set=(2,))
+        options = ctl.build_options(stats, "symmetric", "single", calib, w_set=(2,))
         assert [rows["w"].tolist() for rows in options] == [[2, 2], [1, 1, 1]]
         assert [rows["p"].tolist() for rows in options] == [[0, 2], [0, 1, 2]]
         lists = ctl.option_lists(options, "symmetric")
         assert sum(map(len, options)) == sum(map(len, lists)) == 5
 
-    def test_d_hat_matches_monte_carlo(self, desk_tables):
-        calib, sols = desk_tables
+    def test_d_hat_matches_monte_carlo(self, calib):
         rng = np.random.default_rng(32)
         L = 12
         a = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
         b = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
         stats = [InputStats.from_tiles(a, b)]
-        packed = option_lists(stats, sols, calib, w_set=(2,))[0][0]
+        packed = option_lists(stats, calib, w_set=(2,))[0][0]
         exact = a.astype(np.float64) @ b.astype(np.float64)
         errs = []
         for _ in range(200):
             aa = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
             bb = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
             st_mc = InputStats.from_tiles(aa, bb)
-            o = option_lists([st_mc], sols, calib, w_set=(2,))[0][0]
+            o = option_lists([st_mc], calib, w_set=(2,))[0][0]
             got = packing.packed_subblock_product(aa, bb, o.to_packing_config())
             e = got.astype(np.float64) - aa.astype(np.float64) @ bb.astype(np.float64)
             errs.append(float((e ** 2).mean()) / o.d_hat)
         assert abs(np.mean(errs) - 1.0) < 0.25
 
 
-    def test_nonpositive_measured_gain_is_never_planned(self, desk_tables):
+    def test_nonpositive_measured_gain_is_never_planned(self, calib):
         """W=1 dominates a packed option that costs accuracy and buys no speed."""
-        calib, sols = desk_tables
         rng = np.random.default_rng(34)
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
@@ -213,7 +205,7 @@ class TestBuildOptions:
         def histogram(fw_percent, constraint):
             profile = cal.SpeedupProfile(
                 [cal.ProfileEntry("single", "symmetric", 2, L, fw_percent, 2.0, 3)])
-            plan = ctl.plan_gemm(a, b, L, constraint, sols, calib, "symmetric", "single",
+            plan = ctl.plan_gemm(a, b, L, constraint, calib, "symmetric", "single",
                                  profile=profile, w_set=(2,))
             return plan.w_histogram()
 
@@ -225,70 +217,25 @@ class TestBuildOptions:
             assert histogram(fw_percent, accel_floor) == {1: 8}
 
 
-def test_single_rmax_skips_the_search_with_the_same_options(grid_pinned_tables, monkeypatch):
-    """A W whose rows all hold one R_max takes it without the nearest-solution
-    search, and its options are bitwise those of the search path: the same
-    table with one far row of another R_max added to some Ws searches those
-    Ws and finds the same rows."""
-    calib, pinned = grid_pinned_tables
-    ws = (2, 3, 4)
-    assert all(pinned.single_rmax(w) is not None for w in ws)
-    rng = np.random.default_rng(35)
-    L = 12
-    a = rng.uniform(-4, 4, size=(3 * L, 2 * L)).astype(np.float32)
-    b = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
-    a[:L, :L] = 1.0  # a zero sigma: W=1 only
-    stats = ctl.subblock_stats(a, b, L)
-    searches = []
-    lookup = ctl.lookup_nearest_solution
-
-    def counted(*args):
-        searches.append(args[-1])
-        return lookup(*args)
-
-    monkeypatch.setattr(ctl, "lookup_nearest_solution", counted)
-
-    def options(table):
-        return ctl.build_options(stats, table, "symmetric", "single", calib, w_set=ws)
-
-    want = options(pinned)
-    assert searches == []
-    for varied_ws in ((3,), (2, 3, 4)):
-        far = []
-        for w in varied_ws:
-            other = next(e.rmax for e in calib.admitted("single", "symmetric", w)
-                         if e.rmax != pinned.single_rmax(w))
-            far.append((1e9, 1e9, w, other, 1.0, 1.0, 0.0))
-        varied = cal.OfflineSolutionTable(
-            np.concatenate([pinned.data, np.array(far, dtype=pinned.data.dtype)]))
-        assert [w for w in ws if varied.single_rmax(w) is None] == list(varied_ws)
-        searches.clear()
-        got = options(varied)
-        assert searches == [sorted(varied_ws, reverse=True)]  # the ladder, W descending
-        assert [rows.tobytes() for rows in got] == [rows.tobytes() for rows in want]
-
-
 class TestPlanGemm:
-    def test_infinite_snr_is_bitwise_plain(self, desk_tables):
-        calib, sols = desk_tables
+    def test_infinite_snr_is_bitwise_plain(self, calib):
         rng = np.random.default_rng(33)
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
         b = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
         plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=math.inf),
-                             sols, calib, "symmetric", "single", w_set=(2,))
+                             calib, "symmetric", "single", w_set=(2,))
         assert plan.w_histogram() == {1: 8}
         np.testing.assert_array_equal(tiered_gemm(a, b, L, plan), tiered_gemm(a, b, L))
 
-    def test_budgets_respected_per_kernel(self, desk_tables):
-        calib, sols = desk_tables
+    def test_budgets_respected_per_kernel(self, calib):
         rng = np.random.default_rng(34)
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
         b = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
         target = 30.0
         plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=target),
-                             sols, calib, "symmetric", "single", w_set=(2,))
+                             calib, "symmetric", "single", w_set=(2,))
         sigma_a = reorder_block_major(a, L).sigma
         sigma_b = reorder_block_major(b, L).sigma
         for (i, j), entry in plan.entries.items():
@@ -424,7 +371,30 @@ def frozen_kernel_stats(a, b, L):
     return out
 
 
-def frozen_build_options(stats_per_l, solutions, mode, precision, calib, profile, w_set):
+def frozen_build_solutions(sigma_pairs, calib, precision, mode, L, w):
+    """``calibration.build_offline_solutions`` of one W when the planner first
+    took its R_max from it, in one pass without chunks: per sigma pair, the
+    admitted R_max values in ascending order and their model SNRs (computed
+    with ``math.log10``), and the first R_max of highest SNR."""
+    admitted = calib.admitted(precision, mode, w,
+                              rmax_cap=cal.DEFAULT_RMAX_CAPS.get((precision, w)))
+    if not admitted:
+        raise CalibrationMissingError(f"no admitted entries for W={w}")
+    rmax = np.array([e.rmax for e in admitted], dtype=np.int64)
+    s_repr = np.array([e.rmse for e in admitted])
+    pairs = np.array(sigma_pairs, dtype=np.float64).reshape(-1, 2)
+    sa, sb = pairs[:, :1], pairs[:, 1:]
+    a_abs, b_abs = cal.uniform_extremes(sa, sb)
+    stats = noise.BatchStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
+                             b_min=-b_abs, b_max=b_abs, L=L)
+    sol = noise.optimal_companders(stats, rmax, s_repr=s_repr, w=w)
+    ratio = noise.signal_power(stats) / noise.combined_distortion(stats, sol.c_a, sol.c_b,
+                                                                  s_repr).total
+    snr = 10.0 * np.array([[math.log10(x) for x in row] for row in ratio.tolist()])
+    return rmax, snr, rmax[snr.argmax(axis=1)]
+
+
+def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set):
     options_per_l = []
     for l, stats in enumerate(stats_per_l):
         opts = []
@@ -435,8 +405,8 @@ def frozen_build_options(stats_per_l, solutions, mode, precision, calib, profile
                 fw = profile.fw(precision, mode, w) if profile is not None else (w - 1) * 100.0
                 if fw <= 0:
                     continue
-                rmax = int(cal.lookup_nearest_solution(solutions, stats.sigma_a, stats.sigma_b,
-                                                       w).rmax)
+                rmax = int(frozen_build_solutions([(1.0, 1.0)], calib, precision, mode,
+                                                  stats.L, w)[2][0])
                 s_repr = calib.lookup(precision, mode, w, rmax).rmse
                 sol = noise.optimal_companders(stats, rmax, s_repr=s_repr, w=w)
                 d_hat = noise.combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
@@ -447,11 +417,10 @@ def frozen_build_options(stats_per_l, solutions, mode, precision, calib, profile
     return options_per_l
 
 
-def frozen_plan_gemm(a, b, L, constraint, solutions, calib, mode, precision, profile, w_set):
+def frozen_plan_gemm(a, b, L, constraint, calib, mode, precision, profile, w_set):
     entries = {}
     for key, stats_per_l in frozen_kernel_stats(a, b, L).items():
-        options = frozen_build_options(stats_per_l, solutions, mode, precision, calib,
-                                       profile, w_set)
+        options = frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set)
         if constraint.target_snr_db is not None:
             d_kernel = frozen_snr_to_distortion(
                 constraint.target_snr_db, [(s.sigma_a, s.sigma_b) for s in stats_per_l], L)
@@ -525,46 +494,23 @@ class TestLockstepPrune:
 
 
 @pytest.fixture(scope="module")
-def grid_pinned_tables():
-    """W = 2, 3, 4 at L=12 over a coarse sigma grid spanning the input scales,
-    as ``build_offline_solutions`` makes it: one R_max per W."""
-    L = 12
+def grid_calib():
+    """Measured curves of W = 2, 3, 4 at L=12, over amplitudes spanning the
+    input scales."""
     calib = cal.CalibrationTable()
     for w in (2, 3, 4):
-        calib.extend(cal.measure_repr_noise(L, "single", "symmetric", w,
+        calib.extend(cal.measure_repr_noise(12, "single", "symmetric", w,
                                             sweep=[(1, 1), (2, 1), (2, 2), (4, 2), (4, 4),
                                                    (22, 1), (22, 3), (22, 9)],
                                             trials=2, seed=6))
-    sigmas = cal.log_sigma_grid(per_decade=2)
-    sols = cal.build_offline_solutions([(sa, sb) for sa in sigmas for sb in sigmas], calib,
-                                       "single", "symmetric", L, w_set=(2, 3, 4))
-    return calib, sols
-
-
-@pytest.fixture(scope="module")
-def grid_tables(grid_pinned_tables):
-    """``grid_pinned_tables`` with varied R_max, so that every W goes through
-    the nearest-solution search."""
-    calib, sols = grid_pinned_tables
-    # every row of a W plans the same rmax here; spread them over the admitted
-    # values so that one W needs several calibration lookups
-    data = sols.data.copy()
-    for k, w in enumerate(data["w"].tolist()):
-        admitted = [e.rmax for e in calib.admitted("single", "symmetric", w)]
-        data["rmax"][k] = admitted[k % len(admitted)]
-    return calib, cal.OfflineSolutionTable(data)
+    return calib
 
 
 class TestBatchedPlanMatchesPerKernelPlanner:
     @given(st.integers(0, 2 ** 31), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
-           st.sampled_from(["snr", "accel"]), st.sampled_from([None, "gains", "no_gain"]),
-           st.sampled_from([1 << 15, 50, 1]), st.booleans())
+           st.sampled_from(["snr", "accel"]), st.sampled_from([None, "gains", "no_gain"]))
     @settings(max_examples=100, deadline=None)
-    def test_same_options_and_prune(self, grid_tables, seed, bi, bj, bl, kind, prof,
-                                    lookup_chunk, reuse_table):
-        calib, sols = grid_tables
-        if not reuse_table:  # a second table over a copy of the rows, with its own index
-            sols = cal.OfflineSolutionTable(sols.data)
+    def test_same_options_and_prune(self, grid_calib, seed, bi, bj, bl, kind, prof):
         L = 12
         rng = np.random.default_rng(seed)
 
@@ -591,16 +537,15 @@ class TestBatchedPlanMatchesPerKernelPlanner:
             profile = cal.SpeedupProfile(
                 [cal.ProfileEntry("single", "symmetric", w, L, g, float(w), 3)
                  for w, g in gains.items()])
-        args = (sols, calib, "symmetric", "single")
+        args = (grid_calib, "symmetric", "single")
         try:
             want = frozen_plan_gemm(a, b, L, constraint, *args, profile, (2, 3, 4))
         except InfeasibleConstraintError:
             with pytest.raises(InfeasibleConstraintError):
                 ctl.plan_gemm(a, b, L, constraint, *args, profile=profile, w_set=(2, 3, 4))
             return
-        with mock.patch.object(cal, "_LOOKUP_CHUNK", lookup_chunk):
-            got = ctl.plan_gemm(a, b, L, constraint, *args, profile=profile,
-                                w_set=(2, 3, 4)).entries
+        got = ctl.plan_gemm(a, b, L, constraint, *args, profile=profile,
+                            w_set=(2, 3, 4)).entries
         assert list(got) == list(want)
         for key, entry in want.items():
             assert got[key].choices == entry.choices
@@ -610,28 +555,91 @@ class TestBatchedPlanMatchesPerKernelPlanner:
                 assert all(type(v) is type(getattr(entry.choices[o.l], f))
                            for f, v in o._asdict().items())
 
-    def test_option_lists_match_per_kernel_calls(self, grid_tables):
+    def test_option_lists_match_per_kernel_calls(self, grid_calib):
         """The whole-multiply call and one call per kernel give the same lists."""
-        calib, sols = grid_tables
         rng = np.random.default_rng(36)
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
         b = rng.uniform(-0.1, 0.1, size=(3 * L, 2 * L)).astype(np.float32)
-        batched = option_lists(ctl.subblock_stats(a, b, L), sols, calib)
+        batched = option_lists(ctl.subblock_stats(a, b, L), grid_calib)
         per_kernel = [opts for stats in frozen_kernel_stats(a, b, L).values()
-                      for opts in option_lists(stats, sols, calib)]
+                      for opts in option_lists(stats, grid_calib)]
         assert batched == per_kernel
         assert [len(opts) for opts in batched] == [4] * 12
         assert [opts[-1].w for opts in batched] == [1] * 12
 
 
-def test_dump_plan(tmp_path, desk_tables):
-    calib, sols = desk_tables
+# R_max values of a calibration curve: measured-like ones, ones around the
+# double W=4 cap, dyadic ones, and huge ones one apart, whose SNRs tie or
+# differ by rounding alone
+_CURVE_RMAX = st.one_of(st.integers(1, 10 ** 9), st.integers(100000, 140000),
+                        st.builds(lambda e: 2 ** e, st.integers(3, 52)),
+                        st.sampled_from([10 ** 15, 10 ** 15 + 1, 2 ** 50, 2 ** 50 + 1]))
+# (R_max, RMSE kind, dyadic exponent, noise scale, |bias| / R_max): biases of
+# 1e-4 and up are rejected
+_CURVE_ENTRY = st.tuples(_CURVE_RMAX, st.sampled_from(["zero", "zero", "dyadic", "model"]),
+                         st.integers(-4, 20), st.floats(1e-3, 1e3),
+                         st.sampled_from([0.0, 5e-5, 1e-4, 1e-3]))
+
+
+def planned_rmax(calib, precision, mode, L, w):
+    """The R_max ``build_options`` gives W on a subblock of tile side L."""
+    stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, L)]
+    packed, _plain = ctl.build_options(stats, mode, precision, calib, w_set=(w,))
+    return int(packed["rmax"][0])
+
+
+class TestOnePairRmax:
+    """The planner's R_max of a W is the one the solution table holds in every
+    row over the sigma grid ``tdgemm solutions`` builds."""
+
+    @given(st.sampled_from(["single", "double"]), st.sampled_from([12, 48, 288]),
+           st.sampled_from([2, 3, 4]), st.lists(_CURVE_ENTRY, min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_every_grid_row_holds_the_planners_rmax(self, precision, L, w, curve):
+        """Each row holds it, or an R_max whose SNR at that row differs from
+        its SNR by rounding alone: there the first maximum of the row and of
+        the pair (1, 1) may differ, and either is the best R_max."""
+        calib = cal.CalibrationTable()
+        for rmax, kind, k, u, bias in curve:
+            rmse = {"zero": 0.0, "dyadic": 2.0 ** k,
+                    "model": math.sqrt(rmax * u / (18 * L))}[kind]
+            calib.add(cal.CalibEntry(precision, "symmetric", w, rmax, bias * rmax, rmse, 3, 0))
+        sigmas = cal.log_sigma_grid(per_decade=8)
+        try:
+            rmax, snr, rows = frozen_build_solutions([(sa, sb) for sa in sigmas for sb in sigmas],
+                                                     calib, precision, "symmetric", L, w)
+        except CalibrationMissingError:
+            with pytest.raises(CalibrationMissingError):
+                planned_rmax(calib, precision, "symmetric", L, w)
+            return
+        planned = planned_rmax(calib, precision, "symmetric", L, w)
+        best = snr.max(axis=1)
+        miss = rows != planned
+        gap = best[miss] - snr[miss][:, rmax == planned].max(axis=1)
+        assert (gap <= 1e-12 * (1.0 + np.abs(best[miss]))).all()
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_measured_curves(self, mode):
+        """On measured curves every row holds it exactly."""
+        L = 12
+        calib = cal.CalibrationTable()
+        for w in (2, 3, 4):
+            calib.extend(cal.measure_repr_noise(L, "single", mode, w, trials=2, seed=3))
+        sigmas = cal.log_sigma_grid(per_decade=8)
+        table = cal.build_offline_solutions([(sa, sb) for sa in sigmas for sb in sigmas], calib,
+                                            "single", mode, L, w_set=(2, 3, 4))
+        for w in (2, 3, 4):
+            rows = table.data["rmax"][table.data["w"] == w]
+            assert set(rows.tolist()) == {planned_rmax(calib, "single", mode, L, w)}
+
+
+def test_dump_plan(tmp_path, calib):
     rng = np.random.default_rng(35)
     L = 12
     a = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
     plan = ctl.plan_gemm(a, a, L, ctl.KernelConstraint(target_snr_db=20.0),
-                         sols, calib, "symmetric", "single", w_set=(2,))
+                         calib, "symmetric", "single", w_set=(2,))
     path = tmp_path / "plan.csv"
     ctl.dump_plan(plan, path)
     lines = path.read_text().splitlines()
