@@ -7,8 +7,10 @@ workload's flags, in a temporary directory, and prints one line per output:
 
     <workload> seed=<seed> <file> <sha256>
 
-for `calibration.csv`, `solutions.csv`, `plan.csv`, `result.tgmm` and
-`multiply_report.json` with `wallclock_s` and `timings` left out. `--src`
+for `calibration.csv`, `solutions.csv`, `plan.csv`, `result.tgmm`,
+`multiply_report.json` with `wallclock_s` and `timings` left out, and the
+input-digest values of `multiply_manifest.json`, sorted, one a line (its
+keys, paths in the temporary directory, are left out). `--src`
 runs another checkout's `src/` on the same workloads, so two versions give
 the same outputs when their lines are equal. `--against DIR` compares the
 two in one command: it runs the checkout at DIR's `src/` in a subprocess
@@ -66,6 +68,9 @@ def digests(wl, seed: int, work: Path) -> list:
     del report["wallclock_s"], report["timings"]
     text = json.dumps(report, sort_keys=True).encode()
     rows.append(("multiply_report.json-without-timings", hashlib.sha256(text).hexdigest()))
+    manifest = json.loads((out / "multiply_manifest.json").read_text())
+    inputs = "\n".join(sorted(manifest["input_digests"].values())).encode()
+    rows.append(("multiply_manifest.json-input-digests", hashlib.sha256(inputs).hexdigest()))
     return rows
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -37,11 +38,7 @@ TABLE_FILES = {
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _blas_build() -> dict:
@@ -52,13 +49,13 @@ def _blas_build() -> dict:
             "blas_version": blas.get("version")}
 
 
-def _write_manifest(out_dir: Path, command: str, args, inputs, outputs) -> None:
+def _write_manifest(out_dir: Path, command: str, args, input_digests, outputs) -> None:
     manifest = {
         "build": _blas_build(),
         "command": command,
         "seed": args.seed,
         "engine": {"L": args.l, "precision": args.precision, "mode": args.mode},
-        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "input_digests": {str(p): d for p, d in input_digests.items()},
         "outputs": [str(p) for p in outputs],
         "tool_version": __version__,
     }
@@ -104,7 +101,7 @@ def cmd_calibrate(args) -> int:
             print(f"W={w} rmax={e.rmax} exact-region bound W_ef={wef} rmse={e.rmse:.6g}")
     path = out_dir / TABLE_FILES["calibration"]
     calibration.save_calibration(table, path)
-    _write_manifest(out_dir, "calibrate", args, [], [path])
+    _write_manifest(out_dir, "calibrate", args, {}, [path])
     return 0
 
 
@@ -120,7 +117,7 @@ def cmd_profile(args) -> int:
     calibration.save_speedup(profile, path)
     for e in profile.entries:
         print(f"W={e.w} gain={e.fw_percent:.1f}% mac_ratio={e.mac_ratio}")
-    _write_manifest(out_dir, "profile", args, [], [path])
+    _write_manifest(out_dir, "profile", args, {}, [path])
     return 0
 
 
@@ -137,7 +134,8 @@ def cmd_solutions(args) -> int:
     path = out_dir / TABLE_FILES["solutions"]
     calibration.save_solutions(table, path)
     print(f"{len(table.data)} solutions over {len(pairs)} sigma pairs")
-    _write_manifest(out_dir, "solutions", args, [Path(args.tables) / TABLE_FILES["calibration"]], [path])
+    calib_path = Path(args.tables) / TABLE_FILES["calibration"]
+    _write_manifest(out_dir, "solutions", args, {calib_path: _sha256(calib_path)}, [path])
     return 0
 
 
@@ -175,7 +173,8 @@ def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:
 def _load_finite_matrix(path) -> np.ndarray:
     """The matrix in ``path``; NonFiniteInputError names its first NaN or infinity."""
     m = matrixio.load_matrix(path)
-    if not np.isfinite(m).all():
+    # NaN propagates through min and max, and an infinity is an extreme
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         row, col = np.argwhere(~np.isfinite(m))[0]
         raise NonFiniteInputError(
             f"{path}: non-finite value {m[row, col]} at row {row}, column {col}"
@@ -231,8 +230,8 @@ def cmd_multiply(args) -> int:
     report_path = out_dir / "multiply_report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
-    _write_manifest(out_dir, "multiply", args, [Path(args.a), Path(args.b)],
-                    [result_path, report_path])
+    digests = {Path(args.a): matrixio.matrix_sha256(a), Path(args.b): matrixio.matrix_sha256(b)}
+    _write_manifest(out_dir, "multiply", args, digests, [result_path, report_path])
     return 0
 
 
@@ -315,10 +314,11 @@ def cmd_sweep(args) -> int:
             writer.writerow([r["accel_pct"], snr, repr(r["mac_ratio"]),
                              repr(r["wallclock_ratio"])])
     print(f"wrote {path}")
-    _write_manifest(out_dir, "sweep", args, [], [path])
+    _write_manifest(out_dir, "sweep", args, {}, [path])
     return 0
 
 
+@functools.cache  # built once per process: the parser is a constant
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tdgemm",
                                 description="precision-scalable GEMM engine")

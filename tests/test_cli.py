@@ -1,13 +1,17 @@
 import csv
+import hashlib
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdgemm import calibration, cli, matrixio
 from tdgemm.blocking import tiered_gemm
-from tdgemm.errors import TableFormatError
+from tdgemm.errors import InvalidConfigError, TableFormatError
 
 L = 12
 
@@ -60,6 +64,81 @@ class TestMatrixIO:
         with pytest.raises(TableFormatError):
             matrixio.load_matrix(tmp_path / "m.tgmm")
 
+    @pytest.mark.parametrize("m", [np.zeros((2, 2, 2), np.float32), np.zeros((2, 2), np.int32)])
+    def test_unsavable_array_writes_no_file(self, tmp_path, m):
+        with pytest.raises((TableFormatError, InvalidConfigError)):
+            matrixio.save_matrix(m, tmp_path / "m.tgmm")
+        assert not (tmp_path / "m.tgmm").exists()
+
+    def test_long_payload(self, tmp_path):
+        """The payload's size comes from the file, not from one read of the
+        size the header gives: extra bytes are an error."""
+        matrixio.save_matrix(np.zeros((2, 2), np.float32), tmp_path / "m.tgmm")
+        with open(tmp_path / "m.tgmm", "ab") as f:
+            f.write(b"\0" * 4)
+        with pytest.raises(TableFormatError, match="payload is 20 bytes, expected 16$"):
+            matrixio.load_matrix(tmp_path / "m.tgmm")
+
+    def test_header_alone_never_sizes_a_read(self, tmp_path):
+        """A header claiming 2^67 bytes fails as a format error, not an allocation."""
+        head = matrixio._HEADER.pack(matrixio.MAGIC, 2 ** 32 - 1, 2 ** 32 - 1, 1)
+        (tmp_path / "m.tgmm").write_bytes(head + b"\0" * 8)
+        with pytest.raises(TableFormatError, match="payload is 8 bytes"):
+            matrixio.load_matrix(tmp_path / "m.tgmm")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_payload_from_a_pipe(self, tmp_path):
+        """A pipe has no size to stat: its payload is sized by reading it."""
+        m = np.arange(12, dtype=np.float32).reshape(3, 4)
+        matrixio.save_matrix(m, tmp_path / "m.tgmm")
+        os.mkfifo(tmp_path / "fifo")
+        writer = threading.Thread(target=(tmp_path / "fifo").write_bytes,
+                                  args=((tmp_path / "m.tgmm").read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            got = matrixio.load_matrix(tmp_path / "fifo")
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(got, m)
+
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(0, 4), st.integers(1, 4),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_bits(self, tmp_path_factory, dtype, rows, cols, transposed, seed):
+        """Every bit, NaN payloads included, comes back in a C-contiguous array
+        of native byte order, whatever the layout of the array saved."""
+        bits = np.random.default_rng(seed).bytes(rows * cols * np.dtype(dtype).itemsize)
+        m = np.frombuffer(bits, dtype=dtype).reshape(rows, cols)
+        m = m.T.copy().T if transposed else m
+        path = tmp_path_factory.mktemp("rt") / "m.tgmm"
+        matrixio.save_matrix(m, path)
+        got = matrixio.load_matrix(path)
+        assert got.dtype == dtype and got.dtype.isnative and got.flags.c_contiguous
+        assert got.shape == (rows, cols) and got.tobytes() == np.ascontiguousarray(m).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_digest_of_loaded_array_is_the_files(self, tmp_path, dtype):
+        m = np.random.default_rng(43).normal(size=(3, 5)).astype(dtype)
+        matrixio.save_matrix(m, tmp_path / "m.tgmm")
+        want = hashlib.sha256((tmp_path / "m.tgmm").read_bytes()).hexdigest()
+        assert matrixio.matrix_sha256(matrixio.load_matrix(tmp_path / "m.tgmm")) == want
+        assert matrixio.matrix_sha256(np.asfortranarray(m)) == want
+
+    def test_multiply_manifest_digests_are_the_files(self, workdir, tmp_path):
+        out = tmp_path / "digests"
+        assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                         "--out", str(out), "multiply", str(workdir / "a.tgmm"),
+                         str(workdir / "b.tgmm"), "--snr-db", "30"]) == 0
+        manifest = json.loads((out / "multiply_manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            str(workdir / name): hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in ("a.tgmm", "b.tgmm")}
+
+    def test_empty_matrix_is_finite(self, tmp_path):
+        matrixio.save_matrix(np.zeros((0, 3), np.float32), tmp_path / "m.tgmm")
+        assert cli._load_finite_matrix(tmp_path / "m.tgmm").shape == (0, 3)
+
 
 class TestCalibrateCommand:
     def test_deterministic_rerun(self, tmp_path):
@@ -81,6 +160,27 @@ class TestCalibrateCommand:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert build == {"numpy": np.__version__, "blas": blas["name"],
                          "blas_version": blas["version"]}
+
+
+def test_commands_in_one_process_parse_their_own_flags(tmp_path):
+    """One parser serves every call in a process; no call sees another's flags."""
+    assert cli.build_parser() is cli.build_parser()
+    tables, out = tmp_path / "tables", tmp_path / "out"
+    assert cli.main(["--seed", "3", "--l", str(L), "--out", str(tables),
+                     "calibrate", "--w", "2", "--trials", "2"]) == 0
+    a = np.random.default_rng(44).uniform(-8, 8, size=(2 * L, 2 * L)).astype(np.float32)
+    matrixio.save_matrix(a, tmp_path / "a.tgmm")
+    assert cli.main(["--l", str(L), "--tables", str(tables), "--out", str(out), "multiply",
+                     str(tmp_path / "a.tgmm"), str(tmp_path / "a.tgmm"), "--plain"]) == 0
+    calibrated = json.loads((tables / "calibrate_manifest.json").read_text())
+    multiplied = json.loads((out / "multiply_manifest.json").read_text())
+    assert (calibrated["command"], calibrated["seed"]) == ("calibrate", 3)
+    assert (multiplied["command"], multiplied["seed"]) == ("multiply", 0)
+    assert {e.w for e in calibration.load_calibration(tables / "calibration.csv").entries} == {2}
+    np.testing.assert_array_equal(matrixio.load_matrix(out / "result.tgmm"),
+                                  tiered_gemm(a, a, L))
+    args = cli.build_parser().parse_args(["calibrate"])
+    assert (args.w, args.trials, args.seed, args.func) == ([2, 3, 4], 5, 0, cli.cmd_calibrate)
 
 
 class TestMultiplyCommand:
