@@ -3,13 +3,12 @@ order-matched plain subblock product.
 
 The accumulation order is fixed everywhere: subblocks accumulate over the
 inner index ``l`` in ascending order, and each plain subblock product
-accumulates its own inner dimension in ascending order, in batches of
-rank-1 products written by ``np.einsum`` (up to ``_STEP_ELEMS`` = 2^17
-elements per batch, so all k inner indices in one step for every subblock
-at L <= 50). This makes every plain result bitwise reproducible and
-testable against an order-matched oracle. Packed subblocks run through
-``packing.packed_subblock_product`` on BLAS; the plain product stays their
-reference.
+accumulates its own inner dimension in ascending order, as one
+``np.einsum`` contraction whose inner loop runs over output columns (one
+rank-1 loop where the output has a single column). This makes every plain
+result bitwise reproducible and testable against an order-matched oracle.
+Packed subblocks run through ``packing.packed_subblock_product`` on BLAS;
+the plain product stays their reference.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ import numpy as np
 
 from .errors import DimensionError, InvalidConfigError
 
-# Elements of the product buffer in plain_subblock_gemm: enough inner
-# indices per step to amortise NumPy's per-call cost, all of them for every
-# subblock at L <= 50 (48^3 < 2^17), and one per step (the plain loop) at
-# L=288.
-_STEP_ELEMS = 1 << 17
 # Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
 _STATS_ELEMS = 1 << 16
 
@@ -78,83 +72,49 @@ def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
     return TileStats(sigma, vmin, vmax)
 
 
-def _inner_step(m: int, k: int, n: int) -> int:
-    """Inner indices per step of an m x k by k x n ``plain_subblock_gemm``;
-    below 2 it runs the rank-1 loop."""
-    if m * n <= 1:
-        return 0
-    return min(k, _STEP_ELEMS // (m * n))
+def _row_major(x: np.ndarray) -> np.ndarray:
+    """``x`` if it is aligned with unit-stride rows laid out in ascending
+    order (a C-ordered array or a tile of one), else a C-ordered copy."""
+    s0, s1 = x.strides
+    if x.flags.aligned and s1 == x.itemsize and s0 >= s1 * x.shape[1]:
+        return x
+    return np.array(x, order="C")
 
 
-def plain_scratch(L: int, dtype) -> np.ndarray:
-    """The product buffer ``plain_subblock_gemm`` uses on an L x L subblock,
-    allocated once per multiply by ``tiered_gemm`` and passed to every call.
-    Empty where the subblock runs the rank-1 loop (L=288)."""
-    c = _inner_step(L, L, L)
-    return np.empty(c * L * L if c >= 2 else 0, dtype=dtype)
-
-
-def plain_subblock_gemm(a: np.ndarray, b: np.ndarray, scratch=None) -> np.ndarray:
+def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Native-precision product with ascending-l accumulation.
 
     It runs every plain subblock (W=1, unplanned, borders) and is the bitwise
     oracle the packed BLAS path is checked against.
 
-    Bitwise equal to the naive triple loop with the reduction innermost. Each
-    step takes a batch of c inner indices (``_inner_step``): one ``einsum``
-    writes their rank-1 products into a C-ordered ``(c, m, n)`` buffer, and
-    an add-reduce over axis 0 folds the batch into the running sum. Reducing
-    over the outermost axis of a C-ordered buffer adds the slices one after
-    another in ascending ``l``, so every element sees the same rounding
-    sequence as the scalar loop.
+    Bitwise equal to the rank-1 loop ``r += a[:, l:l+1] * b[l:l+1, :]`` over
+    ascending l from a +0.0 start, and so to the naive triple loop with the
+    reduction innermost. It is one ``np.einsum("ik,kj->ij", a, b)`` on
+    row-major operands (``_row_major``; a Fortran-ordered, reversed or
+    unaligned operand is copied first). On such operands NumPy's iterator
+    puts the reduction index l between i and j, with its inner loop over j:
+    each step adds one rounded product into every element of an output row,
+    which starts zeroed, so each element sees the loop's rounding sequence.
+    ``einsum`` is not asked for an order here, and NumPy does not promise
+    one; the tests pin it on the running build, fused multiply-adds and
+    reordered sums included.
 
-    The first batch is reduced with ``initial=0``, so the sum starts from
-    +0.0, as the loop's does, with no zero-filled accumulator; each later
-    batch has the running sum added into its slice 0 before the reduce.
-    When k*m*n <= ``_STEP_ELEMS`` the first batch holds all k indices.
+    A ``-0.0`` product added to a ``+0.0`` start gives ``+0.0`` in both the
+    loop and ``einsum``, so signed zeros match too.
 
-    ``einsum`` adds each product into a zeroed output, which is exact except
-    that a ``-0.0`` product is written as ``+0.0``. That cannot change a
-    sum: the running sum starts at ``+0.0`` and under round-to-nearest is
-    never ``-0.0`` (a sum is ``-0.0`` only if both terms are), and
-    ``s + 0.0 == s + (-0.0)`` for every ``s`` but ``-0.0``. At L=48
-    ``einsum`` writes a batch faster than a broadcast ``np.multiply`` does.
-
-    ``scratch`` is an optional flat buffer of the operands' dtype
-    (``plain_scratch``); when it holds at least c*m*n elements the batches
-    are written there instead of into a buffer allocated per call. The
-    result never shares memory with it.
-
-    A step of one index (c == 1, large tiles) keeps the plain rank-1
-    update, which is faster there than going through the buffer. A 1 x 1
-    output takes it too: the reduce axis would then be the only one, and
-    NumPy sums such an axis pairwise, which changes the order.
+    A ``b`` of one column keeps the rank-1 loop: with no j axis the iterator
+    makes l the inner loop, whose sum is unrolled and so reordered.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"non-conformable operands {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
-    (m, k), n = a.shape, b.shape[1]
-    c = _inner_step(m, k, n)
-    if c < 2:
-        r = np.zeros((m, n), dtype=a.dtype)
-        for l in range(k):
+    if b.shape[1] == 1:
+        r = np.zeros((a.shape[0], 1), dtype=a.dtype)
+        for l in range(a.shape[1]):
             r += a[:, l][:, None] * b[l, :][None, :]
         return r
-    if scratch is None or scratch.size < c * m * n or scratch.dtype != a.dtype:
-        scratch = np.empty(c * m * n, dtype=a.dtype)
-    buf = scratch[:c * m * n].reshape(c, m, n)
-    r = None
-    for l0 in range(0, k, c):
-        p = buf[:min(c, k - l0)]
-        ls = slice(l0, l0 + len(p))
-        np.einsum("li,lj->lij", a[:, ls].T, b[ls, :], out=p)
-        if r is None:
-            r = np.add.reduce(p, axis=0, initial=0)
-        else:
-            p[0] += r
-            np.add.reduce(p, axis=0, out=r)
-    return r
+    return np.einsum("ik,kj->ij", _row_major(a), _row_major(b))
 
 
 def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
@@ -194,7 +154,6 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                             raise InvalidConfigError(
                                 f"kernel ({i},{j}) subblock {l}: {exc}"
                             ) from exc
-    scratch = plain_scratch(L, a.dtype)
     r = np.zeros((m, n), dtype=a.dtype)
     for i in range(m // L):
         rows = slice(i * L, (i + 1) * L)
@@ -207,16 +166,16 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                 bt = b[l * L:(l + 1) * L, cols]
                 choice = entry[l] if entry is not None else None
                 if choice is None or choice.w == 1:
-                    acc += plain_subblock_gemm(at, bt, scratch)
+                    acc += plain_subblock_gemm(at, bt)
                 else:
                     acc += packing.packed_subblock_product(at, bt, choice)
             if kf < k:
-                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols], scratch)
+                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols])
             r[rows, cols] = acc
     if mf < m:
-        r[mf:, :] = plain_subblock_gemm(a[mf:, :], b, scratch)
+        r[mf:, :] = plain_subblock_gemm(a[mf:, :], b)
     if nf < n:
-        r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:], scratch)
+        r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:])
     return r
 
 

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import packing
-from .blocking import plain_scratch, plain_subblock_gemm
+from .blocking import plain_subblock_gemm
 from .config import dtype_of, PRECISIONS
 from .errors import (
     CalibrationMissingError,
@@ -110,11 +110,13 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
     """Measure mean error and per-element RMSE of packed multiplication.
 
     Integer uniform tiles with unit companders isolate the representation
-    noise; the reference is the float64 product of the same tiles (exact at
-    these amplitudes). The packed product measured is ``packing.packed_product``:
-    the pack, multiply and unpack that ``multiply`` runs on a packed subblock
-    (both go through ``packing._pack_multiply_unpack``), without its quantize
-    and dequantize.
+    noise; the reference is the product of the same tiles, exact in any
+    summation order because every partial sum is an integer of magnitude at
+    most R_max: in the tiles' own precision when R_max is below its exact
+    integer limit, else in float64. The packed product measured is
+    ``packing.packed_product``: the pack, multiply and unpack that
+    ``multiply`` runs on a packed subblock (both go through
+    ``packing._pack_multiply_unpack``), without its quantize and dequantize.
     """
     if w < 2:
         raise InvalidConfigError("representation noise is only defined for W >= 2")
@@ -134,11 +136,14 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
         for _ in range(trials):
             at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
             bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
-            exact = at.astype(np.float64) @ bt.astype(np.float64)
+            if rmax < packing._EXACT_INT_LIMIT[at.dtype]:
+                exact = at @ bt
+            else:
+                exact = at.astype(np.float64) @ bt.astype(np.float64)
             got = packing.packed_product(at, bt, mode, w, z)
-            err = got.astype(np.float64) - exact
-            sq_sum += float((err * err).sum())
+            err = np.subtract(got, exact, dtype=np.float64)
             err_sum += float(err.sum())
+            sq_sum += float(np.square(err, out=err).sum())
             count += err.size
         out.append(
             CalibEntry(
@@ -193,14 +198,13 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     Each side is timed as ``tiered_gemm`` runs it on one L x L subblock:
     ``packing.packed_subblock_product`` with unit companders, whose quantize
     and dequantize are part of the cost, against the order-matched
-    ``plain_subblock_gemm`` on the multiply's scratch buffer
-    (``blocking.plain_scratch``), not ``np.matmul``, on the same integer
-    tiles. A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of
-    the ``repetitions`` samples times a batch of as many calls, so that a
-    sample spans about ``_SAMPLE_S`` whatever L is; a median sample shorter
-    than 100 timer ticks raises ``TimerResolutionError``. At L=48 this does
-    not fix the sign of a gain near zero: samples of one side still spread
-    by about +-20% from run to run.
+    ``plain_subblock_gemm``, not ``np.matmul``, on the same integer tiles.
+    A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of the
+    ``repetitions`` samples times a batch of as many calls, so that a sample
+    spans about ``_SAMPLE_S`` whatever L is; a median sample shorter than
+    100 timer ticks raises ``TimerResolutionError``. At L=48 this does not
+    fix the sign of a gain near zero: samples of one side still spread by
+    about +-20% from run to run.
     """
     if repetitions < 3:
         raise InvalidConfigError("repetitions must be >= 3")
@@ -231,7 +235,7 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
             )
         return sample / batch
 
-    t_plain = timed(plain_subblock_gemm, at, bt, plain_scratch(L, dtype))
+    t_plain = timed(plain_subblock_gemm, at, bt)
     rmax = packing.compute_rmax(1.0, 1.0, L, 20, 20)
     z = packing.compute_z(rmax)
     profile = SpeedupProfile()

@@ -30,8 +30,18 @@ def rank1_loop(a, b):
     return r
 
 
+LAYOUTS = ["c", "fortran", "reversed", "slice", "unaligned"]
+
+
 def _layout(x, kind):
-    """The same values as ``x`` in a C, Fortran, reversed-stride or sliced array."""
+    """The same values as ``x`` in a C, Fortran, reversed-stride, sliced or
+    unaligned array."""
+    if kind == "unaligned":
+        # a view at a 1-byte offset into a byte buffer
+        y = np.zeros(x.nbytes + 1, np.uint8)[1:].view(x.dtype).reshape(x.shape)
+        y[...] = x
+        assert not y.flags.aligned or x.size == 0
+        return y
     if kind == "fortran":
         return np.asfortranarray(x)
     if kind == "reversed":
@@ -167,18 +177,14 @@ class TestPlainGemm:
         # a side of 1 (m = 1, n = 1, 1 x 1 outputs) about half the time
         st.one_of(st.just(1), st.integers(1, 64)),
         st.one_of(st.just(1), st.integers(1, 64)),
-        st.integers(1, 64),
-        st.sampled_from(["c", "fortran", "reversed", "slice"]),
-        st.sampled_from(["c", "fortran", "reversed", "slice"]),
+        st.one_of(st.integers(1, 64), st.integers(1, 300)),
+        st.sampled_from(LAYOUTS),
+        st.sampled_from(LAYOUTS),
         st.booleans(),
-        st.sampled_from([blocking._STEP_ELEMS, 1 << 16, 4096, 256, 16, 1]),
         st.integers(0, 2 ** 31),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_rank1_loop_bitwise(self, dtype, m, n, k, lay_a, lay_b,
-                                        integer, step_elems, seed):
-        # small step budgets move the same shapes across the one-index cutoff
-        # and give batches that do not divide k
+    def test_matches_rank1_loop_bitwise(self, dtype, m, n, k, lay_a, lay_b, integer, seed):
         rng = np.random.default_rng(seed)
         if integer:
             # integer-valued with signed zeros, as on the packed path
@@ -189,77 +195,39 @@ class TestPlainGemm:
             b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
         a = _layout(a.astype(dtype), lay_a)
         b = _layout(b.astype(dtype), lay_b)
-        with mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
-            got = plain_subblock_gemm(a, b)
+        got = plain_subblock_gemm(a, b)
         want = rank1_loop(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @given(
-        st.sampled_from([np.float32, np.float64]),
-        # m * n = 1 (the rank-1 loop whatever the bound) about a quarter of the time
-        st.one_of(st.just(1), st.integers(1, 16)),
-        st.one_of(st.just(1), st.integers(1, 16)),
-        st.integers(1, 48),
-        st.sampled_from([0, 1]),
-        st.booleans(),
-        st.integers(0, 2 ** 31),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_one_step_bound_bitwise(self, dtype, m, n, k, past, integer, seed):
-        """At k*m*n == ``_STEP_ELEMS`` the product takes all k inner
-        indices in one step; one element past the bound it takes the batched
-        steps (here batches of k - 1 and 1, or the rank-1 loop). Both are
-        bitwise the rank-1 loop, with signed-zero products included."""
-        rng = np.random.default_rng(seed)
-        if integer:
-            a = rng.integers(-2, 3, size=(m, k)) * rng.choice([-1.0, 1.0], size=(m, k))
-            b = rng.integers(-2, 3, size=(k, n)) * rng.choice([-1.0, 1.0], size=(k, n))
-        else:
-            a = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-4, 5, size=(m, k))
-            b = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-4, 5, size=(k, n))
-        a, b = a.astype(dtype), b.astype(dtype)
-        bound = k * m * n - past
-        with mock.patch.object(blocking, "_STEP_ELEMS", bound):
-            c = blocking._inner_step(m, k, n)
-            got = plain_subblock_gemm(a, b)
-        if m * n == 1:
-            assert c == 0
-        else:
-            assert c == (k - 1 if past else k)
-        assert got.tobytes() == rank1_loop(a, b).tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_scratch_reuse_keeps_earlier_results(self, dtype):
-        """Consecutive calls on one scratch buffer, of the subblock side it was
-        made for, of a border shape and of a shape too large for it, return
-        arrays that share no memory with it, and no call alters an earlier
-        result."""
-        rng = np.random.default_rng(11)
-        scratch = blocking.plain_scratch(8, dtype)
-        assert scratch.size == 8 ** 3 and scratch.dtype == dtype
-        shapes = [(8, 8, 8), (8, 8, 8), (3, 8, 8), (8, 5, 3), (16, 8, 16), (8, 8, 8)]
-        results = []
-        for m, k, n in shapes:
-            a = rng.normal(size=(m, k)).astype(dtype)
-            b = rng.normal(size=(k, n)).astype(dtype)
-            got = plain_subblock_gemm(a, b, scratch)
-            assert not np.shares_memory(got, scratch)
-            assert got.tobytes() == rank1_loop(a, b).tobytes()
-            results.append((got, got.copy()))
-        for got, copy in results:
-            assert got.tobytes() == copy.tobytes()
-
-    def test_scratch_sizes(self):
-        assert blocking.plain_scratch(48, np.float32).size == 48 ** 3 <= blocking._STEP_ELEMS
-        assert blocking.plain_scratch(288, np.float64).size == 0  # the rank-1 loop
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_order_is_the_loops(self, n):
+        """Each column of the product holds two sums of 8 products. Row 0 is
+        a -1 product followed by (1 + 2^-12)^2, which the loop rounds to
+        1 + 2^-11 before the add and so sums to 2^-11; a fused multiply-add
+        keeps the square's 2^-24 and gives 2^-11 + 2^-24. Row 1 is 1e8,
+        1 + 2^-12 and, four places on, -1e8: 0 in ascending order, and
+        1 + 2^-12 in the unrolled sum NumPy runs when the inner index is the
+        inner loop. n = 1 is the one-column fallback, n = 3 the einsum."""
+        e = np.float32(1 + 2 ** -12)
+        a = np.zeros((2, 8), np.float32)
+        a[0, :2] = -1.0, e
+        a[1, [0, 1, 4]] = 1e8, 1.0, -1e8
+        b = np.zeros((8, n), np.float32)
+        b[[0, 1, 4]] = np.array([1.0, e, 1.0], np.float32)[:, None]
+        want = rank1_loop(a, b)
+        assert (want[0] == 2 ** -11).all() and (want[1] == 0.0).all()
+        got = plain_subblock_gemm(a, b)
+        assert got.tobytes() == want.tobytes(), (
+            f"plain_subblock_gemm gave {got.tolist()}, the rank-1 loop {want.tolist()}: "
+            "this NumPy build's einsum loop fuses the multiply-add or reorders the sum"
+        )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_negative_zero_products_past_first_slice(self, dtype):
         """-0.0 products at l = 1..3 land on running sums of +0.0, of an exact
-        cancellation and of a nonzero value, in one batch of all 4 inner
-        indices or in two batches. The einsum writes them as +0.0, and the
-        result keeps the loop's bits."""
+        cancellation and of a nonzero value, and the result keeps the loop's
+        bits, in the einsum (two columns) and in the one-column loop."""
         a = np.array([[1.0, -1.0, -0.0, -2.0],
                       [-0.0, -3.0, 3.0, -1.0]], dtype)
         b = np.array([[1.0, 2.0],
@@ -269,10 +237,8 @@ class TestPlainGemm:
         want = rank1_loop(a, b)
         assert want.tolist() == [[0.0, -8.0], [0.0, -5.0]]
         assert not np.signbit(want[:, 0]).any()
-        for step_elems in (16, 8):  # one batch of 4, or two of 2 (c = step_elems // 4)
-            with mock.patch.object(blocking, "_STEP_ELEMS", step_elems):
-                got = plain_subblock_gemm(a, b)
-            assert got.tobytes() == want.tobytes()
+        assert plain_subblock_gemm(a, b).tobytes() == want.tobytes()
+        assert plain_subblock_gemm(a, b[:, :1]).tobytes() == want[:, :1].tobytes()
 
     def test_empty_inner_dimension_gives_zeros(self):
         for dtype in (np.float32, np.float64):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tdgemm import blocking, calibration as cal, packing
+from tdgemm import calibration as cal, packing
 from tdgemm.config import u_sys_of
 from tdgemm.errors import (
     CalibrationMissingError, InvalidConfigError, TableFormatError, TimerResolutionError,
@@ -56,6 +56,34 @@ class TestMeasurement:
             fit = np.maximum.accumulate(rmses)
             assert np.all(np.asarray(rmses) >= 0.8 * fit)
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_matches_float64_reference_loop(self, precision, mode):
+        """Entries equal a frozen copy of the loop that took every reference
+        in float64, on a sweep whose single-precision R_max runs from small,
+        through the exact-integer limit 2^24, to where a float32 product rounds."""
+        L, sweep = 16, [(2, 1), (22, 63), (1024, 1023), (1024, 1024), (8000, 8000)]
+        assert [packing.compute_rmax(1.0, 1.0, L, a, b) for a, b in sweep[2:4]] == [
+            2 ** 24 - 2 ** 14, 2 ** 24]
+        dtype = np.float32 if precision == "single" else np.float64
+        want = []
+        for idx, (amax, bmax) in enumerate(sweep):
+            rmax = packing.compute_rmax(1.0, 1.0, L, amax, bmax)
+            z = packing.compute_z(rmax)
+            rng = cal._rng_for(3, cal._PREC_CODE[precision], cal._MODE_CODE[mode], 2, idx)
+            sq_sum = err_sum = 0.0
+            for _ in range(4):
+                at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
+                bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
+                exact = at.astype(np.float64) @ bt.astype(np.float64)
+                err = packing.packed_product(at, bt, mode, 2, z).astype(np.float64) - exact
+                sq_sum += float((err * err).sum())
+                err_sum += float(err.sum())
+            want.append(cal.CalibEntry(precision, mode, 2, rmax, err_sum / (4 * L * L),
+                                       math.sqrt(sq_sum / (4 * L * L)), 4, 3))
+        assert cal.measure_repr_noise(L, precision, mode, 2, sweep=sweep,
+                                      trials=4, seed=3) == want
+
     def test_w1_rejected(self):
         with pytest.raises(InvalidConfigError):
             cal.measure_repr_noise(12, "single", "symmetric", 1)
@@ -86,11 +114,11 @@ class TestSpeedupProfile:
 
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
         """Each timed side is what ``tiered_gemm`` runs per subblock: the whole
-        packed pipeline with unit companders, and the plain product on the
-        multiply's scratch buffer, on the same tiles. The warm-up runs calls
-        until ``_SAMPLE_S`` has passed, and each sample times a batch of as
-        many calls. A fake clock advances 0.3 ms per plain call and 0.45 ms
-        per packed call, so the batches are 4 and 3 calls."""
+        packed pipeline with unit companders, and the two-operand plain
+        product, on the same tiles. The warm-up runs calls until
+        ``_SAMPLE_S`` has passed, and each sample times a batch of as many
+        calls. A fake clock advances 0.3 ms per plain call and 0.45 ms per
+        packed call, so the batches are 4 and 3 calls."""
         calls, now_ns = [], [0]
 
         def counted(name, fn, cost_ns):
@@ -112,11 +140,10 @@ class TestSpeedupProfile:
                                               repetitions=3, seed=1)
         names = [name for name, _ in calls]
         assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (3 + 3 * 3)
-        at, bt, scratch = calls[0][1]
-        want = blocking.plain_scratch(48, np.float32)
-        assert (scratch.shape, scratch.dtype) == (want.shape, want.dtype)
+        at, bt = calls[0][1]
+        assert at.shape == bt.shape == (48, 48) and at.dtype == bt.dtype == np.float32
         for _, args in calls[:16]:
-            assert args[0] is at and args[1] is bt and args[2] is scratch
+            assert len(args) == 2 and args[0] is at and args[1] is bt
         ws = []
         for _, (a, b, *cfg) in calls[16:]:
             assert a is at and b is bt
