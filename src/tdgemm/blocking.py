@@ -122,7 +122,8 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
 
     ``plan`` maps kernel indices ``(i, j)`` to a per-l sequence of chosen
     options (``None`` or W=1 meaning the plain path). Border regions not
-    covered by full tiles are always computed with the plain path.
+    covered by full tiles are always computed with the plain path. Packed
+    subblocks share one ``packing.Workspace``.
     """
     from . import packing  # deferred: packing imports blocking
 
@@ -155,6 +156,7 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                                 f"kernel ({i},{j}) subblock {l}: {exc}"
                             ) from exc
     r = np.zeros((m, n), dtype=a.dtype)
+    work = packing.Workspace(L, a.dtype)
     for i in range(m // L):
         rows = slice(i * L, (i + 1) * L)
         for j in range(n // L):
@@ -168,7 +170,7 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                 if choice is None or choice.w == 1:
                     acc += plain_subblock_gemm(at, bt)
                 else:
-                    acc += packing.packed_subblock_product(at, bt, choice)
+                    acc += packing.packed_subblock_product(at, bt, choice, work)
             if kf < k:
                 acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols])
             r[rows, cols] = acc

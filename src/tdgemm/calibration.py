@@ -18,6 +18,7 @@ import math
 import statistics
 import time
 from dataclasses import astuple, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *[int(k) for k in key]])
 
 
-@dataclass(frozen=True)
-class CalibEntry:
+class CalibEntry(NamedTuple):
     precision: str
     mode: str
     w: int
@@ -125,7 +125,7 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
     if sweep is None:
         sweep = amplitude_sweep(L)
     dtype = dtype_of(precision)
-    out = []
+    out, work = [], packing.Workspace(L, dtype)
     for point_idx, (amax, bmax) in enumerate(sweep):
         rmax = packing.compute_rmax(1.0, 1.0, L, amax, bmax)
         z = packing.compute_z(rmax)
@@ -140,7 +140,7 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
                 exact = at @ bt
             else:
                 exact = at.astype(np.float64) @ bt.astype(np.float64)
-            got = packing.packed_product(at, bt, mode, w, z)
+            got = packing.packed_product(at, bt, mode, w, z, work)
             err = np.subtract(got, exact, dtype=np.float64)
             err_sum += float(err.sum())
             sq_sum += float(np.square(err, out=err).sum())
@@ -196,8 +196,8 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     """Median wall-clock of a packed subblock vs a plain one, as percentile gain.
 
     Each side is timed as ``tiered_gemm`` runs it on one L x L subblock:
-    ``packing.packed_subblock_product`` with unit companders, whose quantize
-    and dequantize are part of the cost, against the order-matched
+    ``packing.packed_subblock_product`` on one workspace, with unit
+    companders and its quantize and dequantize, against the order-matched
     ``plain_subblock_gemm``, not ``np.matmul``, on the same integer tiles.
     A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of the
     ``repetitions`` samples times a batch of as many calls, so that a sample
@@ -239,11 +239,12 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     rmax = packing.compute_rmax(1.0, 1.0, L, 20, 20)
     z = packing.compute_z(rmax)
     profile = SpeedupProfile()
+    work = packing.Workspace(L, dtype)
     for w in sorted(set(w_set)):
         if w == 1:
             continue
         cfg = packing.PackingConfig(mode=mode, w=w, z=z, c_a=1.0, c_b=1.0, rmax=rmax)
-        t_packed = timed(packing.packed_subblock_product, at, bt, cfg)
+        t_packed = timed(packing.packed_subblock_product, at, bt, cfg, work)
         profile.entries.append(
             ProfileEntry(
                 precision=precision,
@@ -428,7 +429,7 @@ SOLUTION_HEADER = ["sigma_a", "sigma_b", "W", "rmax", "c_a", "c_b", "snr_db"]
 
 
 def save_calibration(table: CalibrationTable, path) -> None:
-    _write_csv(path, CALIB_HEADER, map(astuple, table.entries))
+    _write_csv(path, CALIB_HEADER, table.entries)
 
 
 def _finite_float(lo: float = -math.inf):
@@ -444,8 +445,23 @@ def _finite_float(lo: float = -math.inf):
 def load_calibration(path) -> CalibrationTable:
     """The table in ``path``. A NaN or infinite ``mean_err`` or ``rmse``, or a
     negative ``rmse``, is a malformed row: the planner would take it as a
-    measurement."""
+    measurement. One ``split`` parses each line; a file with a line it does
+    not take is parsed again by ``_typed_rows``, which names the line."""
     lines = _data_lines(path, CALIB_HEADER)
+    try:
+        entries = []
+        for text in (line.rstrip("\r\n") for line in lines):
+            if text:  # ValueError at a quote, a wrong field count or a bad field
+                p, m, w, rmax, mean_err, rmse, trials, seed = text.split(",")
+                e = CalibEntry(p, m, int(w), int(rmax), float(mean_err), float(rmse),
+                               int(trials), int(seed))
+                if '"' in text or not (-math.inf < e.mean_err < math.inf
+                                       and 0.0 <= e.rmse < math.inf):
+                    raise ValueError(text)
+                entries.append(e)
+        return CalibrationTable(entries)
+    except ValueError:
+        pass
     types = (str, str, int, int, _finite_float(), _finite_float(0.0), int, int)
     return CalibrationTable([CalibEntry(*r) for r in _typed_rows(path, lines, CALIB_HEADER, types)])
 

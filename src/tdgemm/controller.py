@@ -14,7 +14,6 @@ kernel per step, with the bits of the per-kernel loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -438,13 +437,12 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
 
 
 def dump_plan(plan: KernelPlan, path) -> None:
-    """Debug CSV of every chosen option, for reproducing prune outcomes."""
+    """Debug CSV of every chosen option, for reproducing prune outcomes: the
+    bytes ``csv.writer`` wrote, one f-string per row (floats as ``repr``)."""
+    rows = "".join(
+        f"{i},{j},{l},{w},{c_a!r},{c_b!r},{rmax},{d_hat!r}\r\n"
+        for i, j in sorted(plan.entries)
+        for l, w, _mode, c_a, c_b, rmax, _z, d_hat, _fw in plan.entries[i, j].choices
+    )
     with open(path, "w", newline="") as f:
-        f.write(f"# version {FORMAT_VERSION}\n")
-        writer = csv.writer(f)
-        writer.writerow(["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"])
-        writer.writerows(
-            (i, j, l, w, repr(c_a), repr(c_b), rmax, repr(d_hat))
-            for i, j in sorted(plan.entries)
-            for l, w, _mode, c_a, c_b, rmax, _z, d_hat, _fw in plan.entries[i, j].choices
-        )
+        f.write(f"# version {FORMAT_VERSION}\ni,j,l,W,c_a,c_b,rmax,d_hat\r\n{rows}")

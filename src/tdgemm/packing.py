@@ -9,10 +9,10 @@ are multiplied by the BLAS GEMM behind ``np.matmul``.
 Every rounding goes half away from zero: one ``np.rint`` pass, and a fix
 of the ties found in its exact remainder. At L=48 a stage costs more in
 NumPy calls than in arithmetic, so ``packed_subblock_product`` quantizes
-and checks both tiles at once and runs the later stages on one buffer per
-subblock, under one ``np.errstate``; it and the public stage functions
-share the cores that do the arithmetic (``_quantize_into``, ``_fold``,
-``_unpack_symmetric``, ``_unpack_asymmetric``, ``_round_into``).
+and checks both tiles at once, folds both symmetric operands in one pass,
+and runs under one ``np.errstate`` on a multiply's one ``Workspace``. It
+and the public stages share the cores that do the arithmetic
+(``_quantize_into``, ``_fold``, ``_unpack_*``, ``_round_into``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,41 +149,36 @@ def _check_peak(tile, c: float) -> None:
         )
 
 
-def _quantize_into(tiles, cs, work) -> None:
+def _quantize_into(tiles, cs, work, dests) -> None:
     """Quantize equally sized tiles together, with their checks.
 
-    ``work`` has shape ``(2, len(tiles), n)``. Each tile, which may be any
-    view (such as its W parts), is scaled in float64 and rounded once to
-    the dtype into ``work[1]`` in the view's order; one ``rint`` pass
-    writes the integers of all of them to ``work[0]``, and the exact
-    remainders overwrite ``work[1]``. One max and one min reduction over
-    each row find both the ties, which are fixed, and the peaks. Rounding
-    is monotone, so a tile's largest |integer| is below the exact-integer
-    limit only if ``c * max|tile|`` is, and above it only if that is too:
-    only a tile whose integers reach the limit, or are not finite, is
-    checked on the tile itself (``_check_peak``), which raises or lets it
-    pass. The caller sets ``np.errstate``.
+    ``work`` has shape ``(2 * len(tiles), n)``. Each tile, which may be any
+    view (such as its W parts), is scaled in float64 and rounded once to the
+    dtype into its ``dests`` view of a row of the second half; one ``rint``
+    pass writes the integers of all of them to the first half, and the
+    exact remainders overwrite the scaled values. One max and one
+    min reduction over each row find both the ties, which are fixed, and
+    the peaks. Rounding is monotone, so a tile's largest |integer| is below
+    the exact-integer limit only if ``c * max|tile|`` is, and above it only
+    if that is too: only a tile whose integers reach the limit, or are not
+    finite, is checked on the tile itself (``_check_peak``), which raises or
+    lets it pass. The caller sets ``np.errstate``.
     """
-    ints, rems = work
-    for tile, c, q in zip(tiles, cs, rems):
-        np.multiply(tile, c, out=q.reshape(tile.shape), dtype=np.float64, casting="unsafe")
+    k = len(tiles)
+    ints, rems = work[:k], work[k:]
+    for tile, c, q in zip(tiles, cs, dests):
+        np.multiply(tile, c, out=q, dtype=np.float64, casting="unsafe")
     np.rint(rems, out=ints)
     np.subtract(rems, ints, out=rems)
     if not ints.size:
         return
-    k = len(tiles)
-    hi, lo = _extremes(work.reshape(2 * k, -1))
+    hi, lo = np.maximum.reduce(work, axis=1).tolist(), np.minimum.reduce(work, axis=1).tolist()
     limit = _EXACT_INT_LIMIT[ints.dtype]
     for tile, c, top, bottom in zip(tiles, cs, hi, lo):
         if not (top < limit and -bottom < limit):  # NaN fails too
             _check_peak(tile, c)
     if 0.5 in hi[k:] or -0.5 in lo[k:]:
         _fix_ties(ints, rems)
-
-
-def _extremes(rows):
-    """Max and min of each row, as lists; NaN if the row holds one."""
-    return np.maximum.reduce(rows, axis=1).tolist(), np.minimum.reduce(rows, axis=1).tolist()
 
 
 def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
@@ -195,10 +191,10 @@ def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
     if c <= 0:
         raise InvalidConfigError(f"compander must be positive, got {c}")
     precision_of_dtype(tile.dtype)  # raises for an unsupported dtype
-    work = np.empty((2, 1, tile.size), tile.dtype)
+    work = np.empty((2, tile.size), tile.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # a tile it then rejects
-        _quantize_into((tile,), (c,), work)
-    return work[0, 0].reshape(tile.shape)
+        _quantize_into((tile,), (c,), work, (work[1].reshape(tile.shape),))
+    return work[0].reshape(tile.shape)
 
 
 def dequantize(value, c_a: float, c_b: float, out=None):
@@ -281,16 +277,19 @@ def _check_side(L: int, w: int) -> None:
         raise DimensionError(f"tile side {L} not divisible by W={w}")
 
 
-def _col_parts(t, w):
-    """``t[:, i::w]`` for i < W, stacked on a first axis (a view)."""
-    L = t.shape[0]
-    return t.reshape(L, L // w, w).transpose(2, 0, 1)
-
-
 def _row_parts(t, w):
     """``t[i::w, :]`` for i < W, stacked on a first axis (a view)."""
-    L = t.shape[0]
-    return t.reshape(L // w, w, L).transpose(1, 0, 2)
+    return t.reshape(t.shape[0] // w, w, t.shape[1]).transpose(1, 0, 2)
+
+
+def _parts(at, bt, mode, w):
+    """The operands as the quantizer reads them: in symmetric mode A's
+    columns i::W and B's rows i::W, otherwise A's rows i::W and B itself
+    (views)."""
+    if mode == SYMMETRIC:
+        L = at.shape[0]
+        return at.reshape(L, L // w, w).transpose(2, 0, 1), _row_parts(bt, w)
+    return _row_parts(at, w), bt
 
 
 @lru_cache(maxsize=256)
@@ -304,20 +303,66 @@ def _powers(dtype: np.dtype, z: float, w: int) -> np.ndarray:
     return powers
 
 
-def _fold(parts, scales, out, scratch):
-    """``out = (((0 + p_0) + s_1 p_1) + s_2 p_2) + ...`` over the W parts
-    stacked on the first axis of ``parts``, with s_0 = 1; ``scratch`` is a
-    flat buffer of at least ``parts.size`` elements.
-
-    One multiply writes every scaled part to a C-ordered ``(W, ...)``
-    buffer, and one add-reduce over its outermost axis, started from
-    ``initial=0``, adds them one after another in ascending i: the order of
-    the one-part-at-a-time fold. A fold starts at 0 + p_0, so -0 turns +0
-    as in a sum from zeros.
+def _fold(parts, powers, out=None, scaled=None):
+    """``out[r] = (((0 + p_r0) + s_r1 p_r1) + s_r2 p_r2) + ...`` for the k
+    operands of ``parts``, shape ``(k, W, n)``, with s from row r of
+    ``powers`` (s_r0 = 1). One multiply writes every scaled part to the
+    C-ordered ``scaled``, and one add-reduce over the W axis, started from
+    ``initial=0``, adds them in ascending i: the order of the
+    one-part-at-a-time fold. From 0 + p_0, -0 turns +0 as in a sum from zeros.
     """
-    scaled = np.multiply(parts, scales.reshape(-1, 1, 1),
-                         out=scratch[:parts.size].reshape(parts.shape))
-    return np.add.reduce(scaled, axis=0, out=out, initial=0)
+    scaled = np.multiply(parts, powers[:len(parts)], out=scaled)
+    return np.add.reduce(scaled, axis=1, out=out, initial=0)
+
+
+class _Views(NamedTuple):
+    """The views of a ``Workspace`` that one (mode, W) reads and writes."""
+
+    quant: np.ndarray  # (4, n): the quantized tiles, then their remainders
+    dests: tuple  # the remainder rows, shaped as the tiles' ``_parts``
+    parts: np.ndarray  # (k, W, n/W): the quantized rows of the k folded operands
+    scaled: np.ndarray  # (k, W, n/W): the fold's scaled parts
+    folds: np.ndarray  # (k, n/W): the packed operands
+    ops: tuple  # the two matmul operands
+    rbar: np.ndarray  # the packed product
+    out: np.ndarray  # the unpacked product, L x L
+    rems: np.ndarray  # the unpack's remainders
+    rows: np.ndarray  # asymmetric: ``out``'s rows i::W, stacked
+
+
+class Workspace(dict):
+    """One flat buffer of 5 L*L elements of the tile dtype that the packed
+    subblocks of one multiply run on, and, keyed by the tiles' (side, dtype,
+    mode, W), its ``_Views``, made on first use; a key of another side or
+    dtype raises. In rows of L*L: the quantized tiles (0-1), their
+    remainders (2-3), then the fold's scaled parts, the packed operands (4).
+    The packed product goes over row 0 (symmetric) or after the packed A,
+    the result over row 1 once its tile is read, and the unpack's
+    remainders over row 2."""
+
+    def __init__(self, L: int, dtype):
+        self.L, self.buf = L, np.empty(5 * L * L, dtype)
+
+    def __missing__(self, key):
+        (L, dtype, mode, w), buf = key, self.buf
+        if (L, dtype) != (self.L, buf.dtype):
+            raise DimensionError(f"workspace of side {self.L} and {buf.dtype} "
+                                 f"for tiles of side {L} and {dtype}")
+        n, m, r, k = L * L, L * L // w, L // w, 2 if mode == SYMMETRIC else 1
+        quant = buf[:4 * n].reshape(4, n)
+        ints, rems = quant[:2], quant[2:]
+        out, folds = ints[1].reshape(L, L), buf[4 * n:4 * n + k * m].reshape(k, m)
+        if mode == SYMMETRIC:
+            ops, rbar = (folds[0].reshape(L, r), folds[1].reshape(r, L)), ints[0].reshape(L, L)
+            unpack, rows = rems[0].reshape(L, L), None
+        else:
+            ops, rbar = (folds[0].reshape(r, L), out), buf[4 * n + m:4 * n + 2 * m].reshape(r, L)
+            unpack, rows = rems[0].reshape(w, r, L), _row_parts(out, w)
+        # the quantizer writes each tile as its _parts, in their shape
+        dests = tuple(q.reshape(p.shape) for q, p in zip(rems, _parts(out, out, mode, w)))
+        self[key] = _Views(quant, dests, ints[:k].reshape(k, w, m), rems[:k].reshape(k, w, m),
+                           folds, ops, rbar, out, unpack, rows)
+        return self[key]
 
 
 def pack_symmetric(at: np.ndarray, bt: np.ndarray, w: int, z: float):
@@ -325,11 +370,10 @@ def pack_symmetric(at: np.ndarray, bt: np.ndarray, w: int, z: float):
     _check_quantized_pair(at, bt)
     L = at.shape[0]
     _check_side(L, w)
-    zpow, zinvpow = _powers(at.dtype, z, w)
-    scratch = np.empty(L * L, at.dtype)
-    abar = _fold(_col_parts(at, w), zpow, np.empty((L, L // w), at.dtype), scratch)
-    bbar = _fold(_row_parts(bt, w), zinvpow, np.empty((L // w, L), at.dtype), scratch)
-    return PackedTile(abar, SYMMETRIC, w, z), PackedTile(bbar, SYMMETRIC, w, z)
+    parts = np.stack([p.reshape(w, -1) for p in _parts(at, bt, SYMMETRIC, w)])
+    abar, bbar = _fold(parts, _powers(at.dtype, z, w))
+    return (PackedTile(abar.reshape(L, L // w), SYMMETRIC, w, z),
+            PackedTile(bbar.reshape(L // w, L), SYMMETRIC, w, z))
 
 
 def multiply_packed_symmetric(abar: PackedTile, bbar: PackedTile) -> np.ndarray:
@@ -367,9 +411,8 @@ def pack_asymmetric(at: np.ndarray, w: int, z: float) -> PackedTile:
     if at.ndim != 2 or at.shape[0] != at.shape[1]:
         raise DimensionError(f"expected a square tile, got {at.shape}")
     _check_side(L, w)
-    abar = _fold(_row_parts(at, w), _powers(at.dtype, z, w)[0],
-                 np.empty((L // w, L), at.dtype), np.empty(L * L, at.dtype))
-    return PackedTile(abar, ASYMMETRIC, w, z)
+    (abar,) = _fold(_row_parts(at, w).reshape(1, w, -1), _powers(at.dtype, z, w))
+    return PackedTile(abar.reshape(L // w, L), ASYMMETRIC, w, z)
 
 
 def multiply_packed_asymmetric(abar: PackedTile, bt: np.ndarray) -> np.ndarray:
@@ -378,17 +421,14 @@ def multiply_packed_asymmetric(abar: PackedTile, bt: np.ndarray) -> np.ndarray:
     return np.matmul(abar.values, bt)
 
 
-def _unpack_asymmetric(rbar, z, w, out, rems):
-    """``unpack_asymmetric`` into ``out``. ``rems`` is a flat buffer of W
-    times rbar's size; slot i receives the remainders of the i-th rounding,
-    whose input is slot i-1 scaled by z^-1. The caller sets
-    ``np.errstate``."""
+def _unpack_asymmetric(rbar, z, w, rows, slots):
+    """``unpack_asymmetric`` into ``rows``, the output's rows i::W stacked.
+    Slot i of ``slots`` receives the remainders of the i-th rounding, whose
+    input is slot i-1 scaled by z^-1. The caller sets ``np.errstate``."""
     zinv = _powers(rbar.dtype, z, 2)[1, 1, 0]
-    slots = rems.reshape(w, *rbar.shape)
-    _round_into(rbar, out[0::w, :], slots[0])
+    _round_into(rbar, rows[0], slots[0])
     for i in range(1, w):
-        _round_into(np.multiply(slots[i - 1], zinv, out=slots[i]), out[i::w, :], slots[i])
-    return out
+        _round_into(np.multiply(slots[i - 1], zinv, out=slots[i]), rows[i], slots[i])
 
 
 def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
@@ -399,16 +439,18 @@ def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
     """
     out = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=rbar.dtype)
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        return _unpack_asymmetric(rbar, z, w, out, np.empty(out.size, rbar.dtype))
+        _unpack_asymmetric(rbar, z, w, _row_parts(out, w), np.empty((w, *rbar.shape), rbar.dtype))
+    return out
 
 
-def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float) -> np.ndarray:
+def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float,
+                   work: Workspace | None = None) -> np.ndarray:
     """Product of two quantized tiles through packing: pack, multiply, unpack.
 
     The packed operands are multiplied by BLAS. Inside the exact region
     (``exact_w_limit``) the result is bitwise the order-matched product;
     outside it the bits depend on the BLAS build. W=1 is the order-matched
-    plain product.
+    plain product. ``work`` is as in ``packed_subblock_product``.
     """
     if w == 1:
         return plain_subblock_gemm(at, bt)
@@ -417,55 +459,36 @@ def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float) 
     _check_quantized_pair(at, bt)
     L = at.shape[0]
     _check_side(L, w)
+    v = (Workspace(L, at.dtype) if work is None else work)[L, at.dtype, mode, w]
+    for row, tile in zip(v.quant, _parts(at, bt, mode, w)):
+        np.copyto(row.reshape(tile.shape), tile)
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        return _pack_multiply_unpack(*_parts(at, bt, mode, w), mode, w, z,
-                                     np.empty((L, L), at.dtype),
-                                     np.empty(2 * L * L + 2 * (L * L // w), at.dtype))
+        return _pack_multiply_unpack(v, mode, w, z)
 
 
-def _parts(at, bt, mode, w):
-    """The operands as ``_pack_multiply_unpack`` reads them: in symmetric
-    mode A's columns i::W and B's rows i::W, otherwise A's rows i::W and
-    B itself (views)."""
-    if mode == SYMMETRIC:
-        return _col_parts(at, w), _row_parts(bt, w)
-    return _row_parts(at, w), bt
-
-
-def _pack_multiply_unpack(a_parts, b_parts, mode, w, z, out, scratch):
-    """Pack, multiply and unpack two quantized L x L tiles given as their
-    ``_parts``, into ``out``: the arithmetic of ``pack_*``,
-    ``multiply_packed_*`` and ``unpack_*``, through the same cores.
-
-    ``scratch`` is a flat buffer of 2 L*L + 2 L*L/W elements: the folds'
-    scaled parts, then the packed product and the unpack's remainders, in
-    its first 2 L*L; the packed operands after them. ``out`` may share
-    memory with the parts, which are read before it is written. The
-    caller sets ``np.errstate``.
+def _pack_multiply_unpack(v, mode, w, z):
+    """Pack, multiply and unpack the quantized tiles in the ``_Views`` ``v``
+    into its ``out``: the arithmetic of ``pack_*``, ``multiply_packed_*``
+    and ``unpack_*``, through the same cores. The caller sets ``np.errstate``.
     """
-    L = out.shape[0]
-    n = L * L
-    zpow, zinvpow = _powers(out.dtype, z, w)
-    rems, folds = scratch[:2 * n], scratch[2 * n:].reshape(2, n // w)
+    _fold(v.parts, _powers(v.out.dtype, z, w), v.folds, v.scaled)
+    rbar = np.matmul(*v.ops, out=v.rbar)
     if mode == SYMMETRIC:
-        abar = _fold(a_parts, zpow, folds[0].reshape(L, L // w), rems)
-        bbar = _fold(b_parts, zinvpow, folds[1].reshape(L // w, L), rems)
-        rbar = np.matmul(abar, bbar, out=rems[:n].reshape(L, L))
-        return _unpack_symmetric(rbar, z, out, rems[n:].reshape(L, L))
-    abar = _fold(a_parts, zpow, folds[0].reshape(L // w, L), rems)
-    rbar = np.matmul(abar, b_parts, out=folds[1].reshape(L // w, L))
-    return _unpack_asymmetric(rbar, z, w, out, rems[:n])
+        return _unpack_symmetric(rbar, z, v.out, v.rems)
+    _unpack_asymmetric(rbar, z, w, v.rows, v.rems)
+    return v.out
 
 
-def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig) -> np.ndarray:
+def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig,
+                            work: Workspace | None = None) -> np.ndarray:
     """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
     reverse-compand. W=1 falls back to quantize-multiply-dequantize.
 
-    Bitwise the public stages run one after another, on one buffer per
-    subblock and under one ``np.errstate``: both tiles are quantized in one
-    pass and checked together (``_quantize_into``), each packed operand
-    written as its W parts one after another, and ``_pack_multiply_unpack``
-    takes it from there. The result is a view of the buffer.
+    Bitwise the public stages run one after another, under one
+    ``np.errstate``: both tiles are quantized in one pass and checked
+    together (``_quantize_into``), and ``_pack_multiply_unpack`` takes it
+    from there. The result is a view of ``work`` (a new ``Workspace`` if
+    None), so it lasts until the next call on it.
     """
     if cfg.w == 1:
         at = quantize_subblock(a_tile, cfg.c_a)
@@ -481,19 +504,11 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
         precision_of_dtype(a_tile.dtype)  # raises for an unsupported dtype
     L, w = a_tile.shape[0], cfg.w
     _check_side(L, w)
-    a_parts, b_parts = _parts(a_tile, b_tile, cfg.mode, w)
-    n = L * L
-    # rows of n: the quantized tiles (0-1), the result overwriting row 0;
-    # the quantizer's remainders (2-3), then the later stages' scratch,
-    # followed by the packed operands
-    buf = np.empty(4 * n + 2 * (n // w), a_tile.dtype)
-    work = buf[:4 * n].reshape(2, 2, n)
+    v = (Workspace(L, a_tile.dtype) if work is None else work)[L, a_tile.dtype, cfg.mode, w]
     # over and invalid come only from a tile the quantizer rejects, or from
     # packed values beyond the float range of a configuration outside the
     # packing bound
     with np.errstate(over="ignore", invalid="ignore"):
-        _quantize_into((a_parts, b_parts), (cfg.c_a, cfg.c_b), work)
-        rt = _pack_multiply_unpack(work[0, 0].reshape(a_parts.shape),
-                                   work[0, 1].reshape(b_parts.shape), cfg.mode, w, cfg.z,
-                                   buf[:n].reshape(L, L), buf[2 * n:])
+        _quantize_into(_parts(a_tile, b_tile, cfg.mode, w), (cfg.c_a, cfg.c_b), v.quant, v.dests)
+        rt = _pack_multiply_unpack(v, cfg.mode, w, cfg.z)
     return dequantize(rt, cfg.c_a, cfg.c_b, out=rt)

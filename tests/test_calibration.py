@@ -114,7 +114,7 @@ class TestSpeedupProfile:
 
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
         """Each timed side is what ``tiered_gemm`` runs per subblock: the whole
-        packed pipeline with unit companders, and the two-operand plain
+        packed pipeline with unit companders on one workspace, and the two-operand plain
         product, on the same tiles. The warm-up runs calls until
         ``_SAMPLE_S`` has passed, and each sample times a batch of as many
         calls. A fake clock advances 0.3 ms per plain call and 0.45 ms per
@@ -144,13 +144,14 @@ class TestSpeedupProfile:
         assert at.shape == bt.shape == (48, 48) and at.dtype == bt.dtype == np.float32
         for _, args in calls[:16]:
             assert len(args) == 2 and args[0] is at and args[1] is bt
-        ws = []
-        for _, (a, b, *cfg) in calls[16:]:
+        ws, work = [], calls[16][1][3]
+        for _, (a, b, cfg, w_space) in calls[16:]:
             assert a is at and b is bt
-            (cfg,) = cfg
             assert (cfg.mode, cfg.c_a, cfg.c_b) == ("asymmetric", 1.0, 1.0)
             ws.append(cfg.w)
+            assert w_space is work  # one workspace, as tiered_gemm runs them
         assert ws == [2] * 12 + [3] * 12
+        assert isinstance(work, cal.packing.Workspace) and work.L == 48
         for e in profile.entries:
             assert e.fw_percent == pytest.approx((0.3 / 0.45 - 1.0) * 100.0)
 
@@ -617,6 +618,102 @@ class TestMalformedRows:
         assert f"{path}, line 5:" in str(exc.value)
         if kind in ("int", "float"):
             assert (int_col if kind == "int" else float_col) in str(exc.value)
+
+
+def _frozen_load_calibration(path):
+    """``load_calibration`` as it was: ``csv.reader`` rows, each field
+    converted one at a time; ValueError for a row it rejected."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f.readlines()[2:]))
+    out = []
+    for row in filter(None, rows):
+        if len(row) != 8:
+            raise ValueError(row)
+        p, m, w, rmax, mean_err, rmse, trials, seed = row
+        e = (p, m, int(w), int(rmax), float(mean_err), float(rmse), int(trials), int(seed))
+        if not (math.isfinite(e[4]) and math.isfinite(e[5]) and e[5] >= 0.0):
+            raise ValueError(row)
+        out.append(e)
+    return out
+
+
+def _loads_as_frozen(path):
+    """``load_calibration`` takes what the frozen loader took, with the same
+    bits, and rejects what it rejected."""
+    try:
+        want = repr(_frozen_load_calibration(path))
+    except ValueError:
+        want = None
+    try:
+        got = repr([tuple(e) for e in cal.load_calibration(path).entries])
+    except TableFormatError:
+        got = None
+    assert got == want
+    return got
+
+
+_HEAD = "# version 1\r\n" + ",".join(cal.CALIB_HEADER) + "\r\n"
+
+
+class TestLoadCalibrationAsFrozen:
+    """The one-split load against a frozen copy of the field-by-field one."""
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_measured(self, tmp_path, mode):
+        table = cal.CalibrationTable()
+        for w in (2, 3, 4):
+            table.extend(cal.measure_repr_noise(12, "single", mode, w, trials=2, seed=4))
+        path = tmp_path / "c.csv"
+        cal.save_calibration(table, path)
+        assert _loads_as_frozen(path) == repr([tuple(e) for e in table.entries])
+
+    @pytest.mark.parametrize("body", [
+        '"single","symmetric","2","100","0.5","1.5","3","0"\r\n',  # every field quoted
+        '"sin,gle",symmetric,2,100,0.5,1.5,3,0\r\n',  # a comma inside quotes
+        '"sin\r\ngle",symmetric,2,100,0.5,1.5,3,0\r\n',  # a line break inside quotes
+        'sin"gle,symmetric,2,100,0.5,1.5,3,0\n',  # a quote inside a field
+        '"single"x,symmetric,2,100,0.5,1.5,3,0\n',
+        '\r\n\nsingle,symmetric,2,100,0.5,1.5,3,0\r\n\r\n\n',  # blank lines
+        'single,symmetric,2,100,0.5,1.5,3,0\n \n',  # a line of one space
+        'single,symmetric, 2 ,100,-0.0,0.0,3,0 \n',  # spaces around numbers
+        'single,symmetric,2,1_000,5e-324,1e308,3,0',  # no final line break
+        "x" * 5000 + ",symmetric,2,100,0.5,1.5,3,0\r\n",  # a long string
+        "single," + "m" * 300 + ",2,100,0.5,1.5,3,0\r\n" * 3,
+        'single,symmetric,2,100,0.5,1.5,3\r\n',  # a field short
+        'single,symmetric,2,100,0.5,1.5,3,0,\r\n',  # a field long
+        'single,symmetric,2.0,100,0.5,1.5,3,0\r\n',  # a float int
+        'single,symmetric,2,100,nan,1.5,3,0\r\n',
+        'single,symmetric,2,100,0.5,-1e-300,3,0\r\n',
+        'single,symmetric,2,100,0.5,inf,3,0\r\n',
+    ])
+    def test_rows(self, tmp_path, body):
+        path = tmp_path / "c.csv"
+        path.write_text(_HEAD + body, newline="")
+        _loads_as_frozen(path)
+
+    @given(st.lists(st.lists(st.one_of(
+        st.integers(-10 ** 20, 10 ** 20).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["single", "asymmetric", "", " 7", "-0", "x" * 400]),
+        st.text(alphabet=' ,"a1.e-+_\r\n\t', max_size=6)), min_size=7, max_size=9),
+        max_size=5), st.sampled_from(["\r\n", "\n", "\r"]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_rows(self, tmp_path_factory, rows, end):
+        path = tmp_path_factory.mktemp("rows") / "c.csv"
+        path.write_text(_HEAD + "".join(",".join(row) + end for row in rows), newline="")
+        _loads_as_frozen(path)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["single", "double", "x" * 300]), st.sampled_from(packing.MODES),
+        st.integers(1, 4), st.integers(0, 2 ** 60),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False), st.integers(1, 9), st.integers(-5, 2 ** 40)),
+        max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_saved_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("saved") / "c.csv"
+        cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path)
+        assert _loads_as_frozen(path) == repr(rows)
 
 
 @pytest.mark.parametrize("column,value", [("rmse", "nan"), ("rmse", "inf"), ("rmse", "-0.5"),

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -646,6 +647,59 @@ def test_dump_plan(tmp_path, calib):
     assert lines[0] == "# version 1"
     assert lines[1] == "i,j,l,W,c_a,c_b,rmax,d_hat"
     assert len(lines) == 3
+
+
+def _frozen_dump_plan(plan, path):
+    """``dump_plan`` as it was when ``csv.writer`` wrote it."""
+    with open(path, "w", newline="") as f:
+        f.write(f"# version {cal.FORMAT_VERSION}\n")
+        writer = csv.writer(f)
+        writer.writerow(["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"])
+        writer.writerows(
+            (i, j, l, w, repr(c_a), repr(c_b), rmax, repr(d_hat))
+            for i, j in sorted(plan.entries)
+            for l, w, _mode, c_a, c_b, rmax, _z, d_hat, _fw in plan.entries[i, j].choices
+        )
+
+
+class TestDumpPlanBytes:
+    """``dump_plan`` writes the bytes of the ``csv.writer`` version."""
+
+    def test_planned(self, tmp_path, calib):
+        rng = np.random.default_rng(36)
+        L = 12
+        a = rng.uniform(-4, 4, size=(3 * L, 2 * L)).astype(np.float32)
+        b = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
+        plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=25.0),
+                             calib, "symmetric", "single", w_set=(2,))
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        ctl.dump_plan(plan, got)
+        _frozen_dump_plan(plan, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().split(b"\r\n")) == 2 + 9 * 2
+
+    @given(st.lists(st.tuples(
+        st.integers(0, 2 ** 40), st.sampled_from([1, 2, 3, 4]),
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                  st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf,
+                                   -math.inf, math.nan])),
+        st.booleans()), min_size=0, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_special_fields(self, tmp_path_factory, rows):
+        """Infinities, NaN, -0.0, subnormals and ``np.float64`` fields, in
+        kernels out of order."""
+        choices = []
+        for l, (rmax, w, x, as_np) in enumerate(rows):
+            v = np.float64(x) if as_np else x
+            choices.append(ctl.SubblockOption(l, w, "symmetric", v, -x, rmax, 2.0 ** -10,
+                                              v, 0.0))
+        plan = ctl.KernelPlan({(1, 0): ctl.KernelPlanEntry(choices, 0.0, 0.0),
+                               (0, 2): ctl.KernelPlanEntry(choices[::-1], 0.0, 0.0),
+                               (0, 1): ctl.KernelPlanEntry([], 0.0, 0.0)})
+        tmp = tmp_path_factory.mktemp("plan")
+        ctl.dump_plan(plan, tmp / "got.csv")
+        _frozen_dump_plan(plan, tmp / "want.csv")
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
 def test_record_fields_unchanged():

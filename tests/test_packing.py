@@ -591,3 +591,132 @@ class TestRoundingOutputs:
                 for c in (3.0, 2.0):
                     cfg = packing.PackingConfig(mode, 2, packing.compute_z(rmax), c, c, rmax)
                     packing.packed_subblock_product(a, b, cfg)
+
+
+def _frozen_fold(parts, scales):
+    """The one-operand fold the symmetric pack ran twice: every part of
+    ``parts`` (W, ...) times its scale, add-reduced over axis 0 from 0."""
+    scaled = np.multiply(parts, scales.reshape(-1, *[1] * (parts.ndim - 1)))
+    return np.add.reduce(scaled, axis=0, initial=0)
+
+
+def _col_parts(t, w):
+    return t.reshape(t.shape[0], -1, w).transpose(2, 0, 1)
+
+
+def _row_parts(t, w):
+    return t.reshape(-1, w, t.shape[1]).transpose(1, 0, 2)
+
+
+class TestOnePassFold:
+    """Both symmetric operands folded by one multiply and one add-reduce
+    equal the two one-operand folds they replace, bit for bit."""
+
+    @pytest.mark.parametrize("w", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    def test_equals_two_folds(self, w, dtype):
+        rng = np.random.default_rng(40 + w)
+        L = 48
+        for z in (2.0 ** -12, 2.0 ** -30, 0.375):  # 0.375: powers that round
+            at = _planted(rng, L, dtype, 1e4, special=False)
+            bt = _planted(rng, L, dtype, 1e4, special=False)
+            at[:, 0::w], bt[1::w, :] = -0.0, -0.0  # whole parts of -0.0
+            at[3, :] = -0.0
+            zpow, zinvpow = packing._powers(np.dtype(dtype), z, w)
+            want_a = _frozen_fold(_col_parts(at, w), zpow)
+            want_b = _frozen_fold(_row_parts(bt, w), zinvpow)
+            work = packing.Workspace(L, dtype)
+            v = work[L, np.dtype(dtype), packing.SYMMETRIC, w]
+            for row, part in zip(v.quant, (_col_parts(at, w), _row_parts(bt, w))):
+                row.reshape(part.shape)[...] = part
+            packing._fold(v.parts, packing._powers(np.dtype(dtype), z, w), v.folds, v.scaled)
+            assert v.ops[0].tobytes() == want_a.tobytes()
+            assert v.ops[1].tobytes() == want_b.tobytes()
+            abar, bbar = packing.pack_symmetric(at, bt, w, z)
+            assert abar.values.tobytes() == want_a.tobytes()
+            assert bbar.values.tobytes() == want_b.tobytes()
+            assert not np.signbit(abar.values[abar.values == 0]).any()
+            (asym,) = packing._fold(_row_parts(at, w).reshape(1, w, -1),
+                                    packing._powers(np.dtype(dtype), z, w))
+            assert asym.tobytes() == _frozen_fold(_row_parts(at, w), zpow).tobytes()
+
+
+def _cfg_tiles(data, L, dtype):
+    """A drawn configuration and two tiles, with ties of the quantizer planted."""
+    mode = data.draw(st.sampled_from(packing.MODES))
+    w = data.draw(st.sampled_from([2, 3, 4]))
+    z = 2.0 ** -data.draw(st.integers(6, 40))
+    c_a, c_b = (data.draw(st.one_of(st.floats(0.05, 60.0), st.sampled_from([0.5, 1.0, 2.0])))
+                for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = (rng.standard_normal((L, L)) * data.draw(st.sampled_from([0.5, 4.0, 50.0]))).astype(dtype)
+    b = (rng.standard_normal((L, L)) * 3.0).astype(dtype)
+    ties = data.draw(st.integers(0, 6))
+    a.flat[rng.choice(L * L, ties, replace=False)] = (rng.integers(-40, 40, ties) + 0.5) / c_a
+    b.flat[rng.choice(L * L, ties, replace=False)] = (rng.integers(-40, 40, ties) + 0.5) / c_b
+    return packing.PackingConfig(mode, w, z, c_a, c_b, 1), a, b
+
+
+class TestWorkspace:
+    """Packed products on one reused workspace equal products on a buffer
+    of their own, bit for bit, and raise as they do."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_consecutive_calls_equal_calls_without(self, data):
+        L = data.draw(st.sampled_from([12, 24]))
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        work = packing.Workspace(L, dtype)
+        done = []
+        for _ in range(data.draw(st.integers(2, 5))):
+            cfg, a, b = _cfg_tiles(data, L, dtype)
+            if data.draw(st.booleans()):  # a peak at the exact-integer limit
+                (a, b)[data.draw(st.integers(0, 1))][1, 2] = packing._EXACT_INT_LIMIT[a.dtype]
+                cfg = packing.PackingConfig(cfg.mode, cfg.w, cfg.z, 1.0, 1.0, 1)
+                with pytest.raises(QuantizerOverflowError) as alone:
+                    packing.packed_subblock_product(a, b, cfg)
+                with pytest.raises(QuantizerOverflowError) as shared:
+                    packing.packed_subblock_product(a, b, cfg, work)
+                assert str(shared.value) == str(alone.value)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = packing.packed_subblock_product(a, b, cfg)
+                got = packing.packed_subblock_product(a, b, cfg, work)
+            assert np.shares_memory(got, work.buf) and not np.shares_memory(want, work.buf)
+            assert got.tobytes() == want.tobytes()
+            done.append((want, want.tobytes()))
+        for want, bits in done:  # results without a workspace are their own
+            assert want.tobytes() == bits
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_tiered_gemm_equals_subblock_calls(self, mode):
+        """``tiered_gemm`` adds each packed result on its one workspace as
+        the sum of calls on buffers of their own."""
+        from tdgemm.blocking import tiered_gemm
+
+        rng = np.random.default_rng(12)
+        L = 12
+        a = rng.standard_normal((2 * L, 3 * L)).astype(np.float32)
+        b = rng.standard_normal((3 * L, 2 * L)).astype(np.float32)
+        rmax = packing.compute_rmax(3.0, 3.0, L, 5.0, 5.0)
+        cfgs = [packing.PackingConfig(mode, w, packing.compute_z(rmax), 3.0, 3.0, rmax)
+                for w in (2, 3, 4)]
+        plan = {(i, j): [cfgs[(i + j + l) % 3] if (i + l) % 2 == 0 else None for l in range(3)]
+                for i in range(2) for j in range(2)}
+        got = tiered_gemm(a, b, L, plan)
+        for (i, j), entry in plan.items():
+            acc = np.zeros((L, L), np.float32)
+            for l, cfg in enumerate(entry):
+                at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
+                bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
+                acc += (plain_subblock_gemm(at, bt) if cfg is None
+                        else packing.packed_subblock_product(at, bt, cfg))
+            assert got[i * L:(i + 1) * L, j * L:(j + 1) * L].tobytes() == acc.tobytes()
+
+    @pytest.mark.parametrize("side,dtype", [(24, np.float32), (12, np.float64)])
+    def test_other_side_or_dtype_rejected(self, side, dtype):
+        rng = np.random.default_rng(13)
+        a, b = (rng.standard_normal((12, 12)).astype(np.float32) for _ in range(2))
+        cfg = packing.PackingConfig(packing.SYMMETRIC, 2, 2.0 ** -20, 1.0, 1.0, 100)
+        with pytest.raises(DimensionError, match="workspace"):
+            packing.packed_subblock_product(a, b, cfg, packing.Workspace(side, dtype))
