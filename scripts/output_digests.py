@@ -10,7 +10,9 @@ workload's flags, in a temporary directory, and prints one line per output:
 for `calibration.csv`, `solutions.csv`, `plan.csv`, `result.tgmm`,
 `multiply_report.json` with `wallclock_s` and `timings` left out, and the
 input-digest values of `multiply_manifest.json`, sorted, one a line (its
-keys, paths in the temporary directory, are left out). `--src`
+keys, paths in the temporary directory, are left out). It also runs
+`sweep --blocks 2` on the workload's tables and hashes the `accel_pct`,
+`measured_snr_db` and `mac_ratio` columns of `sweep.csv`. `--src`
 runs another checkout's `src/` on the same workloads, so two versions give
 the same outputs when their lines are equal. `--against DIR` compares the
 two in one command: it runs the checkout at DIR's `src/` in a subprocess
@@ -71,6 +73,12 @@ def digests(wl, seed: int, work: Path) -> list:
     manifest = json.loads((out / "multiply_manifest.json").read_text())
     inputs = "\n".join(sorted(manifest["input_digests"].values())).encode()
     rows.append(("multiply_manifest.json-input-digests", hashlib.sha256(inputs).hexdigest()))
+    _run(cli, [*wl.base_argv(seed), "--tables", str(tables), "--out", str(work / "sweep"),
+               "sweep", "--blocks", "2"])
+    # every column but the last, wallclock_ratio, after the version line
+    sweep = (work / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    text = "\n".join(line.rsplit(",", 1)[0] for line in sweep).encode()
+    rows.append(("sweep.csv-without-wallclock_ratio", hashlib.sha256(text).hexdigest()))
     return rows
 
 

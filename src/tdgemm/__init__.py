@@ -3,13 +3,10 @@ companding inputs to integers and packing several per native float."""
 
 __version__ = "0.1.0"
 
-from .config import EngineConfig, compute_L
 from .blocking import plain_subblock_gemm, reorder_block_major, tiered_gemm
 from .packing import PackingConfig, packed_subblock_product
 
 __all__ = [
-    "EngineConfig",
-    "compute_L",
     "plain_subblock_gemm",
     "reorder_block_major",
     "tiered_gemm",

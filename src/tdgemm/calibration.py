@@ -471,8 +471,11 @@ def save_speedup(profile: SpeedupProfile, path) -> None:
 
 
 def load_speedup(path) -> SpeedupProfile:
+    """The profile in ``path``. A NaN or infinite ``fw_percent`` or
+    ``mac_ratio`` is a malformed row: an infinite gain would let an
+    acceleration floor demote all but one subblock of a kernel."""
     lines = _data_lines(path, SPEEDUP_HEADER)
-    types = (str, str, int, int, float, float, int)
+    types = (str, str, int, int, _finite_float(), _finite_float(), int)
     return SpeedupProfile([ProfileEntry(*r) for r in _typed_rows(path, lines, SPEEDUP_HEADER, types)])
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, calibration, controller, matrixio, packing
 from .blocking import tiered_gemm
-from .config import EngineConfig, dtype_of
+from .config import dtype_of, u_sys_of
 from .errors import (
     CalibrationMissingError,
     EngineError,
@@ -96,8 +96,7 @@ def cmd_calibrate(args) -> int:
         table.extend(entries)
         for e in entries:
             z = packing.compute_z(e.rmax)
-            wef = packing.compute_wef(z, e.rmax, EngineConfig(
-                b_repr=4 if args.precision == "single" else 8).u_sys)
+            wef = packing.compute_wef(z, e.rmax, u_sys_of(args.precision))
             print(f"W={w} rmax={e.rmax} exact-region bound W_ef={wef} rmse={e.rmse:.6g}")
     path = out_dir / TABLE_FILES["calibration"]
     calibration.save_calibration(table, path)
@@ -270,28 +269,15 @@ def cmd_sweep(args) -> int:
     w = args.sweep_w
     # options depend only on the inputs, so every step reuses them
     stats = controller.subblock_stats(a, b, L)
-    options = controller.option_lists(
-        controller.build_options(stats, args.mode, args.precision, calib, w_set=(w,)),
-        args.mode)
-    options_per_kernel = {key: options[k * blocks:(k + 1) * blocks]
-                          for k, key in enumerate(kernels)}
+    top = controller.top_choices(
+        controller.build_options(stats, args.mode, args.precision, calib, w_set=(w,)), args.mode)
+    plain = [None] * blocks
     for step in range(11):
         pct = 10 * step
         n_acc = round(len(kernels) * pct / 100)
-        plan = controller.KernelPlan()
-        packed_subblocks = 0
-        for idx, key in enumerate(kernels):
-            options = options_per_kernel[key]
-            if idx < n_acc:
-                choices = [opts[0] for opts in options]
-            else:
-                choices = [opts[-1] for opts in options]
-            plan.entries[key] = controller.KernelPlanEntry(
-                choices=choices,
-                total_d_hat=sum(o.d_hat for o in choices),
-                accel_percent=sum(o.fw_percent for o in choices) / len(choices),
-            )
-            packed_subblocks += sum(1 for o in choices if o.w > 1)
+        plan = {key: top[k * blocks:(k + 1) * blocks] if k < n_acc else plain
+                for k, key in enumerate(kernels)}
+        packed_subblocks = sum(c is not None for choices in plan.values() for c in choices)
         t0 = time.perf_counter()
         got = tiered_gemm(a, b, L, plan)
         t_packed = time.perf_counter() - t0

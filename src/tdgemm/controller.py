@@ -7,9 +7,10 @@ W: the calibration table's SNR-best R_max, which under the zero-mean
 uniform model is the same for every sigma pair, so the solution build at
 the one pair (1, 1) finds it. The planner starts every subblock at its
 highest-throughput option and greedily demotes the option with the highest
-predicted distortion until the constraint is met. Under an SNR floor every
-kernel's prune runs in one lockstep array loop, one demotion per unfinished
-kernel per step, with the bits of the per-kernel loop.
+predicted distortion until the constraint is met. Under either constraint
+every kernel's prune runs in one lockstep array loop (``_prune``), one
+demotion per unfinished kernel per step, with the bits of the per-kernel
+loop.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def build_options(stats, mode: str, precision: str, calib: CalibrationTable,
     subblocks in order of l, or a BatchStats whose last axis is l (the
     subblocks of a whole multiply). The arrays come in W descending order,
     W=1 last; each holds the subblocks that have that W, in C order of
-    ``stats``. ``option_lists`` turns them into one list per subblock.
+    ``stats``. Where no subblock has a W>1 the W=1 array is the only one.
 
     Each W takes one R_max for every subblock: the one
     ``build_offline_solutions`` finds at the sigma pair (1, 1), which its
@@ -226,52 +227,88 @@ def _options_of(rows, mode: str) -> list:
     return list(map(SubblockOption._make, zip(l, w, repeat(mode), *rest)))
 
 
-def option_lists(options, mode: str) -> list:
-    """``build_options``' arrays as one list per subblock, in C order: its
-    SubblockOptions in W descending order, W=1 last."""
-    lists = [[] for _ in range(len(options[-1]))]
-    for rows in options:
-        for p, opt in zip(rows["p"].tolist(), _options_of(rows, mode)):
-            lists[p].append(opt)
-    return lists
+def top_choices(options, mode: str) -> list:
+    """Each subblock's first option of ``build_options``' arrays, in C order,
+    as ``tiered_gemm`` takes it: a PackingConfig, or None where the subblock
+    has only W=1."""
+    choices = [None] * len(options[-1])
+    if len(options) > 1:
+        for p, opt in zip(options[0]["p"].tolist(), _options_of(options[0], mode)):
+            choices[p] = opt.to_packing_config()
+    return choices
 
 
-def _prune(d_hat, w, idx, budget):
-    """Greedy distortion prune of many kernels in lockstep.
+def _mean(total, n: int):
+    """``total / n``, and 0.0 for a kernel with no subblock (k < L), whose
+    ``total`` is an empty sum."""
+    return total / max(n, 1)
 
-    ``d_hat`` and ``w`` hold, per ladder row, subblock l and kernel, the
-    predicted distortion and the W of an option (shape
+
+def _prune(d_hat, w, idx, budget=None, fw=None, floor=None):
+    """Greedy prune of many kernels in lockstep, under a distortion budget
+    per kernel or, if ``budget`` is None, an acceleration floor.
+
+    ``d_hat``, ``w`` and ``fw`` hold, per ladder row, subblock l and kernel,
+    the predicted distortion, the W and the gain of an option (shape
     ``(rows, n_l, kernels)``); a ladder runs down the rows to W=1 on the
     last, which predicts zero. ``idx`` (shape ``(n_l, kernels)``) holds each
-    subblock's starting row and is left at its chosen one; ``budget`` holds
-    one distortion budget per kernel.
+    subblock's starting row and is left at its chosen one.
 
-    Each step sums every kernel's current predictions over l, and every
-    kernel still over its budget demotes the subblock of highest prediction
-    by one row; the first maximum is taken, so ties go to the lower l. Each
-    kernel so takes the steps of the greedy loop run on it alone, with the
-    same bits: totals add l = 0, 1, ... in turn (``ordered_sum``) and a
-    step's ``total_after`` is ``total - removed + next``. Returns the final
-    per-kernel totals and each kernel's list of PruneSteps.
+    Each step demotes, in every unfinished kernel, the subblock of highest
+    prediction by one row; the first maximum is taken, so ties go to the
+    lower l. Under a budget a kernel is unfinished while its total exceeds
+    the budget. Under ``floor`` only a subblock whose demotion keeps the
+    kernel's mean gain at or above the floor may go, and a kernel is
+    unfinished while one may; before any step, InfeasibleConstraintError
+    gives the mean gain of the first kernel whose starting rows fall short
+    of the floor. Each kernel so takes the steps
+    of the greedy loop run on it alone, with the same bits: totals and gains
+    add l = 0, 1, ... in turn (``ordered_sum``), and a mean gain is that sum
+    over n_l. A step's ``total_after`` is ``total - removed + next`` under a
+    budget and the new total under a floor. Returns the final per-kernel
+    totals and each kernel's list of PruneSteps.
     """
     n_l, n_k = idx.shape
     ls, ks = np.ogrid[:n_l, :n_k]
     cur = d_hat[idx, ls, ks]
     steps = []
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as Python floats give
+        if budget is None:
+            mean = _mean(ordered_sum(fw[idx, ls, ks]), n_l)
+            short = np.flatnonzero(mean < floor)
+            if short.size:
+                accel = mean[short[0]].item()
+                raise InfeasibleConstraintError(
+                    f"acceleration floor {floor}% exceeds the achievable maximum {accel:.4g}%",
+                    achievable_percent=accel,
+                )
+        total = ordered_sum(cur)
         while True:
-            total = ordered_sum(cur)
-            over = np.flatnonzero(~(total <= budget))
+            if budget is None:
+                down = np.minimum(idx + 1, len(d_hat) - 1)
+                # trial[m, l, k]: subblock m's gain in kernel k once subblock l is demoted
+                trial = np.where(np.eye(n_l, dtype=bool)[:, :, None], fw[down, ls, ks],
+                                 fw[idx, ls, ks][:, None])
+                ok = (idx < down) & ~(_mean(ordered_sum(trial), n_l) < floor)
+                over = np.flatnonzero(ok.any(axis=0))
+                score = np.where(ok, cur, -np.inf)
+            else:
+                over = np.flatnonzero(~(total <= budget))
+                score = cur
             if not over.size:
                 break
-            worst = cur[:, over].argmax(axis=0)
+            worst = score[:, over].argmax(axis=0)
             row = idx[worst, over]
             removed = cur[worst, over]
             nxt = d_hat[row + 1, worst, over]
-            steps.append((over, worst, w[row, worst, over], w[row + 1, worst, over], removed,
-                          total[over] - removed + nxt))
             idx[worst, over] = row + 1
             cur[worst, over] = nxt
+            after = total[over] - removed + nxt
+            total = ordered_sum(cur)
+            if budget is None:  # the floor loop took a fresh sum
+                after = total[over]
+            steps.append((over, worst, w[row, worst, over], w[row + 1, worst, over], removed,
+                          after))
     traces = [[] for _ in range(n_k)]
     if steps:
         kernels, *cols = (np.concatenate(col).tolist() for col in zip(*steps))
@@ -280,40 +317,20 @@ def _prune(d_hat, w, idx, budget):
     return total, traces
 
 
-def _mean(total: float, n: int) -> float:
-    """``total / n``, and 0.0 for a kernel with no subblock (k < L)."""
-    return total / n if n else 0.0
-
-
-def _entry_from_indices(options_per_l, idx, trace):
-    choices = [opts[i] for opts, i in zip(options_per_l, idx)]
-    return KernelPlanEntry(
-        choices=choices,
-        total_d_hat=sum(o.d_hat for o in choices),
-        accel_percent=_mean(sum(o.fw_percent for o in choices), len(choices)),
-        prune_trace=trace,
-    )
-
-
-def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
-    """Greedy pruning under a distortion budget.
-
-    Start all subblocks at maximum W; while the summed prediction exceeds the
-    budget, demote the subblock whose current option has the highest
-    prediction (ties to the lower l). Always terminates: W=1 predicts zero.
-    This is ``plan_gemm``'s lockstep prune (``_prune``) run on one kernel.
-    """
-    if not d_kernel >= 0:
-        raise InvalidConfigError(f"distortion budget must be >= 0, got {d_kernel}")
+def _plan_kernel(options_per_l, **constraint) -> KernelPlanEntry:
+    """``_prune`` of one kernel given as one option list per subblock: each
+    list fills the last rows of its subblock's ladder."""
     n_l = len(options_per_l)
     rows = max(map(len, options_per_l), default=1)
-    d_hat, w = np.zeros((rows, n_l, 1)), np.ones((rows, n_l, 1), dtype=np.int64)
+    d_hat, fw = np.zeros((2, rows, n_l, 1))
+    w = np.ones((rows, n_l, 1), dtype=np.int64)
     top = np.array([rows - len(opts) for opts in options_per_l], dtype=np.intp)
     for l, opts in enumerate(options_per_l):  # every ladder ends on the last row
         d_hat[top[l]:, l, 0] = [o.d_hat for o in opts]
         w[top[l]:, l, 0] = [o.w for o in opts]
+        fw[top[l]:, l, 0] = [o.fw_percent for o in opts]
     idx = top[:, None].copy()
-    total, (trace,) = _prune(d_hat, w, idx, np.array([d_kernel], dtype=np.float64))
+    total, (trace,) = _prune(d_hat, w, idx, fw=fw, **constraint)
     choices = [opts[i] for opts, i in zip(options_per_l, (idx[:, 0] - top).tolist())]
     return KernelPlanEntry(
         choices=choices,
@@ -323,51 +340,26 @@ def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
     )
 
 
+def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
+    """Greedy pruning of one kernel under a distortion budget.
+
+    Start all subblocks at maximum W; while the summed prediction exceeds the
+    budget, demote the subblock whose current option has the highest
+    prediction (ties to the lower l). Always terminates: W=1 predicts zero.
+    """
+    if not d_kernel >= 0:
+        raise InvalidConfigError(f"distortion budget must be >= 0, got {d_kernel}")
+    return _plan_kernel(options_per_l, budget=d_kernel)
+
+
 def plan_kernel_throughput(options_per_l, f_kernel: float) -> KernelPlanEntry:
-    """Greedy pruning under an acceleration floor.
+    """Greedy pruning of one kernel under an acceleration floor.
 
     Demotes highest-predicted-distortion options first, but only while the
     kernel's mean speedup stays at or above the floor; subblocks whose
     demotion would break the floor are left alone.
     """
-    n = len(options_per_l)
-    idx = [0] * n
-
-    def mean_accel():
-        return _mean(sum(opts[i].fw_percent for opts, i in zip(options_per_l, idx)), n)
-
-    accel = mean_accel()
-    if accel < f_kernel:
-        raise InfeasibleConstraintError(
-            f"acceleration floor {f_kernel}% exceeds the achievable maximum {accel:.4g}%",
-            achievable_percent=accel,
-        )
-    trace = []
-    while True:
-        order = sorted(
-            (l for l in range(n) if idx[l] + 1 < len(options_per_l[l])),
-            key=lambda l: (-options_per_l[l][idx[l]].d_hat, l),
-        )
-        demoted = False
-        for l in order:
-            cur = options_per_l[l][idx[l]]
-            nxt = options_per_l[l][idx[l] + 1]
-            idx[l] += 1
-            accel = mean_accel()
-            if accel < f_kernel:
-                idx[l] -= 1
-                accel = mean_accel()
-                continue
-            total = sum(opts[i].d_hat for opts, i in zip(options_per_l, idx))
-            trace.append(
-                PruneStep(l=l, from_w=cur.w, to_w=nxt.w, removed_d_hat=cur.d_hat,
-                          total_after=total)
-            )
-            demoted = True
-            break
-        if not demoted:
-            break
-    return _entry_from_indices(options_per_l, idx, trace)
+    return _plan_kernel(options_per_l, floor=f_kernel)
 
 
 def subblock_stats(a: np.ndarray, b: np.ndarray, L: int) -> BatchStats:
@@ -398,22 +390,14 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
               profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> KernelPlan:
     """Plan every inner kernel of A @ B under a uniform per-kernel constraint.
 
-    One ``build_options`` call covers every subblock. Under an SNR floor one
-    lockstep prune (``_prune``) then plans every kernel, and a SubblockOption
-    is made only for the option each subblock ends up with; under an
-    acceleration floor each kernel is pruned on its own option lists.
+    One ``build_options`` call covers every subblock, and one lockstep prune
+    (``_prune``) plans every kernel under either constraint. A
+    SubblockOption is made only for the option each subblock ends up with.
     """
     stats = subblock_stats(a, b, L)
     options = build_options(stats, mode, precision, calib, profile=profile, w_set=w_set)
     blocks_i, blocks_j, n_l = stats.shape
     keys = [(i, j) for i in range(blocks_i) for j in range(blocks_j)]
-    plan = KernelPlan()
-    if constraint.target_snr_db is None:
-        lists = option_lists(options, mode)
-        for k, key in enumerate(keys):
-            plan.entries[key] = plan_kernel_throughput(lists[k * n_l:(k + 1) * n_l],
-                                                       constraint.target_accel_percent)
-        return plan
     # every option by ladder row (W descending, W=1 last), subblock l and kernel
     ladder = np.zeros((len(options), len(keys) * n_l), dtype=OPTION_DTYPE)
     for r, rows in enumerate(options):
@@ -422,13 +406,18 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
     idx = np.full((len(keys), n_l), len(options) - 1, dtype=np.intp)
     idx.reshape(-1)[options[0]["p"]] = 0  # subblocks that have a W>1 start at the top
     idx = idx.T.copy()
-    pairs = np.stack([stats.sigma_a, stats.sigma_b]).reshape(2, len(keys), n_l)
-    budget = snr_to_distortion(constraint.target_snr_db, pairs.transpose(2, 0, 1), L)
-    total, traces = _prune(ladder["d_hat"], ladder["w"], idx, budget)
+    if constraint.target_snr_db is None:
+        limit = dict(fw=ladder["fw_percent"], floor=constraint.target_accel_percent)
+    else:
+        pairs = np.stack([stats.sigma_a, stats.sigma_b]).reshape(2, len(keys), n_l)
+        limit = dict(budget=snr_to_distortion(constraint.target_snr_db,
+                                              pairs.transpose(2, 0, 1), L))
+    total, traces = _prune(ladder["d_hat"], ladder["w"], idx, **limit)
     ls, ks = np.ogrid[:n_l, :len(keys)]
     chosen = ladder[idx, ls, ks]
     fw = ordered_sum(chosen["fw_percent"]).tolist()
     choices = _options_of(chosen.T.reshape(-1), mode)
+    plan = KernelPlan()
     for k, (key, total_k) in enumerate(zip(keys, total.tolist())):
         plan.entries[key] = KernelPlanEntry(
             choices=choices[k * n_l:(k + 1) * n_l], total_d_hat=total_k,

@@ -482,7 +482,7 @@ def _pack_multiply_unpack(v, mode, w, z):
 def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig,
                             work: Workspace | None = None) -> np.ndarray:
     """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
-    reverse-compand. W=1 falls back to quantize-multiply-dequantize.
+    reverse-compand, at a W of at least 2 (W=1 is the plain product).
 
     Bitwise the public stages run one after another, under one
     ``np.errstate``: both tiles are quantized in one pass and checked
@@ -490,11 +490,8 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
     from there. The result is a view of ``work`` (a new ``Workspace`` if
     None), so it lasts until the next call on it.
     """
-    if cfg.w == 1:
-        at = quantize_subblock(a_tile, cfg.c_a)
-        bt = quantize_subblock(b_tile, cfg.c_b)
-        rt = plain_subblock_gemm(at, bt)
-        return dequantize(rt, cfg.c_a, cfg.c_b, out=rt)
+    if cfg.w < 2:
+        raise InvalidConfigError(f"packing needs W >= 2, got {cfg.w}")
     if cfg.mode not in MODES:
         raise InvalidConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.c_a <= 0 or cfg.c_b <= 0:

@@ -162,19 +162,11 @@ def test_criterion_05_packing_count_bound_values():
 
 
 def _all_w2_plan(a, b, mode, calib):
-    plan = ctl.KernelPlan()
     stats = ctl.subblock_stats(a, b, L)
     bi, bj, n_l = stats.shape
-    options = ctl.option_lists(
-        ctl.build_options(stats, mode, "single", calib, w_set=(2,)), mode)
-    for k, key in enumerate((i, j) for i in range(bi) for j in range(bj)):
-        choices = [opts[0] for opts in options[k * n_l:(k + 1) * n_l]]
-        plan.entries[key] = ctl.KernelPlanEntry(
-            choices=choices,
-            total_d_hat=sum(o.d_hat for o in choices),
-            accel_percent=100.0,
-        )
-    return plan
+    choices = ctl.top_choices(ctl.build_options(stats, mode, "single", calib, w_set=(2,)), mode)
+    keys = [(i, j) for i in range(bi) for j in range(bj)]
+    return {key: choices[k * n_l:(k + 1) * n_l] for k, key in enumerate(keys)}
 
 
 def test_criterion_06_mode_ordering(calib48):

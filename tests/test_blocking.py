@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tdgemm import blocking, packing
 from tdgemm.blocking import plain_subblock_gemm, reorder_block_major, tiered_gemm
-from tdgemm.config import EngineConfig, compute_L
 from tdgemm.errors import DimensionError, InvalidConfigError
 
 
@@ -52,32 +51,6 @@ def _layout(x, kind):
         wide[1:-1, x.shape[1]:2 * x.shape[1]] = x
         return wide[1:-1, x.shape[1]:2 * x.shape[1]]
     return x
-
-
-class TestComputeL:
-    def test_benchmark_scale(self):
-        assert compute_L(EngineConfig(k=6)) == 288
-
-    def test_desk_scale(self):
-        assert compute_L(EngineConfig(k=1)) == 48
-
-    def test_minimal(self):
-        assert compute_L(EngineConfig(b_repr=8, max_w=2)) == 4
-
-    @given(st.sampled_from([4, 8]), st.integers(1, 4), st.integers(1, 8))
-    def test_divisible_by_every_w(self, b_repr, max_w, k):
-        cfg = EngineConfig(simd_bytes=16, b_repr=b_repr, max_w=max_w, k=k)
-        L = compute_L(cfg)
-        for w in range(1, max_w + 1):
-            assert L % w == 0
-
-    def test_invalid_b_repr(self):
-        with pytest.raises(InvalidConfigError):
-            EngineConfig(b_repr=3)
-
-    def test_b_repr_must_divide_simd(self):
-        with pytest.raises(InvalidConfigError):
-            EngineConfig(simd_bytes=12, b_repr=8)
 
 
 def tile_stats_loop(m, L):

@@ -734,6 +734,26 @@ def test_calibration_rejects_values_no_measurement_gives(small_table, tmp_path, 
     assert f"{path}, line 4: bad {column} value '{value}'" in str(exc.value)
 
 
+@pytest.mark.parametrize("column,value", [("fw_percent", "nan"), ("fw_percent", "inf"),
+                                          ("mac_ratio", "nan"), ("mac_ratio", "-inf")])
+def test_speedup_rejects_non_finite_values(tmp_path, column, value):
+    """An infinite gain keeps a kernel's mean gain infinite while one of its
+    subblocks keeps it, so an acceleration floor would demote all the others;
+    a row holding a NaN or an infinity fails to load."""
+    path = tmp_path / "speedup.csv"
+    cal.save_speedup(cal.SpeedupProfile(
+        [cal.ProfileEntry("single", "symmetric", w, 48, 10.0 * w, float(w), 5)
+         for w in (2, 3, 4)]), path)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[3].split(",")
+    fields[cal.SPEEDUP_HEADER.index(column)] = value
+    lines[3] = ",".join(fields)
+    path.write_text("".join(lines))
+    with pytest.raises(TableFormatError) as exc:
+        cal.load_speedup(path)
+    assert f"{path}, line 4: bad {column} value '{value}'" in str(exc.value)
+
+
 def test_amplitude_sweep_reproduces_reference_grid():
     grid = [packing.compute_rmax(1.0, 1.0, 288, a, b)
             for a, b in cal.amplitude_sweep(288)]

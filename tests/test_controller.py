@@ -145,9 +145,15 @@ def calib():
 
 
 def option_lists(stats, calib, **kwargs):
-    """Per-subblock option lists of a ``build_options`` call, symmetric mode."""
+    """Per-subblock option lists of a ``build_options`` call, symmetric mode,
+    in C order: each subblock's SubblockOptions in W descending order, W=1
+    last."""
     options = ctl.build_options(stats, "symmetric", "single", calib, **kwargs)
-    return ctl.option_lists(options, "symmetric")
+    lists = [[] for _ in range(len(options[-1]))]
+    for rows in options:
+        for p, o in zip(rows["p"].tolist(), ctl._options_of(rows, "symmetric")):
+            lists[p].append(o)
+    return lists
 
 
 class TestBuildOptions:
@@ -173,7 +179,7 @@ class TestBuildOptions:
         options = ctl.build_options(stats, "symmetric", "single", calib, w_set=(2,))
         assert [rows["w"].tolist() for rows in options] == [[2, 2], [1, 1, 1]]
         assert [rows["p"].tolist() for rows in options] == [[0, 2], [0, 1, 2]]
-        lists = ctl.option_lists(options, "symmetric")
+        lists = option_lists(stats, calib, w_set=(2,))
         assert sum(map(len, options)) == sum(map(len, lists)) == 5
 
     def test_d_hat_matches_monte_carlo(self, calib):
@@ -443,24 +449,52 @@ def entry_bits(entry):
 # a kernel's total to inf
 _D_HAT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 1e308]),
                    st.floats(0.0, 1e3))
+# gains of a packed option: the MAC-count ones, zero, negative and non-integer
+_GAIN = st.one_of(st.sampled_from([100.0, 200.0, 300.0, 0.0, -20.0, 0.1, 1 / 3]),
+                  st.floats(-100.0, 400.0))
+# ladder widths: the W's of a live subblock, W=1 last
+_WS = st.sampled_from([(1,), (2, 1), (3, 2, 1), (4, 3, 2, 1)])
+
+
+def draw_kernels(data, ws, n_l, n_kernels, gain=None):
+    """Option lists of ``n_kernels`` kernels of ``n_l`` subblocks; a
+    zero-sigma subblock has only W=1."""
+    kernels = []
+    for _ in range(n_kernels):
+        options = []
+        for l in range(n_l):
+            live = data.draw(st.booleans()) or data.draw(st.booleans())
+            packed = [opt(l, w, data.draw(_D_HAT), None if gain is None else data.draw(gain))
+                      for w in ws[:-1]] if live else []
+            options.append(packed + [opt(l, 1, 0.0)])
+        kernels.append(options)
+    return kernels
+
+
+def ladder_of(kernels, rows):
+    """The kernels' predictions, W's and gains as ``_prune`` takes them, each
+    subblock's options on the last rows of its ladder, and the starting rows."""
+    n_l, n_kernels = len(kernels[0]), len(kernels)
+    d_hat, fw = np.zeros((2, rows, n_l, n_kernels))
+    w = np.ones((rows, n_l, n_kernels), dtype=np.int64)
+    top = np.zeros((n_l, n_kernels), dtype=np.intp)
+    for k, options in enumerate(kernels):
+        for l, opts in enumerate(options):
+            top[l, k] = rows - len(opts)
+            d_hat[top[l, k]:, l, k] = [o.d_hat for o in opts]
+            w[top[l, k]:, l, k] = [o.w for o in opts]
+            fw[top[l, k]:, l, k] = [o.fw_percent for o in opts]
+    return d_hat, w, fw, top
 
 
 class TestLockstepPrune:
-    @given(st.sampled_from([(1,), (2, 1), (3, 2, 1), (4, 3, 2, 1)]), st.integers(1, 9),
-           st.integers(1, 6), st.data())
+    @given(_WS, st.integers(1, 9), st.integers(1, 6), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_kernel_greedy(self, ws, n_l, n_kernels, data):
         """Every kernel's choices, trace and total match the frozen greedy loop
         bit for bit, whether pruned together or alone."""
-        kernels, budgets = [], []
-        for _ in range(n_kernels):
-            options = []
-            for l in range(n_l):
-                # a zero-sigma subblock has only W=1
-                live = data.draw(st.booleans()) or data.draw(st.booleans())
-                packed = [opt(l, w, data.draw(_D_HAT)) for w in ws[:-1]] if live else []
-                options.append(packed + [opt(l, 1, 0.0)])
-            kernels.append(options)
+        kernels, budgets = draw_kernels(data, ws, n_l, n_kernels), []
+        for options in kernels:
             full = frozen_plan_kernel_distortion(options, 0.0)  # the most steps there are
             exact = [frozen_sum(opts[0].d_hat for opts in options)]
             exact += [s.total_after for s in full.prune_trace]
@@ -468,16 +502,7 @@ class TestLockstepPrune:
                 st.just(0.0), st.just(math.inf), st.sampled_from(exact), st.floats(0.0, 10.0))))
         want = [frozen_plan_kernel_distortion(o, d) for o, d in zip(kernels, budgets)]
 
-        rows = len(ws)
-        d_hat = np.zeros((rows, n_l, n_kernels))
-        w = np.ones((rows, n_l, n_kernels), dtype=np.int64)
-        top = np.zeros((n_l, n_kernels), dtype=np.intp)
-        for k, options in enumerate(kernels):
-            for l, opts in enumerate(options):
-                top[l, k] = rows - len(opts)
-                d_hat[top[l, k]:, l, k] = [o.d_hat for o in opts]
-                w[top[l, k]:, l, k] = [o.w for o in opts]
-        idx = top.copy()
+        d_hat, w, _fw, idx = ladder_of(kernels, len(ws))
         total, traces = ctl._prune(d_hat, w, idx, np.array(budgets))
         for k, entry in enumerate(want):
             got_w = [int(w[idx[l, k], l, k]) for l in range(n_l)]
@@ -488,6 +513,57 @@ class TestLockstepPrune:
             alone = ctl.plan_kernel_distortion(kernels[k], budgets[k])
             assert all(a is b for a, b in zip(alone.choices, entry.choices))
             assert entry_bits(alone) == entry_bits(entry)
+
+    @given(_WS, st.integers(1, 9), st.integers(1, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_floor_matches_per_kernel_greedy(self, ws, n_l, n_kernels, data):
+        """Under an acceleration floor every kernel's choices, trace, total
+        and mean gain match the frozen floor loop bit for bit, whether pruned
+        together or alone; a floor a kernel's top options cannot reach raises
+        the frozen loop's error for the first such kernel."""
+        kernels = draw_kernels(data, ws, n_l, n_kernels, gain=_GAIN)
+        reachable = []  # mean gains of each kernel's top rows and of drawn rows
+        for options in kernels:
+            for rows in ([0] * n_l, [data.draw(st.integers(0, len(o) - 1)) for o in options]):
+                reachable.append(sum(o[i].fw_percent for o, i in zip(options, rows)) / n_l)
+        floor = data.draw(st.one_of(st.just(0.0), st.sampled_from(reachable),
+                                    st.floats(-100.0, 400.0), st.just(max(reachable) + 1.0)))
+        want = []
+        for options in kernels:
+            try:
+                want.append(frozen_plan_kernel_throughput(options, floor))
+            except InfeasibleConstraintError as exc:
+                want.append(exc)
+
+        def same_error(got, exc):
+            assert str(got) == str(exc)
+            assert float(got.achievable_percent).hex() == float(exc.achievable_percent).hex()
+
+        for options, entry in zip(kernels, want):
+            if isinstance(entry, InfeasibleConstraintError):
+                with pytest.raises(InfeasibleConstraintError) as exc:
+                    ctl.plan_kernel_throughput(options, floor)
+                same_error(exc.value, entry)
+                continue
+            alone = ctl.plan_kernel_throughput(options, floor)
+            assert all(a is b for a, b in zip(alone.choices, entry.choices))
+            assert alone.prune_trace == entry.prune_trace
+            assert entry_bits(alone) == entry_bits(entry)
+
+        d_hat, w, fw, idx = ladder_of(kernels, len(ws))
+        errors = [e for e in want if isinstance(e, InfeasibleConstraintError)]
+        if errors:
+            with pytest.raises(InfeasibleConstraintError) as exc:
+                ctl._prune(d_hat, w, idx, fw=fw, floor=floor)
+            same_error(exc.value, errors[0])
+            return
+        total, traces = ctl._prune(d_hat, w, idx, fw=fw, floor=floor)
+        for k, entry in enumerate(want):
+            chosen = [(int(w[idx[l, k], l, k]), fw[idx[l, k], l, k].hex()) for l in range(n_l)]
+            assert chosen == [(o.w, o.fw_percent.hex()) for o in entry.choices]
+            assert traces[k] == entry.prune_trace
+            assert entry_bits(ctl.KernelPlanEntry([], total[k], 0.0, traces[k]))[:2] == \
+                entry_bits(entry)[:2]
 
     def test_nan_budget_rejected(self):
         with pytest.raises(InvalidConfigError):

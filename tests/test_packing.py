@@ -290,18 +290,13 @@ class TestPackShapes:
             packing.multiply_packed_symmetric(a2, b3)
 
 
-def test_full_pipeline_w1_equals_plain_on_quantized():
-    rng = np.random.default_rng(12)
-    a = rng.uniform(-5, 5, size=(12, 12)).astype(np.float32)
-    b = rng.uniform(-5, 5, size=(12, 12)).astype(np.float32)
-    cfg = packing.PackingConfig(
-        mode=packing.SYMMETRIC, w=1, z=0.0, c_a=2.0, c_b=2.0, rmax=0
-    )
-    got = packing.packed_subblock_product(a, b, cfg)
-    at = packing.quantize_subblock(a, 2.0)
-    bt = packing.quantize_subblock(b, 2.0)
-    want = (plain_subblock_gemm(at, bt) / 4.0).astype(np.float32)
-    np.testing.assert_array_equal(got, want)
+def test_full_pipeline_rejects_w_below_2():
+    """W=1 is the plain product, which ``tiered_gemm`` runs itself."""
+    a = np.ones((12, 12), np.float32)
+    for w in (1, 0, -2):
+        cfg = packing.PackingConfig(mode=packing.SYMMETRIC, w=w, z=0.0, c_a=2.0, c_b=2.0, rmax=0)
+        with pytest.raises(InvalidConfigError, match=f"W >= 2, got {w}"):
+            packing.packed_subblock_product(a, a, cfg)
 
 
 def test_full_pipeline_packed_close_to_exact():
