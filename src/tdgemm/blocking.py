@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidConfigError
+from .errors import DimensionError, InvalidConfigError, QuantizerOverflowError
 
 # Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
 _STATS_ELEMS = 1 << 16
@@ -163,14 +163,17 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
             cols = slice(j * L, (j + 1) * L)
             entry = entries.get((i, j))
             acc = np.zeros((L, L), dtype=a.dtype)
-            for l in range(k // L):
-                at = a[rows, l * L:(l + 1) * L]
-                bt = b[l * L:(l + 1) * L, cols]
-                choice = entry[l] if entry is not None else None
-                if choice is None or choice.w == 1:
-                    acc += plain_subblock_gemm(at, bt)
-                else:
-                    acc += packing.packed_subblock_product(at, bt, choice, work)
+            try:
+                for l in range(k // L):
+                    at = a[rows, l * L:(l + 1) * L]
+                    bt = b[l * L:(l + 1) * L, cols]
+                    choice = entry[l] if entry is not None else None
+                    if choice is None or choice.w == 1:
+                        acc += plain_subblock_gemm(at, bt)
+                    else:
+                        acc += packing.packed_subblock_product(at, bt, choice, work)
+            except QuantizerOverflowError as exc:
+                raise QuantizerOverflowError(f"kernel ({i},{j}) subblock {l}: {exc}") from exc
             if kf < k:
                 acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols])
             r[rows, cols] = acc

@@ -327,7 +327,7 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
             a_abs, b_abs = uniform_extremes(sa, sb)
             stats = BatchStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
                                b_min=-b_abs, b_max=b_abs, L=L)
-            sol = optimal_companders(stats, rmax, s_repr=s_repr, w=w)
+            sol = optimal_companders(stats, rmax, w=w)
             total = combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
             ratio = signal_power(stats) / total
             snr = 10.0 * np.fromiter(map(math.log10, ratio.ravel().tolist()),

@@ -27,6 +27,7 @@ from .errors import (
     CalibrationMissingError,
     EngineError,
     InfeasibleConstraintError,
+    InvalidConfigError,
     NonFiniteInputError,
 )
 
@@ -74,6 +75,21 @@ def _w_set_for_l(L: int, requested) -> tuple:
     return tuple(w for w in requested if L % w == 0)
 
 
+def _check_at_least_1(flag: str, *values) -> None:
+    """Reject a flag that gave a value below 1."""
+    if min(values) < 1:
+        raise InvalidConfigError(f"{flag} must be >= 1, got {min(values)}")
+
+
+def _requested_w_set(L: int, requested) -> tuple:
+    """The W's of ``--w`` that divide L, of which there must be one."""
+    _check_at_least_1("--w", *requested)
+    ws = _w_set_for_l(L, requested)
+    if not ws:
+        raise InvalidConfigError(f"--w: no W of {list(requested)} divides L={L}")
+    return ws
+
+
 def _calibrated_w_set(calib: calibration.CalibrationTable, precision: str, mode: str,
                       L: int) -> tuple:
     """The W's ``calib`` holds for (precision, mode) that divide L."""
@@ -105,11 +121,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    w_set = _requested_w_set(args.l, args.w)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = calibration.measure_speedup_profile(
         args.l, args.precision, args.mode,
-        w_set=_w_set_for_l(args.l, args.w),
+        w_set=w_set,
         repetitions=args.reps, seed=args.seed,
     )
     path = out_dir / TABLE_FILES["speedup"]
@@ -121,6 +138,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_solutions(args) -> int:
+    w_set = _requested_w_set(args.l, args.w)
+    _check_at_least_1("--per-decade", args.per_decade)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     calib = _load_calibration(Path(args.tables))
@@ -128,7 +147,7 @@ def cmd_solutions(args) -> int:
     pairs = [(sa, sb) for sa in sigmas for sb in sigmas]
     table = calibration.build_offline_solutions(
         pairs, calib, args.precision, args.mode, args.l,
-        w_set=_w_set_for_l(args.l, args.w),
+        w_set=w_set,
     )
     path = out_dir / TABLE_FILES["solutions"]
     calibration.save_solutions(table, path)
@@ -254,6 +273,7 @@ def _sweep_inputs(L: int, blocks: int, precision: str, seed: int):
 
 
 def cmd_sweep(args) -> int:
+    _check_at_least_1("--sweep-w", args.sweep_w)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     calib = _load_calibration(Path(args.tables))

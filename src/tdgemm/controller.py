@@ -134,13 +134,11 @@ def ordered_sum(x):
 def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int):
     """Kernel distortion budget equivalent to an SNR floor.
 
-    ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l: a sequence
-    of pairs, or an array of shape ``(n_l, 2, kernels)`` for one budget per
+    ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l: shape
+    ``(n_l, 2)`` for one kernel, or ``(n_l, 2, kernels)`` for one budget per
     kernel. The signal power adds the subblocks in ascending l.
     """
     pairs = np.asarray(sigma_pairs, dtype=np.float64)
-    if pairs.ndim == 1:
-        pairs = pairs.reshape(-1, 2)
     if (pairs < 0).any():
         raise InvalidConfigError("sigmas must be >= 0")
     p = pairs[:, 0] * pairs[:, 1]
@@ -169,14 +167,13 @@ def _option_rows(p, n_l, **fields):
     return rows
 
 
-def build_options(stats, mode: str, precision: str, calib: CalibrationTable,
+def build_options(stats: BatchStats, mode: str, precision: str, calib: CalibrationTable,
                   profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> list:
     """Options of many subblocks, as one ``OPTION_DTYPE`` array per W.
 
-    ``stats`` holds one entry per subblock: the InputStats of one kernel's
-    subblocks in order of l, or a BatchStats whose last axis is l (the
-    subblocks of a whole multiply). The arrays come in W descending order,
-    W=1 last; each holds the subblocks that have that W, in C order of
+    ``stats`` holds one entry per subblock, its last axis l: the subblocks
+    of one kernel, or of a whole multiply. The arrays come in W descending
+    order, W=1 last; each holds the subblocks that have that W, in C order of
     ``stats``. Where no subblock has a W>1 the W=1 array is the only one.
 
     Each W takes one R_max for every subblock: the one
@@ -188,8 +185,6 @@ def build_options(stats, mode: str, precision: str, calib: CalibrationTable,
     measured gain is not positive is left out: W=1 dominates it. A subblock
     with a zero sigma gets only W=1.
     """
-    if not isinstance(stats, BatchStats):
-        stats = BatchStats.of(stats)
     sa, sb = stats.sigma_a.reshape(-1), stats.sigma_b.reshape(-1)
     live = np.flatnonzero(~((sa <= 0) | (sb <= 0)))
     n_l = stats.shape[-1]
@@ -209,7 +204,7 @@ def build_options(stats, mode: str, precision: str, calib: CalibrationTable,
         for w, fw in ladder:
             rmax = rmax_of[w]
             s_repr = calib.lookup(precision, mode, w, rmax).rmse
-            comp = optimal_companders(sub, rmax, s_repr=s_repr, w=w)
+            comp = optimal_companders(sub, rmax, w=w)
             d_hat = combined_distortion(sub, comp.c_a, comp.c_b, s_repr).total
             options.append(_option_rows(live, n_l, w=w, c_a=comp.c_a, c_b=comp.c_b, rmax=rmax,
                                         z=packing.compute_z(rmax), d_hat=d_hat, fw_percent=fw))

@@ -7,11 +7,10 @@ operand. The representation-induced error enters as a per-element RMSE
 ``s(R_max, W)`` measured by the calibration module, mapped back to the output
 domain through the reverse companding.
 
-The distortion formulas take one subblock (InputStats and floats) or many
-(BatchStats and arrays of its shape), with the same bits per subblock either
-way: squares are written ``t * t``, because CPython's ``t ** 2`` calls libm
-``pow``, which is not always correctly rounded, while NumPy squares arrays
-by multiplication.
+The formulas take a BatchStats, one entry per subblock, and arrays that
+broadcast with its shape. Squares are written ``t * t``, which is correctly
+rounded, while ``t ** 2`` of a scalar calls libm ``pow``, which is not
+always.
 """
 
 from __future__ import annotations
@@ -24,56 +23,13 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidConfigError
 
 _SQRT12 = math.sqrt(12.0)
-
-
-@dataclass(frozen=True)
-class InputStats:
-    """Second moments and extremes of one subblock pair."""
-
-    sigma_a: float
-    sigma_b: float
-    a_min: float
-    a_max: float
-    b_min: float
-    b_max: float
-    L: int
-
-    def __post_init__(self):
-        if self.sigma_a < 0 or self.sigma_b < 0:
-            raise InvalidConfigError("sigmas must be >= 0")
-        if self.a_min > self.a_max or self.b_min > self.b_max:
-            raise InvalidConfigError("inconsistent extremes (min > max)")
-
-    @property
-    def a_absmax(self) -> float:
-        return max(abs(self.a_min), abs(self.a_max))
-
-    @property
-    def b_absmax(self) -> float:
-        return max(abs(self.b_min), abs(self.b_max))
-
-    @classmethod
-    def from_tiles(cls, a_tile: np.ndarray, b_tile: np.ndarray) -> "InputStats":
-        a = a_tile.astype(np.float64, copy=False)
-        b = b_tile.astype(np.float64, copy=False)
-        return cls(
-            sigma_a=float(a.std(ddof=1)),
-            sigma_b=float(b.std(ddof=1)),
-            a_min=float(a.min()),
-            a_max=float(a.max()),
-            b_min=float(b.min()),
-            b_max=float(b.max()),
-            L=a_tile.shape[0],
-        )
-
-
 STATS_FIELDS = ("sigma_a", "sigma_b", "a_min", "a_max", "b_min", "b_max")
 
 
 @dataclass(frozen=True)
 class BatchStats:
-    """InputStats of many subblock pairs: each field an array of one shape,
-    one entry per subblock, all of tile side L."""
+    """Second moments and extremes of many subblock pairs: each field an
+    array of one shape, one entry per subblock, all of tile side L."""
 
     sigma_a: np.ndarray
     sigma_b: np.ndarray
@@ -88,17 +44,6 @@ class BatchStats:
             raise InvalidConfigError("sigmas must be >= 0")
         if (self.a_min > self.a_max).any() or (self.b_min > self.b_max).any():
             raise InvalidConfigError("inconsistent extremes (min > max)")
-
-    @classmethod
-    def of(cls, stats) -> "BatchStats":
-        """A sequence of InputStats of one tile side, as a 1-D batch."""
-        stats = list(stats)
-        sides = {s.L for s in stats}
-        if len(sides) > 1:
-            raise InvalidConfigError(f"mixed tile sides {sorted(sides)}")
-        cols = {f: np.array([getattr(s, f) for s in stats], dtype=np.float64)
-                for f in STATS_FIELDS}
-        return cls(**cols, L=sides.pop() if sides else 0)
 
     @property
     def shape(self) -> tuple:
@@ -130,9 +75,9 @@ class NoiseBudget:
 
 @dataclass(frozen=True)
 class CompanderSolution:
-    """Companders at one R_max. For BatchStats the fields are arrays and
-    ``expected_snr_db`` is None: the planner needs no SNR, and ``np.log10``
-    is not bitwise ``math.log10``."""
+    """Companders at one R_max, as arrays. ``optimal_companders`` leaves
+    ``expected_snr_db`` None: the planner needs no SNR, and ``np.log10`` is
+    not bitwise ``math.log10``."""
 
     c_a: float
     c_b: float
@@ -158,13 +103,6 @@ def signal_power(stats):
     return stats.L * (p * p)
 
 
-def expected_snr(stats: InputStats, c_a: float, c_b: float) -> float:
-    """Quantization-only SNR in dB."""
-    if stats.sigma_a == 0 or stats.sigma_b == 0:
-        raise DegenerateInputError("SNR undefined for zero-sigma input")
-    return 10.0 * math.log10(signal_power(stats) / quant_noise_power(stats, c_a, c_b))
-
-
 def combined_distortion(stats, c_a, c_b, s_repr) -> NoiseBudget:
     """Quantization plus representation noise power per output element.
 
@@ -181,14 +119,6 @@ def combined_distortion(stats, c_a, c_b, s_repr) -> NoiseBudget:
     )
 
 
-def model_snr_db(stats: InputStats, c_a: float, c_b: float, s_repr: float) -> float:
-    """SNR predicted by the combined noise model, in dB."""
-    if stats.sigma_a == 0 or stats.sigma_b == 0:
-        raise DegenerateInputError("SNR undefined for zero-sigma input")
-    total = combined_distortion(stats, c_a, c_b, s_repr).total
-    return 10.0 * math.log10(signal_power(stats) / total)
-
-
 def c_tot(L: int, a_absmax, b_absmax, rmax):
     """Compander-independent ratio linking R_max to the input extremes."""
     if np.any(rmax < 1):
@@ -196,24 +126,20 @@ def c_tot(L: int, a_absmax, b_absmax, rmax):
     return L * a_absmax * b_absmax / rmax
 
 
-def optimal_companders(stats, rmax, s_repr=0.0, w: int = 1) -> CompanderSolution:
+def optimal_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSolution:
     """Minimum-distortion companders at a fixed R_max.
 
     On the constraint c_a * c_b = 1/c_tot the distortion is minimized by
     balancing the two linear quantization terms, giving
     c_a = sqrt(sigma_b / (sigma_a * c_tot)) and its mirror.
     """
-    batch = isinstance(stats, BatchStats)
     if np.any((stats.sigma_a <= 0) | (stats.sigma_b <= 0)):
         raise DegenerateInputError("optimal companders undefined for zero-sigma input")
     ct = c_tot(stats.L, stats.a_absmax, stats.b_absmax, rmax)
-    sqrt = np.sqrt if batch else math.sqrt
-    c_a = sqrt(stats.sigma_b / (stats.sigma_a * ct))
-    c_b = sqrt(stats.sigma_a / (stats.sigma_b * ct))
     return CompanderSolution(
-        c_a=c_a,
-        c_b=c_b,
+        c_a=np.sqrt(stats.sigma_b / (stats.sigma_a * ct)),
+        c_b=np.sqrt(stats.sigma_a / (stats.sigma_b * ct)),
         rmax=rmax,
-        expected_snr_db=None if batch else model_snr_db(stats, c_a, c_b, s_repr),
+        expected_snr_db=None,
         w=w,
     )

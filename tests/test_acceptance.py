@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import batch_stats
 from tdgemm import calibration as cal, cli, controller as ctl, matrixio, noise, packing
 from tdgemm.blocking import plain_subblock_gemm, tiered_gemm
 from tdgemm.config import dtype_of, u_sys_of
-from tdgemm.noise import InputStats
 
 L = 48
 SEED = 202
@@ -91,12 +91,12 @@ def test_criterion_02_quantization_noise_oracle():
             a = rng.normal(0.0, sa, size=(n, L))
             b = rng.normal(0.0, sb, size=(L, n))
         exact = a @ b
-        st = InputStats(sigma_a=sa, sigma_b=sb, a_min=-1, a_max=1, b_min=-1, b_max=1, L=L)
+        st = batch_stats([(sa, sb, -1, 1, -1, 1)], L)
         for c_a, c_b in ((1.0, 1.0), (4.0, 0.5), (2.0, 3.0)):
             qa = packing.round_half_away(c_a * a) / c_a
             qb = packing.round_half_away(c_b * b) / c_b
             measured = float(((qa @ qb - exact) ** 2).mean())
-            predicted = noise.quant_noise_power(st, c_a, c_b)
+            predicted = noise.quant_noise_power(st, c_a, c_b).item()
             worst = max(worst, abs(measured / predicted - 1.0))
     verdict(2, worst < 0.02,
             f"worst closed-form deviation {worst * 100:.2f}% over 6 settings "
@@ -107,11 +107,10 @@ def _measured_point_snr(entry, rng, trials=5):
     """Measured subblock SNR at one calibrated operating point."""
     dtype = dtype_of(entry.precision)
     ext = 10.0
-    st = InputStats(sigma_a=ext / math.sqrt(3), sigma_b=ext / math.sqrt(3),
-                    a_min=-ext, a_max=ext, b_min=-ext, b_max=ext, L=L)
-    sol = noise.optimal_companders(st, entry.rmax, s_repr=entry.rmse, w=entry.w)
+    st = batch_stats([(ext / math.sqrt(3), ext / math.sqrt(3), -ext, ext, -ext, ext)], L)
+    sol = noise.optimal_companders(st, entry.rmax, w=entry.w)
     cfg = packing.PackingConfig(mode=entry.mode, w=entry.w, z=packing.compute_z(entry.rmax),
-                                c_a=sol.c_a, c_b=sol.c_b, rmax=entry.rmax)
+                                c_a=sol.c_a.item(), c_b=sol.c_b.item(), rmax=entry.rmax)
     cfg.validate()
     p_sig = p_err = 0.0
     for _ in range(trials):
@@ -121,7 +120,9 @@ def _measured_point_snr(entry, rng, trials=5):
         got = packing.packed_subblock_product(a, b, cfg)
         p_sig += float((exact ** 2).sum())
         p_err += float(((got - exact) ** 2).sum())
-    return 10.0 * math.log10(p_sig / p_err), sol.expected_snr_db
+    ratio = noise.signal_power(st) / noise.combined_distortion(st, sol.c_a, sol.c_b,
+                                                              entry.rmse).total
+    return 10.0 * math.log10(p_sig / p_err), 10.0 * math.log10(ratio.item())
 
 
 def test_criterion_03_model_fidelity(calib48):

@@ -1,7 +1,8 @@
 """Guard for the benchmark's tracer (``perfbench/tracing.py``): every name it
-wraps still exists and is called, and the counts the benchmark checks hold
-for a small multiply. A refactor that breaks them fails here, not only when
-the benchmark runs. Nothing under ``perfbench/`` is changed."""
+wraps still exists and is called, in set-up and in a multiply, and the counts
+the benchmark checks hold for a small multiply. A refactor that breaks them
+fails here, not only when the benchmark runs. Nothing under ``perfbench/`` is
+changed."""
 
 import importlib.util
 from pathlib import Path
@@ -31,6 +32,25 @@ def tables(tmp_path_factory):
     assert cli.main(["--l", str(L), "--tables", out, "--out", out,
                      "solutions", "--w", "2", "--per-decade", "1"]) == 0
     return out
+
+
+def test_traced_setup_calls_every_target(tmp_path):
+    """The set-up tracer wraps every site it requires, and ``calibrate`` and
+    ``solutions`` call each of its targets."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.SETUP_TARGETS)
+    try:
+        assert tracer.check_sites(tracing.SETUP_SITES) == []
+        out = str(tmp_path)
+        assert cli.main(["--l", str(L), "--out", out,
+                         "calibrate", "--w", "2", "--trials", "2"]) == 0
+        assert cli.main(["--l", str(L), "--tables", out, "--out", out,
+                         "solutions", "--w", "2", "--per-decade", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    called = {name for name, *_rest in tracer.spans}
+    assert called == {name for name, *_rest in tracing.SETUP_TARGETS}
 
 
 def _traced_multiply(tables, tmp_path, mean, snr_db):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdgemm import blocking, packing
 from tdgemm.blocking import plain_subblock_gemm, reorder_block_major, tiered_gemm
-from tdgemm.errors import DimensionError, InvalidConfigError
+from tdgemm.errors import DimensionError, InvalidConfigError, QuantizerOverflowError
 
 
 def naive_gemm(a, b):
@@ -277,6 +277,19 @@ class TestTieredGemm:
                 tiered_gemm(a, a, 4, plan)
         plain.assert_not_called()
         packed.assert_not_called()
+
+    def test_overflow_names_its_kernel_and_subblock(self):
+        """A packed product's overflow is raised again with the type it had,
+        chained, and with the prefix of the plan checks."""
+        a = np.ones((24, 24), np.float32)
+        big = packing.PackingConfig(packing.SYMMETRIC, 2, 2.0 ** -20, 1e8, 1.0, 1000)
+        with pytest.raises(QuantizerOverflowError) as info:
+            tiered_gemm(a, a, 12, {(1, 0): [None, big]})
+        cause = info.value.__cause__
+        assert type(info.value) is type(cause) is QuantizerOverflowError
+        assert str(info.value) == f"kernel (1,0) subblock 1: {cause}"
+        assert str(cause) == ("companded amplitude 1e+08 exceeds exact-integer range 1.678e+07 "
+                              "of single precision")
 
     def test_none_plan_entries_mean_plain(self):
         rng = np.random.default_rng(7)

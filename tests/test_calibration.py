@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import batch_stats
 from tdgemm import calibration as cal, packing
 from tdgemm.config import u_sys_of
 from tdgemm.errors import (
     CalibrationMissingError, InvalidConfigError, TableFormatError, TimerResolutionError,
 )
-from tdgemm.noise import InputStats, optimal_companders
+from tdgemm.noise import combined_distortion, optimal_companders, signal_power
 
 SMALL_SWEEP = [(2, b) for b in (1, 2, 4, 8, 16)]
 
@@ -360,8 +361,8 @@ class TestArrayLookup:
 
 
 def _frozen_build(sigma_pairs, calib, precision, mode, L, w_set):
-    """The scalar build the array search replaced, kept as its oracle: per W
-    and sigma pair, the R_max grid search over the admitted entries in
+    """The per-pair build the array search replaced, kept as its oracle: per
+    W and sigma pair, the R_max grid search over the admitted entries in
     ascending R_max, keeping the first maximum of the model SNR."""
     rows = []
     for w in sorted(set(w_set)):
@@ -371,14 +372,16 @@ def _frozen_build(sigma_pairs, calib, precision, mode, L, w_set):
             raise CalibrationMissingError(f"no admitted entries for W={w}")
         for sa, sb in sigma_pairs:
             a_abs, b_abs = cal.uniform_extremes(sa, sb)
-            stats = InputStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
-                               b_min=-b_abs, b_max=b_abs, L=L)
+            stats = batch_stats([(sa, sb, -a_abs, a_abs, -b_abs, b_abs)], L)
             best = None
             for e in admitted:
-                sol = optimal_companders(stats, e.rmax, s_repr=e.rmse, w=w)
-                if best is None or sol.expected_snr_db > best.expected_snr_db:
-                    best = sol
-            rows.append((sa, sb, w, best.rmax, best.c_a, best.c_b, best.expected_snr_db))
+                sol = optimal_companders(stats, e.rmax, w=w)
+                total = combined_distortion(stats, sol.c_a, sol.c_b, e.rmse).total
+                snr = 10.0 * math.log10((signal_power(stats) / total).item())
+                if best is None or snr > best[0]:
+                    best = snr, sol
+            snr, sol = best
+            rows.append((sa, sb, w, sol.rmax, sol.c_a.item(), sol.c_b.item(), snr))
     return rows
 
 
@@ -454,8 +457,10 @@ class TestBuildMatchesScalarSearch:
         pairs = [(1.0, 2.0), (3.0, 0.5), (1.0, 2.0)]
         got = _assert_build_matches_oracle(pairs, calib, "single", "symmetric", 12, (2,), chunk)
         a_abs, b_abs = cal.uniform_extremes(1.0, 2.0)
-        stats = InputStats(1.0, 2.0, -a_abs, a_abs, -b_abs, b_abs, 12)
-        snr = [optimal_companders(stats, r, 0.0, 2).expected_snr_db for r in (tie, tie + 1)]
+        stats = batch_stats([(1.0, 2.0, -a_abs, a_abs, -b_abs, b_abs)], 12)
+        sol = optimal_companders(stats, np.array([tie, tie + 1]), w=2)
+        ratio = signal_power(stats) / combined_distortion(stats, sol.c_a, sol.c_b, 0.0).total
+        snr = [10.0 * math.log10(x) for x in ratio.tolist()]
         assert snr[0] == snr[1]
         assert got.data["rmax"][0] == tie and got.data["rmax"][2] == tie
 

@@ -183,6 +183,30 @@ def test_commands_in_one_process_parse_their_own_flags(tmp_path):
     assert (args.w, args.trials, args.seed, args.func) == ([2, 3, 4], 5, 0, cli.cmd_calibrate)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--w", "0"], "--w must be >= 1, got 0"),
+    (["profile", "--w", "5"], "--w: no W of [5] divides L=12"),
+    (["solutions", "--w", "0"], "--w must be >= 1, got 0"),
+    (["solutions", "--w", "5"], "--w: no W of [5] divides L=12"),
+    (["solutions", "--per-decade", "0"], "--per-decade must be >= 1, got 0"),
+    (["sweep", "--sweep-w", "0"], "--sweep-w must be >= 1, got 0"),
+    (["sweep", "--sweep-w", "-2"], "--sweep-w must be >= 1, got -2"),
+    (["sweep", "--sweep-w", "1"], None),
+])
+def test_w_and_grid_flags_checked_up_front(workdir, tmp_path, capsys, argv, message):
+    """A W or grid density below 1, or a ``--w`` of which no W divides L,
+    exits 1 with an error line that names the flag, before any output is
+    made. A sweep at W=1 runs plain."""
+    out = tmp_path / "o"
+    code = cli.main(["--l", str(L), "--tables", str(workdir / "tables"), "--out", str(out),
+                     *argv])
+    if message is None:
+        assert code == 0 and (out / "sweep.csv").exists()
+    else:
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not out.exists()
+
+
 class TestMultiplyCommand:
     def test_plain_matches_reference(self, workdir, tmp_path):
         out = tmp_path / "plain"

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import batch_stats
 from tdgemm import calibration as cal, controller as ctl, noise, packing
 from tdgemm.blocking import reorder_block_major, tiered_gemm
 from tdgemm.errors import CalibrationMissingError, InfeasibleConstraintError, InvalidConfigError
-from tdgemm.noise import InputStats
 
 
 def opt(l, w, d_hat, fw=None):
@@ -158,7 +158,7 @@ def option_lists(stats, calib, **kwargs):
 
 class TestBuildOptions:
     def test_compander_product_invariant(self, calib):
-        stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, 12)]
+        stats = batch_stats([(2.0, 3.0, -4.0, 4.0, -6.0, 6.0)], 12)
         opts = option_lists(stats, calib, w_set=(2,))[0]
         packed = opts[0]
         ct = 12 * 4.0 * 6.0 / packed.rmax
@@ -166,16 +166,16 @@ class TestBuildOptions:
         assert opts[-1].w == 1 and opts[-1].d_hat == 0.0
 
     def test_degenerate_sigma_only_plain(self, calib):
-        stats = [InputStats(0.0, 3.0, -1.0, 1.0, -6.0, 6.0, 12)]
+        stats = batch_stats([(0.0, 3.0, -1.0, 1.0, -6.0, 6.0)], 12)
         opts = option_lists(stats, calib, w_set=(2,))[0]
         assert [o.w for o in opts] == [1]
 
     def test_one_array_per_w(self, calib):
         """W descending, W=1 last; a W array holds only the subblocks that have
         the W, so the lengths add up to the options built."""
-        stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, 12),
-                 InputStats(0.0, 3.0, -1.0, 1.0, -6.0, 6.0, 12),
-                 InputStats(1.0, 1.0, -2.0, 2.0, -2.0, 2.0, 12)]
+        stats = batch_stats([(2.0, 3.0, -4.0, 4.0, -6.0, 6.0),
+                             (0.0, 3.0, -1.0, 1.0, -6.0, 6.0),
+                             (1.0, 1.0, -2.0, 2.0, -2.0, 2.0)], 12)
         options = ctl.build_options(stats, "symmetric", "single", calib, w_set=(2,))
         assert [rows["w"].tolist() for rows in options] == [[2, 2], [1, 1, 1]]
         assert [rows["p"].tolist() for rows in options] == [[0, 2], [0, 1, 2]]
@@ -187,15 +187,14 @@ class TestBuildOptions:
         L = 12
         a = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
         b = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
-        stats = [InputStats.from_tiles(a, b)]
+        stats = ctl.subblock_stats(a, b, L)
         packed = option_lists(stats, calib, w_set=(2,))[0][0]
         exact = a.astype(np.float64) @ b.astype(np.float64)
         errs = []
         for _ in range(200):
             aa = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
             bb = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
-            st_mc = InputStats.from_tiles(aa, bb)
-            o = option_lists([st_mc], calib, w_set=(2,))[0][0]
+            o = option_lists(ctl.subblock_stats(aa, bb, L), calib, w_set=(2,))[0][0]
             got = packing.packed_subblock_product(aa, bb, o.to_packing_config())
             e = got.astype(np.float64) - aa.astype(np.float64) @ bb.astype(np.float64)
             errs.append(float((e ** 2).mean()) / o.d_hat)
@@ -361,7 +360,8 @@ def frozen_plan_kernel_throughput(options_per_l, f_kernel):
 
 
 def frozen_kernel_stats(a, b, L):
-    """InputStats per kernel and l, from per-tile stats taken one tile at a time."""
+    """Stats per kernel, one entry per l, from per-tile stats taken one tile
+    at a time."""
     def tile(m, i, j):
         t = np.ascontiguousarray(m[i * L:(i + 1) * L, j * L:(j + 1) * L]).astype(np.float64)
         return float(t.std(ddof=1)) if t.size > 1 else 0.0, float(t.min()), float(t.max())
@@ -369,12 +369,12 @@ def frozen_kernel_stats(a, b, L):
     out = {}
     for i in range(a.shape[0] // L):
         for j in range(b.shape[1] // L):
-            stats = []
+            rows = []
             for l in range(a.shape[1] // L):
                 sa, a_lo, a_hi = tile(a, i, l)
                 sb, b_lo, b_hi = tile(b, l, j)
-                stats.append(InputStats(sa, sb, a_lo, a_hi, b_lo, b_hi, L))
-            out[(i, j)] = stats
+                rows.append((sa, sb, a_lo, a_hi, b_lo, b_hi))
+            out[(i, j)] = batch_stats(rows, L)
     return out
 
 
@@ -394,7 +394,7 @@ def frozen_build_solutions(sigma_pairs, calib, precision, mode, L, w):
     a_abs, b_abs = cal.uniform_extremes(sa, sb)
     stats = noise.BatchStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
                              b_min=-b_abs, b_max=b_abs, L=L)
-    sol = noise.optimal_companders(stats, rmax, s_repr=s_repr, w=w)
+    sol = noise.optimal_companders(stats, rmax, w=w)
     ratio = noise.signal_power(stats) / noise.combined_distortion(stats, sol.c_a, sol.c_b,
                                                                   s_repr).total
     snr = 10.0 * np.array([[math.log10(x) for x in row] for row in ratio.tolist()])
@@ -403,9 +403,10 @@ def frozen_build_solutions(sigma_pairs, calib, precision, mode, L, w):
 
 def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set):
     options_per_l = []
-    for l, stats in enumerate(stats_per_l):
+    for l in range(stats_per_l.shape[0]):
+        stats = stats_per_l.take([l])
         opts = []
-        if not (stats.sigma_a <= 0 or stats.sigma_b <= 0):
+        if not (stats.sigma_a.item() <= 0 or stats.sigma_b.item() <= 0):
             for w in sorted(set(w_set), reverse=True):
                 if w < 2:
                     continue
@@ -415,10 +416,10 @@ def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set):
                 rmax = int(frozen_build_solutions([(1.0, 1.0)], calib, precision, mode,
                                                   stats.L, w)[2][0])
                 s_repr = calib.lookup(precision, mode, w, rmax).rmse
-                sol = noise.optimal_companders(stats, rmax, s_repr=s_repr, w=w)
+                sol = noise.optimal_companders(stats, rmax, w=w)
                 d_hat = noise.combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
-                opts.append(ctl.SubblockOption(l, w, mode, sol.c_a, sol.c_b, rmax,
-                                               packing.compute_z(rmax), d_hat, fw))
+                opts.append(ctl.SubblockOption(l, w, mode, sol.c_a.item(), sol.c_b.item(), rmax,
+                                               packing.compute_z(rmax), d_hat.item(), fw))
         opts.append(ctl.SubblockOption(l, 1, mode, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
         options_per_l.append(opts)
     return options_per_l
@@ -430,7 +431,8 @@ def frozen_plan_gemm(a, b, L, constraint, calib, mode, precision, profile, w_set
         options = frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set)
         if constraint.target_snr_db is not None:
             d_kernel = frozen_snr_to_distortion(
-                constraint.target_snr_db, [(s.sigma_a, s.sigma_b) for s in stats_per_l], L)
+                constraint.target_snr_db,
+                zip(stats_per_l.sigma_a.tolist(), stats_per_l.sigma_b.tolist()), L)
             entries[key] = frozen_plan_kernel_distortion(options, d_kernel)
         else:
             entries[key] = frozen_plan_kernel_throughput(options,
@@ -661,7 +663,7 @@ _CURVE_ENTRY = st.tuples(_CURVE_RMAX, st.sampled_from(["zero", "zero", "dyadic",
 
 def planned_rmax(calib, precision, mode, L, w):
     """The R_max ``build_options`` gives W on a subblock of tile side L."""
-    stats = [InputStats(2.0, 3.0, -4.0, 4.0, -6.0, 6.0, L)]
+    stats = batch_stats([(2.0, 3.0, -4.0, 4.0, -6.0, 6.0)], L)
     packed, _plain = ctl.build_options(stats, mode, precision, calib, w_set=(w,))
     return int(packed["rmax"][0])
 

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from helpers import batch_stats
 from tdgemm import noise
 from tdgemm.calibration import CalibEntry, CalibrationTable, build_offline_solutions
+from tdgemm.controller import subblock_stats
 from tdgemm.errors import CalibrationMissingError, DegenerateInputError, InvalidConfigError
 
 
 def stats(sa=2.0, sb=3.0, aext=4.0, bext=6.0, L=48):
-    return noise.InputStats(sigma_a=sa, sigma_b=sb, a_min=-aext, a_max=aext,
-                            b_min=-bext, b_max=bext, L=L)
+    return batch_stats([(sa, sb, -aext, aext, -bext, bext)], L)
 
 
 class TestQuantNoise:
@@ -19,7 +19,7 @@ class TestQuantNoise:
         st = stats(sa=1.0, sb=1.0, L=4)
         # L * (sa^2 + sb^2 + 1/12) / (12 c^2) at c_a = c_b = c
         want = 4 * (1.0 / 12 + 1.0 / 12 + 1.0 / 144)
-        assert noise.quant_noise_power(st, 1.0, 1.0) == pytest.approx(want)
+        assert noise.quant_noise_power(st, 1.0, 1.0).item() == pytest.approx(want)
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(21)
@@ -32,11 +32,13 @@ class TestQuantNoise:
         qb = np.round(c * b) / c
         err = qa @ qb - exact
         measured = float((err ** 2).mean())
-        assert measured == pytest.approx(noise.quant_noise_power(st, c, c), rel=0.05)
+        assert measured == pytest.approx(noise.quant_noise_power(st, c, c).item(), rel=0.05)
 
     def test_degenerate_snr(self):
+        """A zero sigma has no signal, so no SNR and no optimal companders."""
+        assert noise.signal_power(stats(sa=0.0)).item() == 0.0
         with pytest.raises(DegenerateInputError):
-            noise.expected_snr(stats(sa=0.0), 1.0, 1.0)
+            noise.optimal_companders(stats(sa=0.0), 1000)
 
 
 class TestCompanders:
@@ -44,7 +46,7 @@ class TestCompanders:
         st = stats()
         sol = noise.optimal_companders(st, rmax=1000)
         ct = noise.c_tot(st.L, st.a_absmax, st.b_absmax, 1000)
-        assert sol.c_a * sol.c_b * ct == pytest.approx(1.0)
+        assert (sol.c_a * sol.c_b * ct).item() == pytest.approx(1.0)
 
     def test_balances_linear_terms(self):
         st = stats()
@@ -52,7 +54,7 @@ class TestCompanders:
         # the two first-order distortion terms are equal at the optimum
         t1 = (st.sigma_a / sol.c_b) ** 2
         t2 = (st.sigma_b / sol.c_a) ** 2
-        assert t1 == pytest.approx(t2)
+        assert t1.item() == pytest.approx(t2.item())
 
     def test_optimum_beats_perturbations(self):
         st = stats()
@@ -62,13 +64,16 @@ class TestCompanders:
         for f in (0.5, 0.9, 1.1, 2.0):
             ca = sol.c_a * f
             other = noise.combined_distortion(st, ca, 1.0 / (ct * ca), 0.0).total
-            assert best <= other + 1e-12
+            assert best.item() <= other.item() + 1e-12
 
     def test_repr_noise_lowers_snr(self):
         st = stats()
-        clean = noise.optimal_companders(st, rmax=1000, s_repr=0.0)
-        noisy = noise.optimal_companders(st, rmax=1000, s_repr=5.0)
-        assert noisy.expected_snr_db < clean.expected_snr_db
+        sol = noise.optimal_companders(st, rmax=1000)
+        snr = []
+        for s_repr in (0.0, 5.0):
+            total = noise.combined_distortion(st, sol.c_a, sol.c_b, s_repr).total
+            snr.append(10 * math.log10((noise.signal_power(st) / total).item()))
+        assert snr[1] < snr[0]
 
 
 class TestOptimizeRmax:
@@ -104,55 +109,24 @@ class TestOptimizeRmax:
 class TestValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidConfigError):
-            noise.InputStats(sigma_a=-1, sigma_b=1, a_min=0, a_max=1, b_min=0, b_max=1, L=4)
+            stats(sa=-1.0)
 
     def test_from_tiles(self):
+        """The planner's stats of one tile pair."""
         rng = np.random.default_rng(22)
         a = rng.uniform(-3, 3, size=(16, 16))
-        st = noise.InputStats.from_tiles(a, a)
-        assert st.a_absmax == pytest.approx(np.abs(a).max())
-        assert st.sigma_a == pytest.approx(a.std(ddof=1))
+        st = subblock_stats(a, a, 16)
+        assert st.shape == (1, 1, 1)
+        assert st.a_absmax.item() == pytest.approx(np.abs(a).max())
+        assert st.sigma_a.item() == pytest.approx(a.std(ddof=1))
 
 
 class TestBatchForm:
-    @given(st.integers(0, 2 ** 31), st.integers(1, 30), st.sampled_from([12, 48, 288]))
-    @settings(max_examples=100, deadline=None)
-    def test_bitwise_equal_to_scalar_calls(self, seed, n, L):
-        """Each entry of an array call equals the scalar call on that entry."""
-        rng = np.random.default_rng(seed)
-        sa, sb = 10.0 ** rng.uniform(-3, 4, size=(2, n))
-        a_min, b_min = -np.abs(rng.normal(size=(2, n))) * [sa, sb] * 2
-        a_max, b_max = np.abs(rng.normal(size=(2, n))) * [sa, sb] * 2
-        batch = noise.BatchStats(sa, sb, a_min, a_max, b_min, b_max, L)
-        rmax = rng.integers(1, 10 ** 6, size=n)
-        s_repr = np.where(rng.random(n) < 0.3, 0.0, 10.0 ** rng.uniform(-3, 4, size=n))
-        sol = noise.optimal_companders(batch, rmax, s_repr=s_repr, w=2)
-        assert sol.expected_snr_db is None and sol.w == 2
-        budget = noise.combined_distortion(batch, sol.c_a, sol.c_b, s_repr)
-        for k in range(n):
-            one = noise.InputStats(sa[k], sb[k], a_min[k], a_max[k], b_min[k], b_max[k], L)
-            want = noise.optimal_companders(one, int(rmax[k]), s_repr=float(s_repr[k]), w=2)
-            assert (sol.c_a[k], sol.c_b[k]) == (want.c_a, want.c_b)
-            want_budget = noise.combined_distortion(one, want.c_a, want.c_b, float(s_repr[k]))
-            assert budget.quant_power[k] == want_budget.quant_power
-            assert budget.repr_power[k] == want_budget.repr_power
-            assert budget.total[k] == want_budget.total
-            assert noise.signal_power(batch)[k] == noise.signal_power(one)
-
-    def test_of_stacks_input_stats(self):
-        rows = [stats(sa=1.0, sb=2.0), stats(sa=3.0, sb=0.0)]
-        batch = noise.BatchStats.of(rows)
-        assert batch.shape == (2,) and batch.L == 48
-        assert batch.sigma_b.tolist() == [2.0, 0.0]
-        assert batch.a_absmax.tolist() == [4.0, 4.0]
-        assert batch.take([1]).sigma_a.tolist() == [3.0]
-
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
-            noise.BatchStats.of([stats(L=12), stats(L=48)])
-        with pytest.raises(InvalidConfigError):
-            noise.BatchStats(*np.array([[1.0], [-1.0], [0.0], [1.0], [0.0], [1.0]]), L=4)
-        batch = noise.BatchStats.of([stats(sa=1.0), stats(sa=0.0)])
+            batch_stats([(1.0, -1.0, 0.0, 1.0, 0.0, 1.0)], 4)
+        batch = batch_stats([(1.0, 3.0, -4.0, 4.0, -6.0, 6.0), (0.0, 3.0, -4.0, 4.0, -6.0, 6.0)],
+                            48)
         with pytest.raises(DegenerateInputError):
             noise.optimal_companders(batch, np.array([100, 100]))
         with pytest.raises(InvalidConfigError):
@@ -166,10 +140,13 @@ class TestBatchForm:
 
 class TestSquares:
     def test_model_squares_by_multiplication(self):
-        """The model squares as ``t * t``, which NumPy arrays compute the same
-        way; CPython's ``t ** 2`` calls libm ``pow``, which is not always
-        correctly rounded (on glibc it differs for about 1 in 1200 doubles)."""
-        for t in np.random.default_rng(23).uniform(1, 2, size=20000).tolist():
-            one = noise.InputStats(t, 1.0, -2.0, 2.0, -1.0, 1.0, 1)
-            assert noise.signal_power(one) == t * t
-            assert noise.combined_distortion(one, 1.0, 1.0, t).repr_power == t * t
+        """The model squares as ``t * t``: each of 20000 entries is the
+        correctly rounded square Python's ``x * x`` gives. ``t ** 2`` of a
+        scalar calls libm ``pow``, which is not always correctly rounded (on
+        glibc it differs for about 1 in 1200 doubles)."""
+        t = np.random.default_rng(23).uniform(1, 2, size=20000)
+        ones = np.ones_like(t)
+        batch = noise.BatchStats(t, ones, -2 * ones, 2 * ones, -ones, ones, 1)
+        squares = [x * x for x in t.tolist()]
+        assert noise.signal_power(batch).tolist() == squares
+        assert noise.combined_distortion(batch, 1.0, 1.0, t).repr_power.tolist() == squares
