@@ -7,8 +7,9 @@ accumulates its own inner dimension in ascending order, as one
 ``np.einsum`` contraction whose inner loop runs over output columns (one
 rank-1 loop where the output has a single column). This makes every plain
 result bitwise reproducible and testable against an order-matched oracle.
-Packed subblocks run through ``packing.packed_subblock_product`` on BLAS;
-the plain product stays their reference.
+``tiered_gemm`` runs each subblock as a ``controller.Plan`` chose it:
+packed subblocks run through ``packing.packed_subblock_product`` on BLAS,
+and the plain product stays their reference.
 """
 
 from __future__ import annotations
@@ -120,10 +121,12 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
     """Blocked A @ B where each L x L subblock product follows its plan entry.
 
-    ``plan`` maps kernel indices ``(i, j)`` to a per-l sequence of chosen
-    options (``None`` or W=1 meaning the plain path). Border regions not
-    covered by full tiles are always computed with the plain path. Packed
-    subblocks share one ``packing.Workspace``.
+    ``plan`` is a ``controller.Plan`` of this tiling, or None for the plain
+    path everywhere: subblock l of kernel ``(i, j)`` runs ``plan.options[i,
+    j, l]``, packed in ``plan.mode`` where its W is not 1, each packing
+    validated before any product. Border regions not covered by full tiles
+    are always computed with the plain path. Packed subblocks share one
+    ``packing.Workspace``.
     """
     from . import packing  # deferred: packing imports blocking
 
@@ -133,45 +136,39 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
     m, k = a.shape
     n = b.shape[1]
-    mf, kf, nf = (m // L) * L, (k // L) * L, (n // L) * L
-    entries = {}  # each kernel's choices, read once
+    bi, bl, bj = m // L, k // L, n // L
+    mf, kf, nf = bi * L, bl * L, bj * L
+    configs = [None] * (bi * bj * bl)  # per subblock in C order: None runs plain
     if plan is not None:
-        for i in range(m // L):
-            for j in range(n // L):
-                entry = _plan_entry(plan, i, j)
-                if entry is None:
-                    continue
-                entries[(i, j)] = entry
-                if len(entry) != k // L:
-                    raise DimensionError(
-                        f"plan for kernel ({i},{j}) has {len(entry)} subblock choices, "
-                        f"tiling needs {k // L}"
-                    )
-                for l, choice in enumerate(entry):
-                    if choice is not None and choice.w > 1:
-                        try:
-                            choice.validate()
-                        except InvalidConfigError as exc:
-                            raise InvalidConfigError(
-                                f"kernel ({i},{j}) subblock {l}: {exc}"
-                            ) from exc
+        if plan.options.shape != (bi, bj, bl):
+            raise DimensionError(f"plan has {plan.options.shape} subblock options, "
+                                 f"tiling needs {(bi, bj, bl)}")
+        o = plan.options.reshape(-1)
+        packed = np.flatnonzero(o["w"] != 1)
+        for p, *fields in zip(packed.tolist(), *(o[f][packed].tolist()
+                                                 for f in ("w", "z", "c_a", "c_b", "rmax"))):
+            configs[p] = packing.PackingConfig(plan.mode, *fields)
+            try:
+                configs[p].validate()
+            except InvalidConfigError as exc:
+                ij, l = divmod(p, bl)
+                raise InvalidConfigError(
+                    f"kernel ({ij // bj},{ij % bj}) subblock {l}: {exc}") from exc
     r = np.zeros((m, n), dtype=a.dtype)
     work = packing.Workspace(L, a.dtype)
-    for i in range(m // L):
+    for i in range(bi):
         rows = slice(i * L, (i + 1) * L)
-        for j in range(n // L):
+        for j in range(bj):
             cols = slice(j * L, (j + 1) * L)
-            entry = entries.get((i, j))
             acc = np.zeros((L, L), dtype=a.dtype)
             try:
-                for l in range(k // L):
+                for l, cfg in enumerate(configs[(i * bj + j) * bl:(i * bj + j + 1) * bl]):
                     at = a[rows, l * L:(l + 1) * L]
                     bt = b[l * L:(l + 1) * L, cols]
-                    choice = entry[l] if entry is not None else None
-                    if choice is None or choice.w == 1:
+                    if cfg is None:
                         acc += plain_subblock_gemm(at, bt)
                     else:
-                        acc += packing.packed_subblock_product(at, bt, choice, work)
+                        acc += packing.packed_subblock_product(at, bt, cfg, work)
             except QuantizerOverflowError as exc:
                 raise QuantizerOverflowError(f"kernel ({i},{j}) subblock {l}: {exc}") from exc
             if kf < k:
@@ -182,12 +179,3 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
     if nf < n:
         r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:])
     return r
-
-
-def _plan_entry(plan, i, j):
-    if plan is None:
-        return None
-    get = getattr(plan, "subblock_choices", None)
-    if get is not None:
-        return get(i, j)
-    return plan.get((i, j))

@@ -432,21 +432,22 @@ def save_calibration(table: CalibrationTable, path) -> None:
     _write_csv(path, CALIB_HEADER, table.entries)
 
 
-def _finite_float(lo: float = -math.inf):
-    """A field parser that takes only a finite float of at least ``lo``."""
-    def parse(text: str) -> float:
-        x = float(text)
-        if not (math.isfinite(x) and x >= lo):
+def _finite(kind=float, lo=-math.inf):
+    """A field parser that takes only a finite ``kind`` of at least ``lo``."""
+    def parse(text: str):
+        x = kind(text)
+        if not (-math.inf < x < math.inf and x >= lo):
             raise ValueError(text)
         return x
     return parse
 
 
 def load_calibration(path) -> CalibrationTable:
-    """The table in ``path``. A NaN or infinite ``mean_err`` or ``rmse``, or a
-    negative ``rmse``, is a malformed row: the planner would take it as a
-    measurement. One ``split`` parses each line; a file with a line it does
-    not take is parsed again by ``_typed_rows``, which names the line."""
+    """The table in ``path``. A NaN or infinite ``mean_err`` or ``rmse``, a
+    negative ``rmse``, or a W or R_max below 1 is a malformed row: the
+    planner would take it as a measurement. One ``split`` parses each line;
+    a file with a line it does not take is parsed again by ``_typed_rows``,
+    which names the line."""
     lines = _data_lines(path, CALIB_HEADER)
     try:
         entries = []
@@ -456,13 +457,13 @@ def load_calibration(path) -> CalibrationTable:
                 e = CalibEntry(p, m, int(w), int(rmax), float(mean_err), float(rmse),
                                int(trials), int(seed))
                 if '"' in text or not (-math.inf < e.mean_err < math.inf
-                                       and 0.0 <= e.rmse < math.inf):
+                                       and 0.0 <= e.rmse < math.inf and min(e.w, e.rmax) >= 1):
                     raise ValueError(text)
                 entries.append(e)
         return CalibrationTable(entries)
     except ValueError:
         pass
-    types = (str, str, int, int, _finite_float(), _finite_float(0.0), int, int)
+    types = (str, str, _finite(int, 1), _finite(int, 1), _finite(), _finite(float, 0.0), int, int)
     return CalibrationTable([CalibEntry(*r) for r in _typed_rows(path, lines, CALIB_HEADER, types)])
 
 
@@ -475,7 +476,7 @@ def load_speedup(path) -> SpeedupProfile:
     ``mac_ratio`` is a malformed row: an infinite gain would let an
     acceleration floor demote all but one subblock of a kernel."""
     lines = _data_lines(path, SPEEDUP_HEADER)
-    types = (str, str, int, int, _finite_float(), _finite_float(), int)
+    types = (str, str, int, int, _finite(), _finite(), int)
     return SpeedupProfile([ProfileEntry(*r) for r in _typed_rows(path, lines, SPEEDUP_HEADER, types)])
 
 

@@ -157,26 +157,26 @@ def cmd_solutions(args) -> int:
     return 0
 
 
-def _overall_model_snr(plan: controller.KernelPlan, stats, L: int) -> float:
+def _overall_model_snr(plan: controller.Plan, stats, L: int) -> float:
     """Model SNR of the whole product: signal and noise each add the kernels
-    in plan order, and a kernel's signal adds its subblocks in ascending l."""
+    in C order, and a kernel's signal adds its subblocks in ascending l."""
     p = stats.sigma_a * stats.sigma_b  # shape (m/L, n/L, k/L)
     power = controller.ordered_sum(np.moveaxis(p * p, -1, 0))
     signal = float(controller.ordered_sum((L * power).reshape(-1)))
-    noise = float(controller.ordered_sum([e.total_d_hat for e in plan.entries.values()]))
+    noise = float(controller.ordered_sum(plan.total_d_hat.reshape(-1)))
     if noise == 0.0:
         return math.inf
     return 10.0 * math.log10(signal / noise)
 
 
-def _exact_subblocks(plan: controller.KernelPlan, precision: str) -> int:
+def _exact_subblocks(plan: controller.Plan, precision: str) -> int:
     """Packed subblocks inside the exact region: their outputs do not depend
     on the GEMM's summation order. The region is checked once per distinct
-    (R_max, z, mode, W) of the plan."""
-    counts = Counter((o.rmax, o.z, o.mode, o.w)
-                     for entry in plan.entries.values() for o in entry.choices if o.w > 1)
-    return sum(n for (rmax, z, mode, w), n in counts.items()
-               if w <= packing.exact_w_limit(rmax, z, mode, precision, max_w=w))
+    (R_max, z, W) of the plan."""
+    packed = plan.options[plan.options["w"] > 1]
+    counts = Counter(zip(*(packed[f].tolist() for f in ("rmax", "z", "w"))))
+    return sum(n for (rmax, z, w), n in counts.items()
+               if w <= packing.exact_w_limit(rmax, z, plan.mode, precision, max_w=w))
 
 
 def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:
@@ -186,6 +186,17 @@ def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:
     if p_err == 0.0:
         return math.inf
     return 10.0 * math.log10(p_sig / p_err)
+
+
+def _kernel_snrs(ref: np.ndarray, got: np.ndarray, L: int) -> np.ndarray:
+    """Measured SNR of each L x L output kernel of the full-tile region,
+    shape ``(m/L, n/L)``; +inf where a kernel has no error."""
+    bi, bj = ref.shape[0] // L, ref.shape[1] // L
+    r = ref[:bi * L, :bj * L].astype(np.float64)
+    e = got[:bi * L, :bj * L].astype(np.float64) - r
+    p_sig, p_err = ((x * x).reshape(bi, L, bj, L).sum(axis=(1, 3)) for x in (r, e))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_err == 0.0, math.inf, 10.0 * np.log10(p_sig / p_err))
 
 
 def _load_finite_matrix(path) -> np.ndarray:
@@ -237,12 +248,20 @@ def cmd_multiply(args) -> int:
     if plan is not None:
         model_snr = _overall_model_snr(plan, controller.subblock_stats(a, b, L), L)
         report["model_snr_db"] = model_snr
-        report["w_histogram"] = {str(k): v for k, v in sorted(plan.w_histogram().items())}
+        ws, counts = np.unique(plan.options["w"], return_counts=True)
+        report["w_histogram"] = dict(zip(map(str, ws.tolist()), counts.tolist()))
         report["exact_subblocks"] = _exact_subblocks(plan, args.precision)
         controller.dump_plan(plan, out_dir / "plan.csv")
     if args.verify:
         ref = tiered_gemm(a, b, L)
         report["measured_snr_db"] = _measured_snr(ref, result)
+        kernel_snr = _kernel_snrs(ref, result, L)
+        if kernel_snr.size:
+            worst = np.unravel_index(kernel_snr.argmin(), kernel_snr.shape)
+            report["worst_kernel_snr_db"] = kernel_snr[worst].item()
+            report["worst_kernel"] = [int(x) for x in worst]
+            if args.snr_db is not None:
+                report["kernels_below_floor"] = int((kernel_snr < args.snr_db).sum())
         if plan is not None and math.isfinite(report.get("model_snr_db", math.inf)):
             report["model_gap_db"] = abs(report["measured_snr_db"] - report["model_snr_db"])
     report_path = out_dir / "multiply_report.json"
@@ -284,24 +303,25 @@ def cmd_sweep(args) -> int:
     tiered_gemm(a, b, L)
     t_plain = time.perf_counter() - t0
     blocks = args.blocks
-    kernels = [(i, j) for i in range(blocks) for j in range(blocks)]
     rows = []
     w = args.sweep_w
-    # options depend only on the inputs, so every step reuses them
+    # options depend only on the inputs, so every step reuses them: an
+    # accelerated kernel runs each subblock's top ladder row, the others W=1
     stats = controller.subblock_stats(a, b, L)
-    top = controller.top_choices(
-        controller.build_options(stats, args.mode, args.precision, calib, w_set=(w,)), args.mode)
-    plain = [None] * blocks
+    ladder, top = controller.option_ladder(
+        controller.build_options(stats, args.mode, args.precision, calib, w_set=(w,)),
+        stats.shape)
+    kernel = np.arange(blocks * blocks).reshape(blocks, blocks, 1)
     for step in range(11):
         pct = 10 * step
-        n_acc = round(len(kernels) * pct / 100)
-        plan = {key: top[k * blocks:(k + 1) * blocks] if k < n_acc else plain
-                for k, key in enumerate(kernels)}
-        packed_subblocks = sum(c is not None for choices in plan.values() for c in choices)
+        n_acc = round(blocks * blocks * pct / 100)
+        chosen = np.where(kernel < n_acc, top, len(ladder) - 1)
+        plan = controller.fixed_plan(args.mode, np.take_along_axis(ladder, chosen[None], 0)[0])
+        packed_subblocks = int((plan.options["w"] > 1).sum())
         t0 = time.perf_counter()
         got = tiered_gemm(a, b, L, plan)
         t_packed = time.perf_counter() - t0
-        total_subblocks = len(kernels) * blocks
+        total_subblocks = blocks ** 3
         macs_plain = total_subblocks
         macs_packed = (total_subblocks - packed_subblocks) + packed_subblocks / w
         rows.append({

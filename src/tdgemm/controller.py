@@ -10,14 +10,14 @@ highest-throughput option and greedily demotes the option with the highest
 predicted distortion until the constraint is met. Under either constraint
 every kernel's prune runs in one lockstep array loop (``_prune``), one
 demotion per unfinished kernel per step, with the bits of the per-kernel
-loop.
+loop. The outcome is one ``Plan``: the chosen ``OPTION_DTYPE`` row of every
+subblock, which ``blocking.tiered_gemm`` runs as it is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,31 +33,6 @@ from .calibration import (
 )
 from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigError
 from .noise import BatchStats, combined_distortion, optimal_companders
-
-
-class SubblockOption(NamedTuple):
-    """One candidate configuration for one subblock product.
-
-    A named tuple: a multiply makes one per subblock, and the planner makes
-    them in bulk from array rows (``_options_of``).
-    """
-
-    l: int
-    w: int
-    mode: str
-    c_a: float
-    c_b: float
-    rmax: int
-    z: float
-    d_hat: float
-    fw_percent: float
-
-    def to_packing_config(self):
-        if self.w == 1:
-            return None
-        return packing.PackingConfig(
-            mode=self.mode, w=self.w, z=self.z, c_a=self.c_a, c_b=self.c_b, rmax=self.rmax
-        )
 
 
 @dataclass(frozen=True)
@@ -78,9 +53,11 @@ class KernelConstraint:
 
 
 class PruneStep(NamedTuple):
-    """One demotion of a prune: subblock l went from W ``from_w`` to
-    ``to_w``, and the kernel's predicted total became ``total_after``."""
+    """One demotion of a prune: in kernel ``k``, the flat C-order index of its
+    ``(i, j)``, subblock l went from W ``from_w`` to ``to_w``, and the
+    kernel's predicted total became ``total_after``."""
 
+    k: int
     l: int
     from_w: int
     to_w: int
@@ -88,32 +65,18 @@ class PruneStep(NamedTuple):
     total_after: float
 
 
-@dataclass
-class KernelPlanEntry:
-    choices: list  # one SubblockOption per l
-    total_d_hat: float
-    accel_percent: float
-    prune_trace: list = field(default_factory=list)
+class Plan(NamedTuple):
+    """The chosen option of every subblock of a multiply, which
+    ``tiered_gemm`` runs: ``options`` holds ``OPTION_DTYPE`` rows of shape
+    ``(m/L, n/L, k/L)``, entry ``[i, j, l]`` subblock l of output kernel
+    ``(i, j)``, packed in ``mode`` where its W is above 1. ``total_d_hat``
+    (shape ``(m/L, n/L)``) holds each kernel's predicted distortion and
+    ``prune_trace`` every demotion, in step order."""
 
-
-@dataclass
-class KernelPlan:
-    """Chosen options for every inner kernel, consumable by tiered_gemm."""
-
-    entries: dict = field(default_factory=dict)
-
-    def subblock_choices(self, i: int, j: int):
-        entry = self.entries.get((i, j))
-        if entry is None:
-            return None
-        return [opt.to_packing_config() for opt in entry.choices]
-
-    def w_histogram(self) -> dict:
-        hist: dict = {}
-        for entry in self.entries.values():
-            for opt in entry.choices:
-                hist[opt.w] = hist.get(opt.w, 0) + 1
-        return hist
+    mode: str
+    options: np.ndarray
+    total_d_hat: np.ndarray
+    prune_trace: list
 
 
 def ordered_sum(x):
@@ -136,15 +99,16 @@ def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int):
 
     ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l: shape
     ``(n_l, 2)`` for one kernel, or ``(n_l, 2, kernels)`` for one budget per
-    kernel. The signal power adds the subblocks in ascending l.
+    kernel. The signal power adds the subblocks in ascending l. A floor of
+    +inf leaves no budget and one of -inf an unbounded one.
     """
     pairs = np.asarray(sigma_pairs, dtype=np.float64)
     if (pairs < 0).any():
         raise InvalidConfigError("sigmas must be >= 0")
     p = pairs[:, 0] * pairs[:, 1]
     power = ordered_sum(p * p)
-    if math.isinf(s_kernel_db):
-        return np.zeros_like(power)
+    if math.isinf(s_kernel_db):  # 10 ** inf * 0 would be NaN
+        return np.full_like(power, 0.0 if s_kernel_db > 0 else math.inf)
     return 10.0 ** (-0.1 * s_kernel_db) * L * power
 
 
@@ -153,8 +117,7 @@ def _mac_speedup(w: int) -> float:
     return (w - 1) * 100.0
 
 
-# one option of one subblock: SubblockOption's fields but the mode, after the
-# flat position ``p`` of the subblock
+# one option of one subblock, after the flat position ``p`` of the subblock
 OPTION_DTYPE = np.dtype([("p", "i8"), ("l", "i8"), ("w", "i8"), ("c_a", "f8"), ("c_b", "f8"),
                          ("rmax", "i8"), ("z", "f8"), ("d_hat", "f8"), ("fw_percent", "f8")])
 
@@ -212,27 +175,6 @@ def build_options(stats: BatchStats, mode: str, precision: str, calib: Calibrati
     return options
 
 
-_OPTION_FIELDS = ("l", "w", "c_a", "c_b", "rmax", "z", "d_hat", "fw_percent")
-
-
-def _options_of(rows, mode: str) -> list:
-    """The SubblockOptions of a 1-D ``OPTION_DTYPE`` array, in its order:
-    one list per field, and one ``_make`` per row."""
-    l, w, *rest = (rows[name].tolist() for name in _OPTION_FIELDS)
-    return list(map(SubblockOption._make, zip(l, w, repeat(mode), *rest)))
-
-
-def top_choices(options, mode: str) -> list:
-    """Each subblock's first option of ``build_options``' arrays, in C order,
-    as ``tiered_gemm`` takes it: a PackingConfig, or None where the subblock
-    has only W=1."""
-    choices = [None] * len(options[-1])
-    if len(options) > 1:
-        for p, opt in zip(options[0]["p"].tolist(), _options_of(options[0], mode)):
-            choices[p] = opt.to_packing_config()
-    return choices
-
-
 def _mean(total, n: int):
     """``total / n``, and 0.0 for a kernel with no subblock (k < L), whose
     ``total`` is an empty sum."""
@@ -261,7 +203,8 @@ def _prune(d_hat, w, idx, budget=None, fw=None, floor=None):
     add l = 0, 1, ... in turn (``ordered_sum``), and a mean gain is that sum
     over n_l. A step's ``total_after`` is ``total - removed + next`` under a
     budget and the new total under a floor. Returns the final per-kernel
-    totals and each kernel's list of PruneSteps.
+    totals and the PruneSteps of every kernel, in step order and within a
+    step in ascending kernel order.
     """
     n_l, n_k = idx.shape
     ls, ks = np.ogrid[:n_l, :n_k]
@@ -304,39 +247,35 @@ def _prune(d_hat, w, idx, budget=None, fw=None, floor=None):
                 after = total[over]
             steps.append((over, worst, w[row, worst, over], w[row + 1, worst, over], removed,
                           after))
-    traces = [[] for _ in range(n_k)]
-    if steps:
-        kernels, *cols = (np.concatenate(col).tolist() for col in zip(*steps))
-        for k, step in zip(kernels, map(PruneStep._make, zip(*cols))):
-            traces[k].append(step)
-    return total, traces
+    if not steps:
+        return total, []
+    cols = (np.concatenate(col).tolist() for col in zip(*steps))
+    return total, list(map(PruneStep._make, zip(*cols)))
 
 
-def _plan_kernel(options_per_l, **constraint) -> KernelPlanEntry:
-    """``_prune`` of one kernel given as one option list per subblock: each
-    list fills the last rows of its subblock's ladder."""
-    n_l = len(options_per_l)
-    rows = max(map(len, options_per_l), default=1)
-    d_hat, fw = np.zeros((2, rows, n_l, 1))
-    w = np.ones((rows, n_l, 1), dtype=np.int64)
-    top = np.array([rows - len(opts) for opts in options_per_l], dtype=np.intp)
+def _pruned_plan(mode: str, ladder, idx, shape, **limit) -> Plan:
+    """The Plan of the rows ``_prune`` leaves ``ladder`` (shape ``(rows, n_l,
+    kernels)``) on from rows ``idx``, its kernels laid out in ``shape``."""
+    total, trace = _prune(ladder["d_hat"], ladder["w"], idx, fw=ladder["fw_percent"], **limit)
+    chosen = ladder[(idx, *np.ogrid[:idx.shape[0], :idx.shape[1]])]
+    return Plan(mode, chosen.T.reshape(*shape, len(idx)), total.reshape(shape), trace)
+
+
+def _plan_kernel(options_per_l, **constraint) -> Plan:
+    """``_prune`` of one kernel given as one ``OPTION_DTYPE`` array per
+    subblock, W descending and W=1 last: each array fills the last rows of
+    its subblock's ladder. A one-kernel plan is symmetric."""
+    ladder = np.zeros((max(map(len, options_per_l), default=1), len(options_per_l), 1),
+                      dtype=OPTION_DTYPE)
+    ladder["w"] = 1
+    top = np.array([len(ladder) - len(opts) for opts in options_per_l], dtype=np.intp)
     for l, opts in enumerate(options_per_l):  # every ladder ends on the last row
-        d_hat[top[l]:, l, 0] = [o.d_hat for o in opts]
-        w[top[l]:, l, 0] = [o.w for o in opts]
-        fw[top[l]:, l, 0] = [o.fw_percent for o in opts]
-    idx = top[:, None].copy()
-    total, (trace,) = _prune(d_hat, w, idx, fw=fw, **constraint)
-    choices = [opts[i] for opts, i in zip(options_per_l, (idx[:, 0] - top).tolist())]
-    return KernelPlanEntry(
-        choices=choices,
-        total_d_hat=float(total[0]),
-        accel_percent=_mean(float(ordered_sum([o.fw_percent for o in choices])), n_l),
-        prune_trace=trace,
-    )
+        ladder[top[l]:, l, 0] = opts
+    return _pruned_plan(packing.SYMMETRIC, ladder, top[:, None], (1, 1), **constraint)
 
 
-def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
-    """Greedy pruning of one kernel under a distortion budget.
+def plan_kernel_distortion(options_per_l, d_kernel: float) -> Plan:
+    """Greedy pruning of one kernel under a distortion budget, as a Plan.
 
     Start all subblocks at maximum W; while the summed prediction exceeds the
     budget, demote the subblock whose current option has the highest
@@ -347,8 +286,8 @@ def plan_kernel_distortion(options_per_l, d_kernel: float) -> KernelPlanEntry:
     return _plan_kernel(options_per_l, budget=d_kernel)
 
 
-def plan_kernel_throughput(options_per_l, f_kernel: float) -> KernelPlanEntry:
-    """Greedy pruning of one kernel under an acceleration floor.
+def plan_kernel_throughput(options_per_l, f_kernel: float) -> Plan:
+    """Greedy pruning of one kernel under an acceleration floor, as a Plan.
 
     Demotes highest-predicted-distortion options first, but only while the
     kernel's mean speedup stays at or above the floor; subblocks whose
@@ -380,53 +319,57 @@ def subblock_stats(a: np.ndarray, b: np.ndarray, L: int) -> BatchStats:
                       b_min=of_b(tb.vmin), b_max=of_b(tb.vmax), L=L)
 
 
+def option_ladder(options, shape) -> tuple:
+    """``build_options``' arrays (of subblocks of ``shape``) as one ladder
+    per subblock: every option by row, W descending and W=1 last, shape
+    ``(rows, *shape)``, and each subblock's starting row, 0 where it has a
+    W>1 and the W=1 row where it has not."""
+    ladder = np.zeros((len(options), math.prod(shape)), dtype=OPTION_DTYPE)
+    for r, rows in enumerate(options):
+        ladder[r, rows["p"]] = rows
+    top = np.full(ladder.shape[1], len(options) - 1, dtype=np.intp)
+    top[options[0]["p"]] = 0
+    return ladder.reshape(len(options), *shape), top.reshape(shape)
+
+
 def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
               calib: CalibrationTable, mode: str, precision: str,
-              profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> KernelPlan:
+              profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> Plan:
     """Plan every inner kernel of A @ B under a uniform per-kernel constraint.
 
     One ``build_options`` call covers every subblock, and one lockstep prune
-    (``_prune``) plans every kernel under either constraint. A
-    SubblockOption is made only for the option each subblock ends up with.
+    (``_prune``) plans every kernel under either constraint. The Plan holds
+    the ladder row each subblock ends on.
     """
     stats = subblock_stats(a, b, L)
     options = build_options(stats, mode, precision, calib, profile=profile, w_set=w_set)
     blocks_i, blocks_j, n_l = stats.shape
-    keys = [(i, j) for i in range(blocks_i) for j in range(blocks_j)]
-    # every option by ladder row (W descending, W=1 last), subblock l and kernel
-    ladder = np.zeros((len(options), len(keys) * n_l), dtype=OPTION_DTYPE)
-    for r, rows in enumerate(options):
-        ladder[r, rows["p"]] = rows
-    ladder = ladder.reshape(len(options), len(keys), n_l).transpose(0, 2, 1)
-    idx = np.full((len(keys), n_l), len(options) - 1, dtype=np.intp)
-    idx.reshape(-1)[options[0]["p"]] = 0  # subblocks that have a W>1 start at the top
-    idx = idx.T.copy()
+    n_k = blocks_i * blocks_j
+    ladder, top = option_ladder(options, stats.shape)
+    # by ladder row, subblock l and kernel, as _prune takes them
+    ladder = ladder.reshape(len(options), n_k, n_l).transpose(0, 2, 1)
     if constraint.target_snr_db is None:
-        limit = dict(fw=ladder["fw_percent"], floor=constraint.target_accel_percent)
+        limit = dict(floor=constraint.target_accel_percent)
     else:
-        pairs = np.stack([stats.sigma_a, stats.sigma_b]).reshape(2, len(keys), n_l)
+        pairs = np.stack([stats.sigma_a, stats.sigma_b]).reshape(2, n_k, n_l)
         limit = dict(budget=snr_to_distortion(constraint.target_snr_db,
                                               pairs.transpose(2, 0, 1), L))
-    total, traces = _prune(ladder["d_hat"], ladder["w"], idx, **limit)
-    ls, ks = np.ogrid[:n_l, :len(keys)]
-    chosen = ladder[idx, ls, ks]
-    fw = ordered_sum(chosen["fw_percent"]).tolist()
-    choices = _options_of(chosen.T.reshape(-1), mode)
-    plan = KernelPlan()
-    for k, (key, total_k) in enumerate(zip(keys, total.tolist())):
-        plan.entries[key] = KernelPlanEntry(
-            choices=choices[k * n_l:(k + 1) * n_l], total_d_hat=total_k,
-            accel_percent=_mean(fw[k], n_l), prune_trace=traces[k])
-    return plan
+    return _pruned_plan(mode, ladder, top.reshape(n_k, n_l).T, (blocks_i, blocks_j), **limit)
 
 
-def dump_plan(plan: KernelPlan, path) -> None:
-    """Debug CSV of every chosen option, for reproducing prune outcomes: the
-    bytes ``csv.writer`` wrote, one f-string per row (floats as ``repr``)."""
-    rows = "".join(
-        f"{i},{j},{l},{w},{c_a!r},{c_b!r},{rmax},{d_hat!r}\r\n"
-        for i, j in sorted(plan.entries)
-        for l, w, _mode, c_a, c_b, rmax, _z, d_hat, _fw in plan.entries[i, j].choices
-    )
+def fixed_plan(mode: str, options) -> Plan:
+    """The Plan that runs ``options`` (shape ``(m/L, n/L, k/L)``) as they are."""
+    return Plan(mode, options, ordered_sum(np.moveaxis(options["d_hat"], -1, 0)), [])
+
+
+def dump_plan(plan: Plan, path) -> None:
+    """Debug CSV of every chosen option, for reproducing prune outcomes: one
+    row per subblock in C order of ``plan.options``, the bytes
+    ``csv.writer`` wrote, one f-string per row (floats as ``repr``)."""
+    o = plan.options
+    cols = [*np.indices(o.shape).reshape(3, -1).tolist(),
+            *(o[f].reshape(-1).tolist() for f in ("w", "c_a", "c_b", "rmax", "d_hat"))]
+    rows = "".join(f"{i},{j},{l},{w},{c_a!r},{c_b!r},{rmax},{d_hat!r}\r\n"
+                   for i, j, l, w, c_a, c_b, rmax, d_hat in zip(*cols))
     with open(path, "w", newline="") as f:
         f.write(f"# version {FORMAT_VERSION}\ni,j,l,W,c_a,c_b,rmax,d_hat\r\n{rows}")

@@ -163,11 +163,11 @@ def test_criterion_05_packing_count_bound_values():
 
 
 def _all_w2_plan(a, b, mode, calib):
+    """Each subblock's top ladder row of W=2 options: W=2 wherever it has one."""
     stats = ctl.subblock_stats(a, b, L)
-    bi, bj, n_l = stats.shape
-    choices = ctl.top_choices(ctl.build_options(stats, mode, "single", calib, w_set=(2,)), mode)
-    keys = [(i, j) for i in range(bi) for j in range(bj)]
-    return {key: choices[k * n_l:(k + 1) * n_l] for k, key in enumerate(keys)}
+    ladder, top = ctl.option_ladder(
+        ctl.build_options(stats, mode, "single", calib, w_set=(2,)), stats.shape)
+    return ctl.fixed_plan(mode, np.take_along_axis(ladder, top[None], 0)[0])
 
 
 def test_criterion_06_mode_ordering(calib48):
@@ -214,6 +214,14 @@ def test_criterion_07_error_source_independence():
     verdict(7, abs(corr) < 0.05, f"|Pearson correlation| = {abs(corr):.4f} (< 0.05)")
 
 
+def _w2_options(ds):
+    """One option array per subblock: W=2 predicting ``ds[l]`` at a 100% gain,
+    then W=1."""
+    return [np.array([(l, l, 2, 1.0, 1.0, 100, 2.0 ** -10, d, 100.0),
+                      (l, l, 1, 1.0, 1.0, 0, 0.0, 0.0, 0.0)], dtype=ctl.OPTION_DTYPE)
+            for l, d in enumerate(ds)]
+
+
 def test_criterion_08_controller_correctness(calib48):
     import itertools
 
@@ -224,10 +232,7 @@ def test_criterion_08_controller_correctness(calib48):
         k = int(rng.integers(1, 7))
         ds = rng.uniform(0.0, 10.0, size=k)
         budget = float(rng.uniform(0.0, 20.0))
-        opts = [[ctl.SubblockOption(l, 2, "symmetric", 1.0, 1.0, 100, 2.0 ** -10, d, 100.0),
-                 ctl.SubblockOption(l, 1, "symmetric", 1.0, 1.0, 0, 0.0, 0.0, 0.0)]
-                for l, d in enumerate(ds)]
-        if ctl.plan_kernel_distortion(opts, budget).total_d_hat > budget + 1e-12:
+        if ctl.plan_kernel_distortion(_w2_options(ds), budget).total_d_hat.item() > budget + 1e-12:
             bound_ok = False
     # (b) greedy acceleration equals the exhaustive maximum for K/L <= 4, W in {1,2}
     exhaustive_ok = True
@@ -235,17 +240,14 @@ def test_criterion_08_controller_correctness(calib48):
         k = int(rng.integers(1, 5))
         ds = rng.uniform(0.01, 10.0, size=k)
         budget = float(rng.uniform(0.0, 15.0))
-        opts = [[ctl.SubblockOption(l, 2, "symmetric", 1.0, 1.0, 100, 2.0 ** -10, d, 100.0),
-                 ctl.SubblockOption(l, 1, "symmetric", 1.0, 1.0, 0, 0.0, 0.0, 0.0)]
-                for l, d in enumerate(ds)]
-        entry = ctl.plan_kernel_distortion(opts, budget)
+        fw = ctl.plan_kernel_distortion(_w2_options(ds), budget).options["fw_percent"]
         best = max(
             (100.0 * sum(bits) / k
              for bits in itertools.product([0, 1], repeat=k)
              if sum(d for d, bit in zip(ds, bits) if bit) <= budget),
             default=0.0,
         )
-        if abs(entry.accel_percent - best) > 1e-9:
+        if abs(ctl.ordered_sum(fw.reshape(-1)) / k - best) > 1e-9:
             exhaustive_ok = False
     # (c) a zero distortion budget reproduces the plain output bitwise
     a = rng.uniform(-8, 8, size=(2 * L, 2 * L)).astype(np.float32)

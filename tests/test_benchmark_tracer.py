@@ -1,10 +1,12 @@
 """Guard for the benchmark's tracer (``perfbench/tracing.py``): every name it
 wraps still exists and is called, in set-up and in a multiply, and the counts
 the benchmark checks hold for a small multiply. A refactor that breaks them
-fails here, not only when the benchmark runs. Nothing under ``perfbench/`` is
-changed."""
+fails here, not only when the benchmark runs: the benchmark's own count check
+(``perfbench/metrics.py``) runs on both traced multiplies. Nothing under
+``perfbench/`` is changed."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +14,23 @@ import pytest
 
 from tdgemm import cli, matrixio
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 L = 12
 BLOCKS = 3
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """perfbench's module ``name``, loaded by path (and registered, as its
+    dataclasses resolve their string annotations through ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("tracing")
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +82,13 @@ def _traced_multiply(tables, tmp_path, mean, snr_db):
     finally:
         tracer.uninstall()
     (call,) = tracer.by_root("cli.main")
+    # the counts the benchmark checks on each traced run, with its own code
+    metrics, workloads = _load("metrics"), _load("workloads")
+    workload = workloads.Workload(name="tracer-test", L=L, n=BLOCKS * L, mode="symmetric",
+                                  ws=(2,), constraint=("--snr-db", str(snr_db)), mean=mean)
+    plan_rows = metrics.read_plan(tmp_path / "out" / "plan.csv")
+    assert len(plan_rows) == workload.subblocks
+    assert metrics.count_violations(metrics.call_counts(call), workload, plan_rows) == []
 
     def count(name, field="calls"):
         return call.get(name, {field: 0})[field]

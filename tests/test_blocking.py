@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import plan_of
 from tdgemm import blocking, packing
 from tdgemm.blocking import plain_subblock_gemm, reorder_block_major, tiered_gemm
 from tdgemm.errors import DimensionError, InvalidConfigError, QuantizerOverflowError
@@ -258,8 +259,7 @@ class TestTieredGemm:
     def test_plan_shape_mismatch(self):
         a = np.zeros((8, 8), np.float32)
         with pytest.raises(DimensionError):
-            tiered_gemm(a, a, 4, plan={(0, 0): [None], (0, 1): [None],
-                                       (1, 0): [None], (1, 1): [None, None, None]})
+            tiered_gemm(a, a, 4, plan_of(packing.SYMMETRIC, [[[None]] * 2] * 2))
 
     def test_invalid_packing_choice_rejected_before_any_product(self):
         a = np.ones((8, 8), np.float32)
@@ -269,8 +269,7 @@ class TestTieredGemm:
         oversized = packing.PackingConfig(
             mode=packing.SYMMETRIC, w=2, z=0.25, c_a=1.0, c_b=1.0, rmax=10
         )
-        plan = {(i, j): [ok, ok] for i in range(2) for j in range(2)}
-        plan[(1, 1)] = [ok, oversized]
+        plan = plan_of(packing.SYMMETRIC, [[[ok, ok], [ok, ok]], [[ok, ok], [ok, oversized]]])
         with mock.patch.object(blocking, "plain_subblock_gemm") as plain, \
                 mock.patch.object(packing, "packed_subblock_product") as packed:
             with pytest.raises(InvalidConfigError, match=r"kernel \(1,1\) subblock 1: .*bound"):
@@ -284,7 +283,8 @@ class TestTieredGemm:
         a = np.ones((24, 24), np.float32)
         big = packing.PackingConfig(packing.SYMMETRIC, 2, 2.0 ** -20, 1e8, 1.0, 1000)
         with pytest.raises(QuantizerOverflowError) as info:
-            tiered_gemm(a, a, 12, {(1, 0): [None, big]})
+            tiered_gemm(a, a, 12, plan_of(packing.SYMMETRIC,
+                                          [[[None, None]] * 2, [[None, big], [None, None]]]))
         cause = info.value.__cause__
         assert type(info.value) is type(cause) is QuantizerOverflowError
         assert str(info.value) == f"kernel (1,0) subblock 1: {cause}"
@@ -295,5 +295,5 @@ class TestTieredGemm:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(8, 8)).astype(np.float32)
         b = rng.normal(size=(8, 8)).astype(np.float32)
-        plan = {(i, j): [None, None] for i in range(2) for j in range(2)}
+        plan = plan_of(packing.SYMMETRIC, [[[None, None]] * 2] * 2)
         np.testing.assert_array_equal(tiered_gemm(a, b, 4, plan), tiered_gemm(a, b, 4))

@@ -627,7 +627,8 @@ class TestMalformedRows:
 
 def _frozen_load_calibration(path):
     """``load_calibration`` as it was: ``csv.reader`` rows, each field
-    converted one at a time; ValueError for a row it rejected."""
+    converted one at a time; ValueError for a row it rejected, and for a W or
+    R_max below 1."""
     with open(path, newline="") as f:
         rows = list(csv.reader(f.readlines()[2:]))
     out = []
@@ -637,6 +638,8 @@ def _frozen_load_calibration(path):
         p, m, w, rmax, mean_err, rmse, trials, seed = row
         e = (p, m, int(w), int(rmax), float(mean_err), float(rmse), int(trials), int(seed))
         if not (math.isfinite(e[4]) and math.isfinite(e[5]) and e[5] >= 0.0):
+            raise ValueError(row)
+        if e[2] < 1 or e[3] < 1:
             raise ValueError(row)
         out.append(e)
     return out
@@ -716,17 +719,21 @@ class TestLoadCalibrationAsFrozen:
         max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_saved_rows(self, tmp_path_factory, rows):
+        """Saved rows load back, unless one has an R_max of 0."""
         path = tmp_path_factory.mktemp("saved") / "c.csv"
         cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path)
-        assert _loads_as_frozen(path) == repr(rows)
+        want = repr(rows) if all(r[3] >= 1 for r in rows) else None
+        assert _loads_as_frozen(path) == want
 
 
 @pytest.mark.parametrize("column,value", [("rmse", "nan"), ("rmse", "inf"), ("rmse", "-0.5"),
-                                          ("mean_err", "nan"), ("mean_err", "-inf")])
+                                          ("mean_err", "nan"), ("mean_err", "-inf"),
+                                          ("W", "0"), ("W", "-2"), ("rmax", "0")])
 def test_calibration_rejects_values_no_measurement_gives(small_table, tmp_path, column, value):
     """A NaN RMSE would win the R_max search (``argmax`` takes NaN as the
     maximum) and a NaN mean error would pass the bias filter, so a row holding
-    either, an infinity or a negative RMSE fails to load."""
+    either, an infinity or a negative RMSE fails to load; so does a W or an
+    R_max below 1, which no packing has."""
     path = tmp_path / "calibration.csv"
     cal.save_calibration(small_table, path)
     lines = path.read_text().splitlines(keepends=True)

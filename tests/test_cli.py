@@ -327,6 +327,82 @@ class TestMultiplyCommand:
         assert code == 1
         assert f"{path}, line 4: bad rmax value 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,value", [(2, b"0"), (2, b"-1"), (3, b"0")])
+    def test_calibration_w_or_rmax_below_1_exit_code(self, workdir, tmp_path, capsys,
+                                                     column, value):
+        """A row with a W or R_max below 1 fails the load with an error line
+        that names the file and line, not later in the W set."""
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        path = tables / "calibration.csv"
+        lines = (workdir / "tables" / "calibration.csv").read_bytes().splitlines(keepends=True)
+        fields = lines[3].split(b",")
+        fields[column] = value
+        lines[3] = b",".join(fields)
+        path.write_bytes(b"".join(lines))
+        code = cli.main(["--l", str(L), "--tables", str(tables), "--out", str(tmp_path / "o"),
+                         "multiply", str(workdir / "a.tgmm"), str(workdir / "b.tgmm"),
+                         "--snr-db", "30"])
+        name = calibration.CALIB_HEADER[column]
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}, line 4: bad {name} value '{value.decode()}'\n")
+        assert not (tmp_path / "o" / "result.tgmm").exists()
+
+    def test_minus_infinite_snr_plans_as_the_loosest_floor(self, workdir, tmp_path):
+        """A floor of -inf dB leaves the distortion unbounded: it plans and
+        computes what -400 dB does, every subblock at its fastest W."""
+        outputs = []
+        for tag, flag in (("inf", "--snr-db=-inf"), ("400", "--snr-db=-400")):
+            out = tmp_path / tag
+            assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                             "--out", str(out), "multiply", str(workdir / "a.tgmm"),
+                             str(workdir / "b.tgmm"), flag]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("plan.csv", "result.tgmm")])
+            report = json.loads((out / "multiply_report.json").read_text())
+            assert report["w_histogram"] == {"2": 8}
+        assert outputs[0] == outputs[1]
+
+    def test_verify_names_the_worst_kernel(self, workdir, tmp_path):
+        """Under ``--verify`` the report names the kernel of lowest measured
+        SNR over the full-tile region, and under an SNR floor counts the
+        kernels below it; without ``--verify`` it has none of these keys."""
+        rng = np.random.default_rng(46)
+        a = rng.uniform(-8, 8, size=(2 * L + 3, 3 * L)).astype(np.float32)
+        b = rng.uniform(-8, 8, size=(3 * L, 2 * L + 5)).astype(np.float32)
+        matrixio.save_matrix(a, tmp_path / "a.tgmm")
+        matrixio.save_matrix(b, tmp_path / "b.tgmm")
+        ref = tiered_gemm(a, b, L).astype(np.float64)
+
+        def report(*flags):
+            out = tmp_path / "-".join(flags)
+            assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                             "--out", str(out), "multiply", str(tmp_path / "a.tgmm"),
+                             str(tmp_path / "b.tgmm"), *flags]) == 0
+            got = matrixio.load_matrix(out / "result.tgmm").astype(np.float64)
+            snr = {}
+            for i, j in np.ndindex(2, 2):
+                r = ref[i * L:(i + 1) * L, j * L:(j + 1) * L]
+                e = got[i * L:(i + 1) * L, j * L:(j + 1) * L] - r
+                p_err = float((e * e).sum())
+                snr[i, j] = math.inf if p_err == 0 else 10.0 * math.log10(
+                    float((r * r).sum()) / p_err)
+            return json.loads((out / "multiply_report.json").read_text()), snr
+
+        keys = {"worst_kernel_snr_db", "worst_kernel", "kernels_below_floor"}
+        # at 36 dB some kernels fall below the floor; at 50 dB none has an error
+        for flags in (("--snr-db", "30", "--verify"), ("--snr-db", "36", "--verify"),
+                      ("--snr-db", "50", "--verify"), ("--accel-percent", "100", "--verify")):
+            got, snr = report(*flags)
+            worst = min(snr, key=snr.get)
+            assert got["worst_kernel"] == list(worst)
+            assert got["worst_kernel_snr_db"] == pytest.approx(snr[worst], rel=1e-12)
+            if flags[0] == "--snr-db":
+                floor = float(flags[1])
+                assert got["kernels_below_floor"] == sum(s < floor for s in snr.values())
+            else:
+                assert "kernels_below_floor" not in got
+        assert not keys & set(report("--snr-db", "30")[0])
+
     def test_solution_table_is_not_read(self, workdir, tmp_path):
         """Without ``solutions.csv`` a multiply plans and computes what it does
         with it."""

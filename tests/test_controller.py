@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,19 +14,34 @@ from tdgemm.errors import CalibrationMissingError, InfeasibleConstraintError, In
 
 
 def opt(l, w, d_hat, fw=None):
+    """One ``OPTION_DTYPE`` row of subblock l, as a tuple."""
     fw = (w - 1) * 100.0 if fw is None else fw
-    return ctl.SubblockOption(l=l, w=w, mode="symmetric", c_a=1.0, c_b=1.0,
-                              rmax=100 * w, z=2.0 ** -10, d_hat=d_hat, fw_percent=fw)
+    return (l, l, w, 1.0, 1.0, 100 * w, 2.0 ** -10, d_hat, fw)
 
 
 def synth_options(d_hats_per_l, ws=(2, 1)):
-    """One option per W per subblock; W=1 always has zero distortion."""
+    """One option array per subblock, one row per W; W=1 always has zero
+    distortion."""
     out = []
     for l, ds in enumerate(d_hats_per_l):
-        opts = [opt(l, w, d) for w, d in zip(ws[:-1], ds)]
-        opts.append(opt(l, 1, 0.0))
-        out.append(opts)
+        rows = [opt(l, w, d) for w, d in zip(ws[:-1], ds)] + [opt(l, 1, 0.0)]
+        out.append(np.array(rows, dtype=ctl.OPTION_DTYPE))
     return out
+
+
+def chosen_ws(plan):
+    """The chosen W of every subblock of a plan, in C order."""
+    return plan.options["w"].reshape(-1).tolist()
+
+
+def mean_gain(plan):
+    """Mean gain of a one-kernel plan's choices."""
+    fw = plan.options["fw_percent"].reshape(-1)
+    return (ctl.ordered_sum(fw) / len(fw)).item()
+
+
+def w_hist(plan):
+    return dict(zip(*(x.tolist() for x in np.unique(plan.options["w"], return_counts=True))))
 
 
 class TestSnrToDistortion:
@@ -35,6 +51,11 @@ class TestSnrToDistortion:
     def test_infinite_snr(self):
         assert ctl.snr_to_distortion(math.inf, [(1.0, 2.0)], 4) == 0.0
 
+    def test_minus_infinite_snr_has_no_budget(self):
+        """-inf dB allows any distortion, also where the signal power is 0."""
+        assert ctl.snr_to_distortion(-math.inf, [(1.0, 2.0)], 4) == math.inf
+        assert ctl.snr_to_distortion(-math.inf, [(0.0, 2.0)], 4) == math.inf
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidConfigError):
             ctl.snr_to_distortion(10.0, [(-1.0, 1.0)], 4)
@@ -42,38 +63,40 @@ class TestSnrToDistortion:
 
 class TestDistortionPlanner:
     def test_no_pruning_when_budget_large(self):
-        entry = ctl.plan_kernel_distortion(synth_options([[3.0], [1.0]]), 100.0)
-        assert [o.w for o in entry.choices] == [2, 2]
-        assert entry.prune_trace == []
+        plan = ctl.plan_kernel_distortion(synth_options([[3.0], [1.0]]), 100.0)
+        assert chosen_ws(plan) == [2, 2]
+        assert plan.prune_trace == []
 
     def test_zero_budget_all_plain(self):
-        entry = ctl.plan_kernel_distortion(synth_options([[3.0], [1.0]]), 0.0)
-        assert [o.w for o in entry.choices] == [1, 1]
+        plan = ctl.plan_kernel_distortion(synth_options([[3.0], [1.0]]), 0.0)
+        assert chosen_ws(plan) == [1, 1]
 
     def test_hand_simulated_trace(self):
         # budget 3: remove 5 (l=1), then 3 (l=0) -> total 1
         options = synth_options([[3.0], [5.0], [1.0]])
-        entry = ctl.plan_kernel_distortion(options, 3.0)
-        assert [(s.l, s.from_w, s.to_w) for s in entry.prune_trace] == [(1, 2, 1), (0, 2, 1)]
-        assert [o.w for o in entry.choices] == [1, 1, 2]
-        assert entry.total_d_hat == pytest.approx(1.0)
+        plan = ctl.plan_kernel_distortion(options, 3.0)
+        assert [(s.k, s.l, s.from_w, s.to_w) for s in plan.prune_trace] == [(0, 1, 2, 1),
+                                                                           (0, 0, 2, 1)]
+        assert chosen_ws(plan) == [1, 1, 2]
+        assert plan.total_d_hat.shape == (1, 1)
+        assert plan.total_d_hat.item() == pytest.approx(1.0)
 
     def test_tie_demotes_lowest_l(self):
-        entry = ctl.plan_kernel_distortion(synth_options([[2.0], [2.0]]), 2.0)
-        assert entry.prune_trace[0].l == 0
+        plan = ctl.plan_kernel_distortion(synth_options([[2.0], [2.0]]), 2.0)
+        assert plan.prune_trace[0].l == 0
 
     def test_multi_w_ladder(self):
         options = synth_options([[9.0, 2.0]], ws=(3, 2, 1))
-        entry = ctl.plan_kernel_distortion(options, 2.5)
-        assert entry.choices[0].w == 2
+        plan = ctl.plan_kernel_distortion(options, 2.5)
+        assert chosen_ws(plan) == [2]
 
     @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6),
            st.floats(0.0, 20.0))
     @settings(max_examples=60)
     def test_bound_and_monotone_trace(self, ds, budget):
-        entry = ctl.plan_kernel_distortion(synth_options([[d] for d in ds]), budget)
-        assert entry.total_d_hat <= budget + 1e-12
-        totals = [s.total_after for s in entry.prune_trace]
+        plan = ctl.plan_kernel_distortion(synth_options([[d] for d in ds]), budget)
+        assert plan.total_d_hat.item() <= budget + 1e-12
+        totals = [s.total_after for s in plan.prune_trace]
         assert totals == sorted(totals, reverse=True) or all(
             totals[i] >= totals[i + 1] - 1e-12 for i in range(len(totals) - 1)
         )
@@ -83,8 +106,7 @@ class TestDistortionPlanner:
     @settings(max_examples=40)
     def test_greedy_matches_exhaustive_acceleration(self, ds, budget):
         options = synth_options([[d] for d in ds])
-        entry = ctl.plan_kernel_distortion(options, budget)
-        greedy_accel = entry.accel_percent
+        greedy_accel = mean_gain(ctl.plan_kernel_distortion(options, budget))
         best = -1.0
         for assign in itertools.product([0, 1], repeat=len(ds)):
             total = sum(d for d, bit in zip(ds, assign) if bit)
@@ -97,18 +119,18 @@ class TestDistortionPlanner:
         options = synth_options([[3.0], [5.0], [1.0]])
         tight = ctl.plan_kernel_distortion(options, 2.0)
         loose = ctl.plan_kernel_distortion(options, 6.0)
-        for a, b in zip(tight.choices, loose.choices):
-            assert b.w >= a.w
+        for a, b in zip(chosen_ws(tight), chosen_ws(loose)):
+            assert b >= a
 
 
 class TestThroughputPlanner:
     def test_zero_floor_all_plain(self):
-        entry = ctl.plan_kernel_throughput(synth_options([[3.0], [1.0]]), 0.0)
-        assert [o.w for o in entry.choices] == [1, 1]
+        plan = ctl.plan_kernel_throughput(synth_options([[3.0], [1.0]]), 0.0)
+        assert chosen_ws(plan) == [1, 1]
 
     def test_full_floor_keeps_max_w(self):
-        entry = ctl.plan_kernel_throughput(synth_options([[3.0], [1.0]]), 100.0)
-        assert [o.w for o in entry.choices] == [2, 2]
+        plan = ctl.plan_kernel_throughput(synth_options([[3.0], [1.0]]), 100.0)
+        assert chosen_ws(plan) == [2, 2]
 
     def test_infeasible_reports_achievable(self):
         with pytest.raises(InfeasibleConstraintError) as exc:
@@ -116,22 +138,22 @@ class TestThroughputPlanner:
         assert exc.value.achievable_percent == pytest.approx(100.0)
 
     def test_partial_floor_demotes_worst_first(self):
-        entry = ctl.plan_kernel_throughput(synth_options([[3.0], [5.0], [1.0]]), 30.0)
+        plan = ctl.plan_kernel_throughput(synth_options([[3.0], [5.0], [1.0]]), 30.0)
         # one subblock can stay packed (accel 33.3%); the cheapest one survives
-        assert [o.w for o in entry.choices] == [1, 1, 2]
+        assert chosen_ws(plan) == [1, 1, 2]
 
     def test_matches_exhaustive_minimum_distortion(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             ds = rng.uniform(0.1, 5.0, size=3)
             floor = float(rng.choice([0.0, 30.0, 60.0, 100.0]))
-            entry = ctl.plan_kernel_throughput(synth_options([[d] for d in ds]), floor)
+            plan = ctl.plan_kernel_throughput(synth_options([[d] for d in ds]), floor)
             best = math.inf
             for assign in itertools.product([0, 1], repeat=3):
                 accel = 100.0 * sum(assign) / 3
                 if accel >= floor - 1e-9:
                     best = min(best, sum(d for d, bit in zip(ds, assign) if bit))
-            assert entry.total_d_hat == pytest.approx(best)
+            assert plan.total_d_hat.item() == pytest.approx(best)
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +167,11 @@ def calib():
 
 
 def option_lists(stats, calib, **kwargs):
-    """Per-subblock option lists of a ``build_options`` call, symmetric mode,
-    in C order: each subblock's SubblockOptions in W descending order, W=1
-    last."""
+    """Per-subblock option arrays of a ``build_options`` call, symmetric
+    mode, in C order: each subblock's rows in W descending order, W=1 last."""
     options = ctl.build_options(stats, "symmetric", "single", calib, **kwargs)
-    lists = [[] for _ in range(len(options[-1]))]
-    for rows in options:
-        for p, o in zip(rows["p"].tolist(), ctl._options_of(rows, "symmetric")):
-            lists[p].append(o)
-    return lists
+    return [np.concatenate([rows[rows["p"] == p] for rows in options])
+            for p in range(len(options[-1]))]
 
 
 class TestBuildOptions:
@@ -161,14 +179,14 @@ class TestBuildOptions:
         stats = batch_stats([(2.0, 3.0, -4.0, 4.0, -6.0, 6.0)], 12)
         opts = option_lists(stats, calib, w_set=(2,))[0]
         packed = opts[0]
-        ct = 12 * 4.0 * 6.0 / packed.rmax
-        assert packed.c_a * packed.c_b * ct == pytest.approx(1.0)
-        assert opts[-1].w == 1 and opts[-1].d_hat == 0.0
+        ct = 12 * 4.0 * 6.0 / packed["rmax"]
+        assert packed["c_a"] * packed["c_b"] * ct == pytest.approx(1.0)
+        assert opts[-1]["w"] == 1 and opts[-1]["d_hat"] == 0.0
 
     def test_degenerate_sigma_only_plain(self, calib):
         stats = batch_stats([(0.0, 3.0, -1.0, 1.0, -6.0, 6.0)], 12)
         opts = option_lists(stats, calib, w_set=(2,))[0]
-        assert [o.w for o in opts] == [1]
+        assert opts["w"].tolist() == [1]
 
     def test_one_array_per_w(self, calib):
         """W descending, W=1 last; a W array holds only the subblocks that have
@@ -194,10 +212,11 @@ class TestBuildOptions:
         for _ in range(200):
             aa = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
             bb = rng.uniform(-4, 4, size=(L, L)).astype(np.float32)
-            o = option_lists(ctl.subblock_stats(aa, bb, L), calib, w_set=(2,))[0][0]
-            got = packing.packed_subblock_product(aa, bb, o.to_packing_config())
+            o = option_lists(ctl.subblock_stats(aa, bb, L), calib, w_set=(2,))[0][:1]
+            assert o["w"] == 2
+            got = tiered_gemm(aa, bb, L, ctl.fixed_plan("symmetric", o.reshape(1, 1, 1)))
             e = got.astype(np.float64) - aa.astype(np.float64) @ bb.astype(np.float64)
-            errs.append(float((e ** 2).mean()) / o.d_hat)
+            errs.append(float((e ** 2).mean()) / o["d_hat"].item())
         assert abs(np.mean(errs) - 1.0) < 0.25
 
 
@@ -213,7 +232,7 @@ class TestBuildOptions:
                 [cal.ProfileEntry("single", "symmetric", 2, L, fw_percent, 2.0, 3)])
             plan = ctl.plan_gemm(a, b, L, constraint, calib, "symmetric", "single",
                                  profile=profile, w_set=(2,))
-            return plan.w_histogram()
+            return w_hist(plan)
 
         snr_floor = ctl.KernelConstraint(target_snr_db=0.0)
         accel_floor = ctl.KernelConstraint(target_accel_percent=0.0)
@@ -231,7 +250,7 @@ class TestPlanGemm:
         b = rng.uniform(-4, 4, size=(2 * L, 2 * L)).astype(np.float32)
         plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=math.inf),
                              calib, "symmetric", "single", w_set=(2,))
-        assert plan.w_histogram() == {1: 8}
+        assert w_hist(plan) == {1: 8}
         np.testing.assert_array_equal(tiered_gemm(a, b, L, plan), tiered_gemm(a, b, L))
 
     def test_budgets_respected_per_kernel(self, calib):
@@ -244,9 +263,10 @@ class TestPlanGemm:
                              calib, "symmetric", "single", w_set=(2,))
         sigma_a = reorder_block_major(a, L).sigma
         sigma_b = reorder_block_major(b, L).sigma
-        for (i, j), entry in plan.entries.items():
+        assert plan.total_d_hat.shape == (2, 2)
+        for (i, j), total in np.ndenumerate(plan.total_d_hat):
             sig = [(sigma_a[i, l], sigma_b[l, j]) for l in range(2)]
-            assert entry.total_d_hat <= ctl.snr_to_distortion(target, sig, L) + 1e-12
+            assert total <= ctl.snr_to_distortion(target, sig, L) + 1e-12
 
     def test_constraint_requires_exactly_one_target(self):
         with pytest.raises(InvalidConfigError):
@@ -284,12 +304,27 @@ def frozen_snr_to_distortion(s_kernel_db, sigma_pairs, L):
     return 10.0 ** (-0.1 * s_kernel_db) * L * power
 
 
+class Frozen(NamedTuple):
+    """What the frozen loops chose for one kernel: its option rows, total,
+    mean gain, and steps ``(l, from_w, to_w, removed_d_hat, total_after)``."""
+
+    choices: np.ndarray
+    total_d_hat: float
+    accel_percent: float
+    prune_trace: list
+
+
+def _field(opts, i, name):
+    """Field ``name`` of row i of an option array, as a Python scalar."""
+    return opts[i][name].item()
+
+
 def frozen_entry(options_per_l, idx, trace, add=sum):
-    choices = [opts[i] for opts, i in zip(options_per_l, idx)]
-    return ctl.KernelPlanEntry(
+    choices = np.array([opts[i] for opts, i in zip(options_per_l, idx)], dtype=ctl.OPTION_DTYPE)
+    return Frozen(
         choices=choices,
-        total_d_hat=add(o.d_hat for o in choices),
-        accel_percent=add(o.fw_percent for o in choices) / len(choices),
+        total_d_hat=add(choices["d_hat"].tolist()),
+        accel_percent=add(choices["fw_percent"].tolist()) / len(choices),
         prune_trace=trace,
     )
 
@@ -301,20 +336,18 @@ def frozen_plan_kernel_distortion(options_per_l, d_kernel):
     idx = [0] * len(options_per_l)
     trace = []
     while True:
-        total = frozen_sum(opts[i].d_hat for opts, i in zip(options_per_l, idx))
+        total = frozen_sum(_field(opts, i, "d_hat") for opts, i in zip(options_per_l, idx))
         if total <= d_kernel:
             break
         worst = max(
             range(len(idx)),
-            key=lambda l: (options_per_l[l][idx[l]].d_hat, -l),
+            key=lambda l: (_field(options_per_l[l], idx[l], "d_hat"), -l),
         )
-        cur = options_per_l[worst][idx[worst]]
+        opts, i = options_per_l[worst], idx[worst]
         idx[worst] += 1
-        nxt = options_per_l[worst][idx[worst]]
-        trace.append(
-            ctl.PruneStep(l=worst, from_w=cur.w, to_w=nxt.w, removed_d_hat=cur.d_hat,
-                          total_after=total - cur.d_hat + nxt.d_hat)
-        )
+        removed = _field(opts, i, "d_hat")
+        trace.append((worst, _field(opts, i, "w"), _field(opts, i + 1, "w"), removed,
+                      total - removed + _field(opts, i + 1, "d_hat")))
     return frozen_entry(options_per_l, idx, trace, add=frozen_sum)
 
 
@@ -323,7 +356,7 @@ def frozen_plan_kernel_throughput(options_per_l, f_kernel):
     idx = [0] * n
 
     def mean_accel():
-        return sum(opts[i].fw_percent for opts, i in zip(options_per_l, idx)) / n
+        return sum(_field(opts, i, "fw_percent") for opts, i in zip(options_per_l, idx)) / n
 
     accel = mean_accel()
     if accel < f_kernel:
@@ -335,23 +368,20 @@ def frozen_plan_kernel_throughput(options_per_l, f_kernel):
     while True:
         order = sorted(
             (l for l in range(n) if idx[l] + 1 < len(options_per_l[l])),
-            key=lambda l: (-options_per_l[l][idx[l]].d_hat, l),
+            key=lambda l: (-_field(options_per_l[l], idx[l], "d_hat"), l),
         )
         demoted = False
         for l in order:
-            cur = options_per_l[l][idx[l]]
-            nxt = options_per_l[l][idx[l] + 1]
+            opts, i = options_per_l[l], idx[l]
             idx[l] += 1
             accel = mean_accel()
             if accel < f_kernel:
                 idx[l] -= 1
                 accel = mean_accel()
                 continue
-            total = sum(opts[i].d_hat for opts, i in zip(options_per_l, idx))
-            trace.append(
-                ctl.PruneStep(l=l, from_w=cur.w, to_w=nxt.w, removed_d_hat=cur.d_hat,
-                              total_after=total)
-            )
+            total = sum(_field(o, j, "d_hat") for o, j in zip(options_per_l, idx))
+            trace.append((l, _field(opts, i, "w"), _field(opts, i + 1, "w"),
+                          _field(opts, i, "d_hat"), total))
             demoted = True
             break
         if not demoted:
@@ -401,9 +431,12 @@ def frozen_build_solutions(sigma_pairs, calib, precision, mode, L, w):
     return rmax, snr, rmax[snr.argmax(axis=1)]
 
 
-def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set):
+def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set, k=0):
+    """One option array per subblock of kernel k, each subblock at flat
+    position ``k * n_l + l``."""
     options_per_l = []
     for l in range(stats_per_l.shape[0]):
+        p = k * stats_per_l.shape[0] + l
         stats = stats_per_l.take([l])
         opts = []
         if not (stats.sigma_a.item() <= 0 or stats.sigma_b.item() <= 0):
@@ -418,17 +451,17 @@ def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set):
                 s_repr = calib.lookup(precision, mode, w, rmax).rmse
                 sol = noise.optimal_companders(stats, rmax, w=w)
                 d_hat = noise.combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
-                opts.append(ctl.SubblockOption(l, w, mode, sol.c_a.item(), sol.c_b.item(), rmax,
-                                               packing.compute_z(rmax), d_hat.item(), fw))
-        opts.append(ctl.SubblockOption(l, 1, mode, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
-        options_per_l.append(opts)
+                opts.append((p, l, w, sol.c_a.item(), sol.c_b.item(), rmax,
+                             packing.compute_z(rmax), d_hat.item(), fw))
+        opts.append((p, l, 1, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
+        options_per_l.append(np.array(opts, dtype=ctl.OPTION_DTYPE))
     return options_per_l
 
 
 def frozen_plan_gemm(a, b, L, constraint, calib, mode, precision, profile, w_set):
     entries = {}
-    for key, stats_per_l in frozen_kernel_stats(a, b, L).items():
-        options = frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set)
+    for k, (key, stats_per_l) in enumerate(frozen_kernel_stats(a, b, L).items()):
+        options = frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set, k)
         if constraint.target_snr_db is not None:
             d_kernel = frozen_snr_to_distortion(
                 constraint.target_snr_db,
@@ -440,11 +473,28 @@ def frozen_plan_gemm(a, b, L, constraint, calib, mode, precision, profile, w_set
     return entries
 
 
+def kernel_bits(steps, total, accel):
+    """A kernel's steps, total and mean gain, floats as exact hex strings."""
+    return ([(l, from_w, to_w, float(removed).hex(), float(after).hex())
+             for l, from_w, to_w, removed, after in steps], float(total).hex(), float(accel).hex())
+
+
 def entry_bits(entry):
-    """An entry's float results as exact hex strings."""
-    return ([(s.l, s.from_w, s.to_w, float(s.removed_d_hat).hex(), float(s.total_after).hex())
-             for s in entry.prune_trace],
-            float(entry.total_d_hat).hex(), float(entry.accel_percent).hex())
+    return kernel_bits(entry.prune_trace, entry.total_d_hat, entry.accel_percent)
+
+
+def steps_of(trace, k):
+    """Kernel k's steps of a prune trace, in step order, without ``k``."""
+    return [tuple(s[1:]) for s in trace if s.k == k]
+
+
+def plan_bits(plan, k=0):
+    """``entry_bits`` of kernel k of a plan, its mean gain ``ordered_sum`` /
+    n_l of its options' gains."""
+    i, j = divmod(k, plan.total_d_hat.shape[1])
+    fw = plan.options["fw_percent"][i, j]
+    return kernel_bits(steps_of(plan.prune_trace, k), plan.total_d_hat[i, j],
+                       ctl.ordered_sum(fw) / len(fw))
 
 
 # dyadic predictions tie exactly across l and sum exactly; huge ones overflow
@@ -468,7 +518,7 @@ def draw_kernels(data, ws, n_l, n_kernels, gain=None):
             live = data.draw(st.booleans()) or data.draw(st.booleans())
             packed = [opt(l, w, data.draw(_D_HAT), None if gain is None else data.draw(gain))
                       for w in ws[:-1]] if live else []
-            options.append(packed + [opt(l, 1, 0.0)])
+            options.append(np.array(packed + [opt(l, 1, 0.0)], dtype=ctl.OPTION_DTYPE))
         kernels.append(options)
     return kernels
 
@@ -483,9 +533,9 @@ def ladder_of(kernels, rows):
     for k, options in enumerate(kernels):
         for l, opts in enumerate(options):
             top[l, k] = rows - len(opts)
-            d_hat[top[l, k]:, l, k] = [o.d_hat for o in opts]
-            w[top[l, k]:, l, k] = [o.w for o in opts]
-            fw[top[l, k]:, l, k] = [o.fw_percent for o in opts]
+            d_hat[top[l, k]:, l, k] = opts["d_hat"]
+            w[top[l, k]:, l, k] = opts["w"]
+            fw[top[l, k]:, l, k] = opts["fw_percent"]
     return d_hat, w, fw, top
 
 
@@ -498,23 +548,23 @@ class TestLockstepPrune:
         kernels, budgets = draw_kernels(data, ws, n_l, n_kernels), []
         for options in kernels:
             full = frozen_plan_kernel_distortion(options, 0.0)  # the most steps there are
-            exact = [frozen_sum(opts[0].d_hat for opts in options)]
-            exact += [s.total_after for s in full.prune_trace]
+            exact = [frozen_sum(_field(opts, 0, "d_hat") for opts in options)]
+            exact += [s[-1] for s in full.prune_trace]
             budgets.append(data.draw(st.one_of(
                 st.just(0.0), st.just(math.inf), st.sampled_from(exact), st.floats(0.0, 10.0))))
         want = [frozen_plan_kernel_distortion(o, d) for o, d in zip(kernels, budgets)]
 
         d_hat, w, _fw, idx = ladder_of(kernels, len(ws))
-        total, traces = ctl._prune(d_hat, w, idx, np.array(budgets))
+        total, trace = ctl._prune(d_hat, w, idx, np.array(budgets))
         for k, entry in enumerate(want):
             got_w = [int(w[idx[l, k], l, k]) for l in range(n_l)]
-            assert got_w == [o.w for o in entry.choices]
-            assert traces[k] == entry.prune_trace
-            assert entry_bits(ctl.KernelPlanEntry([], total[k], 0.0, traces[k]))[:2] == \
-                entry_bits(entry)[:2]
+            assert got_w == entry.choices["w"].tolist()
+            assert steps_of(trace, k) == entry.prune_trace
+            assert kernel_bits(steps_of(trace, k), total[k], 0.0)[:2] == entry_bits(entry)[:2]
             alone = ctl.plan_kernel_distortion(kernels[k], budgets[k])
-            assert all(a is b for a, b in zip(alone.choices, entry.choices))
-            assert entry_bits(alone) == entry_bits(entry)
+            assert alone.options.tobytes() == entry.choices.tobytes()
+            assert {s.k for s in alone.prune_trace} <= {0}
+            assert plan_bits(alone) == entry_bits(entry)
 
     @given(_WS, st.integers(1, 9), st.integers(1, 6), st.data())
     @settings(max_examples=300, deadline=None)
@@ -527,7 +577,8 @@ class TestLockstepPrune:
         reachable = []  # mean gains of each kernel's top rows and of drawn rows
         for options in kernels:
             for rows in ([0] * n_l, [data.draw(st.integers(0, len(o) - 1)) for o in options]):
-                reachable.append(sum(o[i].fw_percent for o, i in zip(options, rows)) / n_l)
+                gains = (_field(o, i, "fw_percent") for o, i in zip(options, rows))
+                reachable.append(sum(gains) / n_l)
         floor = data.draw(st.one_of(st.just(0.0), st.sampled_from(reachable),
                                     st.floats(-100.0, 400.0), st.just(max(reachable) + 1.0)))
         want = []
@@ -548,9 +599,9 @@ class TestLockstepPrune:
                 same_error(exc.value, entry)
                 continue
             alone = ctl.plan_kernel_throughput(options, floor)
-            assert all(a is b for a, b in zip(alone.choices, entry.choices))
-            assert alone.prune_trace == entry.prune_trace
-            assert entry_bits(alone) == entry_bits(entry)
+            assert alone.options.tobytes() == entry.choices.tobytes()
+            assert steps_of(alone.prune_trace, 0) == entry.prune_trace
+            assert plan_bits(alone) == entry_bits(entry)
 
         d_hat, w, fw, idx = ladder_of(kernels, len(ws))
         errors = [e for e in want if isinstance(e, InfeasibleConstraintError)]
@@ -559,13 +610,13 @@ class TestLockstepPrune:
                 ctl._prune(d_hat, w, idx, fw=fw, floor=floor)
             same_error(exc.value, errors[0])
             return
-        total, traces = ctl._prune(d_hat, w, idx, fw=fw, floor=floor)
+        total, trace = ctl._prune(d_hat, w, idx, fw=fw, floor=floor)
         for k, entry in enumerate(want):
             chosen = [(int(w[idx[l, k], l, k]), fw[idx[l, k], l, k].hex()) for l in range(n_l)]
-            assert chosen == [(o.w, o.fw_percent.hex()) for o in entry.choices]
-            assert traces[k] == entry.prune_trace
-            assert entry_bits(ctl.KernelPlanEntry([], total[k], 0.0, traces[k]))[:2] == \
-                entry_bits(entry)[:2]
+            assert chosen == [(o["w"].item(), o["fw_percent"].item().hex())
+                              for o in entry.choices]
+            assert steps_of(trace, k) == entry.prune_trace
+            assert kernel_bits(steps_of(trace, k), total[k], 0.0)[:2] == entry_bits(entry)[:2]
 
     def test_nan_budget_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -623,16 +674,14 @@ class TestBatchedPlanMatchesPerKernelPlanner:
             with pytest.raises(InfeasibleConstraintError):
                 ctl.plan_gemm(a, b, L, constraint, *args, profile=profile, w_set=(2, 3, 4))
             return
-        got = ctl.plan_gemm(a, b, L, constraint, *args, profile=profile,
-                            w_set=(2, 3, 4)).entries
-        assert list(got) == list(want)
-        for key, entry in want.items():
-            assert got[key].choices == entry.choices
-            assert got[key].prune_trace == entry.prune_trace
-            assert entry_bits(got[key]) == entry_bits(entry)
-            for o in got[key].choices:
-                assert all(type(v) is type(getattr(entry.choices[o.l], f))
-                           for f, v in o._asdict().items())
+        got = ctl.plan_gemm(a, b, L, constraint, *args, profile=profile, w_set=(2, 3, 4))
+        assert got.mode == "symmetric"
+        assert got.options.shape == (bi, bj, bl) and got.total_d_hat.shape == (bi, bj)
+        assert list(np.ndindex(bi, bj)) == list(want)
+        for k, (key, entry) in enumerate(want.items()):
+            assert got.options[key].tobytes() == entry.choices.tobytes()
+            assert steps_of(got.prune_trace, k) == entry.prune_trace
+            assert plan_bits(got, k) == entry_bits(entry)
 
     def test_option_lists_match_per_kernel_calls(self, grid_calib):
         """The whole-multiply call and one call per kernel give the same lists."""
@@ -640,12 +689,15 @@ class TestBatchedPlanMatchesPerKernelPlanner:
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
         b = rng.uniform(-0.1, 0.1, size=(3 * L, 2 * L)).astype(np.float32)
+        def without_p(lists):
+            return [[row[1:] for row in opts.tolist()] for opts in lists]
+
         batched = option_lists(ctl.subblock_stats(a, b, L), grid_calib)
         per_kernel = [opts for stats in frozen_kernel_stats(a, b, L).values()
                       for opts in option_lists(stats, grid_calib)]
-        assert batched == per_kernel
+        assert without_p(batched) == without_p(per_kernel)
         assert [len(opts) for opts in batched] == [4] * 12
-        assert [opts[-1].w for opts in batched] == [1] * 12
+        assert [opts[-1]["w"] for opts in batched] == [1] * 12
 
 
 # R_max values of a calibration curve: measured-like ones, ones around the
@@ -735,8 +787,8 @@ def _frozen_dump_plan(plan, path):
         writer.writerow(["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"])
         writer.writerows(
             (i, j, l, w, repr(c_a), repr(c_b), rmax, repr(d_hat))
-            for i, j in sorted(plan.entries)
-            for l, w, _mode, c_a, c_b, rmax, _z, d_hat, _fw in plan.entries[i, j].choices
+            for i, j, l in np.ndindex(plan.options.shape)
+            for _p, _l, w, c_a, c_b, rmax, _z, d_hat, _fw in [plan.options[i, j, l].item()]
         )
 
 
@@ -760,20 +812,17 @@ class TestDumpPlanBytes:
         st.integers(0, 2 ** 40), st.sampled_from([1, 2, 3, 4]),
         st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                   st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf,
-                                   -math.inf, math.nan])),
-        st.booleans()), min_size=0, max_size=6))
+                                   -math.inf, math.nan]))), min_size=0, max_size=6),
+        st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
-    def test_special_fields(self, tmp_path_factory, rows):
-        """Infinities, NaN, -0.0, subnormals and ``np.float64`` fields, in
-        kernels out of order."""
-        choices = []
-        for l, (rmax, w, x, as_np) in enumerate(rows):
-            v = np.float64(x) if as_np else x
-            choices.append(ctl.SubblockOption(l, w, "symmetric", v, -x, rmax, 2.0 ** -10,
-                                              v, 0.0))
-        plan = ctl.KernelPlan({(1, 0): ctl.KernelPlanEntry(choices, 0.0, 0.0),
-                               (0, 2): ctl.KernelPlanEntry(choices[::-1], 0.0, 0.0),
-                               (0, 1): ctl.KernelPlanEntry([], 0.0, 0.0)})
+    def test_special_fields(self, tmp_path_factory, rows, bi, bj):
+        """Infinities, NaN, -0.0 and subnormals, in kernels whose subblocks
+        run in other orders."""
+        options = np.zeros((bi, bj, len(rows)), dtype=ctl.OPTION_DTYPE)
+        for k, (i, j) in enumerate(np.ndindex(bi, bj)):
+            for l, (rmax, w, x) in enumerate(rows[k % 2::] + rows[:k % 2]):
+                options[i, j, l] = (0, l, w, x, -x, rmax, 2.0 ** -10, x, 0.0)
+        plan = ctl.Plan("symmetric", options, np.zeros((bi, bj)), [])
         tmp = tmp_path_factory.mktemp("plan")
         ctl.dump_plan(plan, tmp / "got.csv")
         _frozen_dump_plan(plan, tmp / "want.csv")
@@ -783,6 +832,7 @@ class TestDumpPlanBytes:
 def test_record_fields_unchanged():
     """plan.csv, the prune traces and callers read these fields by name and
     build the records by position."""
-    assert ctl.SubblockOption._fields == ("l", "w", "mode", "c_a", "c_b", "rmax", "z", "d_hat",
-                                          "fw_percent")
-    assert ctl.PruneStep._fields == ("l", "from_w", "to_w", "removed_d_hat", "total_after")
+    assert ctl.OPTION_DTYPE.names == ("p", "l", "w", "c_a", "c_b", "rmax", "z", "d_hat",
+                                      "fw_percent")
+    assert ctl.PruneStep._fields == ("k", "l", "from_w", "to_w", "removed_d_hat", "total_after")
+    assert ctl.Plan._fields == ("mode", "options", "total_d_hat", "prune_trace")

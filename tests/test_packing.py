@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import plan_of
 from tdgemm import calibration, packing
 from tdgemm.blocking import plain_subblock_gemm
 from tdgemm.config import dtype_of, u_sys_of
@@ -696,12 +697,12 @@ class TestWorkspace:
         rmax = packing.compute_rmax(3.0, 3.0, L, 5.0, 5.0)
         cfgs = [packing.PackingConfig(mode, w, packing.compute_z(rmax), 3.0, 3.0, rmax)
                 for w in (2, 3, 4)]
-        plan = {(i, j): [cfgs[(i + j + l) % 3] if (i + l) % 2 == 0 else None for l in range(3)]
-                for i in range(2) for j in range(2)}
-        got = tiered_gemm(a, b, L, plan)
-        for (i, j), entry in plan.items():
+        configs = [[[cfgs[(i + j + l) % 3] if (i + l) % 2 == 0 else None for l in range(3)]
+                    for j in range(2)] for i in range(2)]
+        got = tiered_gemm(a, b, L, plan_of(mode, configs))
+        for i, j in np.ndindex(2, 2):
             acc = np.zeros((L, L), np.float32)
-            for l, cfg in enumerate(entry):
+            for l, cfg in enumerate(configs[i][j]):
                 at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
                 bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
                 acc += (plain_subblock_gemm(at, bt) if cfg is None
