@@ -126,7 +126,10 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
     j, l]``, packed in ``plan.mode`` where its W is not 1, each packing
     validated before any product. Border regions not covered by full tiles
     are always computed with the plain path. Packed subblocks share one
-    ``packing.Workspace``.
+    ``packing.Workspace`` and name their tiles, A's ``(i, l)`` and B's
+    ``(l, j)``, so each tile is quantized and folded once per (W, z, c):
+    B's packed operands are kept for the whole multiply, A's until block row
+    i ends.
     """
     from . import packing  # deferred: packing imports blocking
 
@@ -168,12 +171,14 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                     if cfg is None:
                         acc += plain_subblock_gemm(at, bt)
                     else:
-                        acc += packing.packed_subblock_product(at, bt, cfg, work)
+                        acc += packing.packed_subblock_product(at, bt, cfg, work,
+                                                               ((i, l), (l, j)))
             except QuantizerOverflowError as exc:
                 raise QuantizerOverflowError(f"kernel ({i},{j}) subblock {l}: {exc}") from exc
             if kf < k:
                 acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols])
             r[rows, cols] = acc
+        work.operands[0].clear()  # no later block row reads A's tiles (i, l)
     if mf < m:
         r[mf:, :] = plain_subblock_gemm(a[mf:, :], b)
     if nf < n:

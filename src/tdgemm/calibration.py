@@ -116,7 +116,8 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
     integer limit, else in float64. The packed product measured is
     ``packing.packed_product``: the pack, multiply and unpack that
     ``multiply`` runs on a packed subblock (both go through
-    ``packing._pack_multiply_unpack``), without its quantize and dequantize.
+    ``packing._pack_operand`` and ``packing._multiply_unpack``), without its
+    quantize and dequantize.
     """
     if w < 2:
         raise InvalidConfigError("representation noise is only defined for W >= 2")

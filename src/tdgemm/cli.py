@@ -179,6 +179,18 @@ def _exact_subblocks(plan: controller.Plan, precision: str) -> int:
                if w <= packing.exact_w_limit(rmax, z, plan.mode, precision, max_w=w))
 
 
+def _packed_operand_tiles(plan: controller.Plan) -> int:
+    """Operand tiles the packed subblocks quantize and fold: the distinct
+    (side, tile, W, z, c) of the plan, A's tile ``(i, l)`` with its c_a and
+    B's ``(l, j)`` with its c_b. ``tiered_gemm`` keeps each one's packed
+    operand for every subblock it enters."""
+    i, j, l = (x.tolist() for x in np.nonzero(plan.options["w"] > 1))
+    packed = plan.options[i, j, l]
+    w, z = packed["w"].tolist(), packed["z"].tolist()
+    return (len(set(zip(i, l, w, z, packed["c_a"].tolist())))
+            + len(set(zip(l, j, w, z, packed["c_b"].tolist()))))
+
+
 def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:
     err = got.astype(np.float64) - ref.astype(np.float64)
     p_err = float((err * err).sum())
@@ -251,6 +263,7 @@ def cmd_multiply(args) -> int:
         ws, counts = np.unique(plan.options["w"], return_counts=True)
         report["w_histogram"] = dict(zip(map(str, ws.tolist()), counts.tolist()))
         report["exact_subblocks"] = _exact_subblocks(plan, args.precision)
+        report["packed_operand_tiles"] = _packed_operand_tiles(plan)
         controller.dump_plan(plan, out_dir / "plan.csv")
     if args.verify:
         ref = tiered_gemm(a, b, L)

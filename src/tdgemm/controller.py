@@ -5,9 +5,10 @@ per-subblock packing choices. The options of every subblock of a multiply
 are built in one batched array pass, as one array per W, at one R_max per
 W: the calibration table's SNR-best R_max, which under the zero-mean
 uniform model is the same for every sigma pair, so the solution build at
-the one pair (1, 1) finds it. The planner starts every subblock at its
-highest-throughput option and greedily demotes the option with the highest
-predicted distortion until the constraint is met. Under either constraint
+the one pair (1, 1) finds it. Each operand tile has its own compander at
+a W, so the executor quantizes and folds it once. The planner starts every
+subblock at its highest-throughput option and greedily demotes the option
+with the highest predicted distortion until the constraint is met. Under either constraint
 every kernel's prune runs in one lockstep array loop (``_prune``), one
 demotion per unfinished kernel per step, with the bits of the per-kernel
 loop. The outcome is one ``Plan``: the chosen ``OPTION_DTYPE`` row of every
@@ -32,7 +33,12 @@ from .calibration import (
     lookup_nearest_solution,  # noqa: F401  no caller; perfbench's tracer requires it here
 )
 from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigError
-from .noise import BatchStats, combined_distortion, optimal_companders
+from .noise import (
+    BatchStats,
+    combined_distortion,
+    optimal_companders,  # noqa: F401  no caller; perfbench's tracer requires it here
+    separable_companders,
+)
 
 
 @dataclass(frozen=True)
@@ -142,9 +148,12 @@ def build_options(stats: BatchStats, mode: str, precision: str, calib: Calibrati
     Each W takes one R_max for every subblock: the one
     ``build_offline_solutions`` finds at the sigma pair (1, 1), which its
     zero-mean uniform model finds at every pair, with the RMSE the
-    calibration table holds for it. Companders and the distortion prediction
-    are computed from the runtime sigmas in one array pass per W. Without a
-    measured profile the speedup falls back to the MAC-count gain. A W whose
+    calibration table holds for it. The companders are per operand
+    (``separable_companders``: each tile's from its own absmax), so a tile
+    is quantized once for every subblock it enters at that W; the
+    distortion prediction is computed from them and the runtime sigmas, in
+    one array pass per W. Without a measured profile the speedup falls back
+    to the MAC-count gain. A W whose
     measured gain is not positive is left out: W=1 dominates it. A subblock
     with a zero sigma gets only W=1.
     """
@@ -167,7 +176,7 @@ def build_options(stats: BatchStats, mode: str, precision: str, calib: Calibrati
         for w, fw in ladder:
             rmax = rmax_of[w]
             s_repr = calib.lookup(precision, mode, w, rmax).rmse
-            comp = optimal_companders(sub, rmax, w=w)
+            comp = separable_companders(sub, rmax, w=w)
             d_hat = combined_distortion(sub, comp.c_a, comp.c_b, s_repr).total
             options.append(_option_rows(live, n_l, w=w, c_a=comp.c_a, c_b=comp.c_b, rmax=rmax,
                                         z=packing.compute_z(rmax), d_hat=d_hat, fw_percent=fw))

@@ -1,5 +1,5 @@
 """Closed-form error model: quantization noise power, combined distortion
-and optimal companders.
+and companders, the optimal pair and the separable one the planner runs.
 
 The model treats subblock entries as zero-mean iid variables; rounding after
 companding adds uniform noise of standard deviation 1/(c*sqrt(12)) per
@@ -143,3 +143,23 @@ def optimal_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSolution
         expected_snr_db=None,
         w=w,
     )
+
+
+def separable_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSolution:
+    """Per-operand companders at a fixed R_max: c_a = sqrt(R_max / L) / a_absmax
+    and c_b = sqrt(R_max / L) / b_absmax.
+
+    They meet the constraint c_a * c_b = 1/c_tot of ``optimal_companders`` on
+    every pairing, and each depends on its own tile alone, so one quantized
+    tile serves every subblock it enters. They equal the optimum where the
+    two tiles' crest factors (absmax / sigma) are equal. These are the
+    per-tensor absmax scales of integer inference (Jacob et al., CVPR 2018).
+    """
+    a_abs, b_abs = stats.a_absmax, stats.b_absmax
+    if np.any((a_abs <= 0) | (b_abs <= 0)):
+        raise DegenerateInputError("separable companders undefined for an all-zero tile")
+    if np.any(rmax < 1):
+        raise InvalidConfigError(f"rmax must be >= 1, got {rmax}")
+    root = np.sqrt(np.divide(rmax, stats.L))
+    return CompanderSolution(c_a=root / a_abs, c_b=root / b_abs, rmax=rmax,
+                             expected_snr_db=None, w=w)

@@ -7,12 +7,13 @@ asymmetric mode packs W rows of A and leaves B unpacked. The packed operands
 are multiplied by the BLAS GEMM behind ``np.matmul``.
 
 Every rounding goes half away from zero: one ``np.rint`` pass, and a fix
-of the ties found in its exact remainder. At L=48 a stage costs more in
-NumPy calls than in arithmetic, so ``packed_subblock_product`` quantizes
-and checks both tiles at once, folds both symmetric operands in one pass,
-and runs under one ``np.errstate`` on a multiply's one ``Workspace``. It
-and the public stages share the cores that do the arithmetic
-(``_quantize_into``, ``_fold``, ``_unpack_*``, ``_round_into``).
+of the ties found in its exact remainder. ``packed_subblock_product`` runs
+under one ``np.errstate`` on a multiply's one ``Workspace``, which keeps
+each tile's packed operand: a tile is quantized, checked and folded once
+per (mode, W, z, c) in a multiply, and every other subblock it enters runs
+only the packed GEMM, the unpack and the dequantize. It and the public
+stages share the cores that do the arithmetic (``_quantize_into``,
+``_fold``, ``_unpack_*``, ``_round_into``).
 """
 
 from __future__ import annotations
@@ -149,35 +150,32 @@ def _check_peak(tile, c: float) -> None:
         )
 
 
-def _quantize_into(tiles, cs, work, dests) -> None:
-    """Quantize equally sized tiles together, with their checks.
+def _quantize_into(tile, c, work, dest) -> None:
+    """Quantize one tile, with its check.
 
-    ``work`` has shape ``(2 * len(tiles), n)``. Each tile, which may be any
-    view (such as its W parts), is scaled in float64 and rounded once to the
-    dtype into its ``dests`` view of a row of the second half; one ``rint``
-    pass writes the integers of all of them to the first half, and the
-    exact remainders overwrite the scaled values. One max and one
-    min reduction over each row find both the ties, which are fixed, and
-    the peaks. Rounding is monotone, so a tile's largest |integer| is below
-    the exact-integer limit only if ``c * max|tile|`` is, and above it only
-    if that is too: only a tile whose integers reach the limit, or are not
-    finite, is checked on the tile itself (``_check_peak``), which raises or
-    lets it pass. The caller sets ``np.errstate``.
+    ``work`` has shape ``(2, n)``. The tile, which may be any view (such as
+    its W parts), is scaled in float64 and rounded once to the dtype into
+    ``dest``, a view of ``work[1]``; one ``rint`` pass writes its integers
+    to ``work[0]``, and the exact remainders overwrite the scaled values.
+    One max and one min reduction over each row find both the ties, which
+    are fixed, and the peak. Rounding is monotone, so the largest |integer|
+    is below the exact-integer limit only if ``c * max|tile|`` is, and above
+    it only if that is too: only integers that reach the limit, or are not
+    finite, send the tile itself to ``_check_peak``, which raises or lets it
+    pass. The caller sets ``np.errstate``.
     """
-    k = len(tiles)
-    ints, rems = work[:k], work[k:]
-    for tile, c, q in zip(tiles, cs, dests):
-        np.multiply(tile, c, out=q, dtype=np.float64, casting="unsafe")
+    ints, rems = work
+    np.multiply(tile, c, out=dest, dtype=np.float64, casting="unsafe")
     np.rint(rems, out=ints)
     np.subtract(rems, ints, out=rems)
     if not ints.size:
         return
-    hi, lo = np.maximum.reduce(work, axis=1).tolist(), np.minimum.reduce(work, axis=1).tolist()
+    (top, half), (bottom, minus_half) = (np.maximum.reduce(work, axis=1).tolist(),
+                                         np.minimum.reduce(work, axis=1).tolist())
     limit = _EXACT_INT_LIMIT[ints.dtype]
-    for tile, c, top, bottom in zip(tiles, cs, hi, lo):
-        if not (top < limit and -bottom < limit):  # NaN fails too
-            _check_peak(tile, c)
-    if 0.5 in hi[k:] or -0.5 in lo[k:]:
+    if not (top < limit and -bottom < limit):  # NaN fails too
+        _check_peak(tile, c)
+    if half == 0.5 or minus_half == -0.5:
         _fix_ties(ints, rems)
 
 
@@ -193,7 +191,7 @@ def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
     precision_of_dtype(tile.dtype)  # raises for an unsupported dtype
     work = np.empty((2, tile.size), tile.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # a tile it then rejects
-        _quantize_into((tile,), (c,), work, (work[1].reshape(tile.shape),))
+        _quantize_into(tile, c, work, work[1].reshape(tile.shape))
     return work[0].reshape(tile.shape)
 
 
@@ -306,10 +304,11 @@ def _powers(dtype: np.dtype, z: float, w: int) -> np.ndarray:
 def _fold(parts, powers, out=None, scaled=None):
     """``out[r] = (((0 + p_r0) + s_r1 p_r1) + s_r2 p_r2) + ...`` for the k
     operands of ``parts``, shape ``(k, W, n)``, with s from row r of
-    ``powers`` (s_r0 = 1). One multiply writes every scaled part to the
-    C-ordered ``scaled``, and one add-reduce over the W axis, started from
-    ``initial=0``, adds them in ascending i: the order of the
-    one-part-at-a-time fold. From 0 + p_0, -0 turns +0 as in a sum from zeros.
+    ``powers`` (s_r0 = 1; ``_powers``, or for B alone its rows from 1). One
+    multiply writes every scaled part to the C-ordered ``scaled``, and one
+    add-reduce over the W axis, started from ``initial=0``, adds them in
+    ascending i: the order of the one-part-at-a-time fold. From 0 + p_0, -0
+    turns +0 as in a sum from zeros.
     """
     scaled = np.multiply(parts, powers[:len(parts)], out=scaled)
     return np.add.reduce(scaled, axis=1, out=out, initial=0)
@@ -318,50 +317,43 @@ def _fold(parts, powers, out=None, scaled=None):
 class _Views(NamedTuple):
     """The views of a ``Workspace`` that one (mode, W) reads and writes."""
 
-    quant: np.ndarray  # (4, n): the quantized tiles, then their remainders
-    dests: tuple  # the remainder rows, shaped as the tiles' ``_parts``
-    parts: np.ndarray  # (k, W, n/W): the quantized rows of the k folded operands
-    scaled: np.ndarray  # (k, W, n/W): the fold's scaled parts
-    folds: np.ndarray  # (k, n/W): the packed operands
-    ops: tuple  # the two matmul operands
-    rbar: np.ndarray  # the packed product
+    quant: np.ndarray  # (2, n): a tile's integers, then its remainders
+    dests: tuple  # per side, the remainder row shaped as the tile's ``_parts``
+    rbar: np.ndarray  # the packed product, then the unpack's remainders
     out: np.ndarray  # the unpacked product, L x L
-    rems: np.ndarray  # the unpack's remainders
     rows: np.ndarray  # asymmetric: ``out``'s rows i::W, stacked
 
 
 class Workspace(dict):
-    """One flat buffer of 5 L*L elements of the tile dtype that the packed
+    """One flat buffer of 2 L*L elements of the tile dtype that the packed
     subblocks of one multiply run on, and, keyed by the tiles' (side, dtype,
     mode, W), its ``_Views``, made on first use; a key of another side or
-    dtype raises. In rows of L*L: the quantized tiles (0-1), their
-    remainders (2-3), then the fold's scaled parts, the packed operands (4).
-    The packed product goes over row 0 (symmetric) or after the packed A,
-    the result over row 1 once its tile is read, and the unpack's
-    remainders over row 2."""
+    dtype raises. Row 0 holds the integers of the tile being quantized,
+    then the packed product and the unpack's remainders; row 1 the tile's
+    remainders, the fold's scaled parts, then the unpacked product.
+
+    ``operands`` holds A's and B's packed operands, each by (tile index,
+    mode, W, z, c), for the calls that name their tiles; ``tiered_gemm``
+    clears A's at the end of each block row."""
 
     def __init__(self, L: int, dtype):
-        self.L, self.buf = L, np.empty(5 * L * L, dtype)
+        self.L, self.buf = L, np.empty(2 * L * L, dtype)
+        self.operands = ({}, {})
 
     def __missing__(self, key):
         (L, dtype, mode, w), buf = key, self.buf
         if (L, dtype) != (self.L, buf.dtype):
             raise DimensionError(f"workspace of side {self.L} and {buf.dtype} "
                                  f"for tiles of side {L} and {dtype}")
-        n, m, r, k = L * L, L * L // w, L // w, 2 if mode == SYMMETRIC else 1
-        quant = buf[:4 * n].reshape(4, n)
-        ints, rems = quant[:2], quant[2:]
-        out, folds = ints[1].reshape(L, L), buf[4 * n:4 * n + k * m].reshape(k, m)
+        quant = buf.reshape(2, L * L)
+        out = quant[1].reshape(L, L)
         if mode == SYMMETRIC:
-            ops, rbar = (folds[0].reshape(L, r), folds[1].reshape(r, L)), ints[0].reshape(L, L)
-            unpack, rows = rems[0].reshape(L, L), None
+            rbar, rows = quant[0].reshape(L, L), None
         else:
-            ops, rbar = (folds[0].reshape(r, L), out), buf[4 * n + m:4 * n + 2 * m].reshape(r, L)
-            unpack, rows = rems[0].reshape(w, r, L), _row_parts(out, w)
+            rbar, rows = quant[0, :L * L // w].reshape(L // w, L), _row_parts(out, w)
         # the quantizer writes each tile as its _parts, in their shape
-        dests = tuple(q.reshape(p.shape) for q, p in zip(rems, _parts(out, out, mode, w)))
-        self[key] = _Views(quant, dests, ints[:k].reshape(k, w, m), rems[:k].reshape(k, w, m),
-                           folds, ops, rbar, out, unpack, rows)
+        dests = tuple(quant[1].reshape(p.shape) for p in _parts(out, out, mode, w))
+        self[key] = _Views(quant, dests, rbar, out, rows)
         return self[key]
 
 
@@ -384,14 +376,13 @@ def multiply_packed_symmetric(abar: PackedTile, bbar: PackedTile) -> np.ndarray:
     return np.matmul(abar.values, bbar.values)
 
 
-def _unpack_symmetric(rbar, z, out, rem2):
-    """``unpack_symmetric`` into ``out``. The remainders of the first
-    rounding overwrite ``rbar``, and those of the second go to ``rem2``;
-    the caller sets ``np.errstate``."""
+def _unpack_symmetric(rbar, z, out):
+    """``unpack_symmetric`` into ``out``. The remainders of each rounding
+    overwrite ``rbar``; the caller sets ``np.errstate``."""
     zf, zinv = _powers(rbar.dtype, z, 2)[:, 1, 0]
     _round_into(rbar, out, rbar)
-    _round_into(np.multiply(out, zf, out=rem2), out, rem2)
-    return np.multiply(rem2, zinv, out=out)
+    _round_into(np.multiply(out, zf, out=rbar), out, rbar)
+    return np.multiply(rbar, zinv, out=out)
 
 
 def unpack_symmetric(rbar: np.ndarray, z: float) -> np.ndarray:
@@ -402,7 +393,7 @@ def unpack_symmetric(rbar: np.ndarray, z: float) -> np.ndarray:
     remainder of the second rounding, scaled back.
     """
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        return _unpack_symmetric(rbar.copy(), z, np.empty_like(rbar), np.empty_like(rbar))
+        return _unpack_symmetric(rbar.copy(), z, np.empty_like(rbar))
 
 
 def pack_asymmetric(at: np.ndarray, w: int, z: float) -> PackedTile:
@@ -421,14 +412,14 @@ def multiply_packed_asymmetric(abar: PackedTile, bt: np.ndarray) -> np.ndarray:
     return np.matmul(abar.values, bt)
 
 
-def _unpack_asymmetric(rbar, z, w, rows, slots):
+def _unpack_asymmetric(rbar, z, w, rows):
     """``unpack_asymmetric`` into ``rows``, the output's rows i::W stacked.
-    Slot i of ``slots`` receives the remainders of the i-th rounding, whose
-    input is slot i-1 scaled by z^-1. The caller sets ``np.errstate``."""
+    The remainders of each rounding overwrite ``rbar``, and the next
+    rounding takes them scaled by z^-1. The caller sets ``np.errstate``."""
     zinv = _powers(rbar.dtype, z, 2)[1, 1, 0]
-    _round_into(rbar, rows[0], slots[0])
+    _round_into(rbar, rows[0], rbar)
     for i in range(1, w):
-        _round_into(np.multiply(slots[i - 1], zinv, out=slots[i]), rows[i], slots[i])
+        _round_into(np.multiply(rbar, zinv, out=rbar), rows[i], rbar)
 
 
 def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
@@ -439,7 +430,7 @@ def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
     """
     out = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=rbar.dtype)
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        _unpack_asymmetric(rbar, z, w, _row_parts(out, w), np.empty((w, *rbar.shape), rbar.dtype))
+        _unpack_asymmetric(rbar.copy(), z, w, _row_parts(out, w))
     return out
 
 
@@ -460,35 +451,56 @@ def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float,
     L = at.shape[0]
     _check_side(L, w)
     v = (Workspace(L, at.dtype) if work is None else work)[L, at.dtype, mode, w]
-    for row, tile in zip(v.quant, _parts(at, bt, mode, w)):
-        np.copyto(row.reshape(tile.shape), tile)
+    ops = []
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        return _pack_multiply_unpack(v, mode, w, z)
+        for side, tile in enumerate(_parts(at, bt, mode, w)):
+            np.copyto(v.quant[0].reshape(tile.shape), tile)
+            ops.append(_pack_operand(v, side, mode, w, z))
+        return _multiply_unpack(v, ops, mode, w, z)
 
 
-def _pack_multiply_unpack(v, mode, w, z):
-    """Pack, multiply and unpack the quantized tiles in the ``_Views`` ``v``
-    into its ``out``: the arithmetic of ``pack_*``, ``multiply_packed_*``
-    and ``unpack_*``, through the same cores. The caller sets ``np.errstate``.
+def _pack_operand(v, side, mode, w, z):
+    """The packed operand of side 0 (A) or 1 (B), as a new array, from the
+    integers of its tile in the ``_Views`` ``v``, laid out as the tile's
+    ``_parts``: folded (``pack_*``' arithmetic) or, for asymmetric B, the
+    tile itself. The fold's scaled parts go over the remainder row."""
+    ints = v.quant[0]
+    L = v.out.shape[0]
+    if mode == ASYMMETRIC and side:
+        return ints.reshape(L, L).copy()
+    folded = np.empty((1, ints.size // w), ints.dtype)
+    _fold(ints.reshape(1, w, -1), _powers(ints.dtype, z, w)[side:], folded,
+          v.quant[1].reshape(1, w, -1))
+    return folded.reshape((L, L // w) if mode == SYMMETRIC and not side else (L // w, L))
+
+
+def _multiply_unpack(v, ops, mode, w, z):
+    """Multiply the packed operands ``ops`` and unpack into the ``_Views``
+    ``v``'s ``out``: the arithmetic of ``multiply_packed_*`` and
+    ``unpack_*``, through the same cores. The caller sets ``np.errstate``.
     """
-    _fold(v.parts, _powers(v.out.dtype, z, w), v.folds, v.scaled)
-    rbar = np.matmul(*v.ops, out=v.rbar)
+    rbar = np.matmul(*ops, out=v.rbar)
     if mode == SYMMETRIC:
-        return _unpack_symmetric(rbar, z, v.out, v.rems)
-    _unpack_asymmetric(rbar, z, w, v.rows, v.rems)
+        return _unpack_symmetric(rbar, z, v.out)
+    _unpack_asymmetric(rbar, z, w, v.rows)
     return v.out
 
 
 def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig,
-                            work: Workspace | None = None) -> np.ndarray:
+                            work: Workspace | None = None, tiles=None) -> np.ndarray:
     """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
     reverse-compand, at a W of at least 2 (W=1 is the plain product).
 
     Bitwise the public stages run one after another, under one
-    ``np.errstate``: both tiles are quantized in one pass and checked
-    together (``_quantize_into``), and ``_pack_multiply_unpack`` takes it
-    from there. The result is a view of ``work`` (a new ``Workspace`` if
-    None), so it lasts until the next call on it.
+    ``np.errstate``: each tile is quantized and checked (``_quantize_into``)
+    and packed (``_pack_operand``), A first, and ``_multiply_unpack`` takes
+    it from there. ``tiles`` names the two tiles, ``(A's index, B's index)``:
+    a tile's packed operand is then kept in ``work.operands`` under (index,
+    mode, W, z, c) and reused by every later call that names it, which so
+    runs neither its quantizer nor its check; a tile that fails its check is
+    not kept. Without ``tiles`` nothing is kept or reused. The result is a
+    view of ``work`` (a new ``Workspace`` if None), so it lasts until the
+    next call on it.
     """
     if cfg.w < 2:
         raise InvalidConfigError(f"packing needs W >= 2, got {cfg.w}")
@@ -501,11 +513,22 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
         precision_of_dtype(a_tile.dtype)  # raises for an unsupported dtype
     L, w = a_tile.shape[0], cfg.w
     _check_side(L, w)
-    v = (Workspace(L, a_tile.dtype) if work is None else work)[L, a_tile.dtype, cfg.mode, w]
+    work = Workspace(L, a_tile.dtype) if work is None else work
+    v = work[L, a_tile.dtype, cfg.mode, w]
+    ops = []
     # over and invalid come only from a tile the quantizer rejects, or from
     # packed values beyond the float range of a configuration outside the
     # packing bound
     with np.errstate(over="ignore", invalid="ignore"):
-        _quantize_into(_parts(a_tile, b_tile, cfg.mode, w), (cfg.c_a, cfg.c_b), v.quant, v.dests)
-        rt = _pack_multiply_unpack(v, cfg.mode, w, cfg.z)
+        for side, (tile, c) in enumerate(zip(_parts(a_tile, b_tile, cfg.mode, w),
+                                             (cfg.c_a, cfg.c_b))):
+            key = None if tiles is None else (tiles[side], cfg.mode, w, cfg.z, c)
+            op = work.operands[side].get(key)  # None is never a key
+            if op is None:
+                _quantize_into(tile, c, v.quant, v.dests[side])
+                op = _pack_operand(v, side, cfg.mode, w, cfg.z)
+                if key is not None:
+                    work.operands[side][key] = op
+            ops.append(op)
+        rt = _multiply_unpack(v, ops, cfg.mode, w, cfg.z)
     return dequantize(rt, cfg.c_a, cfg.c_b, out=rt)

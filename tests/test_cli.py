@@ -260,6 +260,36 @@ class TestMultiplyCommand:
         assert narrow["w_histogram"] == {"2": 8}
         assert narrow["exact_subblocks"] == 8
 
+    @pytest.mark.parametrize("constraint,want", [(("--accel-percent", "100"), 4 * 4 + 4 * 4),
+                                                 (("--snr-db", "30"), None)])
+    def test_report_counts_the_tiles_quantized(self, workdir, tmp_path, monkeypatch,
+                                               constraint, want):
+        """``packed_operand_tiles`` is the number of tiles ``tiered_gemm``
+        quantizes: each A tile (i, l) and B tile (l, j) once per (W, z, c)."""
+        from tdgemm import packing
+
+        rng = np.random.default_rng(47)
+        for name in ("a", "b"):
+            matrixio.save_matrix(rng.standard_normal((4 * L, 4 * L)).astype(np.float32),
+                                 tmp_path / f"{name}.tgmm")
+        calls = []
+        quantize = packing._quantize_into
+
+        def counting(*args):
+            calls.append(1)
+            return quantize(*args)
+
+        monkeypatch.setattr(packing, "_quantize_into", counting)
+        out = tmp_path / "o"
+        assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"), "--out", str(out),
+                         "multiply", str(tmp_path / "a.tgmm"), str(tmp_path / "b.tgmm"),
+                         *constraint]) == 0
+        report = json.loads((out / "multiply_report.json").read_text())
+        packed = sum(n for w, n in report["w_histogram"].items() if w != "1")
+        assert 0 < report["packed_operand_tiles"] == len(calls) < 2 * packed
+        if want is not None:
+            assert (packed, len(calls)) == (4 ** 3, want)
+
     def test_infeasible_acceleration_exit_code(self, workdir, tmp_path):
         out = tmp_path / "inf"
         code = cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
@@ -519,7 +549,8 @@ class TestSweepCommand:
     def test_nontiming_columns_match_recorded_run(self, workdir):
         """Recorded from the sweep with packed products on BLAS: ``mac_ratio``
         is unchanged since the sweep first ran, ``measured_snr_db`` was
-        re-recorded when packed products moved off the order-matched loop.
+        re-recorded when packed products moved off the order-matched loop,
+        and again when the planner moved to per-operand companders.
         Outside the exact region packed bits depend on the BLAS build; these
         were recorded with OpenBLAS 0.3.31."""
         out = workdir / "recorded"
@@ -529,14 +560,14 @@ class TestSweepCommand:
                for r in _read_sweep(out / "sweep.csv")]
         assert got == [
             ("0", "inf", "1.0"),
-            ("10", "43.665342184386866", "1.0588235294117647"),
-            ("20", "39.360693837967574", "1.125"),
-            ("30", "38.093908195803756", "1.2"),
-            ("40", "37.960254959643464", "1.2857142857142858"),
-            ("50", "37.960254959643464", "1.2857142857142858"),
-            ("60", "37.684982846246754", "1.3846153846153846"),
-            ("70", "37.575847522896495", "1.5"),
-            ("80", "36.12973052356393", "1.6363636363636365"),
-            ("90", "34.89861303104303", "1.8"),
-            ("100", "34.45155120456673", "2.0"),
+            ("10", "43.768968613216686", "1.0588235294117647"),
+            ("20", "39.422629314630626", "1.125"),
+            ("30", "38.18038850775305", "1.2"),
+            ("40", "38.006410784900744", "1.2857142857142858"),
+            ("50", "38.006410784900744", "1.2857142857142858"),
+            ("60", "37.76280141959165", "1.3846153846153846"),
+            ("70", "37.62778805488037", "1.5"),
+            ("80", "36.413727348224185", "1.6363636363636365"),
+            ("90", "35.19684612508949", "1.8"),
+            ("100", "34.68243499032289", "2.0"),
         ]

@@ -449,10 +449,12 @@ def frozen_build_options(stats_per_l, mode, precision, calib, profile, w_set, k=
                 rmax = int(frozen_build_solutions([(1.0, 1.0)], calib, precision, mode,
                                                   stats.L, w)[2][0])
                 s_repr = calib.lookup(precision, mode, w, rmax).rmse
-                sol = noise.optimal_companders(stats, rmax, w=w)
-                d_hat = noise.combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
-                opts.append((p, l, w, sol.c_a.item(), sol.c_b.item(), rmax,
-                             packing.compute_z(rmax), d_hat.item(), fw))
+                # per-operand companders: each tile's from R_max, L and its own absmax
+                root = math.sqrt(rmax / stats.L)
+                c_a = root / max(abs(stats.a_min.item()), abs(stats.a_max.item()))
+                c_b = root / max(abs(stats.b_min.item()), abs(stats.b_max.item()))
+                d_hat = noise.combined_distortion(stats, c_a, c_b, s_repr).total
+                opts.append((p, l, w, c_a, c_b, rmax, packing.compute_z(rmax), d_hat.item(), fw))
         opts.append((p, l, 1, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
         options_per_l.append(np.array(opts, dtype=ctl.OPTION_DTYPE))
     return options_per_l

@@ -606,7 +606,8 @@ def _row_parts(t, w):
 
 class TestOnePassFold:
     """Both symmetric operands folded by one multiply and one add-reduce
-    equal the two one-operand folds they replace, bit for bit."""
+    (``pack_symmetric``), and each folded on its own as the executor folds
+    it (``_pack_operand``), equal the two one-operand folds, bit for bit."""
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -623,11 +624,11 @@ class TestOnePassFold:
             want_b = _frozen_fold(_row_parts(bt, w), zinvpow)
             work = packing.Workspace(L, dtype)
             v = work[L, np.dtype(dtype), packing.SYMMETRIC, w]
-            for row, part in zip(v.quant, (_col_parts(at, w), _row_parts(bt, w))):
-                row.reshape(part.shape)[...] = part
-            packing._fold(v.parts, packing._powers(np.dtype(dtype), z, w), v.folds, v.scaled)
-            assert v.ops[0].tobytes() == want_a.tobytes()
-            assert v.ops[1].tobytes() == want_b.tobytes()
+            for side, (part, want) in enumerate(((_col_parts(at, w), want_a),
+                                                 (_row_parts(bt, w), want_b))):
+                v.quant[0].reshape(part.shape)[...] = part
+                op = packing._pack_operand(v, side, packing.SYMMETRIC, w, z)
+                assert op.tobytes() == want.tobytes()
             abar, bbar = packing.pack_symmetric(at, bt, w, z)
             assert abar.values.tobytes() == want_a.tobytes()
             assert bbar.values.tobytes() == want_b.tobytes()
@@ -708,6 +709,66 @@ class TestWorkspace:
                 acc += (plain_subblock_gemm(at, bt) if cfg is None
                         else packing.packed_subblock_product(at, bt, cfg))
             assert got[i * L:(i + 1) * L, j * L:(j + 1) * L].tobytes() == acc.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tiered_gemm_memo_equals_calls_without_workspace(self, data):
+        """On plans of mixed W, each tile's packed operand kept in the
+        workspace gives the bits of per-subblock calls that share nothing:
+        with companders per operand tile, as the planner plans them, and with
+        companders that vary with the other operand's index, where the same
+        tile must be quantized again."""
+        from tdgemm.blocking import tiered_gemm
+
+        L = 12
+        mode = data.draw(st.sampled_from(packing.MODES))
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        bi, bj, bl = (data.draw(st.integers(1, 3)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a = (rng.standard_normal((bi * L + data.draw(st.integers(0, 2)), bl * L))
+             * data.draw(st.sampled_from([0.5, 4.0, 50.0]))).astype(dtype)
+        b = rng.standard_normal((bl * L, bj * L + data.draw(st.integers(0, 2)))).astype(dtype)
+        z_of = {w: 2.0 ** -data.draw(st.integers(6, 30)) for w in (2, 3, 4)}
+        w = rng.choice([1, 2, 2, 3, 4], size=(bi, bj, bl))
+        c_a = np.broadcast_to(rng.uniform(0.5, 30.0, (bi, 1, bl)), w.shape)
+        c_b = np.broadcast_to(rng.uniform(0.5, 30.0, (1, bj, bl)), w.shape)
+        if not data.draw(st.booleans()):  # not separable: c_a moves with j, c_b with i
+            c_a = c_a * rng.choice([1.0, 1.5], size=w.shape)
+            c_b = c_b * rng.choice([1.0, 0.75], size=w.shape)
+        configs = [[[packing.PackingConfig(mode, int(w[i, j, l]), z_of[int(w[i, j, l])],
+                                           float(c_a[i, j, l]), float(c_b[i, j, l]), 1)
+                     if w[i, j, l] > 1 else None for l in range(bl)]
+                    for j in range(bj)] for i in range(bi)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = tiered_gemm(a, b, L, plan_of(mode, configs))
+            for i, j in np.ndindex(bi, bj):
+                acc = np.zeros((L, L), dtype)
+                for l, cfg in enumerate(configs[i][j]):
+                    at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
+                    bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
+                    acc += (plain_subblock_gemm(at, bt) if cfg is None
+                            else packing.packed_subblock_product(at, bt, cfg))
+                assert got[i * L:(i + 1) * L, j * L:(j + 1) * L].tobytes() == acc.tobytes()
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_overflowing_shared_tile_names_its_first_subblock(self, mode, side):
+        """A tile that fails its overflow check is not kept: ``tiered_gemm``
+        raises the message of the call alone, prefixed with the first
+        subblock that reads the tile."""
+        from tdgemm.blocking import tiered_gemm
+
+        L = 12
+        rng = np.random.default_rng(14)
+        a, b = (rng.standard_normal((2 * L, 2 * L)).astype(np.float32) for _ in range(2))
+        (a, b)[side][L + 2, L + 3] = packing._EXACT_INT_LIMIT[a.dtype]  # in tile (1, 1)
+        cfg = packing.PackingConfig(mode, 2, 2.0 ** -20, 1.0, 1.0, 1)
+        i, j = (1, 0) if side == 0 else (0, 1)  # the first kernel that reads tile (1, 1)
+        with pytest.raises(QuantizerOverflowError) as alone:
+            packing.packed_subblock_product(a[i * L:(i + 1) * L, L:], b[L:, j * L:(j + 1) * L], cfg)
+        with pytest.raises(QuantizerOverflowError) as got:
+            tiered_gemm(a, b, L, plan_of(mode, [[[cfg] * 2] * 2] * 2))
+        assert str(got.value) == f"kernel ({i},{j}) subblock 1: {alone.value}"
 
     @pytest.mark.parametrize("side,dtype", [(24, np.float32), (12, np.float64)])
     def test_other_side_or_dtype_rejected(self, side, dtype):
