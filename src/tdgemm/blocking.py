@@ -1,15 +1,18 @@
 """Dense matrix tiering: per-tile statistics, the blocked multiply, and the
-order-matched plain subblock product.
+plain subblock product on two backends.
 
-The accumulation order is fixed everywhere: subblocks accumulate over the
-inner index ``l`` in ascending order, and each plain subblock product
-accumulates its own inner dimension in ascending order, as one
-``np.einsum`` contraction whose inner loop runs over output columns (one
-rank-1 loop where the output has a single column). This makes every plain
-result bitwise reproducible and testable against an order-matched oracle.
-``tiered_gemm`` runs each subblock as a ``controller.Plan`` chose it:
-packed subblocks run through ``packing.packed_subblock_product`` on BLAS,
-and the plain product stays their reference.
+The accumulation order across subblocks is fixed everywhere: subblocks
+accumulate over the inner index ``l`` in ascending order. Within a plain
+subblock the ``backend`` decides. ``reference`` accumulates its inner
+dimension in ascending order, as one ``np.einsum`` contraction whose inner
+loop runs over output columns (one rank-1 loop where the output has a
+single column): every result is bitwise reproducible and testable against
+an order-matched oracle. ``blas`` runs ``np.matmul``, whose order is the
+BLAS build's choice, so its bits are reproducible per build only.
+``tdgemm multiply`` runs its plain products on ``blas``; ``--verify``,
+``sweep`` and the tests keep ``reference`` as the oracle. ``tiered_gemm``
+runs each subblock as a ``controller.Plan`` chose it: packed subblocks run
+through ``packing.packed_subblock_product`` on BLAS.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ from .errors import DimensionError, InvalidConfigError, QuantizerOverflowError
 
 # Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
 _STATS_ELEMS = 1 << 16
+
+BACKENDS = ("reference", "blas")
+# the backend of the plain products `tdgemm multiply` runs, and so of the
+# plain side `tdgemm profile` times
+MULTIPLY_BACKEND = "blas"
 
 
 @dataclass(frozen=True)
@@ -82,15 +90,23 @@ def _row_major(x: np.ndarray) -> np.ndarray:
     return np.array(x, order="C")
 
 
-def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Native-precision product with ascending-l accumulation.
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise InvalidConfigError(f"backend must be one of {BACKENDS}, got {backend!r}")
 
-    It runs every plain subblock (W=1, unplanned, borders) and is the bitwise
-    oracle the packed BLAS path is checked against.
 
-    Bitwise equal to the rank-1 loop ``r += a[:, l:l+1] * b[l:l+1, :]`` over
-    ascending l from a +0.0 start, and so to the naive triple loop with the
-    reduction innermost. It is one ``np.einsum("ik,kj->ij", a, b)`` on
+def plain_subblock_gemm(a: np.ndarray, b: np.ndarray, backend: str = "reference") -> np.ndarray:
+    """Native-precision product of one plain subblock (W=1, unplanned, borders).
+
+    ``backend="blas"`` is ``np.matmul``: the BLAS build picks the summation
+    order, so the result is deterministic per build and within the
+    dot-product error bound of the exact product, not bitwise any loop.
+
+    ``backend="reference"`` accumulates in ascending l. It is the bitwise
+    oracle the packed BLAS path and the ``blas`` backend are checked
+    against. Bitwise equal to the rank-1 loop ``r += a[:, l:l+1] * b[l:l+1, :]``
+    over ascending l from a +0.0 start, and so to the naive triple loop with
+    the reduction innermost. It is one ``np.einsum("ik,kj->ij", a, b)`` on
     row-major operands (``_row_major``; a Fortran-ordered, reversed or
     unaligned operand is copied first). On such operands NumPy's iterator
     puts the reduction index l between i and j, with its inner loop over j:
@@ -110,6 +126,9 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"non-conformable operands {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
+    _check_backend(backend)
+    if backend == "blas":
+        return np.matmul(a, b)
     if b.shape[1] == 1:
         r = np.zeros((a.shape[0], 1), dtype=a.dtype)
         for l in range(a.shape[1]):
@@ -118,14 +137,17 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik,kj->ij", _row_major(a), _row_major(b))
 
 
-def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
+def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
+                backend: str = "reference") -> np.ndarray:
     """Blocked A @ B where each L x L subblock product follows its plan entry.
 
     ``plan`` is a ``controller.Plan`` of this tiling, or None for the plain
     path everywhere: subblock l of kernel ``(i, j)`` runs ``plan.options[i,
     j, l]``, packed in ``plan.mode`` where its W is not 1, each packing
     validated before any product. Border regions not covered by full tiles
-    are always computed with the plain path. Packed subblocks share one
+    are always computed with the plain path. Every plain product, one
+    ``plain_subblock_gemm`` call per plain subblock and one per border
+    region, runs on ``backend``. Packed subblocks share one
     ``packing.Workspace`` and name their tiles, A's ``(i, l)`` and B's
     ``(l, j)``, so each tile is quantized and folded once per (W, z, c):
     B's packed operands are kept for the whole multiply, A's until block row
@@ -137,6 +159,7 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
         raise DimensionError(f"non-conformable operands {a.shape} x {b.shape}")
     if a.dtype != b.dtype:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
+    _check_backend(backend)
     m, k = a.shape
     n = b.shape[1]
     bi, bl, bj = m // L, k // L, n // L
@@ -169,18 +192,18 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None) -> np.ndarray:
                     at = a[rows, l * L:(l + 1) * L]
                     bt = b[l * L:(l + 1) * L, cols]
                     if cfg is None:
-                        acc += plain_subblock_gemm(at, bt)
+                        acc += plain_subblock_gemm(at, bt, backend)
                     else:
                         acc += packing.packed_subblock_product(at, bt, cfg, work,
                                                                ((i, l), (l, j)))
             except QuantizerOverflowError as exc:
                 raise QuantizerOverflowError(f"kernel ({i},{j}) subblock {l}: {exc}") from exc
             if kf < k:
-                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols])
+                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols], backend)
             r[rows, cols] = acc
         work.operands[0].clear()  # no later block row reads A's tiles (i, l)
     if mf < m:
-        r[mf:, :] = plain_subblock_gemm(a[mf:, :], b)
+        r[mf:, :] = plain_subblock_gemm(a[mf:, :], b, backend)
     if nf < n:
-        r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:])
+        r[:mf, nf:] = plain_subblock_gemm(a[:mf, :], b[:, nf:], backend)
     return r

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import packing
-from .blocking import plain_subblock_gemm
+from .blocking import MULTIPLY_BACKEND, plain_subblock_gemm
 from .config import dtype_of, PRECISIONS
 from .errors import (
     CalibrationMissingError,
@@ -198,8 +198,9 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
 
     Each side is timed as ``tiered_gemm`` runs it on one L x L subblock:
     ``packing.packed_subblock_product`` on one workspace, with unit
-    companders and its quantize and dequantize, against the order-matched
-    ``plain_subblock_gemm``, not ``np.matmul``, on the same integer tiles.
+    companders and its quantize and dequantize, against ``plain_subblock_gemm``
+    on ``MULTIPLY_BACKEND``, the BLAS product ``multiply`` runs a W=1
+    subblock on, on the same integer tiles.
     A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of the
     ``repetitions`` samples times a batch of as many calls, so that a sample
     spans about ``_SAMPLE_S`` whatever L is; a median sample shorter than
@@ -214,11 +215,11 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
     at = packing.round_half_away(rng.uniform(-20, 20, size=(L, L)).astype(dtype))
     bt = packing.round_half_away(rng.uniform(-20, 20, size=(L, L)).astype(dtype))
 
-    def timed(fn, *args):
+    def timed(fn, *args, **kwargs):
         batch = 0
         t0 = time.perf_counter()
         while True:  # warm-up, which sizes the batch
-            fn(*args)
+            fn(*args, **kwargs)
             batch += 1
             if time.perf_counter() - t0 >= _SAMPLE_S:
                 break
@@ -226,7 +227,7 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
         for _ in range(repetitions):
             t0 = time.perf_counter()
             for _ in range(batch):
-                fn(*args)
+                fn(*args, **kwargs)
             samples.append(time.perf_counter() - t0)
         sample = statistics.median(samples)
         if sample < 100 * _timer_resolution():
@@ -236,7 +237,7 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
             )
         return sample / batch
 
-    t_plain = timed(plain_subblock_gemm, at, bt)
+    t_plain = timed(plain_subblock_gemm, at, bt, backend=MULTIPLY_BACKEND)
     rmax = packing.compute_rmax(1.0, 1.0, L, 20, 20)
     z = packing.compute_z(rmax)
     profile = SpeedupProfile()

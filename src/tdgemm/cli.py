@@ -2,7 +2,10 @@
 builds, constrained multiplies on file-based matrices, and sweep experiments
 emitting CSV. ``multiply`` and ``sweep`` plan from ``calibration.csv``, and
 ``multiply`` from ``speedup.csv`` too when it exists; ``solutions.csv`` is an
-offline report that no planner reads. Every run writes a JSON manifest
+offline report that no planner reads. ``multiply`` runs its plain products
+(W=1 subblocks, borders and ``--plain``) on BLAS, ``blocking.MULTIPLY_BACKEND``,
+and checks them under ``--verify`` against the order-matched reference
+backend, which ``sweep`` runs throughout. Every run writes a JSON manifest
 describing its inputs."""
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, controller, matrixio, packing
-from .blocking import tiered_gemm
+from .blocking import MULTIPLY_BACKEND, tiered_gemm
 from .config import dtype_of, u_sys_of
 from .errors import (
     CalibrationMissingError,
@@ -43,8 +46,9 @@ def _sha256(path) -> str:
 
 
 def _blas_build() -> dict:
-    """numpy version and the BLAS it was built against: packed outputs outside
-    the exact region are reproducible from (seed, flags, inputs, BLAS build)."""
+    """numpy version and the BLAS it was built against: ``multiply``'s plain
+    products and its packed ones outside the exact region are reproducible
+    from (seed, flags, inputs, BLAS build)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version")}
@@ -234,7 +238,7 @@ def cmd_multiply(args) -> int:
     if args.plain:
         plan = None
         t_loaded = t_planned = t0
-        result = tiered_gemm(a, b, L)
+        result = tiered_gemm(a, b, L, backend=MULTIPLY_BACKEND)
     else:
         calib = _load_calibration(Path(args.tables))
         profile = None
@@ -250,9 +254,10 @@ def cmd_multiply(args) -> int:
         plan = controller.plan_gemm(a, b, L, constraint, calib, args.mode, args.precision,
                                     profile=profile, w_set=w_set)
         t_planned = time.perf_counter()
-        result = tiered_gemm(a, b, L, plan)
+        result = tiered_gemm(a, b, L, plan, backend=MULTIPLY_BACKEND)
     t_done = time.perf_counter()
     report["wallclock_s"] = t_done - t0
+    report["plain_backend"] = MULTIPLY_BACKEND
     report["timings"] = {"load_tables_s": t_loaded - t0, "plan_s": t_planned - t_loaded,
                          "execute_s": t_done - t_planned}
     result_path = out_dir / "result.tgmm"

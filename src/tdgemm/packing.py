@@ -440,8 +440,10 @@ def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float,
 
     The packed operands are multiplied by BLAS. Inside the exact region
     (``exact_w_limit``) the result is bitwise the order-matched product;
-    outside it the bits depend on the BLAS build. W=1 is the order-matched
-    plain product. ``work`` is as in ``packed_subblock_product``.
+    outside it the bits depend on the BLAS build. W=1 is the plain product
+    on the order-matched ``reference`` backend, the oracle of the packed
+    path, not the ``blas`` backend ``tdgemm multiply`` runs its W=1
+    subblocks on. ``work`` is as in ``packed_subblock_product``.
     """
     if w == 1:
         return plain_subblock_gemm(at, bt)

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import batch_stats
 from tdgemm import calibration as cal, cli, controller as ctl, matrixio, noise, packing
-from tdgemm.blocking import plain_subblock_gemm, tiered_gemm
+from tdgemm.blocking import BACKENDS, plain_subblock_gemm, tiered_gemm
 from tdgemm.config import dtype_of, u_sys_of
 
 L = 48
@@ -249,12 +249,15 @@ def test_criterion_08_controller_correctness(calib48):
         )
         if abs(ctl.ordered_sum(fw.reshape(-1)) / k - best) > 1e-9:
             exhaustive_ok = False
-    # (c) a zero distortion budget reproduces the plain output bitwise
+    # (c) a zero distortion budget reproduces the plain output bitwise, on
+    # each plain backend
     a = rng.uniform(-8, 8, size=(2 * L, 2 * L)).astype(np.float32)
     b = rng.uniform(-8, 8, size=(2 * L, 2 * L)).astype(np.float32)
     plan = ctl.plan_gemm(a, b, L, ctl.KernelConstraint(target_snr_db=math.inf),
                          calib48, "symmetric", "single", w_set=(2,))
-    plain_ok = bool(np.array_equal(tiered_gemm(a, b, L, plan), tiered_gemm(a, b, L)))
+    plain_ok = all(np.array_equal(tiered_gemm(a, b, L, plan, backend=backend),
+                                  tiered_gemm(a, b, L, backend=backend))
+                   for backend in BACKENDS)
     verdict(8, bound_ok and exhaustive_ok and plain_ok,
             f"budget respected={bound_ok}, greedy=exhaustive={exhaustive_ok}, "
             f"zero-budget bitwise-plain={plain_ok}")

@@ -228,6 +228,64 @@ class TestPlainGemm:
         with pytest.raises(DimensionError):
             plain_subblock_gemm(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.float64))
 
+    def test_unknown_backend_rejected(self):
+        a = np.zeros((2, 2), np.float32)
+        with pytest.raises(InvalidConfigError, match="backend must be one of"):
+            plain_subblock_gemm(a, a, "einsum")
+        with pytest.raises(InvalidConfigError, match="backend must be one of"):
+            tiered_gemm(a, a, 2, backend="einsum")
+
+
+class TestBlasBackend:
+    """``backend="blas"`` is the fast path ``tdgemm multiply`` runs: gated
+    against the float64 product by the float32 dot-product error bound, and
+    deterministic on rerun."""
+
+    # (m, k, n): a full tile, a one-column b, and the k, m and n borders
+    # ``tiered_gemm`` runs at L=48
+    SHAPES = [(48, 48, 48), (48, 48, 1), (48, 5, 48), (7, 384, 384), (384, 384, 11),
+              (1, 48, 1)]
+
+    @given(st.sampled_from(SHAPES), st.sampled_from(LAYOUTS), st.sampled_from(LAYOUTS),
+           st.floats(-3.0, 3.0), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_rerun_bitwise_and_within_dot_product_bound(self, shape, lay_a, lay_b, mean,
+                                                        seed):
+        """|fl(AB) - AB| <= gamma_k |A||B| elementwise, gamma_k = k u / (1 - k u)
+        with u = 2^-24, whatever the summation order and fused multiply-adds.
+        Products of float32 values are exact in float64 and the float64 sums
+        of k <= 384 of them err by at most gamma_k(2^-53) |A||B|, which the
+        bound takes in."""
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        a = _layout((rng.normal(size=(m, k)) + mean).astype(np.float32), lay_a)
+        b = _layout((rng.normal(size=(k, n)) + mean).astype(np.float32), lay_b)
+        got = plain_subblock_gemm(a, b, "blas")
+        assert got.dtype == np.float32 and got.shape == (m, n)
+        assert plain_subblock_gemm(a, b, "blas").tobytes() == got.tobytes()
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        gamma = lambda u: k * u / (1 - k * u)  # noqa: E731
+        bound = (gamma(2.0 ** -24) + gamma(2.0 ** -53)) * (np.abs(a64) @ np.abs(b64))
+        assert (np.abs(got - a64 @ b64) <= bound).all()
+
+    def test_tiered_gemm_runs_every_plain_product_on_the_backend(self):
+        """Each plain subblock, the k border of each kernel and the m and n
+        borders are one ``plain_subblock_gemm`` call on the chosen backend."""
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(2 * 4 + 1, 3 * 4 + 2)).astype(np.float32)
+        b = rng.normal(size=(3 * 4 + 2, 2 * 4 + 3)).astype(np.float32)
+        backends = []
+
+        def plain(x, y, backend):
+            backends.append(backend)
+            return plain_subblock_gemm(x, y, backend)
+
+        with mock.patch.object(blocking, "plain_subblock_gemm", plain):
+            got = tiered_gemm(a, b, 4, backend="blas")
+        assert backends == ["blas"] * (2 * 2 * (3 + 1) + 2)
+        np.testing.assert_array_equal(got, tiered_gemm(a, b, 4, backend="blas"))
+        np.testing.assert_allclose(got, tiered_gemm(a, b, 4), rtol=1e-5, atol=1e-5)
+
 
 class TestTieredGemm:
     def test_all_plain_matches_per_tile_sum(self):

@@ -116,17 +116,17 @@ class TestSpeedupProfile:
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
         """Each timed side is what ``tiered_gemm`` runs per subblock: the whole
         packed pipeline with unit companders on one workspace, and the two-operand plain
-        product, on the same tiles. The warm-up runs calls until
+        product on the backend ``multiply`` runs, on the same tiles. The warm-up runs calls until
         ``_SAMPLE_S`` has passed, and each sample times a batch of as many
         calls. A fake clock advances 0.3 ms per plain call and 0.45 ms per
         packed call, so the batches are 4 and 3 calls."""
         calls, now_ns = [], [0]
 
         def counted(name, fn, cost_ns):
-            def wrapper(*args):
-                calls.append((name, args))
+            def wrapper(*args, **kwargs):
+                calls.append((name, args, kwargs))
                 now_ns[0] += cost_ns
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(cal, "time", SimpleNamespace(
@@ -139,15 +139,16 @@ class TestSpeedupProfile:
                             counted("plain", cal.plain_subblock_gemm, 300_000))
         profile = cal.measure_speedup_profile(48, "single", "asymmetric", w_set=(2, 3),
                                               repetitions=3, seed=1)
-        names = [name for name, _ in calls]
+        names = [name for name, *_ in calls]
         assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (3 + 3 * 3)
         at, bt = calls[0][1]
         assert at.shape == bt.shape == (48, 48) and at.dtype == bt.dtype == np.float32
-        for _, args in calls[:16]:
+        for _, args, kwargs in calls[:16]:
             assert len(args) == 2 and args[0] is at and args[1] is bt
+            assert kwargs == {"backend": "blas"}  # the W=1 product multiply runs
         ws, work = [], calls[16][1][3]
-        for _, (a, b, cfg, w_space) in calls[16:]:
-            assert a is at and b is bt
+        for _, (a, b, cfg, w_space), kwargs in calls[16:]:
+            assert a is at and b is bt and kwargs == {}
             assert (cfg.mode, cfg.c_a, cfg.c_b) == ("asymmetric", 1.0, 1.0)
             ws.append(cfg.w)
             assert w_space is work  # one workspace, as tiered_gemm runs them
@@ -162,7 +163,7 @@ class TestSpeedupProfile:
         10 us timer and fails a 100 us one."""
         now_ns = [0]
 
-        def plain(*args):
+        def plain(*args, **kwargs):
             now_ns[0] += 300_000
 
         monkeypatch.setattr(cal, "time", SimpleNamespace(

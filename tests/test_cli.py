@@ -16,6 +16,18 @@ from tdgemm.errors import InvalidConfigError, TableFormatError
 L = 12
 
 
+def assert_multiply_product(got, a, b):
+    """An unpacked multiply's result: bitwise the plain product on the BLAS
+    backend it runs, and within twice the float32 dot-product bound
+    gamma_k |A||B| of the order-matched reference, each side being within
+    gamma_k of the exact product."""
+    np.testing.assert_array_equal(got, tiered_gemm(a, b, L, backend="blas"))
+    k = a.shape[1]
+    gamma = k * 2.0 ** -24 / (1 - k * 2.0 ** -24)
+    bound = 2 * gamma * (np.abs(a.astype(np.float64)) @ np.abs(b.astype(np.float64)))
+    assert (np.abs(got.astype(np.float64) - tiered_gemm(a, b, L)) <= bound).all()
+
+
 def run(tmp_path, *argv):
     return cli.main(["--l", str(L), "--tables", str(tmp_path / "tables"),
                      "--out", str(tmp_path / "out"), *argv])
@@ -177,8 +189,7 @@ def test_commands_in_one_process_parse_their_own_flags(tmp_path):
     assert (calibrated["command"], calibrated["seed"]) == ("calibrate", 3)
     assert (multiplied["command"], multiplied["seed"]) == ("multiply", 0)
     assert {e.w for e in calibration.load_calibration(tables / "calibration.csv").entries} == {2}
-    np.testing.assert_array_equal(matrixio.load_matrix(out / "result.tgmm"),
-                                  tiered_gemm(a, a, L))
+    assert_multiply_product(matrixio.load_matrix(out / "result.tgmm"), a, a)
     args = cli.build_parser().parse_args(["calibrate"])
     assert (args.w, args.trials, args.seed, args.func) == ([2, 3, 4], 5, 0, cli.cmd_calibrate)
 
@@ -216,7 +227,7 @@ class TestMultiplyCommand:
         got = matrixio.load_matrix(out / "result.tgmm")
         a = matrixio.load_matrix(workdir / "a.tgmm")
         b = matrixio.load_matrix(workdir / "b.tgmm")
-        np.testing.assert_array_equal(got, tiered_gemm(a, b, L))
+        assert_multiply_product(got, a, b)
 
     def test_huge_snr_target_is_plain(self, workdir, tmp_path):
         out = tmp_path / "snr1000"
@@ -226,7 +237,7 @@ class TestMultiplyCommand:
         got = matrixio.load_matrix(out / "result.tgmm")
         a = matrixio.load_matrix(workdir / "a.tgmm")
         b = matrixio.load_matrix(workdir / "b.tgmm")
-        np.testing.assert_array_equal(got, tiered_gemm(a, b, L))
+        assert_multiply_product(got, a, b)
 
     def test_verify_within_model_tolerance(self, workdir, tmp_path):
         out = tmp_path / "v"
@@ -328,6 +339,7 @@ class TestMultiplyCommand:
         assert not (out / "result.tgmm").exists()
 
     def test_report_has_stage_timings(self, workdir, tmp_path):
+        """Each report times its stages and names the plain backend it ran."""
         for flag in (["--snr-db", "30"], ["--plain"]):
             out = tmp_path / flag[0].strip("-")
             assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
@@ -338,6 +350,7 @@ class TestMultiplyCommand:
             assert sorted(timings) == ["execute_s", "load_tables_s", "plan_s"]
             assert all(v >= 0.0 for v in timings.values())
             assert sum(timings.values()) <= report["wallclock_s"] * (1 + 1e-9)
+            assert report["plain_backend"] == "blas"
             if flag == ["--plain"]:
                 assert timings["load_tables_s"] == timings["plan_s"] == 0.0
 
@@ -490,8 +503,7 @@ class TestNoFullInnerTile:
     def test_plans_nothing_and_multiplies_plainly(self, short, flag):
         a, b, out, multiply = short
         assert multiply(*flag) == 0
-        np.testing.assert_array_equal(matrixio.load_matrix(out / "result.tgmm"),
-                                      tiered_gemm(a, b, L))
+        assert_multiply_product(matrixio.load_matrix(out / "result.tgmm"), a, b)
         assert json.loads((out / "multiply_report.json").read_text())["w_histogram"] == {}
         assert (out / "plan.csv").read_text().splitlines()[1:] == ["i,j,l,W,c_a,c_b,rmax,d_hat"]
 
