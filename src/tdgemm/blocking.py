@@ -143,15 +143,16 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
 
     ``plan`` is a ``controller.Plan`` of this tiling, or None for the plain
     path everywhere: subblock l of kernel ``(i, j)`` runs ``plan.options[i,
-    j, l]``, packed in ``plan.mode`` where its W is not 1, each packing
-    validated before any product. Border regions not covered by full tiles
-    are always computed with the plain path. Every plain product, one
-    ``plain_subblock_gemm`` call per plain subblock and one per border
-    region, runs on ``backend``. Packed subblocks share one
-    ``packing.Workspace`` and name their tiles, A's ``(i, l)`` and B's
-    ``(l, j)``, so each tile is quantized and folded once per (W, z, c):
-    B's packed operands are kept for the whole multiply, A's until block row
-    i ends.
+    j, l]``, packed in ``plan.mode`` where its W is not 1. Before any
+    product each distinct (W, z, R_max) is validated once and the
+    companders as arrays; a failure names the first subblock whose config
+    fails. Border regions not covered by full tiles are always computed
+    with the plain path. Every plain product, one ``plain_subblock_gemm``
+    call per plain subblock and one per border region, runs on
+    ``backend``. Packed subblocks share one ``packing.Workspace`` and name
+    their tiles, A's ``(i, l)`` and B's ``(l, j)``, so each tile is
+    quantized and folded once per (W, z, c), B's for the whole multiply,
+    A's until block row i ends; every other call is a memo hit.
     """
     from . import packing  # deferred: packing imports blocking
 
@@ -164,43 +165,50 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
     n = b.shape[1]
     bi, bl, bj = m // L, k // L, n // L
     mf, kf, nf = bi * L, bl * L, bj * L
-    configs = [None] * (bi * bj * bl)  # per subblock in C order: None runs plain
+    configs = {}  # by subblock in C order; a subblock not in it runs plain
     if plan is not None:
         if plan.options.shape != (bi, bj, bl):
             raise DimensionError(f"plan has {plan.options.shape} subblock options, "
                                  f"tiling needs {(bi, bj, bl)}")
         o = plan.options.reshape(-1)
         packed = np.flatnonzero(o["w"] != 1)
-        for p, *fields in zip(packed.tolist(), *(o[f][packed].tolist()
-                                                 for f in ("w", "z", "c_a", "c_b", "rmax"))):
-            configs[p] = packing.PackingConfig(plan.mode, *fields)
-            try:
-                configs[p].validate()
-            except InvalidConfigError as exc:
-                ij, l = divmod(p, bl)
-                raise InvalidConfigError(
-                    f"kernel ({ij // bj},{ij % bj}) subblock {l}: {exc}") from exc
+        cfgs = [packing.PackingConfig(plan.mode, *f) for f in
+                zip(*(o[f][packed].tolist() for f in ("w", "z", "c_a", "c_b", "rmax")))]
+        try:  # each distinct (W, z, R_max) once, the companders as arrays
+            for cfg in {(c.w, c.z, c.rmax): c for c in cfgs}.values():
+                cfg._replace(c_a=1.0, c_b=1.0).validate()
+            if ((o["c_a"][packed] <= 0) | (o["c_b"][packed] <= 0)).any():
+                raise InvalidConfigError("companders must be positive")
+        except InvalidConfigError:  # name the first subblock whose config fails
+            for p, cfg in zip(packed.tolist(), cfgs):
+                try:
+                    cfg.validate()
+                except InvalidConfigError as exc:
+                    ij, l = divmod(p, bl)
+                    raise InvalidConfigError(
+                        f"kernel ({ij // bj},{ij % bj}) subblock {l}: {exc}") from exc
+        configs = dict(zip(packed.tolist(), cfgs))
     r = np.zeros((m, n), dtype=a.dtype)
     work = packing.Workspace(L, a.dtype)
+    b_tiles = [[b[l * L:(l + 1) * L, j * L:(j + 1) * L] for j in range(bj)] for l in range(bl)]
     for i in range(bi):
         rows = slice(i * L, (i + 1) * L)
+        a_tiles = [a[rows, l * L:(l + 1) * L] for l in range(bl)]
         for j in range(bj):
-            cols = slice(j * L, (j + 1) * L)
-            acc = np.zeros((L, L), dtype=a.dtype)
+            acc, p = np.zeros((L, L), dtype=a.dtype), (i * bj + j) * bl
             try:
-                for l, cfg in enumerate(configs[(i * bj + j) * bl:(i * bj + j + 1) * bl]):
-                    at = a[rows, l * L:(l + 1) * L]
-                    bt = b[l * L:(l + 1) * L, cols]
+                for l, (at, bt) in enumerate(zip(a_tiles, b_tiles)):
+                    cfg = configs.get(p + l)
                     if cfg is None:
-                        acc += plain_subblock_gemm(at, bt, backend)
+                        acc += plain_subblock_gemm(at, bt[j], backend)
                     else:
-                        acc += packing.packed_subblock_product(at, bt, cfg, work,
+                        acc += packing.packed_subblock_product(at, bt[j], cfg, work,
                                                                ((i, l), (l, j)))
             except QuantizerOverflowError as exc:
                 raise QuantizerOverflowError(f"kernel ({i},{j}) subblock {l}: {exc}") from exc
             if kf < k:
-                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, cols], backend)
-            r[rows, cols] = acc
+                acc += plain_subblock_gemm(a[rows, kf:], b[kf:, j * L:(j + 1) * L], backend)
+            r[rows, j * L:(j + 1) * L] = acc
         work.operands[0].clear()  # no later block row reads A's tiles (i, l)
     if mf < m:
         r[mf:, :] = plain_subblock_gemm(a[mf:, :], b, backend)

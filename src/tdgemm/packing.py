@@ -8,18 +8,18 @@ are multiplied by the BLAS GEMM behind ``np.matmul``.
 
 Every rounding goes half away from zero: one ``np.rint`` pass, and a fix
 of the ties found in its exact remainder. ``packed_subblock_product`` runs
-under one ``np.errstate`` on a multiply's one ``Workspace``, which keeps
-each tile's packed operand: a tile is quantized, checked and folded once
-per (mode, W, z, c) in a multiply, and every other subblock it enters runs
-only the packed GEMM, the unpack and the dequantize. It and the public
-stages share the cores that do the arithmetic (``_quantize_into``,
-``_fold``, ``_unpack_*``, ``_round_into``).
+on a multiply's one ``Workspace``, which keeps each tile's packed operand:
+a tile is quantized, checked and folded once per (mode, W, z, c) in a
+multiply, and every other subblock it enters (a memo hit) runs only the
+packed GEMM, the unpack, whose roundings share one tie search, and one
+dequantize pass. It and the public stages share the cores that do the
+arithmetic (``_quantize_into``, ``_fold``, ``_unpack_into``, ``_round_into``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,6 +36,11 @@ MODES = (SYMMETRIC, ASYMMETRIC)
 # companded amplitudes must stay below this to round to exact integers
 _EXACT_INT_LIMIT = {np.dtype(dt): 2.0 ** mantissa_bits(p)
                     for p, dt in (("single", np.float32), ("double", np.float64))}
+_RANGE = {dt: (float(np.finfo(dt).tiny), float(np.finfo(dt).max)) for dt in _EXACT_INT_LIMIT}
+# |packed product of two checked tiles| <= L W N^2 z^(1-W) for 0 < z <= 1, N the
+# exact-integer limit: finite, with 2x for rounding, where L W z^(1-W) is below this
+_NO_OVERFLOW = {dt: _RANGE[dt][1] / (2 * n ** 2) for dt, n in _EXACT_INT_LIMIT.items()}
+_NO_GUARD = nullcontext()
 
 
 def _fix_ties(out, rem):
@@ -54,27 +59,25 @@ def _fix_ties(out, rem):
     rem.flat[ties] = -half
 
 
-def _fix_any_ties(out, rem):
-    """``_fix_ties`` if ``rem`` holds a tie. One ``np.fmax`` and one
-    ``np.fmin`` reduction find whether any remainder is ±0.5; both skip
-    NaN, so the ``inf - inf`` of an infinite entry cannot hide a tie."""
-    if rem.size and (np.fmax.reduce(rem, axis=None) == 0.5
-                     or np.fmin.reduce(rem, axis=None) == -0.5):
-        _fix_ties(out, rem)
+def _has_tie(rem) -> bool:
+    """Whether a remainder is ±0.5; ``np.fmax``/``np.fmin`` skip an ``inf - inf`` NaN."""
+    return rem.size > 0 and (np.fmax.reduce(rem, axis=None) == 0.5
+                             or np.fmin.reduce(rem, axis=None) == -0.5)
 
 
-def _round_into(x, out, rem):
+def _round_into(x, out, rem, fix=True):
     """Write ``x`` rounded half away from zero to ``out`` and the exact
     remainder ``x - out`` to ``rem``; ``rem`` may be ``x`` itself.
 
     ``np.rint`` rounds every entry but the ties this way; it sends a tie to
-    the even side, and ``_fix_any_ties`` then moves the ties. Signed zeros,
-    ±inf and NaN pass through ``rint`` as they are. An infinite entry makes
-    ``inf - inf``: the caller sets ``np.errstate``.
+    the even side, and ``_fix_ties`` then moves the ties, unless ``fix`` is
+    false. Signed zeros, ±inf and NaN pass through ``rint`` as they are. An
+    infinite entry makes ``inf - inf``: the caller sets ``np.errstate``.
     """
     np.rint(x, out=out)
     np.subtract(x, out, out=rem)
-    _fix_any_ties(out, rem)
+    if fix and _has_tie(rem):
+        _fix_ties(out, rem)
 
 
 def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -98,8 +101,7 @@ def round_half_away(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PackingConfig:
+class PackingConfig(NamedTuple):
     """Operating point for one subblock-pair multiply."""
 
     mode: str
@@ -127,8 +129,7 @@ class PackingConfig:
                 )
 
 
-@dataclass(frozen=True)
-class PackedTile:
+class PackedTile(NamedTuple):
     values: np.ndarray
     mode: str
     w: int
@@ -196,10 +197,10 @@ def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
 
 
 def dequantize(value, c_a: float, c_b: float, out=None):
-    """Reverse companding: divide by the product of both companders."""
+    """Reverse companding: divide by c_a * c_b, a Python float NumPy rounds to the dtype."""
     if c_a <= 0 or c_b <= 0:
         raise InvalidConfigError("companders must be positive")
-    return np.divide(value, c_a * c_b, out=out)
+    return np.divide(value, float(c_a) * float(c_b), out=out)
 
 
 def compute_rmax(c_a: float, c_b: float, L: int, a_absmax: float, b_absmax: float) -> int:
@@ -280,14 +281,13 @@ def _row_parts(t, w):
     return t.reshape(t.shape[0] // w, w, t.shape[1]).transpose(1, 0, 2)
 
 
-def _parts(at, bt, mode, w):
-    """The operands as the quantizer reads them: in symmetric mode A's
-    columns i::W and B's rows i::W, otherwise A's rows i::W and B itself
-    (views)."""
-    if mode == SYMMETRIC:
-        L = at.shape[0]
-        return at.reshape(L, L // w, w).transpose(2, 0, 1), _row_parts(bt, w)
-    return _row_parts(at, w), bt
+def _parts(t, side, mode, w):
+    """Operand tile ``t`` of side 0 (A) or 1 (B) as the quantizer reads it
+    (a view): in symmetric mode A's columns i::W and B's rows i::W,
+    otherwise A's rows i::W and B itself."""
+    if mode == SYMMETRIC and not side:
+        return t.reshape(t.shape[0], -1, w).transpose(2, 0, 1)
+    return t if side and mode == ASYMMETRIC else _row_parts(t, w)
 
 
 @lru_cache(maxsize=256)
@@ -319,25 +319,27 @@ class _Views(NamedTuple):
 
     quant: np.ndarray  # (2, n): a tile's integers, then its remainders
     dests: tuple  # per side, the remainder row shaped as the tile's ``_parts``
-    rbar: np.ndarray  # the packed product, then the unpack's remainders
+    rbar: np.ndarray  # the packed product, then the unpack's residuals
+    rems: np.ndarray  # the unpack's other remainders (asymmetric: all W)
+    ties: np.ndarray  # flat, every remainder of the unpack
     out: np.ndarray  # the unpacked product, L x L
     rows: np.ndarray  # asymmetric: ``out``'s rows i::W, stacked
 
 
 class Workspace(dict):
-    """One flat buffer of 2 L*L elements of the tile dtype that the packed
+    """One flat buffer of 3 L*L elements of the tile dtype that the packed
     subblocks of one multiply run on, and, keyed by the tiles' (side, dtype,
     mode, W), its ``_Views``, made on first use; a key of another side or
-    dtype raises. Row 0 holds the integers of the tile being quantized,
-    then the packed product and the unpack's remainders; row 1 the tile's
-    remainders, the fold's scaled parts, then the unpacked product.
+    dtype raises. Rows 0 and 1 hold the integers and remainders of the tile
+    being quantized, then the unpack's remainders; row 1 the fold's scaled
+    parts and the packed product; row 2 the unpacked product.
 
     ``operands`` holds A's and B's packed operands, each by (tile index,
     mode, W, z, c), for the calls that name their tiles; ``tiered_gemm``
     clears A's at the end of each block row."""
 
     def __init__(self, L: int, dtype):
-        self.L, self.buf = L, np.empty(2 * L * L, dtype)
+        self.L, self.buf = L, np.empty(3 * L * L, dtype)
         self.operands = ({}, {})
 
     def __missing__(self, key):
@@ -345,15 +347,17 @@ class Workspace(dict):
         if (L, dtype) != (self.L, buf.dtype):
             raise DimensionError(f"workspace of side {self.L} and {buf.dtype} "
                                  f"for tiles of side {L} and {dtype}")
-        quant = buf.reshape(2, L * L)
-        out = quant[1].reshape(L, L)
+        rows3 = buf.reshape(3, L * L)
+        out = rows3[2].reshape(L, L)
         if mode == SYMMETRIC:
-            rbar, rows = quant[0].reshape(L, L), None
+            rbar, rows = rows3[1].reshape(L, L), None
+            rems, ties = rows3[0].reshape(L, L), buf[:2 * L * L]
         else:
-            rbar, rows = quant[0, :L * L // w].reshape(L // w, L), _row_parts(out, w)
+            rbar, rows = rows3[1, :L * L // w].reshape(L // w, L), _row_parts(out, w)
+            rems, ties = rows3[0].reshape(w, L // w, L), rows3[0]
         # the quantizer writes each tile as its _parts, in their shape
-        dests = tuple(quant[1].reshape(p.shape) for p in _parts(out, out, mode, w))
-        self[key] = _Views(quant, dests, rbar, out, rows)
+        dests = tuple(rows3[1].reshape(_parts(out, side, mode, w).shape) for side in (0, 1))
+        self[key] = _Views(rows3[:2], dests, rbar, rems, ties, out, rows)
         return self[key]
 
 
@@ -362,7 +366,8 @@ def pack_symmetric(at: np.ndarray, bt: np.ndarray, w: int, z: float):
     _check_quantized_pair(at, bt)
     L = at.shape[0]
     _check_side(L, w)
-    parts = np.stack([p.reshape(w, -1) for p in _parts(at, bt, SYMMETRIC, w)])
+    parts = np.stack([_parts(t, side, SYMMETRIC, w).reshape(w, -1)
+                      for side, t in enumerate((at, bt))])
     abar, bbar = _fold(parts, _powers(at.dtype, z, w))
     return (PackedTile(abar.reshape(L, L // w), SYMMETRIC, w, z),
             PackedTile(bbar.reshape(L // w, L), SYMMETRIC, w, z))
@@ -376,13 +381,17 @@ def multiply_packed_symmetric(abar: PackedTile, bbar: PackedTile) -> np.ndarray:
     return np.matmul(abar.values, bbar.values)
 
 
-def _unpack_symmetric(rbar, z, out):
-    """``unpack_symmetric`` into ``out``. The remainders of each rounding
-    overwrite ``rbar``; the caller sets ``np.errstate``."""
-    zf, zinv = _powers(rbar.dtype, z, 2)[:, 1, 0]
-    _round_into(rbar, out, rbar)
-    _round_into(np.multiply(out, zf, out=rbar), out, rbar)
-    return np.multiply(rbar, zinv, out=out)
+def _unpack_into(rbar, out, rows, rems, z, fix):
+    """The unpack's roundings of ``rbar``, remainders to ``rems``, with a
+    Python float ``z``: symmetric (``rows`` None) leaves z u - round(z u),
+    u = round(rbar), in ``rbar``; else result i goes to ``rows[i]``. ``fix``
+    fixes each rounding's ties before the next; the caller sets errstate."""
+    if rows is None:
+        _round_into(rbar, out, rems, fix)
+        _round_into(np.multiply(out, z, out=rbar), out, rbar, fix)
+    else:
+        for i, row in enumerate(rows):
+            _round_into(np.multiply(rems[i - 1], 1 / z, out=rbar) if i else rbar, row, rems[i], fix)
 
 
 def unpack_symmetric(rbar: np.ndarray, z: float) -> np.ndarray:
@@ -392,8 +401,10 @@ def unpack_symmetric(rbar: np.ndarray, z: float) -> np.ndarray:
     two z, z u is exact, so this equals z^-1 (z u - round(z u)): the
     remainder of the second rounding, scaled back.
     """
+    rem, out = rbar.copy(), np.empty_like(rbar)
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        return _unpack_symmetric(rbar.copy(), z, np.empty_like(rbar))
+        _unpack_into(rem, out, None, rem, float(z), True)
+    return np.multiply(rem, 1.0 / float(z), out=out)
 
 
 def pack_asymmetric(at: np.ndarray, w: int, z: float) -> PackedTile:
@@ -412,25 +423,15 @@ def multiply_packed_asymmetric(abar: PackedTile, bt: np.ndarray) -> np.ndarray:
     return np.matmul(abar.values, bt)
 
 
-def _unpack_asymmetric(rbar, z, w, rows):
-    """``unpack_asymmetric`` into ``rows``, the output's rows i::W stacked.
-    The remainders of each rounding overwrite ``rbar``, and the next
-    rounding takes them scaled by z^-1. The caller sets ``np.errstate``."""
-    zinv = _powers(rbar.dtype, z, 2)[1, 1, 0]
-    _round_into(rbar, rows[0], rbar)
-    for i in range(1, w):
-        _round_into(np.multiply(rbar, zinv, out=rbar), rows[i], rbar)
-
-
 def unpack_asymmetric(rbar: np.ndarray, z: float, w: int) -> np.ndarray:
     """Iteratively peel the W stacked row-results out of each packed element.
 
     The i-th peeled result lands on output row W*mbar + i. Each residual is
     the remainder of the rounding before it, scaled by z^-1.
     """
-    out = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=rbar.dtype)
+    out, r = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=rbar.dtype), rbar.copy()
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        _unpack_asymmetric(rbar.copy(), z, w, _row_parts(out, w))
+        _unpack_into(r, None, _row_parts(out, w), (r,) * w, float(z), True)
     return out
 
 
@@ -453,12 +454,14 @@ def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float,
     L = at.shape[0]
     _check_side(L, w)
     v = (Workspace(L, at.dtype) if work is None else work)[L, at.dtype, mode, w]
-    ops = []
+    z, ops = float(z), []
     with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        for side, tile in enumerate(_parts(at, bt, mode, w)):
+        for side, t in enumerate((at, bt)):
+            tile = _parts(t, side, mode, w)
             np.copyto(v.quant[0].reshape(tile.shape), tile)
             ops.append(_pack_operand(v, side, mode, w, z))
-        return _multiply_unpack(v, ops, mode, w, z)
+        rt = _multiply_unpack(v, ops, mode, z)
+    return np.multiply(rt, 1.0 / z, out=v.out) if mode == SYMMETRIC else rt
 
 
 def _pack_operand(v, side, mode, w, z):
@@ -470,22 +473,19 @@ def _pack_operand(v, side, mode, w, z):
     L = v.out.shape[0]
     if mode == ASYMMETRIC and side:
         return ints.reshape(L, L).copy()
-    folded = np.empty((1, ints.size // w), ints.dtype)
-    _fold(ints.reshape(1, w, -1), _powers(ints.dtype, z, w)[side:], folded,
-          v.quant[1].reshape(1, w, -1))
+    (folded,) = _fold(ints.reshape(1, w, -1), _powers(ints.dtype, z, w)[side:], None,
+                      v.quant[1].reshape(1, w, -1))
     return folded.reshape((L, L // w) if mode == SYMMETRIC and not side else (L // w, L))
 
 
-def _multiply_unpack(v, ops, mode, w, z):
-    """Multiply the packed operands ``ops`` and unpack into the ``_Views``
-    ``v``'s ``out``: the arithmetic of ``multiply_packed_*`` and
-    ``unpack_*``, through the same cores. The caller sets ``np.errstate``.
-    """
-    rbar = np.matmul(*ops, out=v.rbar)
-    if mode == SYMMETRIC:
-        return _unpack_symmetric(rbar, z, v.out)
-    _unpack_asymmetric(rbar, z, w, v.rows)
-    return v.out
+def _multiply_unpack(v, ops, mode, z):
+    """Multiply and unpack ``ops`` into ``v.rbar`` (symmetric, unscaled) or
+    ``v.out``, bitwise as ``multiply_packed_*`` and ``unpack_*``: one tie
+    search serves every rounding; only after a tie is it redone, fixing each."""
+    _unpack_into(np.matmul(*ops, out=v.rbar), v.out, v.rows, v.rems, z, False)
+    if _has_tie(v.ties):
+        _unpack_into(np.matmul(*ops, out=v.rbar), v.out, v.rows, v.rems, z, True)
+    return v.rbar if mode == SYMMETRIC else v.out
 
 
 def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig,
@@ -493,44 +493,50 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
     """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
     reverse-compand, at a W of at least 2 (W=1 is the plain product).
 
-    Bitwise the public stages run one after another, under one
-    ``np.errstate``: each tile is quantized and checked (``_quantize_into``)
-    and packed (``_pack_operand``), A first, and ``_multiply_unpack`` takes
-    it from there. ``tiles`` names the two tiles, ``(A's index, B's index)``:
-    a tile's packed operand is then kept in ``work.operands`` under (index,
-    mode, W, z, c) and reused by every later call that names it, which so
-    runs neither its quantizer nor its check; a tile that fails its check is
-    not kept. Without ``tiles`` nothing is kept or reused. The result is a
-    view of ``work`` (a new ``Workspace`` if None), so it lasts until the
-    next call on it.
+    Bitwise the public stages run one after another: each tile is quantized
+    and checked (``_quantize_into``) and packed (``_pack_operand``), A
+    first, ``_multiply_unpack`` multiplies and unpacks, and the division is
+    ``dequantize``'s. ``tiles`` names the two tiles, ``(A's index, B's index)``: a
+    tile's packed operand is then kept in ``work.operands`` under (index,
+    mode, W, z, c) for later calls that name it, unless it fails its check.
+    The result, a view of ``work`` (a new ``Workspace`` if None), lasts until its next call.
+
+    A memo hit (both operands kept) runs two lookups, the packed GEMM, the
+    unpack and one division into the result, with no ``np.errstate`` where
+    ``_NO_OVERFLOW`` keeps the product finite. In symmetric mode that division
+    also scales by z^-1: z u - round(z u) over the divisor times z, exact
+    where z is a power of two at most 1 and that product a normal float.
     """
-    if cfg.w < 2:
-        raise InvalidConfigError(f"packing needs W >= 2, got {cfg.w}")
-    if cfg.mode not in MODES:
-        raise InvalidConfigError(f"unknown mode {cfg.mode!r}")
-    if cfg.c_a <= 0 or cfg.c_b <= 0:
+    mode, w, z, c_a, c_b, _ = cfg
+    z = float(z)
+    if w < 2:
+        raise InvalidConfigError(f"packing needs W >= 2, got {w}")
+    if mode not in MODES:
+        raise InvalidConfigError(f"unknown mode {mode!r}")
+    if c_a <= 0 or c_b <= 0:
         raise InvalidConfigError("companders must be positive")
     _check_quantized_pair(a_tile, b_tile)
-    if a_tile.dtype not in _EXACT_INT_LIMIT:
-        precision_of_dtype(a_tile.dtype)  # raises for an unsupported dtype
-    L, w = a_tile.shape[0], cfg.w
+    dt, L = a_tile.dtype, a_tile.shape[0]
+    if dt not in _EXACT_INT_LIMIT:
+        precision_of_dtype(dt)  # raises for an unsupported dtype
     _check_side(L, w)
-    work = Workspace(L, a_tile.dtype) if work is None else work
-    v = work[L, a_tile.dtype, cfg.mode, w]
-    ops = []
-    # over and invalid come only from a tile the quantizer rejects, or from
-    # packed values beyond the float range of a configuration outside the
-    # packing bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        for side, (tile, c) in enumerate(zip(_parts(a_tile, b_tile, cfg.mode, w),
-                                             (cfg.c_a, cfg.c_b))):
-            key = None if tiles is None else (tiles[side], cfg.mode, w, cfg.z, c)
-            op = work.operands[side].get(key)  # None is never a key
-            if op is None:
-                _quantize_into(tile, c, v.quant, v.dests[side])
-                op = _pack_operand(v, side, cfg.mode, w, cfg.z)
-                if key is not None:
-                    work.operands[side][key] = op
-            ops.append(op)
-        rt = _multiply_unpack(v, ops, cfg.mode, w, cfg.z)
-    return dequantize(rt, cfg.c_a, cfg.c_b, out=rt)
+    work = Workspace(L, dt) if work is None else work
+    v = work[L, dt, mode, w]
+    memo, (ta, tb) = (work.operands, tiles) if tiles is not None else (({}, {}), (0, 0))
+    keys = (ta, mode, w, z, c_a), (tb, mode, w, z, c_b)
+    ops = [memo[0].get(keys[0]), memo[1].get(keys[1])]
+    if ops[0] is None or ops[1] is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # from a tile it rejects
+            for side, (t, c) in enumerate(((a_tile, c_a), (b_tile, c_b))):
+                if ops[side] is None:
+                    _quantize_into(_parts(t, side, mode, w), c, v.quant, v.dests[side])
+                    ops[side] = memo[side][keys[side]] = _pack_operand(v, side, mode, w, z)
+    d, (tiny, top) = float(c_a) * float(c_b), _RANGE[dt]  # d as in dequantize
+    bounded = 0.0 < z <= 1.0 and L * w * z ** (1 - w) < _NO_OVERFLOW[dt]
+    with _NO_GUARD if bounded else np.errstate(over="ignore", invalid="ignore"):
+        rt = _multiply_unpack(v, ops, mode, z)
+    if mode == ASYMMETRIC:
+        return np.divide(rt, d, out=rt)
+    if tiny <= z <= 1.0 and math.frexp(z)[0] == 0.5 and tiny <= d * z and d <= top:
+        return np.divide(rt, d * z, out=v.out)
+    return np.divide(np.multiply(rt, 1.0 / z, out=v.out), d, out=v.out)

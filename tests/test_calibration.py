@@ -114,12 +114,14 @@ class TestSpeedupProfile:
             cal.SpeedupProfile().fw("single", "symmetric", 2)
 
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
-        """Each timed side is what ``tiered_gemm`` runs per subblock: the whole
-        packed pipeline with unit companders on one workspace, and the two-operand plain
-        product on the backend ``multiply`` runs, on the same tiles. The warm-up runs calls until
-        ``_SAMPLE_S`` has passed, and each sample times a batch of as many
-        calls. A fake clock advances 0.3 ms per plain call and 0.45 ms per
-        packed call, so the batches are 4 and 3 calls."""
+        """Each timed side is what ``tiered_gemm`` runs per subblock: the
+        packed call with unit companders on one workspace, on named tiles
+        whose packed operands one untimed call put in the memo, so every
+        timed call is a memo hit, and the two-operand plain product on the
+        backend ``multiply`` runs, on the same tiles. The warm-up runs calls
+        until ``_SAMPLE_S`` has passed, and each sample times a batch of as
+        many calls. A fake clock advances 0.3 ms per plain call and 0.45 ms
+        per packed call, so the batches are 4 and 3 calls."""
         calls, now_ns = [], [0]
 
         def counted(name, fn, cost_ns):
@@ -137,22 +139,31 @@ class TestSpeedupProfile:
                             counted("packed_product", cal.packing.packed_product, 0))
         monkeypatch.setattr(cal, "plain_subblock_gemm",
                             counted("plain", cal.plain_subblock_gemm, 300_000))
+        quantized, quantize = [], cal.packing._quantize_into
+
+        def counting(*args):  # the number of the call that quantizes
+            quantized.append(len(calls))
+            return quantize(*args)
+
+        monkeypatch.setattr(cal.packing, "_quantize_into", counting)
         profile = cal.measure_speedup_profile(48, "single", "asymmetric", w_set=(2, 3),
                                               repetitions=3, seed=1)
         names = [name for name, *_ in calls]
-        assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (3 + 3 * 3)
+        assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (1 + 3 + 3 * 3)
+        # only the first packed call of each W, untimed, quantizes both tiles
+        assert quantized == [17, 17, 30, 30]
         at, bt = calls[0][1]
         assert at.shape == bt.shape == (48, 48) and at.dtype == bt.dtype == np.float32
         for _, args, kwargs in calls[:16]:
             assert len(args) == 2 and args[0] is at and args[1] is bt
             assert kwargs == {"backend": "blas"}  # the W=1 product multiply runs
         ws, work = [], calls[16][1][3]
-        for _, (a, b, cfg, w_space), kwargs in calls[16:]:
-            assert a is at and b is bt and kwargs == {}
+        for _, (a, b, cfg, w_space, tiles), kwargs in calls[16:]:
+            assert a is at and b is bt and kwargs == {} and tiles == ((0, 0), (0, 0))
             assert (cfg.mode, cfg.c_a, cfg.c_b) == ("asymmetric", 1.0, 1.0)
             ws.append(cfg.w)
             assert w_space is work  # one workspace, as tiered_gemm runs them
-        assert ws == [2] * 12 + [3] * 12
+        assert ws == [2] * 13 + [3] * 13
         assert isinstance(work, cal.packing.Workspace) and work.L == 48
         for e in profile.entries:
             assert e.fw_percent == pytest.approx((0.3 / 0.45 - 1.0) * 100.0)

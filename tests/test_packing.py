@@ -381,7 +381,9 @@ def _frozen_packed_subblock_product(a_tile, b_tile, cfg):
     else:
         abar = _frozen_pack_asymmetric(at, cfg.w, cfg.z)
         rt = _frozen_unpack_asymmetric(np.matmul(abar, bt), cfg.z, cfg.w)
-    return np.asarray(rt / (cfg.c_a * cfg.c_b), dtype=a_tile.dtype)
+    # the divisor is the companders' float64 product rounded to the tile
+    # dtype, whatever their scalar type
+    return rt / a_tile.dtype.type(float(cfg.c_a) * float(cfg.c_b))
 
 
 def _planted(rng, L, dtype, scale, special=True):
@@ -777,3 +779,209 @@ class TestWorkspace:
         cfg = packing.PackingConfig(packing.SYMMETRIC, 2, 2.0 ** -20, 1.0, 1.0, 100)
         with pytest.raises(DimensionError, match="workspace"):
             packing.packed_subblock_product(a, b, cfg, packing.Workspace(side, dtype))
+
+
+def _frozen_tiered(a, b, L, configs):
+    """The blocked product as the frozen per-subblock pipeline runs it: each
+    kernel sums its subblocks from zeros in ascending l, packed ones through
+    ``_frozen_packed_subblock_product``, plain ones and borders on the
+    order-matched ``plain_subblock_gemm``."""
+    r = np.zeros((a.shape[0], b.shape[1]), a.dtype)
+    bi, bj = len(configs), len(configs[0])
+    for i, j in np.ndindex(bi, bj):
+        acc = np.zeros((L, L), a.dtype)
+        for l, cfg in enumerate(configs[i][j]):
+            at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
+            bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
+            acc += (plain_subblock_gemm(at, bt) if cfg is None
+                    else _frozen_packed_subblock_product(at, bt, cfg))
+        r[i * L:(i + 1) * L, j * L:(j + 1) * L] = acc
+    if bi * L < a.shape[0]:
+        r[bi * L:] = plain_subblock_gemm(a[bi * L:], b)
+    if bj * L < b.shape[1]:
+        r[:bi * L, bj * L:] = plain_subblock_gemm(a[:bi * L], b[:, bj * L:])
+    return r
+
+
+def _overflow(data, tile):
+    """Plant, if drawn, an entry whose companded amplitude no compander of
+    ``_cfg_tiles`` keeps below the exact-integer limit; True if planted."""
+    bad = data.draw(st.sampled_from([None, 1e30, -1e30, np.inf, np.nan]))
+    if bad is not None:
+        tile.flat[data.draw(st.integers(0, tile.size - 1))] = bad
+    return bad is not None
+
+
+class TestMemoHitPath:
+    """The memo-hit path (one tie search over every rounding of the unpack,
+    the last z^-1 scaling folded into the dequantize, no ``np.errstate`` on
+    a bounded product) against the frozen per-subblock pipeline, bit for
+    bit: over memo hits and misses, both modes, W 2-4 and both dtypes, with
+    planted quantizer ties, configurations outside the packing bound (whose
+    unpacks meet ties and overflow) and tiles that overflow the quantizer."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_calls_on_one_workspace(self, data):
+        L = data.draw(st.sampled_from([12, 24]))
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        work = packing.Workspace(L, dtype)
+        cases = []
+        for tile in range(data.draw(st.integers(1, 3))):
+            cfg, a, b = _cfg_tiles(data, L, dtype)
+            bad = _overflow(data, (a, b)[data.draw(st.integers(0, 1))])
+            cases.append((cfg, a, b, ((tile, 0), (0, tile)), bad))
+        for cfg, a, b, names, bad in data.draw(st.lists(st.sampled_from(cases), min_size=1,
+                                                         max_size=6)):
+            if bad:  # each call raises as the call alone: a failing tile is not kept
+                with pytest.raises(QuantizerOverflowError) as alone:
+                    packing.packed_subblock_product(a, b, cfg)
+                with pytest.raises(QuantizerOverflowError) as got:
+                    packing.packed_subblock_product(a, b, cfg, work, names)
+                assert str(got.value) == str(alone.value)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):  # the frozen copy's
+                want = _frozen_packed_subblock_product(a, b, cfg)
+            got = packing.packed_subblock_product(a, b, cfg, work, names)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tiered_gemm(self, data):
+        """A plan of mixed W on one workspace; companders per tile, as the
+        planner chooses them (memo hits), or moving with the other operand
+        (misses); an overflowing tile names the first subblock that reads it
+        with a packed config, with the message of that call alone."""
+        from tdgemm.blocking import tiered_gemm
+
+        L = 12
+        mode = data.draw(st.sampled_from(packing.MODES))
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        bi, bj, bl = (data.draw(st.integers(1, 3)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a = (rng.standard_normal((bi * L + data.draw(st.integers(0, 2)), bl * L))
+             * data.draw(st.sampled_from([0.5, 4.0, 50.0]))).astype(dtype)
+        b = rng.standard_normal((bl * L, bj * L + data.draw(st.integers(0, 2)))).astype(dtype)
+        a[rng.random(a.shape) < 0.05] = rng.integers(-40, 40) + 0.5  # ties if c is 1 or 2
+        # R_max 1 admits these z, whatever the tiles: the larger ones put the
+        # products outside the packing bound
+        z_of = {w: 2.0 ** -data.draw(st.integers(6, 40)) for w in (2, 3, 4)}
+        w = rng.choice([1, 2, 2, 3, 4], size=(bi, bj, bl))
+        c_a = np.broadcast_to(rng.choice([0.5, 1.0, 2.0, 7.3, 60.0], (bi, 1, bl)), w.shape)
+        c_b = np.broadcast_to(rng.choice([0.5, 1.0, 2.0, 0.31, 45.0], (1, bj, bl)), w.shape)
+        if not data.draw(st.booleans()):
+            c_a = c_a * rng.choice([1.0, 1.5], size=w.shape)
+        configs = [[[packing.PackingConfig(mode, int(w[i, j, l]), z_of[int(w[i, j, l])],
+                                           float(c_a[i, j, l]), float(c_b[i, j, l]), 1)
+                     if w[i, j, l] > 1 else None for l in range(bl)]
+                    for j in range(bj)] for i in range(bi)]
+        # a tile that may overflow: A's (t, tl) or B's (tl, t)
+        side = data.draw(st.integers(0, 1))
+        t, tl = data.draw(st.integers(0, (bi, bj)[side] - 1)), data.draw(st.integers(0, bl - 1))
+        planted = _overflow(data, a[t * L:(t + 1) * L, tl * L:(tl + 1) * L] if side == 0
+                            else b[tl * L:(tl + 1) * L, t * L:(t + 1) * L])
+        reads = [(i, j, l) for i, j, l in np.ndindex(bi, bj, bl)
+                 if configs[i][j][l] and l == tl and (i, j)[side] == t]
+        plan = plan_of(mode, configs)
+        if planted and reads:
+            i, j, l = reads[0]
+            at, bt = a[i * L:(i + 1) * L, l * L:(l + 1) * L], b[l * L:(l + 1) * L, j * L:(j + 1) * L]
+            with pytest.raises(QuantizerOverflowError) as alone:
+                packing.packed_subblock_product(at, bt, configs[i][j][l])
+            with pytest.raises(QuantizerOverflowError) as got:
+                tiered_gemm(a, b, L, plan)
+            assert str(got.value) == f"kernel ({i},{j}) subblock {l}: {alone.value}"
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _frozen_tiered(a, b, L, configs)
+            got = tiered_gemm(a, b, L, plan)
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_public_stages_with_any_z(self, data):
+        """Where z is not a power of two the unpack's last z^-1 scaling is
+        not exact and stays out of the dequantize's division: a miss and a
+        memo hit both give the bits of the public stages run in turn."""
+        L, dtype = 12, data.draw(st.sampled_from(_DTYPES))
+        cfg, a, b = _cfg_tiles(data, L, dtype)
+        cfg = cfg._replace(z=cfg.z * data.draw(st.sampled_from([1.0, 0.75, 0.625, 1.5])))
+        at, bt = packing.quantize_subblock(a, cfg.c_a), packing.quantize_subblock(b, cfg.c_b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.mode == packing.SYMMETRIC:
+                abar, bbar = packing.pack_symmetric(at, bt, cfg.w, cfg.z)
+                rt = packing.unpack_symmetric(packing.multiply_packed_symmetric(abar, bbar),
+                                              cfg.z)
+            else:
+                abar = packing.pack_asymmetric(at, cfg.w, cfg.z)
+                rt = packing.unpack_asymmetric(packing.multiply_packed_asymmetric(abar, bt),
+                                               cfg.z, cfg.w)
+            want = packing.dequantize(rt, cfg.c_a, cfg.c_b).tobytes()
+        work = packing.Workspace(L, dtype)
+        for _ in range(2):  # a miss, then a memo hit
+            assert packing.packed_subblock_product(a, b, cfg, work,
+                                                   ((0, 0), (0, 0))).tobytes() == want
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_memo_hit_runs_no_quantizer_and_no_parts(self, mode, monkeypatch):
+        """A call whose operands are kept runs neither ``_quantize_into`` nor
+        ``_parts``; a miss views and quantizes only the tile it misses. In
+        ``tiered_gemm`` the tiles quantized are ``packed_operand_tiles``."""
+        from tdgemm import cli
+        from tdgemm.blocking import tiered_gemm
+
+        L = 12
+        work = packing.Workspace(L, np.float32)
+        work[L, np.dtype(np.float32), mode, 2]  # its views, made before the counts
+        counts = {"_quantize_into": 0, "_parts": 0}
+        for name in counts:
+            def counting(*args, _fn=getattr(packing, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(packing, name, counting)
+        rng = np.random.default_rng(15)
+        a, b = (rng.standard_normal((3 * L, 3 * L)).astype(np.float32) for _ in range(2))
+        cfg = packing.PackingConfig(mode, 2, 2.0 ** -20, 3.0, 2.0, 1)
+        at, bt = a[:L, :L], b[:L, :L]
+        for names, want in ((((0, 0), (0, 0)), (2, 2)), (((0, 0), (0, 0)), (2, 2)),
+                            (((0, 0), (0, 1)), (3, 3)), (((0, 0), (0, 1)), (3, 3))):
+            packing.packed_subblock_product(at, bt, cfg, work, names)
+            assert (counts["_quantize_into"], counts["_parts"]) == want
+        configs = [[[cfg if (i + j + l) % 3 else None for l in range(3)] for j in range(3)]
+                   for i in range(3)]
+        plan = plan_of(mode, configs)
+        counts.update(_quantize_into=0)
+        tiered_gemm(a, b, L, plan)
+        assert counts["_quantize_into"] == cli._packed_operand_tiles(plan) == 3 * 3 + 3 * 3
+
+
+class TestCompanderScalarTypes:
+    """The dequantize divides by the companders' float64 product rounded to
+    the tile dtype, whatever their scalar type: Python floats, ``np.float64``
+    and ``np.float32`` of the same values give the same bits."""
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_same_bits_for_each_scalar_type(self, dtype, mode):
+        rng = np.random.default_rng(21)
+        L = 48
+        for _ in range(20):
+            a = _planted(rng, L, dtype, 1.0, special=False)
+            b = _planted(rng, L, dtype, 1.0, special=False)
+            c_a, c_b = (float(np.float32(c)) for c in rng.uniform(0.5, 40.0, 2))
+            rmax = packing.compute_rmax(c_a, c_b, L, 2500.0, 2500.0)
+            z = packing.compute_z(rmax)
+            got = {kind(c_a).__class__: packing.packed_subblock_product(
+                       a, b, packing.PackingConfig(mode, 2, z, kind(c_a), kind(c_b), rmax)
+                   ).tobytes() for kind in (float, np.float64, np.float32)}
+            want = _frozen_packed_subblock_product(
+                a, b, packing.PackingConfig(mode, 2, z, c_a, c_b, rmax)).tobytes()
+            assert set(got.values()) == {want}
+
+    def test_dequantize(self):
+        x = np.float32([1.0, 3.0, -7.0])
+        c_a, c_b = 1.1, 3.3  # their float64 product rounds to float32 differently
+        for kind in (float, np.float64, np.float32):
+            got = packing.dequantize(x, kind(np.float32(c_a)), kind(np.float32(c_b)))
+            want = x / np.float32(float(np.float32(c_a)) * float(np.float32(c_b)))
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
