@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""A/B the multiply's executor between two checkouts, without the benchmark.
+"""A/B the multiply's planner and executor between two checkouts, without
+the benchmark.
 
 For each workload in this checkout's `perfbench/workloads.py`, the inputs
 are drawn from `--seed`, `tdgemm calibrate` builds the tables and
@@ -12,7 +13,12 @@ imports its checkout's `src/` and times, on the same inputs and plan:
   calls after one warm-up call;
 - one memo-hit `packed_subblock_product`: a symmetric W=2 call on the
   workload's first L x L tiles, whose named operands a first call put in
-  the workspace memo; the median of `--reps` batches of calls.
+  the workspace memo; the median of `--reps` batches of calls;
+- `plan_gemm` on a table `load_calibration` reads from the workload's
+  `calibration.csv` each call, as `tdgemm multiply` runs them: the median of
+  `--reps` calls after one warm-up call. The child first checks that its
+  plan's options are, byte for byte, the plan this checkout saved, so a
+  run also checks that the two checkouts plan alike.
 
 It prints, per workload and measure, each side's median and IQR over the
 rounds, the median over rounds of the change's time over the parent's in
@@ -43,7 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
-MEASURES = ("tiered_gemm_ms", "memo_hit_us")
+MEASURES = ("tiered_gemm_ms", "memo_hit_us", "plan_gemm_ms")
 
 # one round of one side: argv[1] is its src/, argv[2] the inputs, argv[3] reps
 CHILD = r"""
@@ -51,7 +57,7 @@ import json, statistics, sys, time
 from types import SimpleNamespace
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from tdgemm import blocking, packing
+from tdgemm import blocking, calibration, controller, packing
 
 d = np.load(sys.argv[2])
 reps = int(sys.argv[3])
@@ -75,13 +81,28 @@ work = packing.Workspace(L, a.dtype)
 at, bt = a[:L, :L], b[:L, :L]
 hit_s = median_s(lambda: packing.packed_subblock_product(at, bt, cfg, work, ((0, 0), (0, 0))),
                  batch=max(1, 200000 // L ** 2))
-print(json.dumps({"tiered_gemm_ms": gemm_s * 1e3, "memo_hit_us": hit_s * 1e6}))
+
+flag, value = d["constraint"].tolist()
+constraint = controller.KernelConstraint(
+    **{"target_snr_db" if flag == "--snr-db" else "target_accel_percent": float(value)})
+
+def plan_gemm():
+    calib = calibration.load_calibration(str(d["calibration"]))
+    return controller.plan_gemm(a, b, L, constraint, calib, plan.mode, "single",
+                                w_set=tuple(d["ws"].tolist()))
+
+if plan_gemm().options.tobytes() != d["options"].tobytes():
+    raise SystemExit("this checkout's plan differs from the saved plan")
+plan_s = median_s(plan_gemm)
+print(json.dumps({"tiered_gemm_ms": gemm_s * 1e3, "memo_hit_us": hit_s * 1e6,
+                  "plan_gemm_ms": plan_s * 1e3}))
 """
 
 
 def plan_inputs(wl, seed: int, tmp: Path) -> Path:
     """The workload's inputs and this checkout's plan of them, saved to one
-    ``.npz``; also the configuration of the memo-hit call: that of the
+    ``.npz`` with the path of the calibration table, the constraint and the
+    W's it was planned from; also the configuration of the memo-hit call: that of the
     plan's first W=2 subblock or, on a plan that packs nothing, companders
     that scale both tiles to at most 16 and the z of that bound."""
     from tdgemm import calibration, cli, controller, packing
@@ -107,7 +128,9 @@ def plan_inputs(wl, seed: int, tmp: Path) -> Path:
         memo_cfg = [packing.compute_z(rmax), c, c, rmax]
     path = tmp / f"{wl.name}.npz"
     np.savez(path, a=a, b=b, L=wl.L, mode=plan.mode, options=plan.options,
-             memo_cfg=np.array(memo_cfg, dtype=np.float64))
+             memo_cfg=np.array(memo_cfg, dtype=np.float64),
+             calibration=str(tables / "calibration.csv"), constraint=np.array(wl.constraint),
+             ws=np.array(wl.ws))
     return path
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidConfigError, QuantizerOverflowError
 
-# Elements per step of the tile-stats pass: many L=48 tiles, one L=288 tile.
-_STATS_ELEMS = 1 << 16
+# Elements per step of the tile-stats pass: whole block rows at L=48, one tile at L=288.
+_STATS_ELEMS = 1 << 17
 
 BACKENDS = ("reference", "blas")
 # the backend of the plain products `tdgemm multiply` runs, and so of the
@@ -49,13 +49,13 @@ class TileStats:
 def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
     """Stats of the L x L tiles of ``m``'s full-tile region.
 
-    Tiles are copied, a block row's worth or ``_STATS_ELEMS`` elements at a
-    time, into the rows of one reused contiguous float64 buffer, and each
-    row is reduced exactly as ``t.min()``, ``t.max()`` and ``t.std(ddof=1)``
-    reduce the tile on its own: sigma is taken about the tile's own sample
-    mean, in double precision, by NumPy's ``_var`` steps run on the buffer
-    itself. A buffer of every tile at once runs slower at L=288: its passes
-    miss the cache.
+    Tiles are copied, as many whole block rows as ``_STATS_ELEMS`` elements
+    hold or, where one block row holds more, as many of its tiles, into the
+    rows of one reused contiguous float64 buffer, and each row is reduced
+    exactly as ``t.min()``, ``t.max()`` and ``t.std(ddof=1)`` reduce the tile
+    on its own: sigma is taken about the tile's own sample mean, in double
+    precision, by NumPy's ``_var`` steps run on the buffer itself. A buffer
+    of every tile at once runs slower at L=288: its passes miss the cache.
     """
     if m.ndim != 2 or m.size == 0:
         raise DimensionError("expected a nonempty 2-D matrix")
@@ -63,22 +63,26 @@ def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
         raise DimensionError(f"tile side must be >= 1, got {L}")
     bi, bj = m.shape[0] // L, m.shape[1] // L
     n = L * L
-    sigma, vmin, vmax = np.zeros((bi, bj)), np.empty((bi, bj)), np.empty((bi, bj))
+    sigma, vmin, vmax = np.zeros(bi * bj), np.empty(bi * bj), np.empty(bi * bj)  # C order
     step = max(1, _STATS_ELEMS // n)  # tiles per step
-    buf = np.empty((min(step, bj), L, L))
-    for i in range(bi):
-        block_row = m[i * L:(i + 1) * L]
-        for j in range(0, bj, step):
-            g = min(step, bj - j)
-            buf[:g] = block_row[:, j * L:(j + g) * L].reshape(L, g, L).swapaxes(0, 1)
-            t = buf[:g].reshape(g, n)
-            np.minimum.reduce(t, axis=1, out=vmin[i, j:j + g])
-            np.maximum.reduce(t, axis=1, out=vmax[i, j:j + g])
+    rows, cols = (step // bj, bj) if step >= bj > 0 else (1, step)  # block rows, tiles
+    buf = np.empty((min(rows, bi) * min(cols, bj), n))
+    for i in range(0, bi, rows):
+        r = min(rows, bi - i)
+        block_rows = m[i * L:(i + r) * L]
+        for j in range(0, bj, cols):
+            g = min(cols, bj - j)
+            t = buf[:r * g]  # tile (i + di, j + dj) on row di * g + dj
+            t.reshape(r, g, L, L)[:] = \
+                block_rows[:, j * L:(j + g) * L].reshape(r, L, g, L).swapaxes(1, 2)
+            at = slice(i * bj + j, i * bj + j + r * g)  # the same tiles
+            np.minimum.reduce(t, axis=1, out=vmin[at])
+            np.maximum.reduce(t, axis=1, out=vmax[at])
             if n > 1:  # t.std(axis=1, ddof=1) by NumPy's own steps, in place on t
                 t -= np.add.reduce(t, axis=1, keepdims=True) / n
                 np.square(t, out=t)
-                sigma[i, j:j + g] = np.sqrt(np.add.reduce(t, axis=1) / (n - 1))
-    return TileStats(sigma, vmin, vmax)
+                sigma[at] = np.sqrt(np.add.reduce(t, axis=1) / (n - 1))
+    return TileStats(*(x.reshape(bi, bj) for x in (sigma, vmin, vmax)))
 
 
 def _row_major(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,9 @@ import csv
 import math
 import statistics
 import time
+from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -54,14 +56,17 @@ class CalibEntry(NamedTuple):
     trials: int
     seed: int
 
-    @property
-    def key(self):
-        return (self.precision, self.mode, self.w, self.rmax)
-
 
 @dataclass
 class CalibrationTable:
+    """Calibration entries in measurement (file) order. ``slice``, ``lookup``,
+    ``admitted`` and ``ws`` read an index of them: each (precision, mode,
+    W)'s entries sorted by R_max, in file order among equal R_max. It is
+    built on first use and again once ``entries`` has grown (``add``,
+    ``extend``) or been replaced."""
+
     entries: list = field(default_factory=list)
+    _index: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     def add(self, entry: CalibEntry) -> None:
         self.entries.append(entry)
@@ -69,23 +74,35 @@ class CalibrationTable:
     def extend(self, entries) -> None:
         self.entries.extend(entries)
 
-    def slice(self, precision: str, mode: str, w: int):
-        out = [e for e in self.entries if (e.precision, e.mode, e.w) == (precision, mode, w)]
-        return sorted(out, key=lambda e: e.rmax)
+    def _slices(self) -> dict:
+        indexed, n, slices = self._index
+        if indexed is not self.entries or n != len(indexed):
+            slices = {}
+            for e in sorted(self.entries, key=attrgetter("rmax")):  # a stable sort
+                slices.setdefault(e[:3], []).append(e)  # e[:3]: precision, mode, W
+            self._index = (self.entries, len(self.entries), slices)
+        return slices
+
+    def slice(self, precision: str, mode: str, w: int) -> list:
+        return list(self._slices().get((precision, mode, w), ()))
+
+    def ws(self, precision: str, mode: str) -> list:
+        """The W's the table holds for (precision, mode), ascending."""
+        return sorted(w for p, m, w in self._slices() if (p, m) == (precision, mode))
 
     def lookup(self, precision: str, mode: str, w: int, rmax: int) -> CalibEntry:
         """Entry for the key; on duplicate keys the earliest entry wins."""
-        key = (precision, mode, w, rmax)
-        for e in self.entries:
-            if e.key == key:
-                return e
-        raise CalibrationMissingError(
-            f"no calibration entry for ({precision}, {mode}, W={w}, rmax={rmax})"
-        )
+        entries = self._slices().get((precision, mode, w), [])
+        i = bisect_left(entries, rmax, key=attrgetter("rmax"))  # the earliest of equal R_max
+        if i == len(entries) or entries[i].rmax != rmax:
+            raise CalibrationMissingError(
+                f"no calibration entry for ({precision}, {mode}, W={w}, rmax={rmax})"
+            )
+        return entries[i]
 
     def admitted(self, precision: str, mode: str, w: int, rmax_cap: int | None = None):
         """Entries usable by the controller: near-zero bias, optional R_max cap."""
-        return [e for e in self.slice(precision, mode, w)
+        return [e for e in self._slices().get((precision, mode, w), ())
                 if not (rmax_cap is not None and e.rmax > rmax_cap
                         or abs(e.mean_err) / e.rmax >= BIAS_LIMIT)]
 
@@ -445,29 +462,31 @@ def _finite(kind=float, lo=-math.inf):
     return parse
 
 
+# the field parsers of ``_typed_rows`` that reject what the fast parse rejects
+_CALIB_TYPES = (str, str, _finite(int, 1), _finite(int, 1), _finite(), _finite(float, 0.0),
+                int, int)
+
+
 def load_calibration(path) -> CalibrationTable:
     """The table in ``path``. A NaN or infinite ``mean_err`` or ``rmse``, a
     negative ``rmse``, or a W or R_max below 1 is a malformed row: the
-    planner would take it as a measurement. One ``split`` parses each line;
-    a file with a line it does not take is parsed again by ``_typed_rows``,
-    which names the line."""
+    planner would take it as a measurement. The fast parse splits each line
+    once at its commas, converts each column with one ``map`` and checks the
+    columns whole; a file with a line it does not take is parsed again by
+    ``_typed_rows``, which names the line."""
     lines = _data_lines(path, CALIB_HEADER)
-    try:
-        entries = []
-        for text in (line.rstrip("\r\n") for line in lines):
-            if text:  # ValueError at a quote, a wrong field count or a bad field
-                p, m, w, rmax, mean_err, rmse, trials, seed = text.split(",")
-                e = CalibEntry(p, m, int(w), int(rmax), float(mean_err), float(rmse),
-                               int(trials), int(seed))
-                if '"' in text or not (-math.inf < e.mean_err < math.inf
-                                       and 0.0 <= e.rmse < math.inf and min(e.w, e.rmax) >= 1):
-                    raise ValueError(text)
-                entries.append(e)
-        return CalibrationTable(entries)
-    except ValueError:
-        pass
-    types = (str, str, _finite(int, 1), _finite(int, 1), _finite(), _finite(float, 0.0), int, int)
-    return CalibrationTable([CalibEntry(*r) for r in _typed_rows(path, lines, CALIB_HEADER, types)])
+    rows = [t.split(",") for t in (line.rstrip("\r\n") for line in lines) if t]
+    if rows and not any('"' in line for line in lines) and set(map(len, rows)) == {8}:
+        try:
+            cols = [list(map(kind, col)) for kind, col in
+                    zip((str, str, int, int, float, float, int, int), zip(*rows))]
+        except ValueError:  # a bad field
+            cols = None
+        if cols and (min(cols[2] + cols[3]) >= 1 and np.isfinite(cols[4] + cols[5]).all()
+                     and min(cols[5]) >= 0.0):
+            return CalibrationTable(list(map(CalibEntry._make, zip(*cols))))
+    typed = _typed_rows(path, lines, CALIB_HEADER, _CALIB_TYPES)
+    return CalibrationTable([CalibEntry(*r) for r in typed])
 
 
 def save_speedup(profile: SpeedupProfile, path) -> None:

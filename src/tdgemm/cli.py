@@ -97,8 +97,7 @@ def _requested_w_set(L: int, requested) -> tuple:
 def _calibrated_w_set(calib: calibration.CalibrationTable, precision: str, mode: str,
                       L: int) -> tuple:
     """The W's ``calib`` holds for (precision, mode) that divide L."""
-    ws = _w_set_for_l(L, sorted({e.w for e in calib.entries
-                                 if (e.precision, e.mode) == (precision, mode)}))
+    ws = _w_set_for_l(L, calib.ws(precision, mode))
     if not ws:
         raise CalibrationMissingError(
             f"no calibration entries for ({precision}, {mode}) with a W that divides L={L}")
@@ -283,8 +282,11 @@ def cmd_multiply(args) -> int:
         if plan is not None and math.isfinite(report.get("model_snr_db", math.inf)):
             report["model_gap_db"] = abs(report["measured_snr_db"] - report["model_snr_db"])
     report_path = out_dir / "multiply_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # strict JSON has no infinity: a non-finite SNR is written as sweep.csv writes it
+    text = json.dumps({k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in report.items()}, indent=2, sort_keys=True, allow_nan=False)
+    report_path.write_text(text + "\n")
+    print(text)
     digests = {Path(args.a): matrixio.matrix_sha256(a), Path(args.b): matrixio.matrix_sha256(b)}
     _write_manifest(out_dir, "multiply", args, digests, [result_path, report_path])
     return 0

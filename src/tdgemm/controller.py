@@ -58,17 +58,11 @@ class KernelConstraint:
                 raise InvalidConfigError(f"{name} must be a number, got NaN")
 
 
-class PruneStep(NamedTuple):
-    """One demotion of a prune: in kernel ``k``, the flat C-order index of its
-    ``(i, j)``, subblock l went from W ``from_w`` to ``to_w``, and the
-    kernel's predicted total became ``total_after``."""
-
-    k: int
-    l: int
-    from_w: int
-    to_w: int
-    removed_d_hat: float
-    total_after: float
+# one demotion of a prune: in kernel ``k``, the flat C-order index of its
+# ``(i, j)``, subblock l went from W ``from_w`` to ``to_w``, and the kernel's
+# predicted total became ``total_after``
+PRUNE_DTYPE = np.dtype([("k", "i8"), ("l", "i8"), ("from_w", "i8"), ("to_w", "i8"),
+                        ("removed_d_hat", "f8"), ("total_after", "f8")])
 
 
 class Plan(NamedTuple):
@@ -77,12 +71,13 @@ class Plan(NamedTuple):
     ``(m/L, n/L, k/L)``, entry ``[i, j, l]`` subblock l of output kernel
     ``(i, j)``, packed in ``mode`` where its W is above 1. ``total_d_hat``
     (shape ``(m/L, n/L)``) holds each kernel's predicted distortion and
-    ``prune_trace`` every demotion, in step order."""
+    ``prune_trace`` every demotion, in step order, as ``PRUNE_DTYPE``
+    records."""
 
     mode: str
     options: np.ndarray
     total_d_hat: np.ndarray
-    prune_trace: list
+    prune_trace: np.ndarray
 
 
 def ordered_sum(x):
@@ -212,8 +207,8 @@ def _prune(d_hat, w, idx, budget=None, fw=None, floor=None):
     add l = 0, 1, ... in turn (``ordered_sum``), and a mean gain is that sum
     over n_l. A step's ``total_after`` is ``total - removed + next`` under a
     budget and the new total under a floor. Returns the final per-kernel
-    totals and the PruneSteps of every kernel, in step order and within a
-    step in ascending kernel order.
+    totals and the ``PRUNE_DTYPE`` steps of every kernel, in step order and
+    within a step in ascending kernel order.
     """
     n_l, n_k = idx.shape
     ls, ks = np.ogrid[:n_l, :n_k]
@@ -254,12 +249,14 @@ def _prune(d_hat, w, idx, budget=None, fw=None, floor=None):
             total = ordered_sum(cur)
             if budget is None:  # the floor loop took a fresh sum
                 after = total[over]
-            steps.append((over, worst, w[row, worst, over], w[row + 1, worst, over], removed,
-                          after))
+            steps.append((over, worst, row, removed, after))
     if not steps:
-        return total, []
-    cols = (np.concatenate(col).tolist() for col in zip(*steps))
-    return total, list(map(PruneStep._make, zip(*cols)))
+        return total, np.empty(0, dtype=PRUNE_DTYPE)
+    k, l, row, removed, after = map(np.concatenate, zip(*steps))
+    trace = np.empty(len(k), dtype=PRUNE_DTYPE)
+    trace["k"], trace["l"], trace["removed_d_hat"], trace["total_after"] = k, l, removed, after
+    trace["from_w"], trace["to_w"] = w[row, l, k], w[row + 1, l, k]  # gathered once
+    return total, trace
 
 
 def _pruned_plan(mode: str, ladder, idx, shape, **limit) -> Plan:
@@ -368,7 +365,8 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
 
 def fixed_plan(mode: str, options) -> Plan:
     """The Plan that runs ``options`` (shape ``(m/L, n/L, k/L)``) as they are."""
-    return Plan(mode, options, ordered_sum(np.moveaxis(options["d_hat"], -1, 0)), [])
+    return Plan(mode, options, ordered_sum(np.moveaxis(options["d_hat"], -1, 0)),
+                np.empty(0, dtype=PRUNE_DTYPE))
 
 
 def dump_plan(plan: Plan, path) -> None:

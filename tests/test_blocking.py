@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import plan_of
 from tdgemm import blocking, packing
@@ -92,12 +92,16 @@ class TestReorder:
     @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 13),
            st.integers(0, 3), st.integers(0, 4), st.integers(0, 5), st.integers(0, 5),
            st.sampled_from(["c", "fortran", "reversed", "slice"]),
-           st.sampled_from([1 << 16, 64, 1]), st.integers(0, 2 ** 31))
+           st.sampled_from([1 << 17, 64, 1]), st.integers(0, 2 ** 31))
+    # steps of two whole block rows of 3 tiles of 16 elements, the last of one
+    @example(np.float32, 4, 5, 3, 1, 2, "c", 2 * 3 * 16, 7)
+    @example(np.float64, 4, 3, 3, 3, 0, "fortran", 2 * 3 * 16 + 15, 8)
     @settings(max_examples=150, deadline=None)
     def test_matches_per_tile_loop_bitwise(self, dtype, L, bi, bj, extra_r, extra_c,
                                            layout, stats_elems, seed):
         """Bitwise equal to per-tile ``std(ddof=1)``, min and max, whatever the
-        border residue, operand layout, and number of tiles per step."""
+        border residue, operand layout, and number of tiles or whole block
+        rows per step."""
         rng = np.random.default_rng(seed)
         shape = (bi * L + extra_r, bj * L + extra_c)
         if 0 in shape:

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import time
 from types import SimpleNamespace
@@ -503,6 +504,57 @@ class TestCalibrationLookup:
         assert t.lookup("single", "symmetric", 2, 300) is late[0]
         assert t.lookup("single", "symmetric", 3, 100) is late[1]
 
+    def test_slice_keeps_file_order_among_equal_rmax(self):
+        """``slice`` and ``admitted`` sort by R_max only: entries of one R_max,
+        duplicates included, stay in file order."""
+        e = [self._entry(300, 1.0), self._entry(100, 2.0), self._entry(300, 3.0),
+             self._entry(100, 4.0, w=3), self._entry(100, 5.0), self._entry(200, 6.0)]
+        t = cal.CalibrationTable(entries=e)
+        assert t.slice("single", "symmetric", 2) == [e[1], e[4], e[5], e[0], e[2]]
+        assert t.admitted("single", "symmetric", 2, rmax_cap=200) == [e[1], e[4], e[5]]
+        assert t.slice("single", "symmetric", 3) == [e[3]]
+        assert t.slice("single", "asymmetric", 2) == []
+        assert t.ws("single", "symmetric") == [2, 3] and t.ws("double", "symmetric") == []
+
+    def test_slice_and_ws_see_added_entries(self):
+        t = cal.CalibrationTable(entries=[self._entry(200, 1.0)])
+        assert t.slice("single", "symmetric", 2) == [self._entry(200, 1.0)]
+        t.add(self._entry(100, 2.0))
+        t.extend([self._entry(100, 3.0, w=4)])
+        assert [x.rmax for x in t.slice("single", "symmetric", 2)] == [100, 200]
+        assert t.ws("single", "symmetric") == [2, 4]
+        t.slice("single", "symmetric", 2).clear()  # a copy: the index is not changed
+        assert len(t.admitted("single", "symmetric", 2)) == 2
+
+    @given(st.lists(st.tuples(st.sampled_from(["single", "double"]),
+                              st.sampled_from(packing.MODES), st.integers(1, 3),
+                              st.sampled_from([10, 20, 30]), st.integers(0, 9)), max_size=12),
+           st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_index_matches_scans(self, keys, split):
+        """``lookup``, ``slice``, ``admitted`` and ``ws`` give what a scan of
+        every entry gives, also for entries added after a first call."""
+        entries = [cal.CalibEntry(p, m, w, rmax, 0.01 * rmax * (bias > 7), float(i), 3, 0)
+                   for i, (p, m, w, rmax, bias) in enumerate(keys)]
+        t = cal.CalibrationTable(entries=entries[:split])
+        for stage in (entries[:split], entries):
+            if stage is entries:
+                t.extend(entries[split:])
+            for p, m, w, rmax in itertools.product(["single", "double"], packing.MODES,
+                                                   range(1, 4), [10, 20, 30]):
+                scan = [e for e in stage if e[:4] == (p, m, w, rmax)]
+                if scan:
+                    assert t.lookup(p, m, w, rmax) is scan[0]
+                else:
+                    with pytest.raises(CalibrationMissingError):
+                        t.lookup(p, m, w, rmax)
+                want = sorted((e for e in stage if e[:3] == (p, m, w)),
+                              key=lambda e: e.rmax)
+                assert t.slice(p, m, w) == want
+                assert t.admitted(p, m, w, rmax_cap=20) == [
+                    e for e in want if e.rmax <= 20 and e.mean_err == 0.0]
+                assert t.ws(p, m) == sorted({e.w for e in stage if e[:2] == (p, m)})
+
     def test_missing_key_raises(self):
         t = cal.CalibrationTable(entries=[self._entry(100, 1.0)])
         t.lookup("single", "symmetric", 2, 100)
@@ -736,6 +788,78 @@ class TestLoadCalibrationAsFrozen:
         cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path)
         want = repr(rows) if all(r[3] >= 1 for r in rows) else None
         assert _loads_as_frozen(path) == want
+
+
+class TestColumnParse:
+    """The column parse of ``load_calibration`` against ``_typed_rows``, the
+    parse it falls back on."""
+
+    @staticmethod
+    def _typed(path):
+        lines = cal._data_lines(path, cal.CALIB_HEADER)
+        return [tuple(r) for r in cal._typed_rows(path, lines, cal.CALIB_HEADER,
+                                                  cal._CALIB_TYPES)]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["single", "double"]), st.sampled_from(packing.MODES),
+        st.integers(1, 4), st.sampled_from([1, 7, 2 ** 40]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False), st.integers(1, 9), st.integers(-5, 2 ** 40)),
+        min_size=1, max_size=10), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_typed_rows(self, tmp_path_factory, rows, data):
+        """Saved rows, duplicate keys among them, parse to the same entries
+        and bits both ways, and the column parse takes them: it makes no
+        ``_typed_rows`` call."""
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicate keys
+        path = tmp_path_factory.mktemp("rows") / "c.csv"
+        cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path)
+        with mock.patch.object(cal, "_typed_rows", side_effect=AssertionError):
+            got = [tuple(e) for e in cal.load_calibration(path).entries]
+        assert repr(got) == repr(self._typed(path)) == repr(rows)
+        for e in cal.load_calibration(path).entries:
+            assert type(e) is cal.CalibEntry and type(e.w) is int and type(e.rmse) is float
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("mean_err", "nan", "bad mean_err value 'nan'"),
+        ("mean_err", "inf", "bad mean_err value 'inf'"),
+        ("rmse", "-1e-300", "bad rmse value '-1e-300'"),
+        ("W", "0", "bad W value '0'"),
+        ("rmax", "-3", "bad rmax value '-3'"),
+        ("trials", "3.0", "bad trials value '3.0'"),
+        ("seed", '"x"', "bad seed value 'x'"),  # a quote
+        ("seed", "0,1", "9 fields, expected 8"),
+        ("seed", "", None),  # a field short: "7 fields"
+    ])
+    def test_malformed_row_names_its_line(self, small_table, tmp_path, column, value,
+                                          message):
+        """The one bad row of a file, on line 6 after a blank line, raises
+        TableFormatError naming the file, the line and the fault."""
+        path = tmp_path / "c.csv"
+        cal.save_calibration(small_table, path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[4].rstrip("\r\n").split(",")
+        if message is None:
+            del fields[cal.CALIB_HEADER.index(column)]
+            message = "7 fields, expected 8"
+        else:
+            fields[cal.CALIB_HEADER.index(column)] = value
+        lines[4] = ",".join(fields) + "\r\n"
+        path.write_text("".join(lines[:3] + ["\r\n"] + lines[3:]), newline="")
+        with pytest.raises(TableFormatError) as exc:
+            cal.load_calibration(path)
+        assert f"{path}, line 6: {message}" in str(exc.value)
+
+    def test_quoted_fields_load_as_unquoted(self, small_table, tmp_path):
+        """A file whose fields are quoted leaves the column parse for
+        ``_typed_rows``, which reads the same entries."""
+        path = tmp_path / "c.csv"
+        cal.save_calibration(small_table, path)
+        head, *rows = path.read_text().splitlines(keepends=True)[1:]
+        quoted = "".join(",".join(f'"{f}"' for f in r.rstrip("\r\n").split(",")) + "\r\n"
+                         for r in rows)
+        path.write_text(f"# version 1\n{head}{quoted}", newline="")
+        assert cal.load_calibration(path).entries == small_table.entries
 
 
 @pytest.mark.parametrize("column,value", [("rmse", "nan"), ("rmse", "inf"), ("rmse", "-0.5"),

@@ -239,12 +239,43 @@ class TestMultiplyCommand:
         b = matrixio.load_matrix(workdir / "b.tgmm")
         assert_multiply_product(got, a, b)
 
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_report_is_strict_json_at_infinite_snr(self, workdir, tmp_path, capsys, verify):
+        """A +inf floor plans every subblock at W=1, whose model predicts no
+        noise, and integer operands multiply exactly on BLAS, so the model
+        and, under ``--verify``, the measured and worst-kernel SNRs are
+        infinite: each is written as "inf", and the file and stdout parse
+        as strict JSON, which has no Infinity or NaN."""
+        rng = np.random.default_rng(48)
+        for name in ("a", "b"):
+            matrixio.save_matrix(rng.integers(-8, 9, size=(2 * L, 2 * L)).astype(np.float32),
+                                 tmp_path / f"{name}.tgmm")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"), "--out", str(out),
+                         "multiply", str(tmp_path / "a.tgmm"), str(tmp_path / "b.tgmm"),
+                         "--snr-db=inf", *["--verify"] * verify]) == 0
+
+        def strict(text):
+            def reject(name):
+                raise ValueError(f"not strict JSON: {name}")
+            return json.loads(text, parse_constant=reject)
+
+        report = strict((out / "multiply_report.json").read_text())
+        assert strict(capsys.readouterr().out) == report
+        assert report["w_histogram"] == {"1": 8}
+        infinite = {"model_snr_db"} | ({"measured_snr_db", "worst_kernel_snr_db"} if verify
+                                       else set())
+        assert {k for k, v in report.items() if v == "inf"} == infinite
+        assert "model_gap_db" not in report
+
     def test_verify_within_model_tolerance(self, workdir, tmp_path):
         out = tmp_path / "v"
         assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
                          "--out", str(out), "multiply", str(workdir / "a.tgmm"),
                          str(workdir / "b.tgmm"), "--snr-db", "25", "--verify"]) == 0
-        report = json.loads((out / "multiply_report.json").read_text())
+        report = json.loads((out / "multiply_report.json").read_text(),
+                            parse_constant=pytest.fail)
         assert report["model_gap_db"] <= 1.5
         assert report["measured_snr_db"] >= 25.0 - 1.5
 

@@ -65,7 +65,7 @@ class TestDistortionPlanner:
     def test_no_pruning_when_budget_large(self):
         plan = ctl.plan_kernel_distortion(synth_options([[3.0], [1.0]]), 100.0)
         assert chosen_ws(plan) == [2, 2]
-        assert plan.prune_trace == []
+        assert plan.prune_trace.dtype == ctl.PRUNE_DTYPE and len(plan.prune_trace) == 0
 
     def test_zero_budget_all_plain(self):
         plan = ctl.plan_kernel_distortion(synth_options([[3.0], [1.0]]), 0.0)
@@ -75,7 +75,7 @@ class TestDistortionPlanner:
         # budget 3: remove 5 (l=1), then 3 (l=0) -> total 1
         options = synth_options([[3.0], [5.0], [1.0]])
         plan = ctl.plan_kernel_distortion(options, 3.0)
-        assert [(s.k, s.l, s.from_w, s.to_w) for s in plan.prune_trace] == [(0, 1, 2, 1),
+        assert plan.prune_trace[["k", "l", "from_w", "to_w"]].tolist() == [(0, 1, 2, 1),
                                                                            (0, 0, 2, 1)]
         assert chosen_ws(plan) == [1, 1, 2]
         assert plan.total_d_hat.shape == (1, 1)
@@ -83,7 +83,7 @@ class TestDistortionPlanner:
 
     def test_tie_demotes_lowest_l(self):
         plan = ctl.plan_kernel_distortion(synth_options([[2.0], [2.0]]), 2.0)
-        assert plan.prune_trace[0].l == 0
+        assert plan.prune_trace[0]["l"] == 0
 
     def test_multi_w_ladder(self):
         options = synth_options([[9.0, 2.0]], ws=(3, 2, 1))
@@ -96,7 +96,7 @@ class TestDistortionPlanner:
     def test_bound_and_monotone_trace(self, ds, budget):
         plan = ctl.plan_kernel_distortion(synth_options([[d] for d in ds]), budget)
         assert plan.total_d_hat.item() <= budget + 1e-12
-        totals = [s.total_after for s in plan.prune_trace]
+        totals = plan.prune_trace["total_after"].tolist()
         assert totals == sorted(totals, reverse=True) or all(
             totals[i] >= totals[i + 1] - 1e-12 for i in range(len(totals) - 1)
         )
@@ -475,19 +475,33 @@ def frozen_plan_gemm(a, b, L, constraint, calib, mode, precision, profile, w_set
     return entries
 
 
+def frozen_records(steps, k=0):
+    """A frozen loop's steps as the ``PRUNE_DTYPE`` records of kernel k."""
+    return np.array([(k, *step) for step in steps], dtype=ctl.PRUNE_DTYPE)
+
+
+def frozen_lockstep_trace(entries):
+    """The frozen loops' steps of many kernels as ``PRUNE_DTYPE`` records in
+    the lockstep prune's order: by step, and within a step by kernel."""
+    steps = sorted((s, k, step) for k, entry in enumerate(entries)
+                   for s, step in enumerate(entry.prune_trace))
+    return np.array([(k, *step) for _s, k, step in steps], dtype=ctl.PRUNE_DTYPE)
+
+
 def kernel_bits(steps, total, accel):
-    """A kernel's steps, total and mean gain, floats as exact hex strings."""
-    return ([(l, from_w, to_w, float(removed).hex(), float(after).hex())
-             for l, from_w, to_w, removed, after in steps], float(total).hex(), float(accel).hex())
+    """A kernel's ``PRUNE_DTYPE`` steps as bytes, its total and mean gain as
+    exact hex strings."""
+    return steps.tobytes(), float(total).hex(), float(accel).hex()
 
 
-def entry_bits(entry):
-    return kernel_bits(entry.prune_trace, entry.total_d_hat, entry.accel_percent)
+def entry_bits(entry, k=0):
+    return kernel_bits(frozen_records(entry.prune_trace, k), entry.total_d_hat,
+                       entry.accel_percent)
 
 
 def steps_of(trace, k):
-    """Kernel k's steps of a prune trace, in step order, without ``k``."""
-    return [tuple(s[1:]) for s in trace if s.k == k]
+    """Kernel k's records of a prune trace, in step order."""
+    return trace[trace["k"] == k]
 
 
 def plan_bits(plan, k=0):
@@ -561,12 +575,13 @@ class TestLockstepPrune:
         for k, entry in enumerate(want):
             got_w = [int(w[idx[l, k], l, k]) for l in range(n_l)]
             assert got_w == entry.choices["w"].tolist()
-            assert steps_of(trace, k) == entry.prune_trace
-            assert kernel_bits(steps_of(trace, k), total[k], 0.0)[:2] == entry_bits(entry)[:2]
+            assert kernel_bits(steps_of(trace, k), total[k], 0.0)[:2] == \
+                entry_bits(entry, k)[:2]
             alone = ctl.plan_kernel_distortion(kernels[k], budgets[k])
             assert alone.options.tobytes() == entry.choices.tobytes()
-            assert {s.k for s in alone.prune_trace} <= {0}
+            assert set(alone.prune_trace["k"].tolist()) <= {0}
             assert plan_bits(alone) == entry_bits(entry)
+        assert trace.tobytes() == frozen_lockstep_trace(want).tobytes()
 
     @given(_WS, st.integers(1, 9), st.integers(1, 6), st.data())
     @settings(max_examples=300, deadline=None)
@@ -602,7 +617,6 @@ class TestLockstepPrune:
                 continue
             alone = ctl.plan_kernel_throughput(options, floor)
             assert alone.options.tobytes() == entry.choices.tobytes()
-            assert steps_of(alone.prune_trace, 0) == entry.prune_trace
             assert plan_bits(alone) == entry_bits(entry)
 
         d_hat, w, fw, idx = ladder_of(kernels, len(ws))
@@ -617,8 +631,9 @@ class TestLockstepPrune:
             chosen = [(int(w[idx[l, k], l, k]), fw[idx[l, k], l, k].hex()) for l in range(n_l)]
             assert chosen == [(o["w"].item(), o["fw_percent"].item().hex())
                               for o in entry.choices]
-            assert steps_of(trace, k) == entry.prune_trace
-            assert kernel_bits(steps_of(trace, k), total[k], 0.0)[:2] == entry_bits(entry)[:2]
+            assert kernel_bits(steps_of(trace, k), total[k], 0.0)[:2] == \
+                entry_bits(entry, k)[:2]
+        assert trace.tobytes() == frozen_lockstep_trace(want).tobytes()
 
     def test_nan_budget_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -682,8 +697,8 @@ class TestBatchedPlanMatchesPerKernelPlanner:
         assert list(np.ndindex(bi, bj)) == list(want)
         for k, (key, entry) in enumerate(want.items()):
             assert got.options[key].tobytes() == entry.choices.tobytes()
-            assert steps_of(got.prune_trace, k) == entry.prune_trace
-            assert plan_bits(got, k) == entry_bits(entry)
+            assert plan_bits(got, k) == entry_bits(entry, k)
+        assert got.prune_trace.tobytes() == frozen_lockstep_trace(want.values()).tobytes()
 
     def test_option_lists_match_per_kernel_calls(self, grid_calib):
         """The whole-multiply call and one call per kernel give the same lists."""
@@ -824,7 +839,7 @@ class TestDumpPlanBytes:
         for k, (i, j) in enumerate(np.ndindex(bi, bj)):
             for l, (rmax, w, x) in enumerate(rows[k % 2::] + rows[:k % 2]):
                 options[i, j, l] = (0, l, w, x, -x, rmax, 2.0 ** -10, x, 0.0)
-        plan = ctl.Plan("symmetric", options, np.zeros((bi, bj)), [])
+        plan = ctl.Plan("symmetric", options, np.zeros((bi, bj)), np.empty(0, ctl.PRUNE_DTYPE))
         tmp = tmp_path_factory.mktemp("plan")
         ctl.dump_plan(plan, tmp / "got.csv")
         _frozen_dump_plan(plan, tmp / "want.csv")
@@ -836,5 +851,5 @@ def test_record_fields_unchanged():
     build the records by position."""
     assert ctl.OPTION_DTYPE.names == ("p", "l", "w", "c_a", "c_b", "rmax", "z", "d_hat",
                                       "fw_percent")
-    assert ctl.PruneStep._fields == ("k", "l", "from_w", "to_w", "removed_d_hat", "total_after")
+    assert ctl.PRUNE_DTYPE.names == ("k", "l", "from_w", "to_w", "removed_d_hat", "total_after")
     assert ctl.Plan._fields == ("mode", "options", "total_d_hat", "prune_trace")
