@@ -19,6 +19,7 @@ import statistics
 import time
 from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
+from itertools import starmap
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -113,13 +114,13 @@ BIAS_LIMIT = 1e-4
 DEFAULT_RMAX_CAPS = {("double", 4): 120000}
 
 
-def amplitude_sweep(L: int, bmax_values=range(1, 64)):
-    """Integer extremes for the noise-curve grid: fixed amax=22, swept bmax.
+def amplitude_sweep():
+    """Integer extremes for the noise-curve grid: fixed amax=22, bmax 1 to 63.
 
     Keeping the amplitude ratio fixed across tile sides preserves the sweep's
     relative geometry; the resulting R_max = 22 * L * bmax grid scales with L.
     """
-    return [(22, int(b)) for b in bmax_values]
+    return [(22, b) for b in range(1, 64)]
 
 
 def measure_repr_noise(L: int, precision: str, mode: str, w: int,
@@ -141,7 +142,7 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
     if trials < 1:
         raise InvalidConfigError("trials must be >= 1")
     if sweep is None:
-        sweep = amplitude_sweep(L)
+        sweep = amplitude_sweep()
     dtype = dtype_of(precision)
     out, work = [], packing.Workspace(L, dtype)
     for point_idx, (amax, bmax) in enumerate(sweep):
@@ -284,10 +285,10 @@ def _timer_resolution() -> float:
     return max(res, 1e-9)
 
 
-def log_sigma_grid(lo: float = 1e-2, hi: float = 1e3, per_decade: int = 8):
-    """Logarithmically spaced sigma values covering the input dynamic ranges."""
-    n = int(round(math.log10(hi / lo) * per_decade)) + 1
-    return [lo * 10.0 ** (i / per_decade) for i in range(n)]
+def log_sigma_grid(per_decade: int = 8):
+    """Log-spaced sigmas from 1e-2 to 1e3, covering the input dynamic ranges."""
+    n = int(round(math.log10(1e3 / 1e-2) * per_decade)) + 1
+    return [1e-2 * 10.0 ** (i / per_decade) for i in range(n)]
 
 
 def uniform_extremes(sigma_a: float, sigma_b: float):
@@ -387,16 +388,17 @@ def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: in
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# persistence: every table file goes through ``write_table`` and ``read_table``
 
-def _write_csv(path, header, rows):
-    """The version line, the header and ``rows``; ``csv.writer`` writes a
-    Python float as its ``repr``, which reads back as the same float."""
+def write_table(path, header, rows) -> None:
+    """The version line, the header and ``rows`` (one field per header
+    column), streamed: each field as its ``str`` (a float's ``repr``, which
+    reads back as the same float), each row ended by ``\\r\\n``: the bytes
+    ``csv.writer`` writes, as no field holds a character it would quote."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"  # "{}" formats a field as its str
     with open(path, "w", newline="") as f:
-        f.write(f"# version {FORMAT_VERSION}\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+        f.write(f"# version {FORMAT_VERSION}\n" + line.format(*header))
+        f.writelines(starmap(line.format, rows))
 
 
 def _data_lines(path, header) -> list:
@@ -419,12 +421,11 @@ def _data_lines(path, header) -> list:
         return f.readlines()
 
 
-def _typed_rows(path, lines, header, types) -> list:
-    """Each nonblank row of ``lines`` with its fields converted by ``types``.
-
-    A row with the wrong number of fields, or a field that does not convert,
-    raises TableFormatError naming the file and line.
-    """
+def _typed_rows(path, lines, header, fields) -> list:
+    """Each nonblank row of ``lines``, a field at a time, as ``read_table``
+    takes it; a row with the wrong number of fields, or a field that does
+    not convert or is out of range, raises TableFormatError naming the file
+    and line."""
     reader = csv.reader(lines)
     out = []
     for row in reader:
@@ -433,73 +434,70 @@ def _typed_rows(path, lines, header, types) -> list:
         where = f"{path}, line {reader.line_num + 2}"  # after version and header
         if len(row) != len(header):
             raise TableFormatError(f"{where}: {len(row)} fields, expected {len(header)}")
-        fields = []
-        for name, kind, v in zip(header, types, row):
+        values = []
+        for name, (kind, lo), v in zip(header, fields, row):
             try:
-                fields.append(kind(v))
+                x = kind(v)
+                if lo is not None and not (-math.inf < x < math.inf and x >= lo):
+                    raise ValueError(v)
             except ValueError as exc:
                 raise TableFormatError(f"{where}: bad {name} value {v!r}") from exc
-        out.append(fields)
+            values.append(x)
+        out.append(tuple(values))
     return out
+
+
+def read_table(path, header, fields) -> list:
+    """The rows of a table file as tuples. ``fields`` holds a ``(kind, lo)``
+    per column: ``kind`` converts the text and, unless ``lo`` is None, the
+    value must be finite and at least ``lo``. The fast parse splits each
+    line once at its commas, converts each column with one ``map`` and
+    checks the columns whole; a file with a line it does not take (a quote,
+    a wrong field count, a bad value) is parsed again by ``_typed_rows``,
+    which names the line."""
+    lines = _data_lines(path, header)
+    rows = [t.split(",") for t in (line.rstrip("\r\n") for line in lines) if t]
+    if not any('"' in line for line in lines) and all(len(r) == len(header) for r in rows):
+        try:
+            cols = [list(map(kind, col)) for (kind, _lo), col in zip(fields, zip(*rows))]
+        except ValueError:  # a bad field
+            cols = None
+        if cols is not None and all(
+                lo is None or min(col) >= lo and (kind is int or all(map(math.isfinite, col)))
+                for col, (kind, lo) in zip(cols, fields)):
+            return list(zip(*cols))
+    return _typed_rows(path, lines, header, fields)
 
 
 CALIB_HEADER = ["precision", "mode", "W", "rmax", "mean_err", "rmse", "trials", "seed"]
 SPEEDUP_HEADER = ["precision", "mode", "W", "L", "fw_percent", "mac_ratio", "reps"]
 SOLUTION_HEADER = ["sigma_a", "sigma_b", "W", "rmax", "c_a", "c_b", "snr_db"]
 
+_TEXT, _INT, _FLOAT, _FINITE = (str, None), (int, None), (float, None), (float, -math.inf)
+# a NaN or infinite mean_err or rmse, a negative rmse, or a W or R_max below 1
+# is malformed: the planner would take it as a measurement
+CALIB_FIELDS = (_TEXT, _TEXT, (int, 1), (int, 1), _FINITE, (float, 0.0), _INT, _INT)
+# an infinite gain would let an acceleration floor demote all but one subblock
+SPEEDUP_FIELDS = (_TEXT, _TEXT, _INT, _INT, _FINITE, _FINITE, _INT)
+# any float, NaN included
+SOLUTION_FIELDS = (_FLOAT, _FLOAT, _INT, _INT, _FLOAT, _FLOAT, _FLOAT)
+
 
 def save_calibration(table: CalibrationTable, path) -> None:
-    _write_csv(path, CALIB_HEADER, table.entries)
-
-
-def _finite(kind=float, lo=-math.inf):
-    """A field parser that takes only a finite ``kind`` of at least ``lo``."""
-    def parse(text: str):
-        x = kind(text)
-        if not (-math.inf < x < math.inf and x >= lo):
-            raise ValueError(text)
-        return x
-    return parse
-
-
-# the field parsers of ``_typed_rows`` that reject what the fast parse rejects
-_CALIB_TYPES = (str, str, _finite(int, 1), _finite(int, 1), _finite(), _finite(float, 0.0),
-                int, int)
+    write_table(path, CALIB_HEADER, table.entries)
 
 
 def load_calibration(path) -> CalibrationTable:
-    """The table in ``path``. A NaN or infinite ``mean_err`` or ``rmse``, a
-    negative ``rmse``, or a W or R_max below 1 is a malformed row: the
-    planner would take it as a measurement. The fast parse splits each line
-    once at its commas, converts each column with one ``map`` and checks the
-    columns whole; a file with a line it does not take is parsed again by
-    ``_typed_rows``, which names the line."""
-    lines = _data_lines(path, CALIB_HEADER)
-    rows = [t.split(",") for t in (line.rstrip("\r\n") for line in lines) if t]
-    if rows and not any('"' in line for line in lines) and set(map(len, rows)) == {8}:
-        try:
-            cols = [list(map(kind, col)) for kind, col in
-                    zip((str, str, int, int, float, float, int, int), zip(*rows))]
-        except ValueError:  # a bad field
-            cols = None
-        if cols and (min(cols[2] + cols[3]) >= 1 and np.isfinite(cols[4] + cols[5]).all()
-                     and min(cols[5]) >= 0.0):
-            return CalibrationTable(list(map(CalibEntry._make, zip(*cols))))
-    typed = _typed_rows(path, lines, CALIB_HEADER, _CALIB_TYPES)
-    return CalibrationTable([CalibEntry(*r) for r in typed])
+    return CalibrationTable([CalibEntry(*r) for r in read_table(path, CALIB_HEADER, CALIB_FIELDS)])
 
 
 def save_speedup(profile: SpeedupProfile, path) -> None:
-    _write_csv(path, SPEEDUP_HEADER, map(astuple, profile.entries))
+    write_table(path, SPEEDUP_HEADER, map(astuple, profile.entries))
 
 
 def load_speedup(path) -> SpeedupProfile:
-    """The profile in ``path``. A NaN or infinite ``fw_percent`` or
-    ``mac_ratio`` is a malformed row: an infinite gain would let an
-    acceleration floor demote all but one subblock of a kernel."""
-    lines = _data_lines(path, SPEEDUP_HEADER)
-    types = (str, str, int, int, _finite(), _finite(), int)
-    return SpeedupProfile([ProfileEntry(*r) for r in _typed_rows(path, lines, SPEEDUP_HEADER, types)])
+    return SpeedupProfile([ProfileEntry(*r) for r in read_table(path, SPEEDUP_HEADER,
+                                                                 SPEEDUP_FIELDS)])
 
 
 # rows per step of a save, which bounds its memory whatever the table size
@@ -508,20 +506,9 @@ _SAVE_CHUNK = 1 << 10
 
 def save_solutions(table: OfflineSolutionTable, path) -> None:
     data = table.data
-    rows = (row for k in range(0, len(data), _SAVE_CHUNK)
-            for row in data[k:k + _SAVE_CHUNK].tolist())
-    _write_csv(path, SOLUTION_HEADER, rows)
+    write_table(path, SOLUTION_HEADER, (row for k in range(0, len(data), _SAVE_CHUNK)
+                                        for row in data[k:k + _SAVE_CHUNK].tolist()))
 
 
 def load_solutions(path) -> OfflineSolutionTable:
-    """The table as one structured array, parsed by one ``np.loadtxt`` call."""
-    lines = _data_lines(path, SOLUTION_HEADER)
-    if any(map(str.strip, lines)):
-        try:
-            return OfflineSolutionTable(np.loadtxt(
-                lines, delimiter=",", dtype=_SOLUTION_DTYPE, ndmin=1, comments=None))
-        except ValueError:
-            pass  # parsed again below, row by row, to name the line at fault
-    types = (float, float, int, int, float, float, float)
-    rows = _typed_rows(path, lines, SOLUTION_HEADER, types)
-    return OfflineSolutionTable([tuple(r) for r in rows])
+    return OfflineSolutionTable(read_table(path, SOLUTION_HEADER, SOLUTION_FIELDS))

@@ -11,7 +11,6 @@ describing its inputs."""
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -231,6 +230,10 @@ def cmd_multiply(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     a = _load_finite_matrix(args.a)
     b = _load_finite_matrix(args.b)
+    want = np.dtype(dtype_of(args.precision))  # a plan reads the tables of --precision
+    if not args.plain and (a.dtype, b.dtype) != (want, want):
+        raise InvalidConfigError(f"--precision {args.precision} plans {want} inputs, "
+                                 f"got {a.dtype} and {b.dtype}")
     L = args.l
     report = {}
     t0 = time.perf_counter()
@@ -313,6 +316,7 @@ def _sweep_inputs(L: int, blocks: int, precision: str, seed: int):
 
 def cmd_sweep(args) -> int:
     _check_at_least_1("--sweep-w", args.sweep_w)
+    _check_at_least_1("--blocks", args.blocks)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     calib = _load_calibration(Path(args.tables))
@@ -322,9 +326,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     tiered_gemm(a, b, L)
     t_plain = time.perf_counter() - t0
-    blocks = args.blocks
-    rows = []
-    w = args.sweep_w
+    blocks, w, rows = args.blocks, args.sweep_w, []
     # options depend only on the inputs, so every step reuses them: an
     # accelerated kernel runs each subblock's top ladder row, the others W=1
     stats = controller.subblock_stats(a, b, L)
@@ -337,28 +339,16 @@ def cmd_sweep(args) -> int:
         n_acc = round(blocks * blocks * pct / 100)
         chosen = np.where(kernel < n_acc, top, len(ladder) - 1)
         plan = controller.fixed_plan(args.mode, np.take_along_axis(ladder, chosen[None], 0)[0])
-        packed_subblocks = int((plan.options["w"] > 1).sum())
+        packed = int((plan.options["w"] > 1).sum())
         t0 = time.perf_counter()
         got = tiered_gemm(a, b, L, plan)
         t_packed = time.perf_counter() - t0
-        total_subblocks = blocks ** 3
-        macs_plain = total_subblocks
-        macs_packed = (total_subblocks - packed_subblocks) + packed_subblocks / w
-        rows.append({
-            "accel_pct": pct,
-            "measured_snr_db": _measured_snr(ref, got),
-            "mac_ratio": macs_plain / macs_packed,
-            "wallclock_ratio": t_plain / t_packed,
-        })
+        macs = blocks ** 3  # of the plain multiply, one per subblock
+        rows.append((pct, _measured_snr(ref, got), macs / (macs - packed + packed / w),
+                     t_plain / t_packed))
     path = out_dir / "sweep.csv"
-    with open(path, "w", newline="") as f:
-        f.write(f"# version {calibration.FORMAT_VERSION}\n")
-        writer = csv.writer(f)
-        writer.writerow(["accel_pct", "measured_snr_db", "mac_ratio", "wallclock_ratio"])
-        for r in rows:
-            snr = "inf" if math.isinf(r["measured_snr_db"]) else repr(r["measured_snr_db"])
-            writer.writerow([r["accel_pct"], snr, repr(r["mac_ratio"]),
-                             repr(r["wallclock_ratio"])])
+    calibration.write_table(
+        path, ["accel_pct", "measured_snr_db", "mac_ratio", "wallclock_ratio"], rows)
     print(f"wrote {path}")
     _write_manifest(out_dir, "sweep", args, {}, [path])
     return 0

@@ -27,10 +27,10 @@ from . import packing
 from .blocking import reorder_block_major
 from .calibration import (
     CalibrationTable,
-    FORMAT_VERSION,
     SpeedupProfile,
     build_offline_solutions,
     lookup_nearest_solution,  # noqa: F401  no caller; perfbench's tracer requires it here
+    write_table,
 )
 from .errors import DimensionError, InfeasibleConstraintError, InvalidConfigError
 from .noise import (
@@ -371,12 +371,8 @@ def fixed_plan(mode: str, options) -> Plan:
 
 def dump_plan(plan: Plan, path) -> None:
     """Debug CSV of every chosen option, for reproducing prune outcomes: one
-    row per subblock in C order of ``plan.options``, the bytes
-    ``csv.writer`` wrote, one f-string per row (floats as ``repr``)."""
+    row per subblock in C order of ``plan.options``."""
     o = plan.options
     cols = [*np.indices(o.shape).reshape(3, -1).tolist(),
             *(o[f].reshape(-1).tolist() for f in ("w", "c_a", "c_b", "rmax", "d_hat"))]
-    rows = "".join(f"{i},{j},{l},{w},{c_a!r},{c_b!r},{rmax},{d_hat!r}\r\n"
-                   for i, j, l, w, c_a, c_b, rmax, d_hat in zip(*cols))
-    with open(path, "w", newline="") as f:
-        f.write(f"# version {FORMAT_VERSION}\ni,j,l,W,c_a,c_b,rmax,d_hat\r\n{rows}")
+    write_table(path, ["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"], zip(*cols))

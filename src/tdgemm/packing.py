@@ -32,6 +32,8 @@ from .errors import DimensionError, InvalidConfigError, QuantizerOverflowError
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 MODES = (SYMMETRIC, ASYMMETRIC)
+# the margin, in units, between packed fields: z <= 1 / (2 R_max + U_SAFE)
+U_SAFE = 50
 
 # companded amplitudes must stay below this to round to exact integers
 _EXACT_INT_LIMIT = {np.dtype(dt): 2.0 ** mantissa_bits(p)
@@ -111,7 +113,7 @@ class PackingConfig(NamedTuple):
     c_b: float
     rmax: int
 
-    def validate(self, u_safe: int = 50) -> None:
+    def validate(self) -> None:
         if self.mode not in MODES:
             raise InvalidConfigError(f"unknown mode {self.mode!r}")
         if self.w < 1:
@@ -123,9 +125,9 @@ class PackingConfig(NamedTuple):
                 raise InvalidConfigError(f"z must be in (0, 1), got {self.z}")
             # overlapping packed fields cause catastrophic unpacking errors,
             # so violating the z bound is rejected outright
-            if self.rmax >= 1 and self.z > 1.0 / (2 * self.rmax + u_safe):
+            if self.rmax >= 1 and self.z > 1.0 / (2 * self.rmax + U_SAFE):
                 raise InvalidConfigError(
-                    f"z={self.z} exceeds the packing bound 1/(2*{self.rmax}+{u_safe})"
+                    f"z={self.z} exceeds the packing bound 1/(2*{self.rmax}+{U_SAFE})"
                 )
 
 
@@ -208,15 +210,15 @@ def compute_rmax(c_a: float, c_b: float, L: int, a_absmax: float, b_absmax: floa
     return math.ceil(c_a * c_b * L * a_absmax * b_absmax)
 
 
-def compute_z(rmax: int, u_safe: int = 50) -> float:
-    """Largest power of two not exceeding 1/(2*rmax + u_safe).
+def compute_z(rmax: int) -> float:
+    """Largest power of two not exceeding 1/(2*rmax + U_SAFE).
 
     A power of two keeps z and 1/z exact in binary floating point, so the
     packing scale itself adds no rounding noise.
     """
     if rmax < 1:
         raise InvalidConfigError(f"rmax must be >= 1, got {rmax}")
-    return 2.0 ** math.floor(math.log2(1.0 / (2 * rmax + u_safe)))
+    return 2.0 ** math.floor(math.log2(1.0 / (2 * rmax + U_SAFE)))
 
 
 def compute_wef(z: float, rmax: int, u_sys: float) -> int:

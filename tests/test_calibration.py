@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import time
+from dataclasses import astuple
 from types import SimpleNamespace
 from unittest import mock
 
@@ -625,21 +626,36 @@ class TestPersistence:
 
 @pytest.fixture(params=["calibration", "speedup", "solutions"])
 def table_file(request, small_table, tmp_path):
-    """A saved table of each kind, with its loader and a numeric column of
-    each type (integer, float)."""
+    """A saved table of each kind, with its loader, a numeric column of each
+    type (integer, float) and its range faults (``_RANGE_FAULTS``)."""
     path = tmp_path / f"{request.param}.csv"
+    faults = _RANGE_FAULTS[request.param]
     if request.param == "calibration":
         cal.save_calibration(small_table, path)
-        return path, cal.load_calibration, ("rmax", "rmse")
+        return path, cal.load_calibration, ("rmax", "rmse"), faults
     if request.param == "speedup":
         cal.save_speedup(cal.SpeedupProfile(
             [cal.ProfileEntry("single", "symmetric", w, 48, 10.0 * w, float(w), 5)
              for w in (2, 3, 4)]), path)
-        return path, cal.load_speedup, ("W", "fw_percent")
+        return path, cal.load_speedup, ("W", "fw_percent"), faults
     cal.save_solutions(cal.build_offline_solutions(
         [(1.0, 3.0), (2.0, 2.0), (4.0, 1.0)], small_table, "single", "symmetric", 12,
         w_set=(2,)), path)
-    return path, cal.load_solutions, ("rmax", "sigma_b")
+    return path, cal.load_solutions, ("rmax", "sigma_b"), faults
+
+
+# per table and kind of range fault, the (column, value) of the fault and
+# the number it loads as, None where the table rejects it: calibration takes
+# no NaN or infinite measurement, no negative rmse and no W or R_max below 1,
+# speedup no NaN or infinite gain, and solutions any number
+_RANGE_FAULTS = {
+    "calibration": {"nan": ("rmse", "nan", None), "inf": ("mean_err", "-inf", None),
+                    "negative": ("rmse", "-1e-300", None), "below": ("W", "0", None)},
+    "speedup": {"nan": ("mac_ratio", "nan", None), "inf": ("fw_percent", "inf", None),
+                "negative": ("fw_percent", "-5.0", -5.0), "below": ("W", "0", 0)},
+    "solutions": {"nan": ("sigma_b", "nan", math.nan), "inf": ("snr_db", "-inf", -math.inf),
+                  "negative": ("c_a", "-1e-300", -1e-300), "below": ("W", "0", 0)},
+}
 
 
 def _entries(table):
@@ -663,14 +679,21 @@ class TestMalformedRows:
             writer.writerows(rows[3:])
 
     def test_blank_lines_are_skipped(self, table_file):
-        path, load, _cols = table_file
+        path, load, *_ = table_file
         before = _entries(load(path))
         self._rewrite(path)
         assert _entries(load(path)) == before
 
-    @pytest.mark.parametrize("kind", ["int", "float", "short", "long"])
+    @pytest.mark.parametrize("kind", ["int", "float", "short", "long", "quoted", "nan", "inf",
+                                      "negative", "below"])
     def test_error_names_file_and_line(self, table_file, kind):
-        path, load, (int_col, float_col) = table_file
+        """Each kind of malformed row, on line 5 after a blank line, raises
+        TableFormatError naming the file, the line and the column at fault;
+        a range fault a table takes loads as the number it reads."""
+        path, load, (int_col, float_col), faults = table_file
+        col, value, loaded = faults.get(
+            kind, (float_col if kind == "float" else int_col,
+                   "1,5" if kind == "quoted" else "abc", None))  # csv.writer quotes "1,5"
 
         def edit(header, row):
             if kind == "short":
@@ -678,15 +701,21 @@ class TestMalformedRows:
             if kind == "long":
                 return row + ["1"]
             row = list(row)
-            row[header.index(int_col if kind == "int" else float_col)] = "abc"
+            row[header.index(col)] = value
             return row
 
         self._rewrite(path, edit)
+        if loaded is not None:
+            row = _entries(load(path))[1]
+            header = path.read_text().splitlines()[1].split(",")
+            got = (row if isinstance(row, tuple) else astuple(row))[header.index(col)]
+            assert repr(got) == repr(loaded)
+            return
         with pytest.raises(TableFormatError) as exc:
             load(path)
         assert f"{path}, line 5:" in str(exc.value)
-        if kind in ("int", "float"):
-            assert (int_col if kind == "int" else float_col) in str(exc.value)
+        if kind not in ("short", "long"):
+            assert f"bad {col} value {value!r}" in str(exc.value)
 
 
 def _frozen_load_calibration(path):
@@ -791,14 +820,14 @@ class TestLoadCalibrationAsFrozen:
 
 
 class TestColumnParse:
-    """The column parse of ``load_calibration`` against ``_typed_rows``, the
-    parse it falls back on."""
+    """The column parse of ``read_table`` against ``_typed_rows``, the parse
+    it falls back on, both reading the field spec of ``load_calibration``."""
 
     @staticmethod
     def _typed(path):
+        """``_typed_rows`` with the field spec of ``load_calibration``."""
         lines = cal._data_lines(path, cal.CALIB_HEADER)
-        return [tuple(r) for r in cal._typed_rows(path, lines, cal.CALIB_HEADER,
-                                                  cal._CALIB_TYPES)]
+        return cal._typed_rows(path, lines, cal.CALIB_HEADER, cal.CALIB_FIELDS)
 
     @given(st.lists(st.tuples(
         st.sampled_from(["single", "double"]), st.sampled_from(packing.MODES),
@@ -862,6 +891,226 @@ class TestColumnParse:
         assert cal.load_calibration(path).entries == small_table.entries
 
 
+# frozen copies of the table writer and the three table parses as they were
+# before ``write_table`` and ``read_table`` served every table
+
+def _frozen_write_csv(path, header, rows):
+    """``_write_csv``: ``csv.writer`` rows after the version line."""
+    with open(path, "w", newline="") as f:
+        f.write("# version 1\n")
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _frozen_write_sweep(path, rows):
+    """The sweep's own writer: an infinite SNR as ``inf``, the rest ``repr``."""
+    with open(path, "w", newline="") as f:
+        f.write("# version 1\n")
+        writer = csv.writer(f)
+        writer.writerow(["accel_pct", "measured_snr_db", "mac_ratio", "wallclock_ratio"])
+        for pct, snr, mac, wall in rows:
+            writer.writerow([pct, "inf" if math.isinf(snr) else repr(snr), repr(mac), repr(wall)])
+
+
+def _frozen_lines(path):
+    with open(path, newline="") as f:
+        return f.readlines()[2:]
+
+
+def _frozen_typed_rows(path, lines, header, types):
+    reader = csv.reader(lines)
+    out = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}, line {reader.line_num + 2}"
+        if len(row) != len(header):
+            raise TableFormatError(f"{where}: {len(row)} fields, expected {len(header)}")
+        fields = []
+        for name, kind, v in zip(header, types, row):
+            try:
+                fields.append(kind(v))
+            except ValueError as exc:
+                raise TableFormatError(f"{where}: bad {name} value {v!r}") from exc
+        out.append(fields)
+    return out
+
+
+def _frozen_finite(kind=float, lo=-math.inf):
+    def parse(text):
+        x = kind(text)
+        if not (-math.inf < x < math.inf and x >= lo):
+            raise ValueError(text)
+        return x
+    return parse
+
+
+def _frozen_load_calibration_columns(path):
+    """``load_calibration`` by column, falling back on ``_typed_rows``."""
+    lines = _frozen_lines(path)
+    rows = [t.split(",") for t in (line.rstrip("\r\n") for line in lines) if t]
+    if rows and not any('"' in line for line in lines) and set(map(len, rows)) == {8}:
+        try:
+            cols = [list(map(kind, col)) for kind, col in
+                    zip((str, str, int, int, float, float, int, int), zip(*rows))]
+        except ValueError:
+            cols = None
+        if cols and (min(cols[2] + cols[3]) >= 1 and np.isfinite(cols[4] + cols[5]).all()
+                     and min(cols[5]) >= 0.0):
+            return list(zip(*cols))
+    types = (str, str, _frozen_finite(int, 1), _frozen_finite(int, 1), _frozen_finite(),
+             _frozen_finite(float, 0.0), int, int)
+    return [tuple(r) for r in _frozen_typed_rows(path, lines, cal.CALIB_HEADER, types)]
+
+
+def _frozen_load_speedup(path):
+    types = (str, str, int, int, _frozen_finite(), _frozen_finite(), int)
+    return [tuple(r) for r in _frozen_typed_rows(path, _frozen_lines(path), cal.SPEEDUP_HEADER,
+                                                 types)]
+
+
+def _frozen_load_solutions(path):
+    """One ``np.loadtxt`` call, falling back on ``_typed_rows``."""
+    lines = _frozen_lines(path)
+    if any(map(str.strip, lines)):
+        try:
+            return np.loadtxt(lines, delimiter=",", dtype=cal._SOLUTION_DTYPE, ndmin=1,
+                              comments=None).tolist()
+        except ValueError:
+            pass
+    rows = _frozen_typed_rows(path, lines, cal.SOLUTION_HEADER,
+                              (float, float, int, int, float, float, float))
+    return np.array([tuple(r) for r in rows], dtype=cal._SOLUTION_DTYPE).tolist()
+
+
+# per table: its header, its loader as rows of tuples, and the frozen parse
+_TABLES = {
+    "calibration": (cal.CALIB_HEADER, lambda p: list(map(tuple, cal.load_calibration(p).entries)),
+                    _frozen_load_calibration_columns),
+    "speedup": (cal.SPEEDUP_HEADER, lambda p: list(map(astuple, cal.load_speedup(p).entries)),
+                _frozen_load_speedup),
+    "solutions": (cal.SOLUTION_HEADER, lambda p: cal.load_solutions(p).data.tolist(),
+                  _frozen_load_solutions),
+}
+
+_ANY_FLOAT = st.one_of(st.floats(allow_subnormal=True),
+                       st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+                                        -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]))
+_FINITE_FLOAT = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_TEXT = st.sampled_from([*cal.PRECISIONS, *packing.MODES, "x" * 300])
+# any row of each table's field types, as its writer is given it
+_ANY_ROWS = {
+    "calibration": st.tuples(_TEXT, _TEXT, _INT64, _INT64, _ANY_FLOAT, _ANY_FLOAT, _INT64,
+                             _INT64),
+    "speedup": st.tuples(_TEXT, _TEXT, _INT64, _INT64, _ANY_FLOAT, _ANY_FLOAT, _INT64),
+    "solutions": st.tuples(_ANY_FLOAT, _ANY_FLOAT, _INT64, _INT64, _ANY_FLOAT, _ANY_FLOAT,
+                           _ANY_FLOAT),
+    "plan": st.tuples(*[st.integers(0, 2 ** 20)] * 3, st.integers(1, 4), _ANY_FLOAT,
+                      _ANY_FLOAT, _INT64, _ANY_FLOAT),
+    "sweep": st.tuples(st.integers(0, 100), _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT),
+}
+_HEADERS = {name: spec[0] for name, spec in _TABLES.items()} | {
+    "plan": ["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"],
+    "sweep": ["accel_pct", "measured_snr_db", "mac_ratio", "wallclock_ratio"]}
+# rows each table's loader takes: a calibration row holds a finite
+# measurement, a nonnegative rmse and a W and R_max of at least 1, a speedup
+# row a finite gain, and a solution row any number
+_VALID_ROWS = {
+    "calibration": st.tuples(_TEXT, _TEXT, st.integers(1, 2 ** 62), st.integers(1, 2 ** 62),
+                             _FINITE_FLOAT, st.floats(0.0, allow_infinity=False), _INT64,
+                             _INT64),
+    "speedup": st.tuples(_TEXT, _TEXT, _INT64, _INT64, _FINITE_FLOAT, _FINITE_FLOAT, _INT64),
+    "solutions": _ANY_ROWS["solutions"],
+}
+
+
+class TestTableCodec:
+    """``write_table`` and ``read_table`` against frozen copies of the
+    writers and parses they replace."""
+
+    @pytest.mark.parametrize("table", sorted(_ANY_ROWS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_writer_bytes_equal_csv_writer(self, tmp_path_factory, table, data):
+        """Every table's rows, infinities, NaN, -0.0 and subnormals among them."""
+        rows = data.draw(st.lists(_ANY_ROWS[table], max_size=6))
+        d = tmp_path_factory.mktemp("w")
+        cal.write_table(d / "got.csv", _HEADERS[table], iter(rows))
+        _frozen_write_csv(d / "want.csv", _HEADERS[table], rows)
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+    @given(st.lists(st.tuples(st.integers(0, 100), _ANY_FLOAT.filter(lambda x: x != -math.inf),
+                              _ANY_FLOAT, _ANY_FLOAT), max_size=11))
+    @settings(max_examples=60, deadline=None)
+    def test_writer_bytes_equal_sweep_writer(self, tmp_path_factory, rows):
+        """The sweep's rows. Its writer wrote -inf as ``inf``; no sweep SNR is
+        -inf, which would take a zero-power product with a nonzero error."""
+        d = tmp_path_factory.mktemp("sweep")
+        cal.write_table(d / "got.csv", _HEADERS["sweep"], rows)
+        _frozen_write_sweep(d / "want.csv", rows)
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+    @given(st.lists(_ANY_ROWS["calibration"], max_size=5),
+           st.lists(_ANY_ROWS["speedup"], max_size=5),
+           st.lists(_ANY_ROWS["solutions"], max_size=9), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_savers_write_frozen_bytes(self, tmp_path_factory, calib, speedup, solutions,
+                                       chunk):
+        """``save_calibration``, ``save_speedup`` and ``save_solutions``, the
+        last a ``chunk`` of rows at a time."""
+        d = tmp_path_factory.mktemp("save")
+        cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in calib]),
+                             d / "c.csv")
+        cal.save_speedup(cal.SpeedupProfile([cal.ProfileEntry(*r) for r in speedup]),
+                         d / "s.csv")
+        with mock.patch.object(cal, "_SAVE_CHUNK", chunk):
+            cal.save_solutions(cal.OfflineSolutionTable(solutions), d / "o.csv")
+        for name, header, rows in (("c", cal.CALIB_HEADER, calib),
+                                   ("s", cal.SPEEDUP_HEADER, speedup),
+                                   ("o", cal.SOLUTION_HEADER, solutions)):
+            _frozen_write_csv(d / f"{name}-want.csv", header, rows)
+            assert (d / f"{name}.csv").read_bytes() == (d / f"{name}-want.csv").read_bytes()
+
+    @pytest.mark.parametrize("table", sorted(_VALID_ROWS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_loaders_equal_frozen_parse(self, tmp_path_factory, table, data):
+        """On the files the frozen writer made of valid rows, each loader
+        reads the frozen parse's rows, with the same bits."""
+        header, load, frozen = _TABLES[table]
+        rows = data.draw(st.lists(_VALID_ROWS[table], max_size=8))
+        path = tmp_path_factory.mktemp("r") / "t.csv"
+        _frozen_write_csv(path, header, rows)
+        assert repr(load(path)) == repr(frozen(path)) == repr(rows)
+
+    @pytest.mark.parametrize("table", sorted(_TABLES))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_loaders_accept_and_reject_as_frozen(self, tmp_path_factory, table, data):
+        """On any text rows, each loader takes what the frozen parse took,
+        with the same bits, and fails where it failed, with its message."""
+        header, load, frozen = _TABLES[table]
+        field = st.one_of(st.integers(-10 ** 20, 10 ** 20).map(str), st.floats().map(repr),
+                          st.sampled_from(["single", "", " 7", "-0", "1_0", "nan", "-inf",
+                                           "0", "2.0", "1e3"]),
+                          st.text(alphabet=' ,"a1.e-+_\r\n\t', max_size=6))
+        n = len(header)
+        rows = data.draw(st.lists(st.lists(field, min_size=n - 1, max_size=n + 1), max_size=5))
+        end = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
+        path = tmp_path_factory.mktemp("any") / "t.csv"
+        path.write_text(f"# version 1\r\n{','.join(header)}\r\n"
+                        + "".join(",".join(row) + end for row in rows), newline="")
+
+        def outcome(parse):
+            try:
+                return repr(parse(path))
+            except (TableFormatError, OverflowError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+        assert outcome(load) == outcome(frozen)
+
+
 @pytest.mark.parametrize("column,value", [("rmse", "nan"), ("rmse", "inf"), ("rmse", "-0.5"),
                                           ("mean_err", "nan"), ("mean_err", "-inf"),
                                           ("W", "0"), ("W", "-2"), ("rmax", "0")])
@@ -904,12 +1153,13 @@ def test_speedup_rejects_non_finite_values(tmp_path, column, value):
 
 def test_amplitude_sweep_reproduces_reference_grid():
     grid = [packing.compute_rmax(1.0, 1.0, 288, a, b)
-            for a, b in cal.amplitude_sweep(288)]
+            for a, b in cal.amplitude_sweep()]
     assert grid[0] == 6336 and grid[-1] == 6336 * 63
     # smaller tile sides keep the amplitude geometry; R_max scales with L
     grid48 = [packing.compute_rmax(1.0, 1.0, 48, a, b)
-              for a, b in cal.amplitude_sweep(48)]
+              for a, b in cal.amplitude_sweep()]
     assert grid48 == [g // 6 for g in grid]
+    assert repr(cal.amplitude_sweep()) == repr([(22, int(b)) for b in range(1, 64)])
 
 
 def test_log_sigma_grid_shape():
@@ -918,3 +1168,8 @@ def test_log_sigma_grid_shape():
     assert len(g) == 41
     ratios = [g[i + 1] / g[i] for i in range(len(g) - 1)]
     assert all(r == pytest.approx(10 ** 0.125) for r in ratios)
+    for per_decade in (1, 2, 8, 13):  # the grid of the default lo=1e-2 and hi=1e3, bitwise
+        lo, hi = 1e-2, 1e3
+        n = int(round(math.log10(hi / lo) * per_decade)) + 1
+        assert repr(cal.log_sigma_grid(per_decade=per_decade)) == \
+            repr([lo * 10.0 ** (i / per_decade) for i in range(n)])

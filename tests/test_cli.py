@@ -203,11 +203,12 @@ def test_commands_in_one_process_parse_their_own_flags(tmp_path):
     (["sweep", "--sweep-w", "0"], "--sweep-w must be >= 1, got 0"),
     (["sweep", "--sweep-w", "-2"], "--sweep-w must be >= 1, got -2"),
     (["sweep", "--sweep-w", "1"], None),
+    (["sweep", "--blocks", "0"], "--blocks must be >= 1, got 0"),
 ])
 def test_w_and_grid_flags_checked_up_front(workdir, tmp_path, capsys, argv, message):
-    """A W or grid density below 1, or a ``--w`` of which no W divides L,
-    exits 1 with an error line that names the flag, before any output is
-    made. A sweep at W=1 runs plain."""
+    """A W, grid density or grid side below 1, or a ``--w`` of which no W
+    divides L, exits 1 with an error line that names the flag, before any
+    output is made. A sweep at W=1 runs plain."""
     out = tmp_path / "o"
     code = cli.main(["--l", str(L), "--tables", str(workdir / "tables"), "--out", str(out),
                      *argv])
@@ -358,6 +359,42 @@ class TestMultiplyCommand:
         assert str(paths[operand]) in err
         assert f"at row {row}, column {col}" in err
         assert not (out / "result.tgmm").exists()
+
+    @pytest.mark.parametrize("precision,dtypes", [
+        ("single", (np.float64, np.float64)), ("single", (np.float32, np.float64)),
+        ("single", (np.float64, np.float32)), ("double", (np.float32, np.float32)),
+        ("double", (np.float64, np.float32))])
+    def test_input_dtype_not_of_precision_exit_code(self, workdir, tmp_path, capsys,
+                                                    monkeypatch, precision, dtypes):
+        """A planned multiply whose inputs are not both of ``--precision``'s
+        dtype exits 1, naming the flag and the dtypes, before the tables
+        load or a plan is made."""
+        def fail(*args, **kwargs):
+            raise AssertionError("reached past the dtype check")
+        monkeypatch.setattr(cli, "_load_calibration", fail)
+        monkeypatch.setattr(cli.controller, "plan_gemm", fail)
+        paths = []
+        for name, dtype in zip("ab", dtypes):
+            paths.append(tmp_path / f"{name}.tgmm")
+            matrixio.save_matrix(matrixio.load_matrix(workdir / f"{name}.tgmm").astype(dtype),
+                                 paths[-1])
+        out = tmp_path / "out"
+        code = cli.main(["--l", str(L), "--precision", precision, "--tables",
+                         str(workdir / "tables"), "--out", str(out), "multiply",
+                         *map(str, paths), "--snr-db", "20"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: --precision ")
+        assert np.dtype(dtypes[0]).name in err and np.dtype(dtypes[1]).name in err
+        assert not (out / "result.tgmm").exists()
+
+    def test_plain_multiply_takes_any_precision_flag(self, workdir, tmp_path):
+        """``--plain`` reads no table, so its inputs need not be of
+        ``--precision``'s dtype."""
+        out = tmp_path / "plain"
+        assert cli.main(["--l", str(L), "--precision", "double", "--out", str(out),
+                         "multiply", str(workdir / "a.tgmm"), str(workdir / "b.tgmm"),
+                         "--plain"]) == 0
+        assert matrixio.load_matrix(out / "result.tgmm").dtype == np.float32
 
     @pytest.mark.parametrize("flag", ["--snr-db", "--accel-percent"])
     def test_nan_target_exit_code(self, workdir, tmp_path, capsys, flag):

@@ -250,7 +250,7 @@ class TestPackedProductAgainstOrderMatched:
     # a five-trial RMSE ratio is noise
     @given(st.sampled_from(["single", "double"]), st.sampled_from(packing.MODES),
            st.sampled_from([2, 3, 4]),
-           st.sampled_from(calibration.amplitude_sweep(48)[31:]),
+           st.sampled_from(calibration.amplitude_sweep()[31:]),
            st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_rmse_outside_exact_region_l48(self, precision, mode, w, point, seed):
