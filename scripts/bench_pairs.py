@@ -13,7 +13,8 @@ pairs the change wins, the change of the median and the parent's IQR:
         --out BENCH_14.json --claim offset-snr20-l48 vs_reference "at least 30% higher"
 
 `--change DIR` runs another checkout than this one as the change; a copy
-keeps the runs apart from edits made while they go on.
+keeps the runs apart from edits made while they go on. `--workload` runs
+only the named workloads, such as the claimed one on a second seed.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=None,
                    help="measuring time per run (default: run_seconds of BENCHMARK.json)")
+    p.add_argument("--workload", nargs="*", default=list(WORKLOADS))
     p.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "EXPECTED"))
     p.add_argument("--title", default="")
     p.add_argument("--out", type=Path, required=True)
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
                   if args.claim else None),
         "workloads": {},
     }
-    for wl in WORKLOADS:
+    for wl in args.workload:
         pairs, correct = [], True
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]

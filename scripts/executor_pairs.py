@@ -11,6 +11,11 @@ imports its checkout's `src/` and times, on the same inputs and plan:
 
 - `tiered_gemm(a, b, L, plan, backend="blas")`: the median of `--reps`
   calls after one warm-up call;
+- `prepare_ms`, the stacked operand pass alone: `packing.prepare_operands`
+  on a new `Workspace` with every packed operand key of the plan, as
+  `tiered_gemm` runs it before its first product, timed the same way
+  after every other measure (not measured on a checkout without
+  `prepare_operands`);
 - one memo-hit `packed_subblock_product`: a symmetric W=2 call on the
   workload's first L x L tiles, whose named operands a first call put in
   the workspace memo; the median of `--reps` batches of calls;
@@ -49,7 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
-MEASURES = ("tiered_gemm_ms", "memo_hit_us", "plan_gemm_ms")
+MEASURES = ("tiered_gemm_ms", "prepare_ms", "memo_hit_us", "plan_gemm_ms")
 
 # one round of one side: argv[1] is its src/, argv[2] the inputs, argv[3] reps
 CHILD = r"""
@@ -94,7 +99,13 @@ def plan_gemm():
 if plan_gemm().options.tobytes() != d["options"].tobytes():
     raise SystemExit("this checkout's plan differs from the saved plan")
 plan_s = median_s(plan_gemm)
-print(json.dumps({"tiered_gemm_ms": gemm_s * 1e3, "memo_hit_us": hit_s * 1e6,
+prep_s = float("nan")  # last, so that its allocations do not precede the other measures
+if hasattr(packing, "prepare_operands"):
+    keys = blocking.operand_keys(plan)
+    prep_s = median_s(lambda: packing.prepare_operands(packing.Workspace(L, a.dtype),
+                                                       plan.mode, (a, b), keys))
+print(json.dumps({"tiered_gemm_ms": gemm_s * 1e3, "prepare_ms": prep_s * 1e3,
+                  "memo_hit_us": hit_s * 1e6,
                   "plan_gemm_ms": plan_s * 1e3}))
 """
 
@@ -165,13 +176,18 @@ def main(argv=None) -> int:
                                for side in order})
             for m in MEASURES:
                 vals = {s: np.array([rd[s][m] for rd in rounds]) for s in SIDES}
-                q = {s: np.percentile(vals[s], [25, 50, 75]) for s in SIDES}
-                ratio = np.median(vals["change"] / vals["parent"])
-                wins = int((vals["change"] < vals["parent"]).sum())
-                print(f"{name} {m}: " + "  ".join(
-                    f"{s} {q[s][1]:.4g} (IQR {q[s][0]:.4g}-{q[s][2]:.4g})" for s in SIDES)
-                    + f"  change/parent per round {ratio:.3f}"
-                    f"  change faster in {wins} of {args.rounds}", flush=True)
+                sides = [s for s in SIDES if not np.isnan(vals[s]).any()]
+                q = {s: np.percentile(vals[s], [25, 50, 75]) for s in sides}
+                line = f"{name} {m}: " + "  ".join(
+                    f"{s} {q[s][1]:.4g} (IQR {q[s][0]:.4g}-{q[s][2]:.4g})" for s in sides)
+                if len(sides) == 2:
+                    ratio = np.median(vals["change"] / vals["parent"])
+                    wins = int((vals["change"] < vals["parent"]).sum())
+                    line += (f"  change/parent per round {ratio:.3f}"
+                             f"  change faster in {wins} of {args.rounds}")
+                else:
+                    line += f"  (not measured on {', '.join(sorted(set(SIDES) - set(sides)))})"
+                print(line, flush=True)
     return 0
 
 

@@ -141,6 +141,17 @@ def plain_subblock_gemm(a: np.ndarray, b: np.ndarray, backend: str = "reference"
     return np.einsum("ik,kj->ij", _row_major(a), _row_major(b))
 
 
+def operand_keys(plan) -> tuple:
+    """The packed operands that the packed subblocks of a ``controller.Plan``
+    read, per side, one per subblock in C order: A's ``((i, l), W, z, c_a)``
+    and B's ``((l, j), W, z, c_b)``."""
+    i, j, l = (x.tolist() for x in np.nonzero(plan.options["w"] != 1))
+    packed = plan.options[i, j, l]
+    w, z = packed["w"].tolist(), packed["z"].tolist()
+    return (list(zip(zip(i, l), w, z, packed["c_a"].tolist())),
+            list(zip(zip(l, j), w, z, packed["c_b"].tolist())))
+
+
 def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
                 backend: str = "reference") -> np.ndarray:
     """Blocked A @ B where each L x L subblock product follows its plan entry.
@@ -154,9 +165,13 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
     with the plain path. Every plain product, one ``plain_subblock_gemm``
     call per plain subblock and one per border region, runs on
     ``backend``. Packed subblocks share one ``packing.Workspace`` and name
-    their tiles, A's ``(i, l)`` and B's ``(l, j)``, so each tile is
-    quantized and folded once per (W, z, c), B's for the whole multiply,
-    A's until block row i ends; every other call is a memo hit.
+    their tiles, A's ``(i, l)`` and B's ``(l, j)``. Before the first
+    product, ``packing.prepare_operands`` quantizes and folds every tile the
+    plan reads once per (W, z, c), stacked per (side, W, z), and the
+    workspace keeps them all for the whole multiply, so every packed call
+    is a memo hit. A tile that fails its check is not kept: the first call
+    that reads it quantizes it again and raises, or keeps it, as a call on
+    its own would; the error names that subblock.
     """
     from . import packing  # deferred: packing imports blocking
 
@@ -194,6 +209,8 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
         configs = dict(zip(packed.tolist(), cfgs))
     r = np.zeros((m, n), dtype=a.dtype)
     work = packing.Workspace(L, a.dtype)
+    if configs:  # every packed operand the plan reads, before the first product
+        packing.prepare_operands(work, plan.mode, (a, b), operand_keys(plan))
     b_tiles = [[b[l * L:(l + 1) * L, j * L:(j + 1) * L] for j in range(bj)] for l in range(bl)]
     for i in range(bi):
         rows = slice(i * L, (i + 1) * L)
@@ -213,7 +230,6 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
             if kf < k:
                 acc += plain_subblock_gemm(a[rows, kf:], b[kf:, j * L:(j + 1) * L], backend)
             r[rows, j * L:(j + 1) * L] = acc
-        work.operands[0].clear()  # no later block row reads A's tiles (i, l)
     if mf < m:
         r[mf:, :] = plain_subblock_gemm(a[mf:, :], b, backend)
     if nf < n:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, controller, matrixio, packing
-from .blocking import MULTIPLY_BACKEND, tiered_gemm
+from .blocking import MULTIPLY_BACKEND, operand_keys, tiered_gemm
 from .config import dtype_of, u_sys_of
 from .errors import (
     CalibrationMissingError,
@@ -182,15 +182,11 @@ def _exact_subblocks(plan: controller.Plan, precision: str) -> int:
 
 
 def _packed_operand_tiles(plan: controller.Plan) -> int:
-    """Operand tiles the packed subblocks quantize and fold: the distinct
-    (side, tile, W, z, c) of the plan, A's tile ``(i, l)`` with its c_a and
-    B's ``(l, j)`` with its c_b. ``tiered_gemm`` keeps each one's packed
-    operand for every subblock it enters."""
-    i, j, l = (x.tolist() for x in np.nonzero(plan.options["w"] > 1))
-    packed = plan.options[i, j, l]
-    w, z = packed["w"].tolist(), packed["z"].tolist()
-    return (len(set(zip(i, l, w, z, packed["c_a"].tolist())))
-            + len(set(zip(l, j, w, z, packed["c_b"].tolist()))))
+    """Operand tiles ``tiered_gemm`` quantizes and folds, all before its
+    first product: the distinct (side, tile, W, z, c) of the plan
+    (``blocking.operand_keys``). It keeps each one's packed operand for
+    every subblock it enters."""
+    return sum(len(set(keys)) for keys in operand_keys(plan))
 
 
 def _measured_snr(ref: np.ndarray, got: np.ndarray) -> float:

@@ -10,10 +10,15 @@ Every rounding goes half away from zero: one ``np.rint`` pass, and a fix
 of the ties found in its exact remainder. ``packed_subblock_product`` runs
 on a multiply's one ``Workspace``, which keeps each tile's packed operand:
 a tile is quantized, checked and folded once per (mode, W, z, c) in a
-multiply, and every other subblock it enters (a memo hit) runs only the
+multiply, and a subblock whose operands are kept (a memo hit) runs only the
 packed GEMM, the unpack, whose roundings share one tie search, and one
-dequantize pass. It and the public stages share the cores that do the
-arithmetic (``_quantize_into``, ``_fold``, ``_unpack_into``, ``_round_into``).
+dequantize pass. ``prepare_operands`` fills the memo before a multiply's
+first product, in stacked passes over many tiles of one (side, W, z), so
+that every packed subblock is a memo hit. All of them and the public stages
+share the cores that do the arithmetic: ``_quantize_into`` and
+``_pack_operands``, which take a stack of tiles (a stack of one where a
+call quantizes or folds one tile), ``_fold``, ``_unpack_into`` and
+``_round_into``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ _RANGE = {dt: (float(np.finfo(dt).tiny), float(np.finfo(dt).max)) for dt in _EXA
 # exact-integer limit: finite, with 2x for rounding, where L W z^(1-W) is below this
 _NO_OVERFLOW = {dt: _RANGE[dt][1] / (2 * n ** 2) for dt, n in _EXACT_INT_LIMIT.items()}
 _NO_GUARD = nullcontext()
+# Elements of both rows of one stacked step of ``prepare_operands``: 14
+# tiles at L=48, one at L=288
+_PREP_ELEMS = 1 << 16
 
 
 def _fix_ties(out, rem):
@@ -153,33 +161,36 @@ def _check_peak(tile, c: float) -> None:
         )
 
 
-def _quantize_into(tile, c, work, dest) -> None:
-    """Quantize one tile, with its check.
+def _quantize_into(tiles, cs, work) -> list:
+    """Quantize a stack of k tiles, with their checks: the one quantizer.
 
-    ``work`` has shape ``(2, n)``. The tile, which may be any view (such as
-    its W parts), is scaled in float64 and rounded once to the dtype into
-    ``dest``, a view of ``work[1]``; one ``rint`` pass writes its integers
-    to ``work[0]``, and the exact remainders overwrite the scaled values.
-    One max and one min reduction over each row find both the ties, which
-    are fixed, and the peak. Rounding is monotone, so the largest |integer|
-    is below the exact-integer limit only if ``c * max|tile|`` is, and above
-    it only if that is too: only integers that reach the limit, or are not
-    finite, send the tile itself to ``_check_peak``, which raises or lets it
-    pass. The caller sets ``np.errstate``.
+    ``work`` has shape ``(2, k, n)``. Tile t, which may be any view (such
+    as its W parts), is scaled by ``cs[t]`` in float64 and rounded once to
+    the dtype into ``work[1, t]``, in the tile's shape; one ``rint`` pass
+    over the stack writes the integers to ``work[0]``, and the exact
+    remainders overwrite the scaled values. One max and one min reduction
+    over the stack give each tile's extreme integers and remainders (NaN
+    if any is): a remainder of ±0.5 marks ties, which are fixed.
+    Returns, per tile, whether its integers are finite and below the
+    dtype's exact-integer limit. Rounding is monotone, so they are below it
+    only if ``c * max|tile|`` is, and at or above it only if that is too: a
+    tile that fails goes to ``_check_peak``, which raises or lets it pass.
+    The caller sets ``np.errstate``.
     """
     ints, rems = work
-    np.multiply(tile, c, out=dest, dtype=np.float64, casting="unsafe")
+    for tile, c, rem in zip(tiles, cs, rems):
+        np.multiply(tile, c, out=rem.reshape(tile.shape), dtype=np.float64, casting="unsafe")
     np.rint(rems, out=ints)
     np.subtract(rems, ints, out=rems)
-    if not ints.size:
-        return
-    (top, half), (bottom, minus_half) = (np.maximum.reduce(work, axis=1).tolist(),
-                                         np.minimum.reduce(work, axis=1).tolist())
+    if not ints.shape[1]:
+        return [True] * len(ints)
+    (tops, halves), (bottoms, minus_halves) = (np.maximum.reduce(work, axis=2).tolist(),
+                                               np.minimum.reduce(work, axis=2).tolist())
+    for t, (half, minus_half) in enumerate(zip(halves, minus_halves)):
+        if half == 0.5 or minus_half == -0.5:
+            _fix_ties(ints[t], rems[t])
     limit = _EXACT_INT_LIMIT[ints.dtype]
-    if not (top < limit and -bottom < limit):  # NaN fails too
-        _check_peak(tile, c)
-    if half == 0.5 or minus_half == -0.5:
-        _fix_ties(ints, rems)
+    return [top < limit and -bottom < limit for top, bottom in zip(tops, bottoms)]  # NaN fails
 
 
 def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
@@ -192,10 +203,11 @@ def quantize_subblock(tile: np.ndarray, c: float) -> np.ndarray:
     if c <= 0:
         raise InvalidConfigError(f"compander must be positive, got {c}")
     precision_of_dtype(tile.dtype)  # raises for an unsupported dtype
-    work = np.empty((2, tile.size), tile.dtype)
+    work = np.empty((2, 1, tile.size), tile.dtype)
     with np.errstate(over="ignore", invalid="ignore"):  # a tile it then rejects
-        _quantize_into(tile, c, work, work[1].reshape(tile.shape))
-    return work[0].reshape(tile.shape)
+        if not _quantize_into([tile], [c], work)[0]:
+            _check_peak(tile, c)
+    return work[0, 0].reshape(tile.shape)
 
 
 def dequantize(value, c_a: float, c_b: float, out=None):
@@ -306,7 +318,8 @@ def _powers(dtype: np.dtype, z: float, w: int) -> np.ndarray:
 def _fold(parts, powers, out=None, scaled=None):
     """``out[r] = (((0 + p_r0) + s_r1 p_r1) + s_r2 p_r2) + ...`` for the k
     operands of ``parts``, shape ``(k, W, n)``, with s from row r of
-    ``powers`` (s_r0 = 1; ``_powers``, or for B alone its rows from 1). One
+    ``powers`` (s_r0 = 1; ``_powers``, or for a stack of one side's operands
+    that side's row, which every operand reads). One
     multiply writes every scaled part to the C-ordered ``scaled``, and one
     add-reduce over the W axis, started from ``initial=0``, adds them in
     ascending i: the order of the one-part-at-a-time fold. From 0 + p_0, -0
@@ -319,8 +332,7 @@ def _fold(parts, powers, out=None, scaled=None):
 class _Views(NamedTuple):
     """The views of a ``Workspace`` that one (mode, W) reads and writes."""
 
-    quant: np.ndarray  # (2, n): a tile's integers, then its remainders
-    dests: tuple  # per side, the remainder row shaped as the tile's ``_parts``
+    quant: np.ndarray  # (2, 1, n): a stack of one tile's integers, then its remainders
     rbar: np.ndarray  # the packed product, then the unpack's residuals
     rems: np.ndarray  # the unpack's other remainders (asymmetric: all W)
     ties: np.ndarray  # flat, every remainder of the unpack
@@ -329,27 +341,40 @@ class _Views(NamedTuple):
 
 
 class Workspace(dict):
-    """One flat buffer of 3 L*L elements of the tile dtype that the packed
-    subblocks of one multiply run on, and, keyed by the tiles' (side, dtype,
-    mode, W), its ``_Views``, made on first use; a key of another side or
-    dtype raises. Rows 0 and 1 hold the integers and remainders of the tile
-    being quantized, then the unpack's remainders; row 1 the fold's scaled
-    parts and the packed product; row 2 the unpacked product.
+    """One flat buffer of the tile dtype that the packed subblocks of one
+    multiply run on, and, keyed by the tiles' (side, dtype, mode, W), its
+    ``_Views`` of the buffer's first 3 L*L elements, made on first use; a
+    key of another side or dtype raises. Rows 0 and 1 hold the integers and
+    remainders of the tile being quantized, then the unpack's remainders;
+    row 1 the fold's scaled parts and the packed product; row 2 the unpacked
+    product. ``stack`` grows the buffer to 2 k L*L elements for k tiles
+    quantized at a time.
 
     ``operands`` holds A's and B's packed operands, each by (tile index,
-    mode, W, z, c), for the calls that name their tiles; ``tiered_gemm``
-    clears A's at the end of each block row."""
+    mode, W, z, c), for the calls that name their tiles: ``tiered_gemm``
+    puts every one its plan reads there (``prepare_operands``) before its
+    first product and keeps them for the whole multiply."""
 
     def __init__(self, L: int, dtype):
         self.L, self.buf = L, np.empty(3 * L * L, dtype)
         self.operands = ({}, {})
+
+    def stack(self, k: int) -> np.ndarray:
+        """Rows 0 and 1 for k tiles, shape ``(2, k, L*L)``, from the start of
+        ``buf``, which first grows to hold them if it must; the views made
+        on a buffer it replaces are dropped."""
+        n = self.L * self.L
+        if 2 * k * n > self.buf.size:
+            self.buf = np.empty(2 * k * n, self.buf.dtype)
+            self.clear()
+        return self.buf[:2 * k * n].reshape(2, k, n)
 
     def __missing__(self, key):
         (L, dtype, mode, w), buf = key, self.buf
         if (L, dtype) != (self.L, buf.dtype):
             raise DimensionError(f"workspace of side {self.L} and {buf.dtype} "
                                  f"for tiles of side {L} and {dtype}")
-        rows3 = buf.reshape(3, L * L)
+        rows3 = buf[:3 * L * L].reshape(3, L * L)
         out = rows3[2].reshape(L, L)
         if mode == SYMMETRIC:
             rbar, rows = rows3[1].reshape(L, L), None
@@ -357,9 +382,7 @@ class Workspace(dict):
         else:
             rbar, rows = rows3[1, :L * L // w].reshape(L // w, L), _row_parts(out, w)
             rems, ties = rows3[0].reshape(w, L // w, L), rows3[0]
-        # the quantizer writes each tile as its _parts, in their shape
-        dests = tuple(rows3[1].reshape(_parts(out, side, mode, w).shape) for side in (0, 1))
-        self[key] = _Views(rows3[:2], dests, rbar, rems, ties, out, rows)
+        self[key] = _Views(rows3[:2, None], rbar, rems, ties, out, rows)
         return self[key]
 
 
@@ -466,18 +489,25 @@ def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float,
     return np.multiply(rt, 1.0 / z, out=v.out) if mode == SYMMETRIC else rt
 
 
-def _pack_operand(v, side, mode, w, z):
-    """The packed operand of side 0 (A) or 1 (B), as a new array, from the
-    integers of its tile in the ``_Views`` ``v``, laid out as the tile's
-    ``_parts``: folded (``pack_*``' arithmetic) or, for asymmetric B, the
-    tile itself. The fold's scaled parts go over the remainder row."""
-    ints = v.quant[0]
-    L = v.out.shape[0]
+def _pack_operands(ints, scaled, side, mode, w, z):
+    """The packed operands of a stack of k tiles of side 0 (A) or 1 (B), as
+    one new array of shape ``(k, ...)``, from their integers ``ints``, shape
+    ``(k, L*L)``, each laid out as its tile's ``_parts``: folded
+    (``pack_*``' arithmetic) or, for asymmetric B, the tiles themselves.
+    The fold's scaled parts go to ``scaled``, of the shape of ``ints``."""
+    k, n = ints.shape
+    L = math.isqrt(n)
     if mode == ASYMMETRIC and side:
-        return ints.reshape(L, L).copy()
-    (folded,) = _fold(ints.reshape(1, w, -1), _powers(ints.dtype, z, w)[side:], None,
-                      v.quant[1].reshape(1, w, -1))
-    return folded.reshape((L, L // w) if mode == SYMMETRIC and not side else (L // w, L))
+        return ints.reshape(k, L, L).copy()
+    folded = _fold(ints.reshape(k, w, -1), _powers(ints.dtype, z, w)[side:side + 1], None,
+                   scaled.reshape(k, w, -1))
+    return folded.reshape(k, *((L, L // w) if mode == SYMMETRIC and not side else (L // w, L)))
+
+
+def _pack_operand(v, side, mode, w, z):
+    """The packed operand of the one tile whose integers the ``_Views`` ``v``
+    hold, as a new array: ``_pack_operands`` on a stack of one."""
+    return _pack_operands(*v.quant, side, mode, w, z)[0]
 
 
 def _multiply_unpack(v, ops, mode, z):
@@ -496,11 +526,13 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
     reverse-compand, at a W of at least 2 (W=1 is the plain product).
 
     Bitwise the public stages run one after another: each tile is quantized
-    and checked (``_quantize_into``) and packed (``_pack_operand``), A
-    first, ``_multiply_unpack`` multiplies and unpacks, and the division is
-    ``dequantize``'s. ``tiles`` names the two tiles, ``(A's index, B's index)``: a
-    tile's packed operand is then kept in ``work.operands`` under (index,
-    mode, W, z, c) for later calls that name it, unless it fails its check.
+    and checked (``_quantize_into`` on a stack of one) and packed
+    (``_pack_operand``), A first, ``_multiply_unpack`` multiplies and
+    unpacks, and the division is ``dequantize``'s. ``tiles`` names the two
+    tiles, ``(A's index, B's index)``: a tile's packed operand is then
+    looked up in, or kept in, ``work.operands`` under (index, mode, W, z,
+    c), where ``prepare_operands`` may have put it; a tile that fails its
+    check is not kept.
     The result, a view of ``work`` (a new ``Workspace`` if None), lasts until its next call.
 
     A memo hit (both operands kept) runs two lookups, the packed GEMM, the
@@ -531,7 +563,9 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
         with np.errstate(over="ignore", invalid="ignore"):  # from a tile it rejects
             for side, (t, c) in enumerate(((a_tile, c_a), (b_tile, c_b))):
                 if ops[side] is None:
-                    _quantize_into(_parts(t, side, mode, w), c, v.quant, v.dests[side])
+                    tile = _parts(t, side, mode, w)
+                    if not _quantize_into([tile], [c], v.quant)[0]:
+                        _check_peak(tile, c)
                     ops[side] = memo[side][keys[side]] = _pack_operand(v, side, mode, w, z)
     d, (tiny, top) = float(c_a) * float(c_b), _RANGE[dt]  # d as in dequantize
     bounded = 0.0 < z <= 1.0 and L * w * z ** (1 - w) < _NO_OVERFLOW[dt]
@@ -542,3 +576,42 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
     if tiny <= z <= 1.0 and math.frexp(z)[0] == 0.5 and tiny <= d * z and d <= top:
         return np.divide(rt, d * z, out=v.out)
     return np.divide(np.multiply(rt, 1.0 / z, out=v.out), d, out=v.out)
+
+
+def prepare_operands(work: Workspace, mode: str, mats, keys) -> None:
+    """Put many tiles' packed operands in ``work.operands``, bitwise the ones
+    ``packed_subblock_product`` keeps for the calls that name them.
+
+    ``keys`` holds, per side (0 for A, 1 for B), ``((r, c), W, z, c)``
+    tuples: the L x L tile at block row r and block column c of
+    ``mats[side]``, with its W, z and compander c; repeats are dropped. The
+    tiles of one (side, W, z) are quantized, checked and folded as stacks
+    of as many as ``_PREP_ELEMS`` holds, on ``work.stack``. A tile whose
+    integers reach the exact-integer limit or are not finite is not kept:
+    the first call that names it quantizes it on its own, and raises or
+    keeps it. Nor are the tiles of a W that does not divide L, or of an
+    unsupported dtype: the first call that names one rejects it.
+    """
+    L, dt = work.L, work.buf.dtype
+    if dt not in _EXACT_INT_LIMIT:
+        return
+    chunk = max(1, _PREP_ELEMS // (2 * L * L))
+    with np.errstate(over="ignore", invalid="ignore"):  # from tiles it does not keep
+        for side, (m, side_keys) in enumerate(zip(mats, keys)):
+            groups, memo = {}, work.operands[side]
+            for rc, w, z, c in set(side_keys):
+                groups.setdefault((w, z), []).append((rc, c))
+            for (w, z), group in groups.items():
+                if L % w:
+                    continue
+                z = float(z)
+                for at in range(0, len(group), chunk):
+                    step = group[at:at + chunk]
+                    work_k = work.stack(len(step))
+                    kept = _quantize_into([_parts(m[i * L:(i + 1) * L, j * L:(j + 1) * L],
+                                                  side, mode, w) for (i, j), _ in step],
+                                          [c for _, c in step], work_k)
+                    ops = _pack_operands(*work_k, side, mode, w, z)
+                    for (rc, c), op, ok in zip(step, ops, kept):
+                        if ok:
+                            memo[rc, mode, w, z, c] = op

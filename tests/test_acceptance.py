@@ -264,7 +264,10 @@ def test_criterion_08_controller_correctness(calib48):
 
 
 def test_criterion_09_throughput():
-    """MAC ratio is exactly W; the packed W=2 pipeline beats plain at L=288."""
+    """MAC ratio is exactly W; the packed W=2 pipeline beats plain at L=288.
+
+    Each call is timed in this process's CPU time, so another process
+    loading the host does not count against either side."""
     import time
 
     rng = np.random.default_rng(SEED + 5)
@@ -275,14 +278,14 @@ def test_criterion_09_throughput():
     z = packing.compute_z(rmax)
 
     def t_plain():
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         plain_subblock_gemm(a, b)
-        return time.perf_counter() - t0
+        return time.process_time() - t0
 
     def t_packed():
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         packing.packed_product(a, b, packing.SYMMETRIC, 2, z)
-        return time.perf_counter() - t0
+        return time.process_time() - t0
 
     t_plain(), t_packed()  # warm-up
     gains = []

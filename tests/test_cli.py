@@ -308,21 +308,30 @@ class TestMultiplyCommand:
     def test_report_counts_the_tiles_quantized(self, workdir, tmp_path, monkeypatch,
                                                constraint, want):
         """``packed_operand_tiles`` is the number of tiles ``tiered_gemm``
-        quantizes: each A tile (i, l) and B tile (l, j) once per (W, z, c)."""
+        quantizes: each A tile (i, l) and B tile (l, j) once per (W, z, c),
+        counted through the stacked quantizer, all before the first product,
+        so every ``packed_subblock_product`` call is a memo hit."""
         from tdgemm import packing
 
         rng = np.random.default_rng(47)
         for name in ("a", "b"):
             matrixio.save_matrix(rng.standard_normal((4 * L, 4 * L)).astype(np.float32),
                                  tmp_path / f"{name}.tgmm")
-        calls = []
-        quantize = packing._quantize_into
+        calls, inside = [], []  # every tile quantized; per product call, the tiles it quantized
+        quantize, product = packing._quantize_into, packing.packed_subblock_product
 
-        def counting(*args):
-            calls.append(1)
-            return quantize(*args)
+        def counting(tiles, *args):
+            calls.extend([1] * len(tiles))
+            return quantize(tiles, *args)
+
+        def counted_product(*args):
+            before = len(calls)
+            result = product(*args)
+            inside.append(len(calls) - before)
+            return result
 
         monkeypatch.setattr(packing, "_quantize_into", counting)
+        monkeypatch.setattr(packing, "packed_subblock_product", counted_product)
         out = tmp_path / "o"
         assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"), "--out", str(out),
                          "multiply", str(tmp_path / "a.tgmm"), str(tmp_path / "b.tgmm"),
@@ -330,6 +339,7 @@ class TestMultiplyCommand:
         report = json.loads((out / "multiply_report.json").read_text())
         packed = sum(n for w, n in report["w_histogram"].items() if w != "1")
         assert 0 < report["packed_operand_tiles"] == len(calls) < 2 * packed
+        assert inside == [0] * packed
         if want is not None:
             assert (packed, len(calls)) == (4 ** 3, want)
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -926,7 +927,9 @@ class TestMemoHitPath:
     def test_memo_hit_runs_no_quantizer_and_no_parts(self, mode, monkeypatch):
         """A call whose operands are kept runs neither ``_quantize_into`` nor
         ``_parts``; a miss views and quantizes only the tile it misses. In
-        ``tiered_gemm`` the tiles quantized are ``packed_operand_tiles``."""
+        ``tiered_gemm`` the tiles quantized, counted through the stacked
+        quantizer, are ``packed_operand_tiles``, all before the first
+        product: every ``packed_subblock_product`` call is a memo hit."""
         from tdgemm import cli
         from tdgemm.blocking import tiered_gemm
 
@@ -936,7 +939,7 @@ class TestMemoHitPath:
         counts = {"_quantize_into": 0, "_parts": 0}
         for name in counts:
             def counting(*args, _fn=getattr(packing, name), _name=name):
-                counts[_name] += 1
+                counts[_name] += len(args[0]) if _name == "_quantize_into" else 1  # tiles
                 return _fn(*args)
             monkeypatch.setattr(packing, name, counting)
         rng = np.random.default_rng(15)
@@ -950,9 +953,119 @@ class TestMemoHitPath:
         configs = [[[cfg if (i + j + l) % 3 else None for l in range(3)] for j in range(3)]
                    for i in range(3)]
         plan = plan_of(mode, configs)
+        inside = []  # per packed_subblock_product call, the tiles it quantized
+
+        def product(*args, _fn=packing.packed_subblock_product):
+            before = counts["_quantize_into"]
+            result = _fn(*args)
+            inside.append(counts["_quantize_into"] - before)
+            return result
+
+        monkeypatch.setattr(packing, "packed_subblock_product", product)
         counts.update(_quantize_into=0)
         tiered_gemm(a, b, L, plan)
         assert counts["_quantize_into"] == cli._packed_operand_tiles(plan) == 3 * 3 + 3 * 3
+        assert inside == [0] * int((plan.options["w"] > 1).sum()) == [0] * 18
+
+
+class TestPrepareOperands:
+    """``prepare_operands``, the stacked quantize, check and fold that
+    ``tiered_gemm`` runs before its first product, against the frozen
+    per-tile pipeline, bit for bit: both modes and sides, W 2-4, both
+    dtypes, planted quantizer ties, several companders in one (W, z) group
+    and groups longer than one stacked step. A tile whose integers reach the
+    exact-integer limit, or are not finite, never enters the memo."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_stacked_equals_frozen_per_tile(self, data):
+        L = 12
+        mode = data.draw(st.sampled_from(packing.MODES))
+        dtype = data.draw(st.sampled_from(_DTYPES))
+        limit = packing._EXACT_INT_LIMIT[np.dtype(dtype)]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        mats = tuple((rng.standard_normal((2 * L, 3 * L))
+                      * data.draw(st.sampled_from([0.5, 4.0, 50.0]))).astype(dtype)
+                     for _ in range(2))
+        z_of = {w: 2.0 ** -data.draw(st.integers(6, 40)) for w in (2, 3, 4)}
+        cs = [data.draw(st.sampled_from([0.5, 1.0, 2.0, 7.3, 60.0])) for _ in range(3)]
+        keys = ([], [])
+        for _ in range(data.draw(st.integers(1, 12))):  # repeats included
+            w = data.draw(st.sampled_from([2, 3, 4]))
+            rc = (data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2)))
+            keys[data.draw(st.integers(0, 1))].append((rc, w, z_of[w], data.draw(st.sampled_from(cs))))
+
+        def tile(side, rc):
+            return mats[side][rc[0] * L:(rc[0] + 1) * L, rc[1] * L:(rc[1] + 1) * L]
+
+        for side in (0, 1):
+            for rc, _, _, c in keys[side]:  # quantizer ties at this compander
+                tile(side, rc).flat[rng.choice(L * L, 3, replace=False)] = \
+                    (rng.integers(-40, 40, 3) + 0.5) / c
+        for side in (0, 1):  # entries at, near or past the exact-integer limit
+            for rc, _, _, c in keys[side]:
+                bad = data.draw(st.sampled_from([None, None, "limit", 1e30, np.inf, -np.inf,
+                                                 np.nan]))
+                if bad is not None:
+                    tile(side, rc).flat[data.draw(st.integers(0, L * L - 1))] = (
+                        -limit / c if bad == "limit" else bad)
+        chunk = data.draw(st.sampled_from([1, 2, 3, 1000]))
+        work = packing.Workspace(L, dtype)
+        with mock.patch.object(packing, "_PREP_ELEMS", 2 * L * L * chunk):
+            packing.prepare_operands(work, mode, mats, (iter(keys[0]), iter(keys[1])))
+        for side in (0, 1):
+            kept = {}
+            for rc, w, z, c in keys[side]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q = _frozen_quantize(tile(side, rc), c)
+                if not np.abs(q).max() < limit:  # NaN fails too
+                    continue
+                if mode == packing.SYMMETRIC:
+                    want = _frozen_pack_symmetric(q, q, w, z)[side]
+                else:
+                    want = _frozen_pack_asymmetric(q, w, z) if side == 0 else q
+                kept[rc, mode, w, z, c] = want.tobytes()
+            memo = work.operands[side]
+            assert {k: op.tobytes() for k, op in memo.items()} == kept
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_first_failing_subblock_in_a_later_block_row(self, mode):
+        """Tiles that fail their check are quantized before the first product
+        but not kept: ``tiered_gemm`` still raises at the first failing
+        subblock in C order, kernel (1,1) subblock 1 here, where block row 0
+        runs plain, with the message of that call alone. A's tile (2, 0)
+        fails too, in a later subblock."""
+        from tdgemm.blocking import tiered_gemm
+
+        L = 12
+        rng = np.random.default_rng(16)
+        a, b = (rng.standard_normal((3 * L, 3 * L)).astype(np.float32) for _ in range(2))
+        a[2 * L + 1, 3] = 1e30  # A's tile (2, 0)
+        b[L + 4, L + 5] = np.inf  # B's tile (1, 1)
+        cfg = packing.PackingConfig(mode, 2, 2.0 ** -20, 1.0, 1.0, 1)
+        plan = plan_of(mode, [[[None if i == 0 else cfg] * 3] * 3 for i in range(3)])
+        with pytest.raises(QuantizerOverflowError) as alone:
+            packing.packed_subblock_product(a[L:2 * L, L:2 * L], b[L:2 * L, L:2 * L], cfg)
+        with pytest.raises(QuantizerOverflowError) as got:
+            tiered_gemm(a, b, L, plan)
+        assert str(got.value) == f"kernel (1,1) subblock 1: {alone.value}"
+        assert "not finite" in str(alone.value)
+
+    @pytest.mark.parametrize("w,dtype,error", [(5, np.float32, DimensionError),
+                                               (2, np.float16, InvalidConfigError)])
+    def test_what_a_call_rejects_is_left_to_it(self, w, dtype, error):
+        """A W that does not divide L, or an unsupported dtype, is not
+        prepared: ``tiered_gemm`` raises the error of its first packed call."""
+        from tdgemm.blocking import tiered_gemm
+
+        L = 12
+        a = np.ones((2 * L, 2 * L), dtype)
+        cfg = packing.PackingConfig(packing.SYMMETRIC, w, 2.0 ** -20, 1.0, 1.0, 1)
+        with pytest.raises(error) as alone:
+            packing.packed_subblock_product(a[:L, :L], a[:L, :L], cfg)
+        with pytest.raises(error) as got:
+            tiered_gemm(a, a, L, plan_of(packing.SYMMETRIC, [[[cfg] * 2] * 2] * 2))
+        assert str(got.value) == str(alone.value)
 
 
 class TestCompanderScalarTypes:
