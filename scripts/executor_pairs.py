@@ -17,8 +17,9 @@ imports its checkout's `src/` and times, on the same inputs and plan:
   after every other measure (not measured on a checkout without
   `prepare_operands`);
 - one memo-hit `packed_subblock_product`: a symmetric W=2 call on the
-  workload's first L x L tiles, whose named operands a first call put in
-  the workspace memo; the median of `--reps` batches of calls;
+  workload's first L x L tiles, whose named operands
+  `packing.prepare_operands` put in the workspace memo first; the median of
+  `--reps` batches of calls;
 - `plan_gemm` on a table `load_calibration` reads from the workload's
   `calibration.csv` each call, as `tdgemm multiply` runs them: the median of
   `--reps` calls after one warm-up call. The child first checks that its
@@ -84,6 +85,7 @@ z, c_a, c_b, rmax = d["memo_cfg"].tolist()
 cfg = packing.PackingConfig(packing.SYMMETRIC, 2, z, c_a, c_b, int(rmax))
 work = packing.Workspace(L, a.dtype)
 at, bt = a[:L, :L], b[:L, :L]
+packing.prepare_operands(work, cfg.mode, (at, bt), ([((0, 0), 2, z, c_a)], [((0, 0), 2, z, c_b)]))
 hit_s = median_s(lambda: packing.packed_subblock_product(at, bt, cfg, work, ((0, 0), (0, 0))),
                  batch=max(1, 200000 // L ** 2))
 

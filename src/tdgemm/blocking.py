@@ -166,12 +166,13 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
     call per plain subblock and one per border region, runs on
     ``backend``. Packed subblocks share one ``packing.Workspace`` and name
     their tiles, A's ``(i, l)`` and B's ``(l, j)``. Before the first
-    product, ``packing.prepare_operands`` quantizes and folds every tile the
-    plan reads once per (W, z, c), stacked per (side, W, z), and the
-    workspace keeps them all for the whole multiply, so every packed call
-    is a memo hit. A tile that fails its check is not kept: the first call
-    that reads it quantizes it again and raises, or keeps it, as a call on
-    its own would; the error names that subblock.
+    product, ``packing.prepare_operands`` quantizes, checks and folds every
+    tile the plan reads once per (W, z, c), stacked per (side, W, z), and
+    the workspace keeps them all for the whole multiply, so every packed
+    call is a memo hit. If a tile fails its check, the multiply raises
+    before any product, with the error a call on its own would raise,
+    prefixed with the first packed subblock in C order that reads a failing
+    tile, A's before B's.
     """
     from . import packing  # deferred: packing imports blocking
 
@@ -180,11 +181,18 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
     if a.dtype != b.dtype:
         raise DimensionError(f"mixed precisions {a.dtype} and {b.dtype}")
     _check_backend(backend)
+    if L < 1:
+        raise DimensionError(f"tile side must be >= 1, got {L}")
     m, k = a.shape
     n = b.shape[1]
     bi, bl, bj = m // L, k // L, n // L
     mf, kf, nf = bi * L, bl * L, bj * L
     configs = {}  # by subblock in C order; a subblock not in it runs plain
+
+    def where(p):  # the name of subblock p in C order
+        ij, l = divmod(p, bl)
+        return f"kernel ({ij // bj},{ij % bj}) subblock {l}"
+
     if plan is not None:
         if plan.options.shape != (bi, bj, bl):
             raise DimensionError(f"plan has {plan.options.shape} subblock options, "
@@ -203,30 +211,29 @@ def tiered_gemm(a: np.ndarray, b: np.ndarray, L: int, plan=None,
                 try:
                     cfg.validate()
                 except InvalidConfigError as exc:
-                    ij, l = divmod(p, bl)
-                    raise InvalidConfigError(
-                        f"kernel ({ij // bj},{ij % bj}) subblock {l}: {exc}") from exc
+                    raise InvalidConfigError(f"{where(p)}: {exc}") from exc
         configs = dict(zip(packed.tolist(), cfgs))
     r = np.zeros((m, n), dtype=a.dtype)
     work = packing.Workspace(L, a.dtype)
     if configs:  # every packed operand the plan reads, before the first product
-        packing.prepare_operands(work, plan.mode, (a, b), operand_keys(plan))
+        keys = operand_keys(plan)
+        errors = packing.prepare_operands(work, plan.mode, (a, b), keys)
+        for p, key_a, key_b in zip(configs, *keys) if errors else ():  # C order
+            exc = errors.get((0, key_a)) or errors.get((1, key_b))  # A's tile first
+            if exc:
+                raise QuantizerOverflowError(f"{where(p)}: {exc}") from exc
     b_tiles = [[b[l * L:(l + 1) * L, j * L:(j + 1) * L] for j in range(bj)] for l in range(bl)]
     for i in range(bi):
         rows = slice(i * L, (i + 1) * L)
         a_tiles = [a[rows, l * L:(l + 1) * L] for l in range(bl)]
         for j in range(bj):
             acc, p = np.zeros((L, L), dtype=a.dtype), (i * bj + j) * bl
-            try:
-                for l, (at, bt) in enumerate(zip(a_tiles, b_tiles)):
-                    cfg = configs.get(p + l)
-                    if cfg is None:
-                        acc += plain_subblock_gemm(at, bt[j], backend)
-                    else:
-                        acc += packing.packed_subblock_product(at, bt[j], cfg, work,
-                                                               ((i, l), (l, j)))
-            except QuantizerOverflowError as exc:
-                raise QuantizerOverflowError(f"kernel ({i},{j}) subblock {l}: {exc}") from exc
+            for l, (at, bt) in enumerate(zip(a_tiles, b_tiles)):
+                cfg = configs.get(p + l)
+                if cfg is None:
+                    acc += plain_subblock_gemm(at, bt[j], backend)
+                else:
+                    acc += packing.packed_subblock_product(at, bt[j], cfg, work, ((i, l), (l, j)))
             if kf < k:
                 acc += plain_subblock_gemm(a[rows, kf:], b[kf:, j * L:(j + 1) * L], backend)
             r[rows, j * L:(j + 1) * L] = acc

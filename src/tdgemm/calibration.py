@@ -133,8 +133,8 @@ def measure_repr_noise(L: int, precision: str, mode: str, w: int,
     most R_max: in the tiles' own precision when R_max is below its exact
     integer limit, else in float64. The packed product measured is
     ``packing.packed_product``: the pack, multiply and unpack that
-    ``multiply`` runs on a packed subblock (both go through
-    ``packing._pack_operand`` and ``packing._multiply_unpack``), without its
+    ``multiply`` runs on a packed subblock (both fold through
+    ``packing._pack_operands`` and end in ``packing._product``), without its
     quantize and dequantize.
     """
     if w < 2:
@@ -216,7 +216,7 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
 
     Each side is timed as ``tiered_gemm`` runs it on one L x L subblock:
     ``packing.packed_subblock_product`` with unit companders, a memo hit on
-    tiles an untimed call packed, against ``plain_subblock_gemm`` on
+    tiles ``packing.prepare_operands`` packed, against ``plain_subblock_gemm`` on
     ``MULTIPLY_BACKEND``, the BLAS product ``multiply`` runs a W=1 subblock
     on, on the same integer tiles.
     A warm-up runs calls until ``_SAMPLE_S`` has passed, and each of the
@@ -264,7 +264,7 @@ def measure_speedup_profile(L: int, precision: str, mode: str, w_set=(2, 3, 4),
         if w == 1:
             continue
         cfg = packing.PackingConfig(mode=mode, w=w, z=z, c_a=1.0, c_b=1.0, rmax=rmax)
-        packing.packed_subblock_product(at, bt, cfg, work, ((0, 0), (0, 0)))  # fills the memo
+        packing.prepare_operands(work, mode, (at, bt), ([((0, 0), w, z, 1.0)],) * 2)
         t_packed = timed(packing.packed_subblock_product, at, bt, cfg, work, ((0, 0), (0, 0)))
         profile.entries.append(
             ProfileEntry(

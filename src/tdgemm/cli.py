@@ -397,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_at_least_1("--l", args.l)
         return args.func(args)
     except InfeasibleConstraintError as exc:
         print(f"infeasible constraint: {exc}", file=sys.stderr)

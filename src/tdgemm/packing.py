@@ -7,18 +7,15 @@ asymmetric mode packs W rows of A and leaves B unpacked. The packed operands
 are multiplied by the BLAS GEMM behind ``np.matmul``.
 
 Every rounding goes half away from zero: one ``np.rint`` pass, and a fix
-of the ties found in its exact remainder. ``packed_subblock_product`` runs
-on a multiply's one ``Workspace``, which keeps each tile's packed operand:
-a tile is quantized, checked and folded once per (mode, W, z, c) in a
-multiply, and a subblock whose operands are kept (a memo hit) runs only the
-packed GEMM, the unpack, whose roundings share one tie search, and one
-dequantize pass. ``prepare_operands`` fills the memo before a multiply's
-first product, in stacked passes over many tiles of one (side, W, z), so
-that every packed subblock is a memo hit. All of them and the public stages
-share the cores that do the arithmetic: ``_quantize_into`` and
-``_pack_operands``, which take a stack of tiles (a stack of one where a
-call quantizes or folds one tile), ``_fold``, ``_unpack_into`` and
-``_round_into``.
+of the ties found in its exact remainder. ``prepare_operands`` makes every
+packed operand a subblock product reads: it quantizes, checks and folds
+stacks of tiles of one (side, W, z) into the memo of a ``Workspace``. A
+``packed_subblock_product`` call that names its tiles looks both up and
+runs only ``_product``: the packed GEMM, the unpack, whose roundings share
+one tie search, and one dequantize pass. ``packed_product`` folds integer
+tiles as they are and shares that tail. They and the public stages share
+the cores that do the arithmetic: ``_quantize_into``, ``_pack_operands``,
+``_fold``, ``_unpack_into`` and ``_round_into``.
 """
 
 from __future__ import annotations
@@ -332,7 +329,6 @@ def _fold(parts, powers, out=None, scaled=None):
 class _Views(NamedTuple):
     """The views of a ``Workspace`` that one (mode, W) reads and writes."""
 
-    quant: np.ndarray  # (2, 1, n): a stack of one tile's integers, then its remainders
     rbar: np.ndarray  # the packed product, then the unpack's residuals
     rems: np.ndarray  # the unpack's other remainders (asymmetric: all W)
     ties: np.ndarray  # flat, every remainder of the unpack
@@ -341,14 +337,12 @@ class _Views(NamedTuple):
 
 
 class Workspace(dict):
-    """One flat buffer of the tile dtype that the packed subblocks of one
-    multiply run on, and, keyed by the tiles' (side, dtype, mode, W), its
-    ``_Views`` of the buffer's first 3 L*L elements, made on first use; a
-    key of another side or dtype raises. Rows 0 and 1 hold the integers and
-    remainders of the tile being quantized, then the unpack's remainders;
-    row 1 the fold's scaled parts and the packed product; row 2 the unpacked
-    product. ``stack`` grows the buffer to 2 k L*L elements for k tiles
-    quantized at a time.
+    """What the packed subblocks of one multiply, all of tile side L and one
+    dtype, run on: one flat buffer ``buf`` of that dtype and, keyed by
+    (mode, W), its ``_Views`` of the buffer's first 3 L*L elements, made on
+    first use. Rows 0 and 1 hold the unpack's remainders, row 1 the packed
+    product, row 2 the unpacked product. ``stack`` gives rows 0 and 1 to the
+    k tiles ``prepare_operands`` or ``packed_product`` folds at a time.
 
     ``operands`` holds A's and B's packed operands, each by (tile index,
     mode, W, z, c), for the calls that name their tiles: ``tiered_gemm``
@@ -370,10 +364,7 @@ class Workspace(dict):
         return self.buf[:2 * k * n].reshape(2, k, n)
 
     def __missing__(self, key):
-        (L, dtype, mode, w), buf = key, self.buf
-        if (L, dtype) != (self.L, buf.dtype):
-            raise DimensionError(f"workspace of side {self.L} and {buf.dtype} "
-                                 f"for tiles of side {L} and {dtype}")
+        (mode, w), L, buf = key, self.L, self.buf
         rows3 = buf[:3 * L * L].reshape(3, L * L)
         out = rows3[2].reshape(L, L)
         if mode == SYMMETRIC:
@@ -382,7 +373,7 @@ class Workspace(dict):
         else:
             rbar, rows = rows3[1, :L * L // w].reshape(L // w, L), _row_parts(out, w)
             rems, ties = rows3[0].reshape(w, L // w, L), rows3[0]
-        self[key] = _Views(rows3[:2, None], rbar, rems, ties, out, rows)
+        self[key] = _Views(rbar, rems, ties, out, rows)
         return self[key]
 
 
@@ -469,24 +460,21 @@ def packed_product(at: np.ndarray, bt: np.ndarray, mode: str, w: int, z: float,
     outside it the bits depend on the BLAS build. W=1 is the plain product
     on the order-matched ``reference`` backend, the oracle of the packed
     path, not the ``blas`` backend ``tdgemm multiply`` runs its W=1
-    subblocks on. ``work`` is as in ``packed_subblock_product``.
+    subblocks on. ``work`` is as in ``packed_subblock_product``, and the
+    result is bitwise its result at unit companders.
     """
     if w == 1:
         return plain_subblock_gemm(at, bt)
     if mode not in MODES:
         raise InvalidConfigError(f"unknown mode {mode!r}")
-    _check_quantized_pair(at, bt)
-    L = at.shape[0]
-    _check_side(L, w)
-    v = (Workspace(L, at.dtype) if work is None else work)[L, at.dtype, mode, w]
-    z, ops = float(z), []
-    with np.errstate(invalid="ignore"):  # inf - inf for infinite entries
-        for side, t in enumerate((at, bt)):
-            tile = _parts(t, side, mode, w)
-            np.copyto(v.quant[0].reshape(tile.shape), tile)
-            ops.append(_pack_operand(v, side, mode, w, z))
-        rt = _multiply_unpack(v, ops, mode, z)
-    return np.multiply(rt, 1.0 / z, out=v.out) if mode == SYMMETRIC else rt
+    work = _workspace_for(at, bt, work)
+    _check_side(work.L, w)
+    z, (ints, scaled), ops = float(z), work.stack(1), []
+    for side, t in enumerate((at, bt)):
+        tile = _parts(t, side, mode, w)
+        np.copyto(ints[0].reshape(tile.shape), tile)
+        ops.append(_pack_operands(ints, scaled, side, mode, w, z)[0])
+    return _product(work, ops, mode, w, z, 1.0)
 
 
 def _pack_operands(ints, scaled, side, mode, w, z):
@@ -504,73 +492,38 @@ def _pack_operands(ints, scaled, side, mode, w, z):
     return folded.reshape(k, *((L, L // w) if mode == SYMMETRIC and not side else (L // w, L)))
 
 
-def _pack_operand(v, side, mode, w, z):
-    """The packed operand of the one tile whose integers the ``_Views`` ``v``
-    hold, as a new array: ``_pack_operands`` on a stack of one."""
-    return _pack_operands(*v.quant, side, mode, w, z)[0]
+def _workspace_for(at, bt, work):
+    """``work``, or a new ``Workspace`` if None, checked against the tiles ``at`` and ``bt``."""
+    _check_quantized_pair(at, bt)
+    L, dt = at.shape[0], at.dtype
+    precision_of_dtype(dt)  # raises for an unsupported dtype
+    if work is None:
+        return Workspace(L, dt)
+    if (L, dt) != (work.L, work.buf.dtype):
+        raise DimensionError(f"workspace of side {work.L} and {work.buf.dtype} "
+                             f"for tiles of side {L} and {dt}")
+    return work
 
 
-def _multiply_unpack(v, ops, mode, z):
-    """Multiply and unpack ``ops`` into ``v.rbar`` (symmetric, unscaled) or
-    ``v.out``, bitwise as ``multiply_packed_*`` and ``unpack_*``: one tie
-    search serves every rounding; only after a tie is it redone, fixing each."""
-    _unpack_into(np.matmul(*ops, out=v.rbar), v.out, v.rows, v.rems, z, False)
-    if _has_tie(v.ties):
-        _unpack_into(np.matmul(*ops, out=v.rbar), v.out, v.rows, v.rems, z, True)
-    return v.rbar if mode == SYMMETRIC else v.out
-
-
-def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig,
-                            work: Workspace | None = None, tiles=None) -> np.ndarray:
-    """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
-    reverse-compand, at a W of at least 2 (W=1 is the plain product).
-
-    Bitwise the public stages run one after another: each tile is quantized
-    and checked (``_quantize_into`` on a stack of one) and packed
-    (``_pack_operand``), A first, ``_multiply_unpack`` multiplies and
-    unpacks, and the division is ``dequantize``'s. ``tiles`` names the two
-    tiles, ``(A's index, B's index)``: a tile's packed operand is then
-    looked up in, or kept in, ``work.operands`` under (index, mode, W, z,
-    c), where ``prepare_operands`` may have put it; a tile that fails its
-    check is not kept.
-    The result, a view of ``work`` (a new ``Workspace`` if None), lasts until its next call.
-
-    A memo hit (both operands kept) runs two lookups, the packed GEMM, the
-    unpack and one division into the result, with no ``np.errstate`` where
-    ``_NO_OVERFLOW`` keeps the product finite. In symmetric mode that division
-    also scales by z^-1: z u - round(z u) over the divisor times z, exact
-    where z is a power of two at most 1 and that product a normal float.
+def _product(work, ops, mode, w, z, d):
+    """The packed GEMM of ``ops`` on ``work``, the unpack and one division
+    by ``d`` into a view of ``work``: the tail of ``packed_subblock_product``
+    (d = c_a c_b, as in ``dequantize``) and of ``packed_product`` (d = 1).
+    Bitwise ``multiply_packed_*``, ``unpack_*`` and the division: one tie
+    search serves every rounding of the unpack, redone fixing each only
+    after a tie, with no ``np.errstate`` where ``_NO_OVERFLOW`` keeps the
+    product of two checked tiles finite. In symmetric mode the division also
+    scales by z^-1: z u - round(z u) over d z, exact where z is a power of
+    two at most 1 and d z a normal float; at d = 1 it is the multiply by z^-1.
     """
-    mode, w, z, c_a, c_b, _ = cfg
-    z = float(z)
-    if w < 2:
-        raise InvalidConfigError(f"packing needs W >= 2, got {w}")
-    if mode not in MODES:
-        raise InvalidConfigError(f"unknown mode {mode!r}")
-    if c_a <= 0 or c_b <= 0:
-        raise InvalidConfigError("companders must be positive")
-    _check_quantized_pair(a_tile, b_tile)
-    dt, L = a_tile.dtype, a_tile.shape[0]
-    if dt not in _EXACT_INT_LIMIT:
-        precision_of_dtype(dt)  # raises for an unsupported dtype
-    _check_side(L, w)
-    work = Workspace(L, dt) if work is None else work
-    v = work[L, dt, mode, w]
-    memo, (ta, tb) = (work.operands, tiles) if tiles is not None else (({}, {}), (0, 0))
-    keys = (ta, mode, w, z, c_a), (tb, mode, w, z, c_b)
-    ops = [memo[0].get(keys[0]), memo[1].get(keys[1])]
-    if ops[0] is None or ops[1] is None:
-        with np.errstate(over="ignore", invalid="ignore"):  # from a tile it rejects
-            for side, (t, c) in enumerate(((a_tile, c_a), (b_tile, c_b))):
-                if ops[side] is None:
-                    tile = _parts(t, side, mode, w)
-                    if not _quantize_into([tile], [c], v.quant)[0]:
-                        _check_peak(tile, c)
-                    ops[side] = memo[side][keys[side]] = _pack_operand(v, side, mode, w, z)
-    d, (tiny, top) = float(c_a) * float(c_b), _RANGE[dt]  # d as in dequantize
+    v, dt, L = work[mode, w], work.buf.dtype, work.L
+    tiny, top = _RANGE[dt]
     bounded = 0.0 < z <= 1.0 and L * w * z ** (1 - w) < _NO_OVERFLOW[dt]
     with _NO_GUARD if bounded else np.errstate(over="ignore", invalid="ignore"):
-        rt = _multiply_unpack(v, ops, mode, z)
+        _unpack_into(np.matmul(*ops, out=v.rbar), v.out, v.rows, v.rems, z, False)
+        if _has_tie(v.ties):
+            _unpack_into(np.matmul(*ops, out=v.rbar), v.out, v.rows, v.rems, z, True)
+    rt = v.rbar if mode == SYMMETRIC else v.out
     if mode == ASYMMETRIC:
         return np.divide(rt, d, out=rt)
     if tiny <= z <= 1.0 and math.frexp(z)[0] == 0.5 and tiny <= d * z and d <= top:
@@ -578,40 +531,78 @@ def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: Packing
     return np.divide(np.multiply(rt, 1.0 / z, out=v.out), d, out=v.out)
 
 
-def prepare_operands(work: Workspace, mode: str, mats, keys) -> None:
-    """Put many tiles' packed operands in ``work.operands``, bitwise the ones
-    ``packed_subblock_product`` keeps for the calls that name them.
+def packed_subblock_product(a_tile: np.ndarray, b_tile: np.ndarray, cfg: PackingConfig,
+                            work: Workspace | None = None, tiles=None) -> np.ndarray:
+    """Full pipeline for one subblock pair: quantize, pack, multiply, unpack,
+    reverse-compand, at a W of at least 2 (W=1 is the plain product).
+
+    ``tiles`` names the two tiles, ``(A's index, B's index)``, whose packed
+    operands ``prepare_operands`` put in ``work.operands``: the call then
+    runs two lookups and ``_product``, and checks nothing. Without ``tiles``
+    it checks its config and tiles, prepares them into a memo of its own
+    and raises the error of a tile that fails its check, A's first. Either
+    way the result is bitwise the public stages run in turn; it is a view of
+    ``work`` (a new ``Workspace`` if None) that lasts until its next call.
+    """
+    mode, w, z, c_a, c_b, _ = cfg
+    z = float(z)
+    if tiles is None:
+        if w < 2:
+            raise InvalidConfigError(f"packing needs W >= 2, got {w}")
+        if mode not in MODES:
+            raise InvalidConfigError(f"unknown mode {mode!r}")
+        if c_a <= 0 or c_b <= 0:
+            raise InvalidConfigError("companders must be positive")
+        work, tiles, memo = _workspace_for(a_tile, b_tile, work), ((0, 0), (0, 0)), ({}, {})
+        errors = prepare_operands(work, mode, (a_tile, b_tile),
+                                  ([(tiles[0], w, z, c_a)], [(tiles[1], w, z, c_b)]), memo)
+        if errors:
+            raise next(iter(errors.values()))
+    else:
+        memo = work.operands
+    ops = memo[0][tiles[0], mode, w, z, c_a], memo[1][tiles[1], mode, w, z, c_b]
+    return _product(work, ops, mode, w, z, float(c_a) * float(c_b))
+
+
+def prepare_operands(work: Workspace, mode: str, mats, keys, memo=None) -> dict:
+    """Quantize, check and fold the packed operands of many tiles into
+    ``memo`` (``work.operands`` if None): the one place one is made.
 
     ``keys`` holds, per side (0 for A, 1 for B), ``((r, c), W, z, c)``
     tuples: the L x L tile at block row r and block column c of
     ``mats[side]``, with its W, z and compander c; repeats are dropped. The
     tiles of one (side, W, z) are quantized, checked and folded as stacks
-    of as many as ``_PREP_ELEMS`` holds, on ``work.stack``. A tile whose
-    integers reach the exact-integer limit or are not finite is not kept:
-    the first call that names it quantizes it on its own, and raises or
-    keeps it. Nor are the tiles of a W that does not divide L, or of an
-    unsupported dtype: the first call that names one rejects it.
+    of as many as ``_PREP_ELEMS`` holds, on ``work.stack``, and each is kept
+    under ``((r, c), mode, W, z, c)``. A tile whose integers reach the
+    exact-integer limit, or are not finite, goes to ``_check_peak``: one it
+    lets pass is kept, and for one it rejects the dict returned holds its
+    error under ``(side, key)``, A's first. An unsupported dtype, or a W
+    that does not divide L, raises.
     """
     L, dt = work.L, work.buf.dtype
-    if dt not in _EXACT_INT_LIMIT:
-        return
-    chunk = max(1, _PREP_ELEMS // (2 * L * L))
-    with np.errstate(over="ignore", invalid="ignore"):  # from tiles it does not keep
+    precision_of_dtype(dt)  # raises for an unsupported dtype
+    memo = work.operands if memo is None else memo
+    chunk, errors = max(1, _PREP_ELEMS // (2 * L * L)), {}
+    with np.errstate(over="ignore", invalid="ignore"):  # from tiles it rejects
         for side, (m, side_keys) in enumerate(zip(mats, keys)):
-            groups, memo = {}, work.operands[side]
-            for rc, w, z, c in set(side_keys):
-                groups.setdefault((w, z), []).append((rc, c))
+            groups = {}
+            for key in dict.fromkeys(side_keys):
+                groups.setdefault((key[1], float(key[2])), []).append(key)
             for (w, z), group in groups.items():
-                if L % w:
-                    continue
-                z = float(z)
+                _check_side(L, w)
                 for at in range(0, len(group), chunk):
                     step = group[at:at + chunk]
+                    tiles = [_parts(m[i * L:(i + 1) * L, j * L:(j + 1) * L], side, mode, w)
+                             for (i, j), *_ in step]
                     work_k = work.stack(len(step))
-                    kept = _quantize_into([_parts(m[i * L:(i + 1) * L, j * L:(j + 1) * L],
-                                                  side, mode, w) for (i, j), _ in step],
-                                          [c for _, c in step], work_k)
+                    kept = _quantize_into(tiles, [key[3] for key in step], work_k)
                     ops = _pack_operands(*work_k, side, mode, w, z)
-                    for (rc, c), op, ok in zip(step, ops, kept):
-                        if ok:
-                            memo[rc, mode, w, z, c] = op
+                    for key, tile, op, ok in zip(step, tiles, ops, kept):
+                        try:
+                            if not ok:
+                                _check_peak(tile, key[3])
+                        except QuantizerOverflowError as exc:
+                            errors[side, key] = exc
+                        else:
+                            memo[side][key[0], mode, w, z, key[3]] = op
+    return errors

@@ -339,6 +339,31 @@ class TestTieredGemm:
         plain.assert_not_called()
         packed.assert_not_called()
 
+    @pytest.mark.parametrize("L", [0, -3])
+    def test_tile_side_below_1_rejected(self, L):
+        a = np.ones((8, 8), np.float32)
+        with pytest.raises(DimensionError, match=f"tile side must be >= 1, got {L}"):
+            tiered_gemm(a, a, L)
+
+    @pytest.mark.parametrize("mode", packing.MODES)
+    def test_failing_tile_raises_before_any_product(self, mode):
+        """A tile that fails its overflow check stops the multiply before
+        its first product, plain or packed, though only the last block row
+        reads it."""
+        a = np.ones((3 * 4, 2 * 4), np.float32)
+        a[2 * 4 + 1, 4 + 2] = np.inf  # A's tile (2, 1)
+        cfg = packing.PackingConfig(mode, 2, 2.0 ** -20, 1.0, 1.0, 1)
+        plan = plan_of(mode, [[[None, cfg]] * 3] * 3)
+        with mock.patch.object(blocking, "plain_subblock_gemm",
+                               wraps=plain_subblock_gemm) as plain, \
+                mock.patch.object(packing, "packed_subblock_product",
+                                  wraps=packing.packed_subblock_product) as packed:
+            with pytest.raises(QuantizerOverflowError,
+                               match=r"^kernel \(2,0\) subblock 1: companded amplitude inf"):
+                tiered_gemm(a, np.ones((2 * 4, 3 * 4), np.float32), 4, plan)
+        plain.assert_not_called()
+        packed.assert_not_called()
+
     def test_overflow_names_its_kernel_and_subblock(self):
         """A packed product's overflow is raised again with the type it had,
         chained, and with the prefix of the plan checks."""

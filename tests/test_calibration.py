@@ -118,8 +118,8 @@ class TestSpeedupProfile:
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
         """Each timed side is what ``tiered_gemm`` runs per subblock: the
         packed call with unit companders on one workspace, on named tiles
-        whose packed operands one untimed call put in the memo, so every
-        timed call is a memo hit, and the two-operand plain product on the
+        whose packed operands ``prepare_operands`` put in the memo, so every
+        packed call is a memo hit, and the two-operand plain product on the
         backend ``multiply`` runs, on the same tiles. The warm-up runs calls
         until ``_SAMPLE_S`` has passed, and each sample times a batch of as
         many calls. A fake clock advances 0.3 ms per plain call and 0.45 ms
@@ -151,9 +151,9 @@ class TestSpeedupProfile:
         profile = cal.measure_speedup_profile(48, "single", "asymmetric", w_set=(2, 3),
                                               repetitions=3, seed=1)
         names = [name for name, *_ in calls]
-        assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (1 + 3 + 3 * 3)
-        # only the first packed call of each W, untimed, quantizes both tiles
-        assert quantized == [17, 17, 30, 30]
+        assert names == ["plain"] * (4 + 3 * 4) + ["packed"] * 2 * (3 + 3 * 3)
+        # only prepare_operands quantizes, both tiles, before each W's first call
+        assert quantized == [16, 16, 28, 28]
         at, bt = calls[0][1]
         assert at.shape == bt.shape == (48, 48) and at.dtype == bt.dtype == np.float32
         for _, args, kwargs in calls[:16]:
@@ -165,7 +165,7 @@ class TestSpeedupProfile:
             assert (cfg.mode, cfg.c_a, cfg.c_b) == ("asymmetric", 1.0, 1.0)
             ws.append(cfg.w)
             assert w_space is work  # one workspace, as tiered_gemm runs them
-        assert ws == [2] * 13 + [3] * 13
+        assert ws == [2] * 12 + [3] * 12
         assert isinstance(work, cal.packing.Workspace) and work.L == 48
         for e in profile.entries:
             assert e.fw_percent == pytest.approx((0.3 / 0.45 - 1.0) * 100.0)

@@ -219,6 +219,21 @@ def test_w_and_grid_flags_checked_up_front(workdir, tmp_path, capsys, argv, mess
         assert not out.exists()
 
 
+@pytest.mark.parametrize("tile_side", [0, -3])
+@pytest.mark.parametrize("argv", [["calibrate"], ["profile"], ["solutions"],
+                                  ["multiply", "a", "b", "--plain"],
+                                  ["multiply", "a", "b", "--snr-db", "20"], ["sweep"]])
+def test_tile_side_below_1_rejected(workdir, tmp_path, capsys, argv, tile_side):
+    """A ``--l`` below 1 exits 1 with an error line that names the flag,
+    whatever the command, before any output is made: no ``result.tgmm``."""
+    out = tmp_path / "o"
+    argv = [str(workdir / f"{x}.tgmm") if x in "ab" else x for x in argv]
+    code = cli.main(["--l", str(tile_side), "--tables", str(workdir / "tables"),
+                     "--out", str(out), *argv])
+    assert (code, capsys.readouterr().err) == (1, f"error: --l must be >= 1, got {tile_side}\n")
+    assert not out.exists()
+
+
 class TestMultiplyCommand:
     def test_plain_matches_reference(self, workdir, tmp_path):
         out = tmp_path / "plain"

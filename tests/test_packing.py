@@ -268,6 +268,26 @@ class TestPackedProductAgainstOrderMatched:
         assert blas <= 1.15 * oracle
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_product_is_the_unit_compander_call(data):
+    """``packed_product``, calibrate's entry, is bitwise
+    ``packed_subblock_product`` at unit companders on integer tiles: both
+    modes, W 2-4, both dtypes, z a power of two or not, amplitudes inside
+    and outside the exact region."""
+    L, mode = data.draw(st.sampled_from([12, 24])), data.draw(st.sampled_from(packing.MODES))
+    w, dtype = data.draw(st.sampled_from([2, 3, 4])), data.draw(st.sampled_from(_DTYPES))
+    z = 2.0 ** -data.draw(st.integers(6, 40)) * data.draw(st.sampled_from([1.0, 0.75, 0.625]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    at, bt = _integer_tiles(rng, L, *(data.draw(st.sampled_from([1, 20, 3000])) for _ in "ab"),
+                            dtype)
+    at.flat[rng.choice(L * L, 5, replace=False)] = -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = packing.packed_subblock_product(at, bt, packing.PackingConfig(mode, w, z, 1.0,
+                                                                             1.0, 1)).tobytes()
+        assert packing.packed_product(at, bt, mode, w, z).tobytes() == want
+
+
 class TestPackShapes:
     def test_symmetric_shapes(self):
         at = np.zeros((12, 12), np.float32)
@@ -610,7 +630,8 @@ def _row_parts(t, w):
 class TestOnePassFold:
     """Both symmetric operands folded by one multiply and one add-reduce
     (``pack_symmetric``), and each folded on its own as the executor folds
-    it (``_pack_operand``), equal the two one-operand folds, bit for bit."""
+    it (``prepare_operands``, from the tile's integers at unit compander),
+    equal the two one-operand folds, bit for bit."""
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -626,11 +647,12 @@ class TestOnePassFold:
             want_a = _frozen_fold(_col_parts(at, w), zpow)
             want_b = _frozen_fold(_row_parts(bt, w), zinvpow)
             work = packing.Workspace(L, dtype)
-            v = work[L, np.dtype(dtype), packing.SYMMETRIC, w]
-            for side, (part, want) in enumerate(((_col_parts(at, w), want_a),
-                                                 (_row_parts(bt, w), want_b))):
-                v.quant[0].reshape(part.shape)[...] = part
-                op = packing._pack_operand(v, side, packing.SYMMETRIC, w, z)
+            assert not packing.prepare_operands(work, packing.SYMMETRIC, (at, bt),
+                                                ([((0, 0), w, z, 1.0)],) * 2)
+            qa, qb = _frozen_quantize(at, 1.0), _frozen_quantize(bt, 1.0)
+            for side, want in enumerate((_frozen_fold(_col_parts(qa, w), zpow),
+                                         _frozen_fold(_row_parts(qb, w), zinvpow))):
+                op = work.operands[side][(0, 0), packing.SYMMETRIC, w, z, 1.0]
                 assert op.tobytes() == want.tobytes()
             abar, bbar = packing.pack_symmetric(at, bt, w, z)
             assert abar.values.tobytes() == want_a.tobytes()
@@ -639,6 +661,11 @@ class TestOnePassFold:
             (asym,) = packing._fold(_row_parts(at, w).reshape(1, w, -1),
                                     packing._powers(np.dtype(dtype), z, w))
             assert asym.tobytes() == _frozen_fold(_row_parts(at, w), zpow).tobytes()
+
+
+def _keys(cfg, names=((0, 0), (0, 0))):
+    """The ``prepare_operands`` keys of the two tiles ``names`` of ``cfg``."""
+    return [(names[0], cfg.w, cfg.z, cfg.c_a)], [(names[1], cfg.w, cfg.z, cfg.c_b)]
 
 
 def _cfg_tiles(data, L, dtype):
@@ -817,9 +844,10 @@ class TestMemoHitPath:
     """The memo-hit path (one tie search over every rounding of the unpack,
     the last z^-1 scaling folded into the dequantize, no ``np.errstate`` on
     a bounded product) against the frozen per-subblock pipeline, bit for
-    bit: over memo hits and misses, both modes, W 2-4 and both dtypes, with
-    planted quantizer ties, configurations outside the packing bound (whose
-    unpacks meet ties and overflow) and tiles that overflow the quantizer."""
+    bit: over calls on tiles ``prepare_operands`` prepared and calls of
+    their own, both modes, W 2-4 and both dtypes, with planted quantizer
+    ties, configurations outside the packing bound (whose unpacks meet ties
+    and overflow) and tiles that overflow the quantizer."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -832,14 +860,19 @@ class TestMemoHitPath:
             cfg, a, b = _cfg_tiles(data, L, dtype)
             bad = _overflow(data, (a, b)[data.draw(st.integers(0, 1))])
             cases.append((cfg, a, b, ((tile, 0), (0, tile)), bad))
-        for cfg, a, b, names, bad in data.draw(st.lists(st.sampled_from(cases), min_size=1,
-                                                         max_size=6)):
-            if bad:  # each call raises as the call alone: a failing tile is not kept
+        # A's tile t at block (t, 0), B's at (0, t); each case in its own mode
+        mats = np.vstack([a for _, a, *_ in cases]), np.hstack([b for _, _, b, *_ in cases])
+        for cfg, a, b, names, bad in cases:
+            errors = packing.prepare_operands(work, cfg.mode, mats, _keys(cfg, names))
+            if bad:  # not kept, with the error of the call alone
                 with pytest.raises(QuantizerOverflowError) as alone:
                     packing.packed_subblock_product(a, b, cfg)
-                with pytest.raises(QuantizerOverflowError) as got:
-                    packing.packed_subblock_product(a, b, cfg, work, names)
-                assert str(got.value) == str(alone.value)
+                assert [str(e) for e in errors.values()] == [str(alone.value)]
+            else:
+                assert not errors
+        for cfg, a, b, names, bad in data.draw(st.lists(st.sampled_from(cases), min_size=1,
+                                                         max_size=6)):
+            if bad:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # the frozen copy's
                 want = _frozen_packed_subblock_product(a, b, cfg)
@@ -850,9 +883,9 @@ class TestMemoHitPath:
     @settings(max_examples=60, deadline=None)
     def test_tiered_gemm(self, data):
         """A plan of mixed W on one workspace; companders per tile, as the
-        planner chooses them (memo hits), or moving with the other operand
-        (misses); an overflowing tile names the first subblock that reads it
-        with a packed config, with the message of that call alone."""
+        planner chooses them, or moving with the other operand (more keys of
+        one tile); an overflowing tile names the first subblock that reads
+        it with a packed config, with the message of that call alone."""
         from tdgemm.blocking import tiered_gemm
 
         L = 12
@@ -902,8 +935,9 @@ class TestMemoHitPath:
     @settings(max_examples=60, deadline=None)
     def test_public_stages_with_any_z(self, data):
         """Where z is not a power of two the unpack's last z^-1 scaling is
-        not exact and stays out of the dequantize's division: a miss and a
-        memo hit both give the bits of the public stages run in turn."""
+        not exact and stays out of the dequantize's division: a call of its
+        own and memo hits on prepared tiles give the bits of the public
+        stages run in turn."""
         L, dtype = 12, data.draw(st.sampled_from(_DTYPES))
         cfg, a, b = _cfg_tiles(data, L, dtype)
         cfg = cfg._replace(z=cfg.z * data.draw(st.sampled_from([1.0, 0.75, 0.625, 1.5])))
@@ -918,24 +952,25 @@ class TestMemoHitPath:
                 rt = packing.unpack_asymmetric(packing.multiply_packed_asymmetric(abar, bt),
                                                cfg.z, cfg.w)
             want = packing.dequantize(rt, cfg.c_a, cfg.c_b).tobytes()
+        assert packing.packed_subblock_product(a, b, cfg).tobytes() == want
         work = packing.Workspace(L, dtype)
-        for _ in range(2):  # a miss, then a memo hit
+        assert not packing.prepare_operands(work, cfg.mode, (a, b), _keys(cfg))
+        for _ in range(2):
             assert packing.packed_subblock_product(a, b, cfg, work,
                                                    ((0, 0), (0, 0))).tobytes() == want
 
     @pytest.mark.parametrize("mode", packing.MODES)
     def test_memo_hit_runs_no_quantizer_and_no_parts(self, mode, monkeypatch):
-        """A call whose operands are kept runs neither ``_quantize_into`` nor
-        ``_parts``; a miss views and quantizes only the tile it misses. In
-        ``tiered_gemm`` the tiles quantized, counted through the stacked
-        quantizer, are ``packed_operand_tiles``, all before the first
-        product: every ``packed_subblock_product`` call is a memo hit."""
+        """A call that names its tiles runs neither ``_quantize_into`` nor
+        ``_parts``: ``prepare_operands`` viewed and quantized each tile once,
+        before it. In ``tiered_gemm`` the tiles quantized, counted through
+        the stacked quantizer, are ``packed_operand_tiles``, all before the
+        first product: every ``packed_subblock_product`` call is a memo hit."""
         from tdgemm import cli
         from tdgemm.blocking import tiered_gemm
 
         L = 12
         work = packing.Workspace(L, np.float32)
-        work[L, np.dtype(np.float32), mode, 2]  # its views, made before the counts
         counts = {"_quantize_into": 0, "_parts": 0}
         for name in counts:
             def counting(*args, _fn=getattr(packing, name), _name=name):
@@ -946,10 +981,12 @@ class TestMemoHitPath:
         a, b = (rng.standard_normal((3 * L, 3 * L)).astype(np.float32) for _ in range(2))
         cfg = packing.PackingConfig(mode, 2, 2.0 ** -20, 3.0, 2.0, 1)
         at, bt = a[:L, :L], b[:L, :L]
-        for names, want in ((((0, 0), (0, 0)), (2, 2)), (((0, 0), (0, 0)), (2, 2)),
-                            (((0, 0), (0, 1)), (3, 3)), (((0, 0), (0, 1)), (3, 3))):
+        (key_a,), (key_b,) = _keys(cfg)
+        packing.prepare_operands(work, mode, (a, b), ([key_a], [key_b, ((0, 1), *key_b[1:])]))
+        assert (counts["_quantize_into"], counts["_parts"]) == (3, 3)
+        for names in (((0, 0), (0, 0)), ((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 0), (0, 1))):
             packing.packed_subblock_product(at, bt, cfg, work, names)
-            assert (counts["_quantize_into"], counts["_parts"]) == want
+            assert (counts["_quantize_into"], counts["_parts"]) == (3, 3)
         configs = [[[cfg if (i + j + l) % 3 else None for l in range(3)] for j in range(3)]
                    for i in range(3)]
         plan = plan_of(mode, configs)
@@ -973,8 +1010,9 @@ class TestPrepareOperands:
     ``tiered_gemm`` runs before its first product, against the frozen
     per-tile pipeline, bit for bit: both modes and sides, W 2-4, both
     dtypes, planted quantizer ties, several companders in one (W, z) group
-    and groups longer than one stacked step. A tile whose integers reach the
-    exact-integer limit, or are not finite, never enters the memo."""
+    and groups longer than one stacked step. It keeps what a call of its own
+    keeps, a tile at the exact-integer limit that ``_check_peak`` passes
+    included, and hands back the error of that call for every other tile."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -1012,14 +1050,20 @@ class TestPrepareOperands:
         chunk = data.draw(st.sampled_from([1, 2, 3, 1000]))
         work = packing.Workspace(L, dtype)
         with mock.patch.object(packing, "_PREP_ELEMS", 2 * L * L * chunk):
-            packing.prepare_operands(work, mode, mats, (iter(keys[0]), iter(keys[1])))
+            errors = packing.prepare_operands(work, mode, mats, (iter(keys[0]), iter(keys[1])))
+        rejected = {}
         for side in (0, 1):
             kept = {}
-            for rc, w, z, c in keys[side]:
+            for key in keys[side]:
+                rc, w, z, c = key
+                try:  # the call of its own, on the tile as both operands
+                    packing.packed_subblock_product(tile(side, rc), tile(side, rc),
+                                                    packing.PackingConfig(mode, w, z, c, c, 1))
+                except QuantizerOverflowError as exc:
+                    rejected[side, key] = str(exc)
+                    continue
                 with np.errstate(over="ignore", invalid="ignore"):
                     q = _frozen_quantize(tile(side, rc), c)
-                if not np.abs(q).max() < limit:  # NaN fails too
-                    continue
                 if mode == packing.SYMMETRIC:
                     want = _frozen_pack_symmetric(q, q, w, z)[side]
                 else:
@@ -1027,14 +1071,14 @@ class TestPrepareOperands:
                 kept[rc, mode, w, z, c] = want.tobytes()
             memo = work.operands[side]
             assert {k: op.tobytes() for k, op in memo.items()} == kept
+        assert {k: str(exc) for k, exc in errors.items()} == rejected
 
     @pytest.mark.parametrize("mode", packing.MODES)
     def test_first_failing_subblock_in_a_later_block_row(self, mode):
-        """Tiles that fail their check are quantized before the first product
-        but not kept: ``tiered_gemm`` still raises at the first failing
-        subblock in C order, kernel (1,1) subblock 1 here, where block row 0
-        runs plain, with the message of that call alone. A's tile (2, 0)
-        fails too, in a later subblock."""
+        """Tiles that fail their check are not kept: ``tiered_gemm`` raises
+        for the first subblock in C order that reads one, kernel (1,1)
+        subblock 1 here, where block row 0 runs plain, with the message of
+        that call alone. A's tile (2, 0) fails too, in a later subblock."""
         from tdgemm.blocking import tiered_gemm
 
         L = 12
@@ -1054,8 +1098,9 @@ class TestPrepareOperands:
     @pytest.mark.parametrize("w,dtype,error", [(5, np.float32, DimensionError),
                                                (2, np.float16, InvalidConfigError)])
     def test_what_a_call_rejects_is_left_to_it(self, w, dtype, error):
-        """A W that does not divide L, or an unsupported dtype, is not
-        prepared: ``tiered_gemm`` raises the error of its first packed call."""
+        """``prepare_operands`` rejects a W that does not divide L, or an
+        unsupported dtype, before any product: ``tiered_gemm`` raises the
+        error a packed call on its own raises."""
         from tdgemm.blocking import tiered_gemm
 
         L = 12
