@@ -47,7 +47,8 @@ class TileStats:
 
 
 def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
-    """Stats of the L x L tiles of ``m``'s full-tile region.
+    """Stats of the L x L tiles of ``m``'s full-tile region; an empty or
+    narrow ``m`` has none, and its stats are empty arrays of that shape.
 
     Tiles are copied, as many whole block rows as ``_STATS_ELEMS`` elements
     hold or, where one block row holds more, as many of its tiles, into the
@@ -57,8 +58,8 @@ def reorder_block_major(m: np.ndarray, L: int) -> TileStats:
     precision, by NumPy's ``_var`` steps run on the buffer itself. A buffer
     of every tile at once runs slower at L=288: its passes miss the cache.
     """
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionError("expected a nonempty 2-D matrix")
+    if m.ndim != 2:
+        raise DimensionError("expected a 2-D matrix")
     if L < 1:
         raise DimensionError(f"tile side must be >= 1, got {L}")
     bi, bj = m.shape[0] // L, m.shape[1] // L

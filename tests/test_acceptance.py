@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from helpers import batch_stats
 from tdgemm import calibration as cal, cli, controller as ctl, matrixio, noise, packing
 from tdgemm.blocking import BACKENDS, plain_subblock_gemm, tiered_gemm
@@ -51,8 +52,8 @@ def test_criterion_01_exact_region():
                     at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
                     bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
                     got = packing.packed_product(at, bt, mode, w, z)
-                    exact = at.astype(np.int64) @ bt.astype(np.int64)
-                    np.testing.assert_array_equal(got.astype(np.int64), exact)
+                    np.testing.assert_array_equal(got.astype(np.int64),
+                                                  oracles.exact_int_product(at, bt))
                 checked.append((precision, mode, w))
     verdict(1, len(checked) >= 6,
             f"bit-exact round trips over {len(checked)} (precision, mode, W) configs "
@@ -74,7 +75,7 @@ def test_criterion_01_published_bound_alone():
     at = rng.integers(-1, 2, size=(L, L)).astype(np.float32)
     bt = rng.integers(-1, 2, size=(L, L)).astype(np.float32)
     got = packing.packed_product(at, bt, packing.SYMMETRIC, w, z)
-    np.testing.assert_array_equal(got.astype(np.int64), at.astype(np.int64) @ bt.astype(np.int64))
+    np.testing.assert_array_equal(got.astype(np.int64), oracles.exact_int_product(at, bt))
 
 
 def test_criterion_02_quantization_noise_oracle():
@@ -223,8 +224,6 @@ def _w2_options(ds):
 
 
 def test_criterion_08_controller_correctness(calib48):
-    import itertools
-
     rng = np.random.default_rng(SEED + 4)
     # (a) the greedy plan always meets its distortion budget
     bound_ok = True
@@ -241,13 +240,7 @@ def test_criterion_08_controller_correctness(calib48):
         ds = rng.uniform(0.01, 10.0, size=k)
         budget = float(rng.uniform(0.0, 15.0))
         fw = ctl.plan_kernel_distortion(_w2_options(ds), budget).options["fw_percent"]
-        best = max(
-            (100.0 * sum(bits) / k
-             for bits in itertools.product([0, 1], repeat=k)
-             if sum(d for d, bit in zip(ds, bits) if bit) <= budget),
-            default=0.0,
-        )
-        if abs(ctl.ordered_sum(fw.reshape(-1)) / k - best) > 1e-9:
+        if abs(ctl.ordered_sum(fw.reshape(-1)) / k - oracles.best_gain(ds, budget)) > 1e-9:
             exhaustive_ok = False
     # (c) a zero distortion budget reproduces the plain output bitwise, on
     # each plain backend

@@ -4,30 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from helpers import plan_of
 from tdgemm import blocking, packing
 from tdgemm.blocking import plain_subblock_gemm, reorder_block_major, tiered_gemm
 from tdgemm.errors import DimensionError, InvalidConfigError, QuantizerOverflowError
-
-
-def naive_gemm(a, b):
-    """Triple loop with ascending-index accumulation, in the input dtype."""
-    r = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    for m in range(a.shape[0]):
-        for n in range(b.shape[1]):
-            acc = a.dtype.type(0)
-            for l in range(a.shape[1]):
-                acc += a[m, l] * b[l, n]
-            r[m, n] = acc
-    return r
-
-
-def rank1_loop(a, b):
-    """plain_subblock_gemm before batching: one rank-1 update per inner index."""
-    r = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    for l in range(a.shape[1]):
-        r += a[:, l][:, None] * b[l, :][None, :]
-    return r
 
 
 LAYOUTS = ["c", "fortran", "reversed", "slice", "unaligned"]
@@ -52,20 +33,6 @@ def _layout(x, kind):
         wide[1:-1, x.shape[1]:2 * x.shape[1]] = x
         return wide[1:-1, x.shape[1]:2 * x.shape[1]]
     return x
-
-
-def tile_stats_loop(m, L):
-    """Tile stats as computed before the batched pass: one tile at a time."""
-    out = []
-    for i in range(m.shape[0] // L):
-        row = []
-        for j in range(m.shape[1] // L):
-            t = np.ascontiguousarray(m[i * L:(i + 1) * L, j * L:(j + 1) * L])
-            t = t.astype(np.float64, copy=False)
-            sigma = float(t.std(ddof=1)) if t.size > 1 else 0.0
-            row.append((sigma, float(t.min()), float(t.max())))
-        out.append(row)
-    return out
 
 
 class TestReorder:
@@ -101,25 +68,31 @@ class TestReorder:
                                            layout, stats_elems, seed):
         """Bitwise equal to per-tile ``std(ddof=1)``, min and max, whatever the
         border residue, operand layout, and number of tiles or whole block
-        rows per step."""
+        rows per step, empty matrices included."""
         rng = np.random.default_rng(seed)
         shape = (bi * L + extra_r, bj * L + extra_c)
-        if 0 in shape:
-            return
         scale = 10.0 ** rng.integers(-4, 5)
         m = _layout((rng.normal(size=shape) * scale + rng.normal() * scale).astype(dtype),
                     layout)
         with mock.patch.object(blocking, "_STATS_ELEMS", stats_elems):
             stats = reorder_block_major(m, L)
-        want = tile_stats_loop(m, L)
+        want = oracles.tile_stats(m, L)
         assert stats.sigma.shape == (shape[0] // L, shape[1] // L)
         got = [[(s, lo, hi) for s, lo, hi in zip(*rows)]
                for rows in zip(stats.sigma.tolist(), stats.vmin.tolist(), stats.vmax.tolist())]
         assert got == want
 
-    def test_rejects_empty(self):
-        with pytest.raises(DimensionError):
-            reorder_block_major(np.empty((0, 4)), 2)
+    def test_takes_empty_rejects_non_2d(self):
+        """A matrix with no full tile, empty or not, has empty stats of
+        shape ``(rows // L, cols // L)``; only a matrix that is not 2-D is
+        rejected."""
+        for shape in ((0, 4), (4, 0), (0, 0), (1, 4), (0, 9)):
+            stats = reorder_block_major(np.empty(shape), 2)
+            for arr in (stats.sigma, stats.vmin, stats.vmax):
+                assert arr.shape == (shape[0] // 2, shape[1] // 2) and arr.size == 0
+        for m in (np.empty(4), np.empty((2, 2, 2)), np.float64(1.0)):
+            with pytest.raises(DimensionError, match="expected a 2-D matrix"):
+                reorder_block_major(m, 2)
 
 
 class TestPlainGemm:
@@ -140,7 +113,7 @@ class TestPlainGemm:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(48, 48)).astype(np.float32)
         b = rng.normal(size=(48, 48)).astype(np.float32)
-        np.testing.assert_array_equal(plain_subblock_gemm(a, b), naive_gemm(a, b))
+        np.testing.assert_array_equal(plain_subblock_gemm(a, b), oracles.naive_gemm(a, b))
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -163,6 +136,8 @@ class TestPlainGemm:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_rank1_loop_bitwise(self, dtype, m, n, k, lay_a, lay_b, integer, seed):
+        """The rank-1 loop's operations, each product rounded and added in
+        ascending l from +0.0, as ``naive_gemm`` runs them."""
         rng = np.random.default_rng(seed)
         if integer:
             # integer-valued with signed zeros, as on the packed path
@@ -174,7 +149,7 @@ class TestPlainGemm:
         a = _layout(a.astype(dtype), lay_a)
         b = _layout(b.astype(dtype), lay_b)
         got = plain_subblock_gemm(a, b)
-        want = rank1_loop(a, b)
+        want = oracles.naive_gemm(a, b)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -193,7 +168,7 @@ class TestPlainGemm:
         a[1, [0, 1, 4]] = 1e8, 1.0, -1e8
         b = np.zeros((8, n), np.float32)
         b[[0, 1, 4]] = np.array([1.0, e, 1.0], np.float32)[:, None]
-        want = rank1_loop(a, b)
+        want = oracles.naive_gemm(a, b)
         assert (want[0] == 2 ** -11).all() and (want[1] == 0.0).all()
         got = plain_subblock_gemm(a, b)
         assert got.tobytes() == want.tobytes(), (
@@ -212,7 +187,7 @@ class TestPlainGemm:
                       [1.0, 0.0],
                       [1.0, -0.0],
                       [0.0, 5.0]], dtype)
-        want = rank1_loop(a, b)
+        want = oracles.naive_gemm(a, b)
         assert want.tolist() == [[0.0, -8.0], [0.0, -5.0]]
         assert not np.signbit(want[:, 0]).any()
         assert plain_subblock_gemm(a, b).tobytes() == want.tobytes()
@@ -298,17 +273,7 @@ class TestTieredGemm:
         a = rng.normal(size=(2 * L, 3 * L)).astype(np.float32)
         b = rng.normal(size=(3 * L, 2 * L)).astype(np.float32)
         got = tiered_gemm(a, b, L)
-        want = np.zeros((2 * L, 2 * L), dtype=np.float32)
-        for i in range(2):
-            for j in range(2):
-                acc = np.zeros((L, L), dtype=np.float32)
-                for l in range(3):
-                    acc += plain_subblock_gemm(
-                        a[i * L:(i + 1) * L, l * L:(l + 1) * L],
-                        b[l * L:(l + 1) * L, j * L:(j + 1) * L],
-                    )
-                want[i * L:(i + 1) * L, j * L:(j + 1) * L] = acc
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, oracles.tiered_gemm(a, b, L, [[[None] * 3] * 2] * 2))
 
     def test_borders_match_naive(self):
         rng = np.random.default_rng(6)
@@ -316,7 +281,7 @@ class TestTieredGemm:
         b = rng.normal(size=(5, 5)).astype(np.float64)
         got = tiered_gemm(a, b, 4)
         # borders are computed by the same ascending-order plain path
-        np.testing.assert_allclose(got, naive_gemm(a, b), rtol=1e-12)
+        np.testing.assert_allclose(got, oracles.naive_gemm(a, b), rtol=1e-12)
 
     def test_plan_shape_mismatch(self):
         a = np.zeros((8, 8), np.float32)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from helpers import batch_stats
 from tdgemm import calibration as cal, packing
 from tdgemm.config import u_sys_of
@@ -68,24 +69,8 @@ class TestMeasurement:
         L, sweep = 16, [(2, 1), (22, 63), (1024, 1023), (1024, 1024), (8000, 8000)]
         assert [packing.compute_rmax(1.0, 1.0, L, a, b) for a, b in sweep[2:4]] == [
             2 ** 24 - 2 ** 14, 2 ** 24]
-        dtype = np.float32 if precision == "single" else np.float64
-        want = []
-        for idx, (amax, bmax) in enumerate(sweep):
-            rmax = packing.compute_rmax(1.0, 1.0, L, amax, bmax)
-            z = packing.compute_z(rmax)
-            rng = cal._rng_for(3, cal._PREC_CODE[precision], cal._MODE_CODE[mode], 2, idx)
-            sq_sum = err_sum = 0.0
-            for _ in range(4):
-                at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
-                bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
-                exact = at.astype(np.float64) @ bt.astype(np.float64)
-                err = packing.packed_product(at, bt, mode, 2, z).astype(np.float64) - exact
-                sq_sum += float((err * err).sum())
-                err_sum += float(err.sum())
-            want.append(cal.CalibEntry(precision, mode, 2, rmax, err_sum / (4 * L * L),
-                                       math.sqrt(sq_sum / (4 * L * L)), 4, 3))
-        assert cal.measure_repr_noise(L, precision, mode, 2, sweep=sweep,
-                                      trials=4, seed=3) == want
+        assert cal.measure_repr_noise(L, precision, mode, 2, sweep=sweep, trials=4, seed=3) == \
+            oracles.repr_noise(L, precision, mode, 2, sweep, trials=4, seed=3)
 
     def test_w1_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -252,22 +237,6 @@ class TestSolutions:
         assert _picked(cal.lookup_nearest_solution(t, 4.0, 4.0, 2)) == _row(t.data, 1)
 
 
-def _scan_nearest(table, sigma_a, sigma_b, w):
-    """The linear scan the indexed lookup replaced, kept as its oracle; the
-    row it finds, in the order of ``_row``."""
-    best = None
-    best_d = None
-    for i, r in enumerate(table.data.tolist()):
-        if r[2] != w:
-            continue
-        d = (sigma_a - r[0]) ** 2 + (sigma_b - r[1]) ** 2
-        if best_d is None or d < best_d:
-            best, best_d = i, d
-    if best is None:
-        raise CalibrationMissingError(f"solution table has no entries for W={w}")
-    return _row(table.data, best)
-
-
 # dyadic sigmas: sums, midpoints and squared distances between them are
 # exact, so duplicate rows and exact ties occur; inf and NaN rows (a NaN
 # can come from a malformed table file) make NaN distances
@@ -297,7 +266,7 @@ def _query(data, specs):
 class TestSolutionIndex:
     def _check(self, table, sa, sb, w):
         try:
-            want = _scan_nearest(table, sa, sb, w)
+            want = _row(table.data, oracles.nearest_solution(table, sa, sb, w))
         except CalibrationMissingError:
             with pytest.raises(CalibrationMissingError):
                 cal.lookup_nearest_solution(table, sa, sb, w)
@@ -349,7 +318,7 @@ class TestArrayLookup:
         assert got.w == w and got.rmax.shape == (n,)
         for k, (sa, sb) in enumerate(queries):
             assert (got.rmax[k], got.c_a[k], got.c_b[k], got.expected_snr_db[k], w) == \
-                _scan_nearest(table, sa, sb, w)
+                _row(table.data, oracles.nearest_solution(table, sa, sb, w))
 
     def test_query_shape_and_broadcast(self):
         table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2),
@@ -374,37 +343,12 @@ class TestArrayLookup:
         assert _picked(cal.lookup_nearest_solution(loaded, 9.0, 1.0, 3)) == _row(loaded.data, 2)
 
 
-def _frozen_build(sigma_pairs, calib, precision, mode, L, w_set):
-    """The per-pair build the array search replaced, kept as its oracle: per
-    W and sigma pair, the R_max grid search over the admitted entries in
-    ascending R_max, keeping the first maximum of the model SNR."""
-    rows = []
-    for w in sorted(set(w_set)):
-        admitted = calib.admitted(precision, mode, w,
-                                  rmax_cap=cal.DEFAULT_RMAX_CAPS.get((precision, w)))
-        if not admitted:
-            raise CalibrationMissingError(f"no admitted entries for W={w}")
-        for sa, sb in sigma_pairs:
-            a_abs, b_abs = cal.uniform_extremes(sa, sb)
-            stats = batch_stats([(sa, sb, -a_abs, a_abs, -b_abs, b_abs)], L)
-            best = None
-            for e in admitted:
-                sol = optimal_companders(stats, e.rmax, w=w)
-                total = combined_distortion(stats, sol.c_a, sol.c_b, e.rmse).total
-                snr = 10.0 * math.log10((signal_power(stats) / total).item())
-                if best is None or snr > best[0]:
-                    best = snr, sol
-            snr, sol = best
-            rows.append((sa, sb, w, sol.rmax, sol.c_a.item(), sol.c_b.item(), snr))
-    return rows
-
-
 _BUILD_CHUNKS = [1, 7, 64, cal._BUILD_CHUNK]
 
 
 def _assert_build_matches_oracle(pairs, calib, precision, mode, L, w_set, chunk):
     try:
-        want = _frozen_build(pairs, calib, precision, mode, L, w_set)
+        want, _curves = oracles.build_solutions(pairs, calib, precision, mode, L, w_set)
     except CalibrationMissingError:
         with pytest.raises(CalibrationMissingError):
             cal.build_offline_solutions(pairs, calib, precision, mode, L, w_set=w_set)
@@ -718,46 +662,45 @@ class TestMalformedRows:
             assert f"bad {col} value {value!r}" in str(exc.value)
 
 
-def _frozen_load_calibration(path):
-    """``load_calibration`` as it was: ``csv.reader`` rows, each field
-    converted one at a time; ValueError for a row it rejected, and for a W or
-    R_max below 1."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f.readlines()[2:]))
-    out = []
-    for row in filter(None, rows):
-        if len(row) != 8:
-            raise ValueError(row)
-        p, m, w, rmax, mean_err, rmse, trials, seed = row
-        e = (p, m, int(w), int(rmax), float(mean_err), float(rmse), int(trials), int(seed))
-        if not (math.isfinite(e[4]) and math.isfinite(e[5]) and e[5] >= 0.0):
-            raise ValueError(row)
-        if e[2] < 1 or e[3] < 1:
-            raise ValueError(row)
-        out.append(e)
-    return out
+def _calibration_rows(path):
+    return [tuple(e) for e in cal.load_calibration(path).entries]
 
 
-def _loads_as_frozen(path):
-    """``load_calibration`` takes what the frozen loader took, with the same
-    bits, and rejects what it rejected."""
+# per table: its header, its field spec, its loader as rows of tuples, its
+# saver of such rows, and the frozen parse
+_TABLES = {
+    "calibration": (cal.CALIB_HEADER, cal.CALIB_FIELDS, _calibration_rows,
+                    lambda rows, path: cal.save_calibration(
+                        cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path),
+                    oracles.load_calibration),
+    "speedup": (cal.SPEEDUP_HEADER, cal.SPEEDUP_FIELDS,
+                lambda path: list(map(astuple, cal.load_speedup(path).entries)),
+                lambda rows, path: cal.save_speedup(
+                    cal.SpeedupProfile([cal.ProfileEntry(*r) for r in rows]), path),
+                oracles.load_speedup),
+    "solutions": (cal.SOLUTION_HEADER, cal.SOLUTION_FIELDS,
+                  lambda path: cal.load_solutions(path).data.tolist(),
+                  lambda rows, path: cal.save_solutions(cal.OfflineSolutionTable(rows), path),
+                  oracles.load_solutions),
+}
+
+
+def _outcome(parse, path):
+    """What ``parse`` makes of the file ``path``: the repr of its rows, or
+    its error."""
     try:
-        want = repr(_frozen_load_calibration(path))
-    except ValueError:
-        want = None
-    try:
-        got = repr([tuple(e) for e in cal.load_calibration(path).entries])
-    except TableFormatError:
-        got = None
-    assert got == want
-    return got
+        return repr(parse(path))
+    except (TableFormatError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 _HEAD = "# version 1\r\n" + ",".join(cal.CALIB_HEADER) + "\r\n"
 
 
 class TestLoadCalibrationAsFrozen:
-    """The one-split load against a frozen copy of the field-by-field one."""
+    """The one-split load against the frozen field-by-field parse: it takes
+    what the parse took, with the same bits, and fails where it failed,
+    with its message."""
 
     @pytest.mark.parametrize("mode", packing.MODES)
     def test_measured(self, tmp_path, mode):
@@ -766,7 +709,8 @@ class TestLoadCalibrationAsFrozen:
             table.extend(cal.measure_repr_noise(12, "single", mode, w, trials=2, seed=4))
         path = tmp_path / "c.csv"
         cal.save_calibration(table, path)
-        assert _loads_as_frozen(path) == repr([tuple(e) for e in table.entries])
+        assert _outcome(_calibration_rows, path) == _outcome(oracles.load_calibration, path) \
+            == repr([tuple(e) for e in table.entries])
 
     @pytest.mark.parametrize("body", [
         '"single","symmetric","2","100","0.5","1.5","3","0"\r\n',  # every field quoted
@@ -790,64 +734,13 @@ class TestLoadCalibrationAsFrozen:
     def test_rows(self, tmp_path, body):
         path = tmp_path / "c.csv"
         path.write_text(_HEAD + body, newline="")
-        _loads_as_frozen(path)
-
-    @given(st.lists(st.lists(st.one_of(
-        st.integers(-10 ** 20, 10 ** 20).map(str),
-        st.floats().map(repr),
-        st.sampled_from(["single", "asymmetric", "", " 7", "-0", "x" * 400]),
-        st.text(alphabet=' ,"a1.e-+_\r\n\t', max_size=6)), min_size=7, max_size=9),
-        max_size=5), st.sampled_from(["\r\n", "\n", "\r"]))
-    @settings(max_examples=200, deadline=None)
-    def test_any_rows(self, tmp_path_factory, rows, end):
-        path = tmp_path_factory.mktemp("rows") / "c.csv"
-        path.write_text(_HEAD + "".join(",".join(row) + end for row in rows), newline="")
-        _loads_as_frozen(path)
-
-    @given(st.lists(st.tuples(
-        st.sampled_from(["single", "double", "x" * 300]), st.sampled_from(packing.MODES),
-        st.integers(1, 4), st.integers(0, 2 ** 60),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(0.0, allow_infinity=False), st.integers(1, 9), st.integers(-5, 2 ** 40)),
-        max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_saved_rows(self, tmp_path_factory, rows):
-        """Saved rows load back, unless one has an R_max of 0."""
-        path = tmp_path_factory.mktemp("saved") / "c.csv"
-        cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path)
-        want = repr(rows) if all(r[3] >= 1 for r in rows) else None
-        assert _loads_as_frozen(path) == want
+        assert _outcome(_calibration_rows, path) == _outcome(oracles.load_calibration, path)
 
 
 class TestColumnParse:
-    """The column parse of ``read_table`` against ``_typed_rows``, the parse
-    it falls back on, both reading the field spec of ``load_calibration``."""
-
-    @staticmethod
-    def _typed(path):
-        """``_typed_rows`` with the field spec of ``load_calibration``."""
-        lines = cal._data_lines(path, cal.CALIB_HEADER)
-        return cal._typed_rows(path, lines, cal.CALIB_HEADER, cal.CALIB_FIELDS)
-
-    @given(st.lists(st.tuples(
-        st.sampled_from(["single", "double"]), st.sampled_from(packing.MODES),
-        st.integers(1, 4), st.sampled_from([1, 7, 2 ** 40]),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(0.0, allow_infinity=False), st.integers(1, 9), st.integers(-5, 2 ** 40)),
-        min_size=1, max_size=10), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_equals_typed_rows(self, tmp_path_factory, rows, data):
-        """Saved rows, duplicate keys among them, parse to the same entries
-        and bits both ways, and the column parse takes them: it makes no
-        ``_typed_rows`` call."""
-        rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicate keys
-        path = tmp_path_factory.mktemp("rows") / "c.csv"
-        cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in rows]), path)
-        with mock.patch.object(cal, "_typed_rows", side_effect=AssertionError):
-            got = [tuple(e) for e in cal.load_calibration(path).entries]
-        assert repr(got) == repr(self._typed(path)) == repr(rows)
-        for e in cal.load_calibration(path).entries:
-            assert type(e) is cal.CalibEntry and type(e.w) is int and type(e.rmse) is float
+    """``read_table`` on calibration files its column parse does not take:
+    a malformed row, which ``_typed_rows`` names by its line, and quoted
+    fields, which ``_typed_rows`` reads."""
 
     @pytest.mark.parametrize("column,value,message", [
         ("mean_err", "nan", "bad mean_err value 'nan'"),
@@ -891,109 +784,6 @@ class TestColumnParse:
         assert cal.load_calibration(path).entries == small_table.entries
 
 
-# frozen copies of the table writer and the three table parses as they were
-# before ``write_table`` and ``read_table`` served every table
-
-def _frozen_write_csv(path, header, rows):
-    """``_write_csv``: ``csv.writer`` rows after the version line."""
-    with open(path, "w", newline="") as f:
-        f.write("# version 1\n")
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _frozen_write_sweep(path, rows):
-    """The sweep's own writer: an infinite SNR as ``inf``, the rest ``repr``."""
-    with open(path, "w", newline="") as f:
-        f.write("# version 1\n")
-        writer = csv.writer(f)
-        writer.writerow(["accel_pct", "measured_snr_db", "mac_ratio", "wallclock_ratio"])
-        for pct, snr, mac, wall in rows:
-            writer.writerow([pct, "inf" if math.isinf(snr) else repr(snr), repr(mac), repr(wall)])
-
-
-def _frozen_lines(path):
-    with open(path, newline="") as f:
-        return f.readlines()[2:]
-
-
-def _frozen_typed_rows(path, lines, header, types):
-    reader = csv.reader(lines)
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        where = f"{path}, line {reader.line_num + 2}"
-        if len(row) != len(header):
-            raise TableFormatError(f"{where}: {len(row)} fields, expected {len(header)}")
-        fields = []
-        for name, kind, v in zip(header, types, row):
-            try:
-                fields.append(kind(v))
-            except ValueError as exc:
-                raise TableFormatError(f"{where}: bad {name} value {v!r}") from exc
-        out.append(fields)
-    return out
-
-
-def _frozen_finite(kind=float, lo=-math.inf):
-    def parse(text):
-        x = kind(text)
-        if not (-math.inf < x < math.inf and x >= lo):
-            raise ValueError(text)
-        return x
-    return parse
-
-
-def _frozen_load_calibration_columns(path):
-    """``load_calibration`` by column, falling back on ``_typed_rows``."""
-    lines = _frozen_lines(path)
-    rows = [t.split(",") for t in (line.rstrip("\r\n") for line in lines) if t]
-    if rows and not any('"' in line for line in lines) and set(map(len, rows)) == {8}:
-        try:
-            cols = [list(map(kind, col)) for kind, col in
-                    zip((str, str, int, int, float, float, int, int), zip(*rows))]
-        except ValueError:
-            cols = None
-        if cols and (min(cols[2] + cols[3]) >= 1 and np.isfinite(cols[4] + cols[5]).all()
-                     and min(cols[5]) >= 0.0):
-            return list(zip(*cols))
-    types = (str, str, _frozen_finite(int, 1), _frozen_finite(int, 1), _frozen_finite(),
-             _frozen_finite(float, 0.0), int, int)
-    return [tuple(r) for r in _frozen_typed_rows(path, lines, cal.CALIB_HEADER, types)]
-
-
-def _frozen_load_speedup(path):
-    types = (str, str, int, int, _frozen_finite(), _frozen_finite(), int)
-    return [tuple(r) for r in _frozen_typed_rows(path, _frozen_lines(path), cal.SPEEDUP_HEADER,
-                                                 types)]
-
-
-def _frozen_load_solutions(path):
-    """One ``np.loadtxt`` call, falling back on ``_typed_rows``."""
-    lines = _frozen_lines(path)
-    if any(map(str.strip, lines)):
-        try:
-            return np.loadtxt(lines, delimiter=",", dtype=cal._SOLUTION_DTYPE, ndmin=1,
-                              comments=None).tolist()
-        except ValueError:
-            pass
-    rows = _frozen_typed_rows(path, lines, cal.SOLUTION_HEADER,
-                              (float, float, int, int, float, float, float))
-    return np.array([tuple(r) for r in rows], dtype=cal._SOLUTION_DTYPE).tolist()
-
-
-# per table: its header, its loader as rows of tuples, and the frozen parse
-_TABLES = {
-    "calibration": (cal.CALIB_HEADER, lambda p: list(map(tuple, cal.load_calibration(p).entries)),
-                    _frozen_load_calibration_columns),
-    "speedup": (cal.SPEEDUP_HEADER, lambda p: list(map(astuple, cal.load_speedup(p).entries)),
-                _frozen_load_speedup),
-    "solutions": (cal.SOLUTION_HEADER, lambda p: cal.load_solutions(p).data.tolist(),
-                  _frozen_load_solutions),
-}
-
 _ANY_FLOAT = st.one_of(st.floats(allow_subnormal=True),
                        st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
                                         -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]))
@@ -1014,43 +804,42 @@ _ANY_ROWS = {
 _HEADERS = {name: spec[0] for name, spec in _TABLES.items()} | {
     "plan": ["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"],
     "sweep": ["accel_pct", "measured_snr_db", "mac_ratio", "wallclock_ratio"]}
-# rows each table's loader takes: a calibration row holds a finite
-# measurement, a nonnegative rmse and a W and R_max of at least 1, a speedup
-# row a finite gain, and a solution row any number
-_VALID_ROWS = {
-    "calibration": st.tuples(_TEXT, _TEXT, st.integers(1, 2 ** 62), st.integers(1, 2 ** 62),
-                             _FINITE_FLOAT, st.floats(0.0, allow_infinity=False), _INT64,
-                             _INT64),
+# rows of each table's field types as its saver or the frozen writer is
+# given them: a calibration row as a measurement makes it, an R_max of 0
+# among them, which no load takes, or of any text and of numbers in range;
+# a speedup row with a finite gain; a solution row of any numbers
+_SAVED_ROWS = {
+    "calibration": st.one_of(
+        st.tuples(st.sampled_from(["single", "double", "x" * 300]),
+                  st.sampled_from(packing.MODES), st.integers(1, 4),
+                  st.one_of(st.integers(0, 2 ** 60), st.sampled_from([1, 7, 2 ** 40])),
+                  _FINITE_FLOAT, st.floats(0.0, allow_infinity=False), st.integers(1, 9),
+                  st.integers(-5, 2 ** 40)),
+        st.tuples(_TEXT, _TEXT, st.integers(1, 2 ** 62), st.integers(1, 2 ** 62),
+                  _FINITE_FLOAT, st.floats(0.0, allow_infinity=False), _INT64, _INT64)),
     "speedup": st.tuples(_TEXT, _TEXT, _INT64, _INT64, _FINITE_FLOAT, _FINITE_FLOAT, _INT64),
     "solutions": _ANY_ROWS["solutions"],
 }
 
 
 class TestTableCodec:
-    """``write_table`` and ``read_table`` against frozen copies of the
-    writers and parses they replace."""
+    """``write_table`` and ``read_table`` against the frozen ``csv.writer``
+    writer and the frozen parses."""
 
     @pytest.mark.parametrize("table", sorted(_ANY_ROWS))
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_writer_bytes_equal_csv_writer(self, tmp_path_factory, table, data):
-        """Every table's rows, infinities, NaN, -0.0 and subnormals among them."""
-        rows = data.draw(st.lists(_ANY_ROWS[table], max_size=6))
-        d = tmp_path_factory.mktemp("w")
-        cal.write_table(d / "got.csv", _HEADERS[table], iter(rows))
-        _frozen_write_csv(d / "want.csv", _HEADERS[table], rows)
-        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
-
-    @given(st.lists(st.tuples(st.integers(0, 100), _ANY_FLOAT.filter(lambda x: x != -math.inf),
-                              _ANY_FLOAT, _ANY_FLOAT), max_size=11))
-    @settings(max_examples=60, deadline=None)
-    def test_writer_bytes_equal_sweep_writer(self, tmp_path_factory, rows):
-        """The sweep's rows. Its writer wrote -inf as ``inf``; no sweep SNR is
-        -inf, which would take a zero-power product with a nonzero error."""
-        d = tmp_path_factory.mktemp("sweep")
-        cal.write_table(d / "got.csv", _HEADERS["sweep"], rows)
-        _frozen_write_sweep(d / "want.csv", rows)
-        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+    def test_writer_bytes_equal_csv_writer(self, tmp_path_factory, table):
+        """Every table's rows, infinities, NaN, -0.0 and subnormals among
+        them. The sweep's own writer wrote what ``csv.writer`` writes, but
+        for a -inf SNR, which would take a zero-power product with a nonzero
+        error; the sweep runs the examples of the test of that writer too."""
+        @given(st.lists(_ANY_ROWS[table], max_size=11))
+        @settings(max_examples=120 if table == "sweep" else 60, deadline=None)
+        def check(rows):
+            d = tmp_path_factory.mktemp("w")
+            cal.write_table(d / "got.csv", _HEADERS[table], iter(rows))
+            oracles.write_csv(d / "want.csv", _HEADERS[table], rows)
+            assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+        check()
 
     @given(st.lists(_ANY_ROWS["calibration"], max_size=5),
            st.lists(_ANY_ROWS["speedup"], max_size=5),
@@ -1061,54 +850,71 @@ class TestTableCodec:
         """``save_calibration``, ``save_speedup`` and ``save_solutions``, the
         last a ``chunk`` of rows at a time."""
         d = tmp_path_factory.mktemp("save")
-        cal.save_calibration(cal.CalibrationTable([cal.CalibEntry(*r) for r in calib]),
-                             d / "c.csv")
-        cal.save_speedup(cal.SpeedupProfile([cal.ProfileEntry(*r) for r in speedup]),
-                         d / "s.csv")
-        with mock.patch.object(cal, "_SAVE_CHUNK", chunk):
-            cal.save_solutions(cal.OfflineSolutionTable(solutions), d / "o.csv")
-        for name, header, rows in (("c", cal.CALIB_HEADER, calib),
-                                   ("s", cal.SPEEDUP_HEADER, speedup),
-                                   ("o", cal.SOLUTION_HEADER, solutions)):
-            _frozen_write_csv(d / f"{name}-want.csv", header, rows)
-            assert (d / f"{name}.csv").read_bytes() == (d / f"{name}-want.csv").read_bytes()
+        for table, rows in (("calibration", calib), ("speedup", speedup),
+                            ("solutions", solutions)):
+            header, _fields, _load, save, _frozen = _TABLES[table]
+            with mock.patch.object(cal, "_SAVE_CHUNK", chunk):
+                save(rows, d / f"{table}.csv")
+            oracles.write_csv(d / f"{table}-want.csv", header, rows)
+            assert (d / f"{table}.csv").read_bytes() == (d / f"{table}-want.csv").read_bytes()
 
-    @pytest.mark.parametrize("table", sorted(_VALID_ROWS))
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_loaders_equal_frozen_parse(self, tmp_path_factory, table, data):
-        """On the files the frozen writer made of valid rows, each loader
-        reads the frozen parse's rows, with the same bits."""
-        header, load, frozen = _TABLES[table]
-        rows = data.draw(st.lists(_VALID_ROWS[table], max_size=8))
-        path = tmp_path_factory.mktemp("r") / "t.csv"
-        _frozen_write_csv(path, header, rows)
-        assert repr(load(path)) == repr(frozen(path)) == repr(rows)
+    @pytest.mark.parametrize("table", sorted(_SAVED_ROWS))
+    def test_loaders_equal_frozen_parse(self, tmp_path_factory, table):
+        """On the files the table's saver or the frozen writer made of saved
+        rows, duplicate keys among them, each loader reads the rows, with
+        the same bits and field types, as the frozen parse and ``_typed_rows``
+        read them, by the column parse alone: it makes no ``_typed_rows``
+        call. A calibration row with an R_max of 0 fails the load as it fails
+        the frozen parse. The calibration table runs the examples of the
+        two tests of saved calibration rows too."""
+        header, fields, load, save, frozen = _TABLES[table]
+
+        @given(st.lists(_SAVED_ROWS[table], max_size=10), st.data())
+        @settings(max_examples=260 if table == "calibration" else 60, deadline=None)
+        def check(rows, data):
+            if rows:  # duplicate keys
+                rows += data.draw(st.lists(st.sampled_from(rows), max_size=4))
+            path = tmp_path_factory.mktemp("r") / "t.csv"
+            if data.draw(st.booleans()):
+                save(rows, path)
+            else:
+                oracles.write_csv(path, header, rows)
+            if table == "calibration" and any(r[3] < 1 for r in rows):
+                assert _outcome(load, path) == _outcome(frozen, path)
+                assert _outcome(frozen, path).startswith("TableFormatError")
+                return
+            with mock.patch.object(cal, "_typed_rows", side_effect=AssertionError):
+                got = load(path)
+            typed = cal._typed_rows(path, cal._data_lines(path, header), header, fields)
+            assert repr(got) == repr(frozen(path)) == repr(typed) == repr(rows)
+            kinds = tuple(kind for kind, _lo in fields)
+            assert all(tuple(map(type, row)) == kinds for row in got)
+            if table == "calibration":
+                assert {type(e) for e in cal.load_calibration(path).entries} <= {cal.CalibEntry}
+        check()
 
     @pytest.mark.parametrize("table", sorted(_TABLES))
-    @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_loaders_accept_and_reject_as_frozen(self, tmp_path_factory, table, data):
+    def test_loaders_accept_and_reject_as_frozen(self, tmp_path_factory, table):
         """On any text rows, each loader takes what the frozen parse took,
-        with the same bits, and fails where it failed, with its message."""
-        header, load, frozen = _TABLES[table]
+        with the same bits, and fails where it failed, with its message. The
+        calibration table runs the examples of the test of any calibration
+        rows too."""
+        header, _fields, load, _save, frozen = _TABLES[table]
         field = st.one_of(st.integers(-10 ** 20, 10 ** 20).map(str), st.floats().map(repr),
-                          st.sampled_from(["single", "", " 7", "-0", "1_0", "nan", "-inf",
-                                           "0", "2.0", "1e3"]),
+                          st.sampled_from(["single", "asymmetric", "", " 7", "-0", "1_0", "nan",
+                                           "-inf", "0", "2.0", "1e3", "x" * 400]),
                           st.text(alphabet=' ,"a1.e-+_\r\n\t', max_size=6))
         n = len(header)
-        rows = data.draw(st.lists(st.lists(field, min_size=n - 1, max_size=n + 1), max_size=5))
-        end = data.draw(st.sampled_from(["\r\n", "\n", "\r"]))
-        path = tmp_path_factory.mktemp("any") / "t.csv"
-        path.write_text(f"# version 1\r\n{','.join(header)}\r\n"
-                        + "".join(",".join(row) + end for row in rows), newline="")
 
-        def outcome(parse):
-            try:
-                return repr(parse(path))
-            except (TableFormatError, OverflowError) as exc:
-                return f"{type(exc).__name__}: {exc}"
-        assert outcome(load) == outcome(frozen)
+        @given(st.lists(st.lists(field, min_size=n - 1, max_size=n + 1), max_size=5),
+               st.sampled_from(["\r\n", "\n", "\r"]))
+        @settings(max_examples=300 if table == "calibration" else 100, deadline=None)
+        def check(rows, end):
+            path = tmp_path_factory.mktemp("any") / "t.csv"
+            path.write_text(f"# version 1\r\n{','.join(header)}\r\n"
+                            + "".join(",".join(row) + end for row in rows), newline="")
+            assert _outcome(load, path) == _outcome(frozen, path)
+        check()
 
 
 @pytest.mark.parametrize("column,value", [("rmse", "nan"), ("rmse", "inf"), ("rmse", "-0.5"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from tdgemm import calibration, cli, matrixio
 from tdgemm.blocking import tiered_gemm
 from tdgemm.errors import InvalidConfigError, TableFormatError
@@ -358,6 +359,32 @@ class TestMultiplyCommand:
         if want is not None:
             assert (packed, len(calls)) == (4 ** 3, want)
 
+    @pytest.mark.parametrize("k,n,flags", [(2 * L, 2 * L, ("--snr-db", "30")),
+                                           (2 * L, 2 * L, ("--accel-percent", "50")),
+                                           (0, 2 * L, ("--snr-db", "30")),
+                                           (0, 2 * L, ("--snr-db", "30", "--verify"))])
+    def test_empty_operand_writes_the_plain_product(self, workdir, tmp_path, k, n, flags):
+        """A planned multiply of an A with no rows, or of operands with no
+        inner dimension, plans no subblock and writes the ``--plain``
+        product's bytes: the empty product, or the all-zero one that
+        ``np.matmul`` gives."""
+        m = 0 if k else 2 * L
+        rng = np.random.default_rng(49)
+        for name, shape in (("a", (m, k)), ("b", (k, n))):
+            matrixio.save_matrix(rng.uniform(-8, 8, size=shape).astype(np.float32),
+                                 tmp_path / f"{name}.tgmm")
+        results = []
+        for tag, flag in (("planned", flags), ("plain", ("--plain",))):
+            assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                             "--out", str(tmp_path / tag), "multiply", str(tmp_path / "a.tgmm"),
+                             str(tmp_path / "b.tgmm"), *flag]) == 0
+            results.append((tmp_path / tag / "result.tgmm").read_bytes())
+        assert results[0] == results[1]
+        np.testing.assert_array_equal(matrixio.load_matrix(tmp_path / "planned" / "result.tgmm"),
+                                      np.zeros((m, n), np.float32))
+        report = json.loads((tmp_path / "planned" / "multiply_report.json").read_text())
+        assert report["w_histogram"] == {}
+
     def test_infeasible_acceleration_exit_code(self, workdir, tmp_path):
         out = tmp_path / "inf"
         code = cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
@@ -515,14 +542,8 @@ class TestMultiplyCommand:
                              "--out", str(out), "multiply", str(tmp_path / "a.tgmm"),
                              str(tmp_path / "b.tgmm"), *flags]) == 0
             got = matrixio.load_matrix(out / "result.tgmm").astype(np.float64)
-            snr = {}
-            for i, j in np.ndindex(2, 2):
-                r = ref[i * L:(i + 1) * L, j * L:(j + 1) * L]
-                e = got[i * L:(i + 1) * L, j * L:(j + 1) * L] - r
-                p_err = float((e * e).sum())
-                snr[i, j] = math.inf if p_err == 0 else 10.0 * math.log10(
-                    float((r * r).sum()) / p_err)
-            return json.loads((out / "multiply_report.json").read_text()), snr
+            return (json.loads((out / "multiply_report.json").read_text()),
+                    oracles.kernel_snrs(ref, got, L))
 
         keys = {"worst_kernel_snr_db", "worst_kernel", "kernels_below_floor"}
         # at 36 dB some kernels fall below the floor; at 50 dB none has an error

@@ -1,29 +1,16 @@
 import math
 import warnings
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from helpers import plan_of
 from tdgemm import calibration, packing
-from tdgemm.blocking import plain_subblock_gemm
 from tdgemm.config import dtype_of, u_sys_of
 from tdgemm.errors import DimensionError, InvalidConfigError, QuantizerOverflowError
-
-
-def _round_via_float64(x):
-    """The float64 round trip round_half_away used before it ran in-dtype."""
-    arr = np.asarray(x)
-    r = np.copysign(np.floor(np.abs(arr.astype(np.float64)) + 0.5), arr.astype(np.float64))
-    return r.astype(arr.dtype)
-
-
-def _round_exact(v):
-    """Ties-away rounding of a float64 in exact rational arithmetic."""
-    return math.copysign(float(math.floor(abs(Fraction(v)) + Fraction(1, 2))), v)
 
 
 def _f32_values():
@@ -67,17 +54,20 @@ class TestRounding:
     @given(st.lists(_f32_values(), min_size=1, max_size=32))
     @settings(max_examples=300)
     def test_float32_matches_float64_round_trip(self, values):
+        """The float64 round trip round_half_away ran before it ran in-dtype
+        is exact on float32 values: it gives the exact rounding."""
         x = np.array(values, dtype=np.float32)
         got = packing.round_half_away(x)
         assert got.dtype == np.float32
-        assert got.tobytes() == _round_via_float64(x).tobytes()
+        want = np.array([oracles.round_exact(v) for v in x.tolist()], dtype=np.float32)
+        assert got.tobytes() == want.tobytes()
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=300)
     def test_float64_matches_exact_oracle(self, v):
         got = packing.round_half_away(np.array([v]))
         assert got.dtype == np.float64
-        want = np.array([_round_exact(v)])
+        want = np.array([oracles.round_exact(v)])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("v, want", [
@@ -167,10 +157,6 @@ class TestCoefficients:
             cfg.validate()
 
 
-def _exact_int_product(at, bt):
-    return at.astype(np.int64) @ bt.astype(np.int64)
-
-
 @pytest.mark.parametrize("precision", ["single", "double"])
 @pytest.mark.parametrize("mode", packing.MODES)
 def test_exact_region_round_trip(precision, mode):
@@ -191,17 +177,7 @@ def test_exact_region_round_trip(precision, mode):
             at = rng.integers(-amax, amax + 1, size=(L, L)).astype(dtype)
             bt = rng.integers(-bmax, bmax + 1, size=(L, L)).astype(dtype)
             got = packing.packed_product(at, bt, mode, w, z)
-            np.testing.assert_array_equal(got.astype(np.int64), _exact_int_product(at, bt))
-
-
-def _order_matched(at, bt, mode, w, z):
-    """pack -> order-matched plain_subblock_gemm -> unpack: the packed product
-    with the rank-1 loop's summation order."""
-    if mode == packing.SYMMETRIC:
-        abar, bbar = packing.pack_symmetric(at, bt, w, z)
-        return packing.unpack_symmetric(plain_subblock_gemm(abar.values, bbar.values), z)
-    abar = packing.pack_asymmetric(at, w, z)
-    return packing.unpack_asymmetric(plain_subblock_gemm(abar.values, bt), z, w)
+            np.testing.assert_array_equal(got.astype(np.int64), oracles.exact_int_product(at, bt))
 
 
 def _integer_tiles(rng, L, amax, bmax, dtype):
@@ -226,8 +202,8 @@ class TestPackedProductAgainstOrderMatched:
         at, bt = _integer_tiles(np.random.default_rng(seed), L, amax, bmax,
                                 dtype_of(precision))
         got = packing.packed_product(at, bt, mode, w, z)
-        assert got.tobytes() == _order_matched(at, bt, mode, w, z).tobytes()
-        np.testing.assert_array_equal(got.astype(np.int64), _exact_int_product(at, bt))
+        assert got.tobytes() == oracles.order_matched_product(at, bt, mode, w, z).tobytes()
+        np.testing.assert_array_equal(got.astype(np.int64), oracles.exact_int_product(at, bt))
 
     @staticmethod
     def _rmse_pair(L, amax, bmax, precision, mode, w, seed, trials):
@@ -242,7 +218,8 @@ class TestPackedProductAgainstOrderMatched:
             at, bt = _integer_tiles(rng, L, amax, bmax, dtype_of(precision))
             exact = at.astype(np.float64) @ bt.astype(np.float64)
             sq_blas += float(((packing.packed_product(at, bt, mode, w, z) - exact) ** 2).sum())
-            sq_oracle += float(((_order_matched(at, bt, mode, w, z) - exact) ** 2).sum())
+            matched = oracles.order_matched_product(at, bt, mode, w, z)
+            sq_oracle += float(((matched - exact) ** 2).sum())
         count = trials * L * L
         return math.sqrt(sq_blas / count), math.sqrt(sq_oracle / count)
 
@@ -339,74 +316,6 @@ def test_full_pipeline_packed_close_to_exact():
     assert np.max(np.abs(got - exact)) < tol
 
 
-# Reference copies of the elementwise stages in their allocating form, with
-# trunc-based rounding: the in-place, rint-based stages must match them bit
-# for bit.
-def _frozen_round(x):
-    arr = np.asarray(x)
-    t = np.trunc(arr)
-    with np.errstate(invalid="ignore"):
-        up = np.abs(arr - t) >= 0.5
-    return t + np.copysign(up, arr)
-
-
-def _frozen_quantize(tile, c):
-    return _frozen_round(np.asarray(c * tile.astype(np.float64), dtype=tile.dtype))
-
-
-def _frozen_pack_symmetric(at, bt, w, z):
-    L, dtype = at.shape[0], at.dtype
-    zf, zinv = dtype.type(z), dtype.type(1.0 / z)
-    abar = np.zeros((L, L // w), dtype=dtype)
-    bbar = np.zeros((L // w, L), dtype=dtype)
-    for i in range(w):
-        abar += zf ** i * at[:, i::w]
-        bbar += zinv ** i * bt[i::w, :]
-    return abar, bbar
-
-
-def _frozen_unpack_symmetric(rbar, z):
-    zf, zinv = rbar.dtype.type(z), rbar.dtype.type(1.0 / z)
-    u = _frozen_round(rbar)
-    return u - zinv * _frozen_round(zf * u)
-
-
-def _frozen_pack_asymmetric(at, w, z):
-    L, dtype = at.shape[0], at.dtype
-    zf = dtype.type(z)
-    abar = np.zeros((L // w, L), dtype=dtype)
-    for i in range(w):
-        abar += zf ** i * at[i::w, :]
-    return abar
-
-
-def _frozen_unpack_asymmetric(rbar, z, w):
-    zinv = rbar.dtype.type(1.0 / z)
-    out = np.empty((rbar.shape[0] * w, rbar.shape[1]), dtype=rbar.dtype)
-    resid = rbar
-    current = _frozen_round(resid)
-    out[0::w, :] = current
-    for i in range(1, w):
-        resid = zinv * (resid - current)
-        current = _frozen_round(resid)
-        out[i::w, :] = current
-    return out
-
-
-def _frozen_packed_subblock_product(a_tile, b_tile, cfg):
-    at = _frozen_quantize(a_tile, cfg.c_a)
-    bt = _frozen_quantize(b_tile, cfg.c_b)
-    if cfg.mode == packing.SYMMETRIC:
-        abar, bbar = _frozen_pack_symmetric(at, bt, cfg.w, cfg.z)
-        rt = _frozen_unpack_symmetric(np.matmul(abar, bbar), cfg.z)
-    else:
-        abar = _frozen_pack_asymmetric(at, cfg.w, cfg.z)
-        rt = _frozen_unpack_asymmetric(np.matmul(abar, bt), cfg.z, cfg.w)
-    # the divisor is the companders' float64 product rounded to the tile
-    # dtype, whatever their scalar type
-    return rt / a_tile.dtype.type(float(cfg.c_a) * float(cfg.c_b))
-
-
 def _planted(rng, L, dtype, scale, special=True):
     """Gaussian entries times ``scale`` (almost never a tie), with ties,
     signed zeros and, if ``special``, NaN of both signs and infinities
@@ -435,23 +344,23 @@ class TestStagesMatchFrozenCopy:
         rng = np.random.default_rng(L)
         for scale in (1.0, 1e3, 1e7):
             x = _planted(rng, L, dtype, scale)
-            want = _frozen_round(x).tobytes()
+            want = oracles.round_trunc(x).tobytes()
             assert packing.round_half_away(x).tobytes() == want
             strided = np.empty((2 * L, L), dtype)[::2]
             assert packing.round_half_away(x, out=strided).tobytes() == want
-            assert packing.round_half_away(x.T).tobytes() == _frozen_round(x.T).tobytes()
+            assert packing.round_half_away(x.T).tobytes() == oracles.round_trunc(x.T).tobytes()
             packing.round_half_away(x, out=x)
             assert x.tobytes() == want
 
     def test_round_without_ties(self):
         x = np.array([[0.49999999999999994, -0.2, 3.0], [np.nan, np.inf, -7.75]])
-        assert packing.round_half_away(x).tobytes() == _frozen_round(x).tobytes()
+        assert packing.round_half_away(x).tobytes() == oracles.round_trunc(x).tobytes()
 
     @pytest.mark.parametrize("dtype", _DTYPES)
     def test_round_zero_d_and_empty(self, dtype):
         for v in (2.5, -0.5, -0.0, 0.25, np.inf):
             got = packing.round_half_away(dtype(v))
-            assert np.asarray(got).tobytes() == np.asarray(_frozen_round(dtype(v))).tobytes()
+            assert np.asarray(got).tobytes() == np.asarray(oracles.round_trunc(dtype(v))).tobytes()
         empty = np.empty((0, 3), dtype)
         assert packing.round_half_away(empty).shape == (0, 3)
 
@@ -467,7 +376,7 @@ class TestStagesMatchFrozenCopy:
                 tile[:3] = [near, np.nextafter(near, dtype(np.inf)),
                             np.nextafter(near, dtype(-np.inf))]
                 got = packing.quantize_subblock(tile, float(c))
-                assert got.tobytes() == _frozen_quantize(tile, float(c)).tobytes()
+                assert got.tobytes() == oracles.quantize(tile, float(c)).tobytes()
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -481,14 +390,14 @@ class TestStagesMatchFrozenCopy:
         bt[1::2, 1] = -0.0
         z = 2.0 ** -12
         abar, bbar = packing.pack_symmetric(at, bt, w, z)
-        want_a, want_b = _frozen_pack_symmetric(at, bt, w, z)
+        want_a, want_b = oracles.pack_symmetric(at, bt, w, z)
         assert abar.values.tobytes() == want_a.tobytes()
         assert bbar.values.tobytes() == want_b.tobytes()
         assert abar.values.flags.c_contiguous and bbar.values.flags.c_contiguous
         for packed in (abar.values, bbar.values):  # 0 + (-0) is +0
             assert (packed == 0).any() and not np.signbit(packed[packed == 0]).any()
         asym = packing.pack_asymmetric(bt, w, z)
-        assert asym.values.tobytes() == _frozen_pack_asymmetric(bt, w, z).tobytes()
+        assert asym.values.tobytes() == oracles.pack_asymmetric(bt, w, z).tobytes()
 
     @pytest.mark.parametrize("L", [48, 288])
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -501,11 +410,11 @@ class TestStagesMatchFrozenCopy:
             rbar[3, :8] = (2 * rng.integers(-50, 50, 8) + 1) * (0.5 / z)
             with np.errstate(invalid="ignore"):
                 got = packing.unpack_symmetric(rbar, z)
-                want = _frozen_unpack_symmetric(rbar, z)
+                want = oracles.unpack_symmetric(rbar, z)
                 assert got.tobytes() == want.tobytes()
                 for w in (2, 3, 4):
                     got = packing.unpack_asymmetric(rbar, z, w)
-                    assert got.tobytes() == _frozen_unpack_asymmetric(rbar, z, w).tobytes()
+                    assert got.tobytes() == oracles.unpack_asymmetric(rbar, z, w).tobytes()
 
     @pytest.mark.parametrize("L", [48, 288])
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -522,7 +431,7 @@ class TestStagesMatchFrozenCopy:
                 cfg = packing.PackingConfig(mode, w, packing.compute_z(rmax), c_a, c_b, rmax)
                 got = packing.packed_subblock_product(a, b, cfg)
                 assert got.dtype == dtype
-                assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
+                assert got.tobytes() == oracles.packed_subblock_product(a, b, cfg).tobytes()
 
     @pytest.mark.parametrize("dtype", _DTYPES)
     @pytest.mark.parametrize("mode", packing.MODES)
@@ -540,7 +449,7 @@ class TestStagesMatchFrozenCopy:
             cfg = packing.PackingConfig(mode, w, packing.compute_z(rmax), c_a, c_b, rmax)
             runs.append((packing.packed_subblock_product(a, b, cfg), a, b, cfg))
         for got, a, b, cfg in runs:
-            assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
+            assert got.tobytes() == oracles.packed_subblock_product(a, b, cfg).tobytes()
             assert not any(np.shares_memory(got, other) for other, *_ in runs if other is not got)
 
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -561,7 +470,7 @@ class TestStagesMatchFrozenCopy:
         else:  # A's pairs are rows
             a[1, 0], b[0, 0], a[0, 1], b[1, 0] = 2.0 ** 15, 1, main, 1
         got = packing.packed_subblock_product(a, b, cfg)
-        assert got.tobytes() == _frozen_packed_subblock_product(a, b, cfg).tobytes()
+        assert got.tobytes() == oracles.packed_subblock_product(a, b, cfg).tobytes()
         assert got[0, 0] == main + 1  # the tie main + 1/2 rounded up
 
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -587,7 +496,7 @@ class TestRoundingOutputs:
         x = _planted(rng, 48, dtype, 1e3)
         x[0, :8] = [2.5, -2.5, 0.5, -0.5, 0.0, -0.0, np.inf, -np.inf]
         x[1, :2] = [np.nan, -np.nan]
-        want = _frozen_round(x).tobytes()
+        want = oracles.round_trunc(x).tobytes()
         separate = np.empty_like(x)
         assert packing.round_half_away(x, out=separate) is separate
         assert separate.tobytes() == want
@@ -612,26 +521,12 @@ class TestRoundingOutputs:
                     packing.packed_subblock_product(a, b, cfg)
 
 
-def _frozen_fold(parts, scales):
-    """The one-operand fold the symmetric pack ran twice: every part of
-    ``parts`` (W, ...) times its scale, add-reduced over axis 0 from 0."""
-    scaled = np.multiply(parts, scales.reshape(-1, *[1] * (parts.ndim - 1)))
-    return np.add.reduce(scaled, axis=0, initial=0)
-
-
-def _col_parts(t, w):
-    return t.reshape(t.shape[0], -1, w).transpose(2, 0, 1)
-
-
-def _row_parts(t, w):
-    return t.reshape(-1, w, t.shape[1]).transpose(1, 0, 2)
-
-
 class TestOnePassFold:
     """Both symmetric operands folded by one multiply and one add-reduce
-    (``pack_symmetric``), and each folded on its own as the executor folds
-    it (``prepare_operands``, from the tile's integers at unit compander),
-    equal the two one-operand folds, bit for bit."""
+    (``pack_symmetric``), each folded on its own as the executor folds it
+    (``prepare_operands``, from the tile's integers at unit compander), and
+    one asymmetric operand folded by ``_fold``, equal the frozen packs' folds
+    part by part, bit for bit."""
 
     @pytest.mark.parametrize("w", [2, 3, 4])
     @pytest.mark.parametrize("dtype", _DTYPES)
@@ -643,24 +538,21 @@ class TestOnePassFold:
             bt = _planted(rng, L, dtype, 1e4, special=False)
             at[:, 0::w], bt[1::w, :] = -0.0, -0.0  # whole parts of -0.0
             at[3, :] = -0.0
-            zpow, zinvpow = packing._powers(np.dtype(dtype), z, w)
-            want_a = _frozen_fold(_col_parts(at, w), zpow)
-            want_b = _frozen_fold(_row_parts(bt, w), zinvpow)
+            want_a, want_b = oracles.pack_symmetric(at, bt, w, z)
             work = packing.Workspace(L, dtype)
             assert not packing.prepare_operands(work, packing.SYMMETRIC, (at, bt),
                                                 ([((0, 0), w, z, 1.0)],) * 2)
-            qa, qb = _frozen_quantize(at, 1.0), _frozen_quantize(bt, 1.0)
-            for side, want in enumerate((_frozen_fold(_col_parts(qa, w), zpow),
-                                         _frozen_fold(_row_parts(qb, w), zinvpow))):
+            qa, qb = oracles.quantize(at, 1.0), oracles.quantize(bt, 1.0)
+            for side, want in enumerate(oracles.pack_symmetric(qa, qb, w, z)):
                 op = work.operands[side][(0, 0), packing.SYMMETRIC, w, z, 1.0]
                 assert op.tobytes() == want.tobytes()
             abar, bbar = packing.pack_symmetric(at, bt, w, z)
             assert abar.values.tobytes() == want_a.tobytes()
             assert bbar.values.tobytes() == want_b.tobytes()
             assert not np.signbit(abar.values[abar.values == 0]).any()
-            (asym,) = packing._fold(_row_parts(at, w).reshape(1, w, -1),
-                                    packing._powers(np.dtype(dtype), z, w))
-            assert asym.tobytes() == _frozen_fold(_row_parts(at, w), zpow).tobytes()
+            parts = at.reshape(-1, w, L).transpose(1, 0, 2).reshape(1, w, -1)  # A's row parts
+            (asym,) = packing._fold(parts, packing._powers(np.dtype(dtype), z, w))
+            assert asym.tobytes() == oracles.pack_asymmetric(at, w, z).tobytes()
 
 
 def _keys(cfg, names=((0, 0), (0, 0))):
@@ -688,33 +580,6 @@ class TestWorkspace:
     """Packed products on one reused workspace equal products on a buffer
     of their own, bit for bit, and raise as they do."""
 
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_consecutive_calls_equal_calls_without(self, data):
-        L = data.draw(st.sampled_from([12, 24]))
-        dtype = data.draw(st.sampled_from(_DTYPES))
-        work = packing.Workspace(L, dtype)
-        done = []
-        for _ in range(data.draw(st.integers(2, 5))):
-            cfg, a, b = _cfg_tiles(data, L, dtype)
-            if data.draw(st.booleans()):  # a peak at the exact-integer limit
-                (a, b)[data.draw(st.integers(0, 1))][1, 2] = packing._EXACT_INT_LIMIT[a.dtype]
-                cfg = packing.PackingConfig(cfg.mode, cfg.w, cfg.z, 1.0, 1.0, 1)
-                with pytest.raises(QuantizerOverflowError) as alone:
-                    packing.packed_subblock_product(a, b, cfg)
-                with pytest.raises(QuantizerOverflowError) as shared:
-                    packing.packed_subblock_product(a, b, cfg, work)
-                assert str(shared.value) == str(alone.value)
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = packing.packed_subblock_product(a, b, cfg)
-                got = packing.packed_subblock_product(a, b, cfg, work)
-            assert np.shares_memory(got, work.buf) and not np.shares_memory(want, work.buf)
-            assert got.tobytes() == want.tobytes()
-            done.append((want, want.tobytes()))
-        for want, bits in done:  # results without a workspace are their own
-            assert want.tobytes() == bits
-
     @pytest.mark.parametrize("mode", packing.MODES)
     def test_tiered_gemm_equals_subblock_calls(self, mode):
         """``tiered_gemm`` adds each packed result on its one workspace as
@@ -731,54 +596,8 @@ class TestWorkspace:
         configs = [[[cfgs[(i + j + l) % 3] if (i + l) % 2 == 0 else None for l in range(3)]
                     for j in range(2)] for i in range(2)]
         got = tiered_gemm(a, b, L, plan_of(mode, configs))
-        for i, j in np.ndindex(2, 2):
-            acc = np.zeros((L, L), np.float32)
-            for l, cfg in enumerate(configs[i][j]):
-                at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
-                bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
-                acc += (plain_subblock_gemm(at, bt) if cfg is None
-                        else packing.packed_subblock_product(at, bt, cfg))
-            assert got[i * L:(i + 1) * L, j * L:(j + 1) * L].tobytes() == acc.tobytes()
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_tiered_gemm_memo_equals_calls_without_workspace(self, data):
-        """On plans of mixed W, each tile's packed operand kept in the
-        workspace gives the bits of per-subblock calls that share nothing:
-        with companders per operand tile, as the planner plans them, and with
-        companders that vary with the other operand's index, where the same
-        tile must be quantized again."""
-        from tdgemm.blocking import tiered_gemm
-
-        L = 12
-        mode = data.draw(st.sampled_from(packing.MODES))
-        dtype = data.draw(st.sampled_from(_DTYPES))
-        bi, bj, bl = (data.draw(st.integers(1, 3)) for _ in range(3))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        a = (rng.standard_normal((bi * L + data.draw(st.integers(0, 2)), bl * L))
-             * data.draw(st.sampled_from([0.5, 4.0, 50.0]))).astype(dtype)
-        b = rng.standard_normal((bl * L, bj * L + data.draw(st.integers(0, 2)))).astype(dtype)
-        z_of = {w: 2.0 ** -data.draw(st.integers(6, 30)) for w in (2, 3, 4)}
-        w = rng.choice([1, 2, 2, 3, 4], size=(bi, bj, bl))
-        c_a = np.broadcast_to(rng.uniform(0.5, 30.0, (bi, 1, bl)), w.shape)
-        c_b = np.broadcast_to(rng.uniform(0.5, 30.0, (1, bj, bl)), w.shape)
-        if not data.draw(st.booleans()):  # not separable: c_a moves with j, c_b with i
-            c_a = c_a * rng.choice([1.0, 1.5], size=w.shape)
-            c_b = c_b * rng.choice([1.0, 0.75], size=w.shape)
-        configs = [[[packing.PackingConfig(mode, int(w[i, j, l]), z_of[int(w[i, j, l])],
-                                           float(c_a[i, j, l]), float(c_b[i, j, l]), 1)
-                     if w[i, j, l] > 1 else None for l in range(bl)]
-                    for j in range(bj)] for i in range(bi)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = tiered_gemm(a, b, L, plan_of(mode, configs))
-            for i, j in np.ndindex(bi, bj):
-                acc = np.zeros((L, L), dtype)
-                for l, cfg in enumerate(configs[i][j]):
-                    at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
-                    bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
-                    acc += (plain_subblock_gemm(at, bt) if cfg is None
-                            else packing.packed_subblock_product(at, bt, cfg))
-                assert got[i * L:(i + 1) * L, j * L:(j + 1) * L].tobytes() == acc.tobytes()
+        want = oracles.tiered_gemm(a, b, L, configs, packing.packed_subblock_product)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", packing.MODES)
     @pytest.mark.parametrize("side", [0, 1])
@@ -809,28 +628,6 @@ class TestWorkspace:
             packing.packed_subblock_product(a, b, cfg, packing.Workspace(side, dtype))
 
 
-def _frozen_tiered(a, b, L, configs):
-    """The blocked product as the frozen per-subblock pipeline runs it: each
-    kernel sums its subblocks from zeros in ascending l, packed ones through
-    ``_frozen_packed_subblock_product``, plain ones and borders on the
-    order-matched ``plain_subblock_gemm``."""
-    r = np.zeros((a.shape[0], b.shape[1]), a.dtype)
-    bi, bj = len(configs), len(configs[0])
-    for i, j in np.ndindex(bi, bj):
-        acc = np.zeros((L, L), a.dtype)
-        for l, cfg in enumerate(configs[i][j]):
-            at = a[i * L:(i + 1) * L, l * L:(l + 1) * L]
-            bt = b[l * L:(l + 1) * L, j * L:(j + 1) * L]
-            acc += (plain_subblock_gemm(at, bt) if cfg is None
-                    else _frozen_packed_subblock_product(at, bt, cfg))
-        r[i * L:(i + 1) * L, j * L:(j + 1) * L] = acc
-    if bi * L < a.shape[0]:
-        r[bi * L:] = plain_subblock_gemm(a[bi * L:], b)
-    if bj * L < b.shape[1]:
-        r[:bi * L, bj * L:] = plain_subblock_gemm(a[:bi * L], b[:, bj * L:])
-    return r
-
-
 def _overflow(data, tile):
     """Plant, if drawn, an entry whose companded amplitude no compander of
     ``_cfg_tiles`` keeps below the exact-integer limit; True if planted."""
@@ -852,6 +649,12 @@ class TestMemoHitPath:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_calls_on_one_workspace(self, data):
+        """Memo hits on prepared tiles, interleaved with pairs of calls of
+        their own, one on the workspace and one without it. A call without
+        a workspace writes a buffer of its own, which keeps its bits through
+        every later call; a call on the workspace writes the workspace's
+        buffer; both raise for a peak at the exact-integer limit, with the
+        same message."""
         L = data.draw(st.sampled_from([12, 24]))
         dtype = data.draw(st.sampled_from(_DTYPES))
         work = packing.Workspace(L, dtype)
@@ -870,22 +673,48 @@ class TestMemoHitPath:
                 assert [str(e) for e in errors.values()] == [str(alone.value)]
             else:
                 assert not errors
-        for cfg, a, b, names, bad in data.draw(st.lists(st.sampled_from(cases), min_size=1,
-                                                         max_size=6)):
+        hits = data.draw(st.lists(st.sampled_from(cases), min_size=1, max_size=6))
+        done = []  # results of calls without a workspace, with their bits
+        for step in data.draw(st.permutations(hits + [None] * data.draw(st.integers(2, 5)))):
+            if step is None:  # a call of its own, on the workspace and without it
+                cfg, a, b = _cfg_tiles(data, L, dtype)
+                if data.draw(st.booleans()):  # a peak at the exact-integer limit
+                    (a, b)[data.draw(st.integers(0, 1))][1, 2] = packing._EXACT_INT_LIMIT[a.dtype]
+                    cfg = cfg._replace(c_a=1.0, c_b=1.0)
+                    with pytest.raises(QuantizerOverflowError) as alone:
+                        packing.packed_subblock_product(a, b, cfg)
+                    with pytest.raises(QuantizerOverflowError) as shared:
+                        packing.packed_subblock_product(a, b, cfg, work)
+                    assert str(shared.value) == str(alone.value)
+                    continue
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = oracles.packed_subblock_product(a, b, cfg)
+                    alone = packing.packed_subblock_product(a, b, cfg)
+                    got = packing.packed_subblock_product(a, b, cfg, work)
+                assert np.shares_memory(got, work.buf) and not np.shares_memory(alone, work.buf)
+                assert got.tobytes() == alone.tobytes() == want.tobytes()
+                done.append((alone, alone.tobytes()))
+                continue
+            cfg, a, b, names, bad = step
             if bad:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):  # the frozen copy's
-                want = _frozen_packed_subblock_product(a, b, cfg)
+                want = oracles.packed_subblock_product(a, b, cfg)
             got = packing.packed_subblock_product(a, b, cfg, work, names)
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        for alone, bits in done:
+            assert alone.tobytes() == bits
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_tiered_gemm(self, data):
-        """A plan of mixed W on one workspace; companders per tile, as the
+        """A plan of mixed W on one workspace gives the bits of the frozen
+        pipeline and of per-subblock calls that share nothing. Companders
+        are drawn from a range or from a few values, per tile, as the
         planner chooses them, or moving with the other operand (more keys of
-        one tile); an overflowing tile names the first subblock that reads
-        it with a packed config, with the message of that call alone."""
+        one tile); quantizer ties may be planted. An overflowing tile names
+        the first subblock that reads it with a packed config, with the
+        message of that call alone."""
         from tdgemm.blocking import tiered_gemm
 
         L = 12
@@ -896,15 +725,23 @@ class TestMemoHitPath:
         a = (rng.standard_normal((bi * L + data.draw(st.integers(0, 2)), bl * L))
              * data.draw(st.sampled_from([0.5, 4.0, 50.0]))).astype(dtype)
         b = rng.standard_normal((bl * L, bj * L + data.draw(st.integers(0, 2)))).astype(dtype)
-        a[rng.random(a.shape) < 0.05] = rng.integers(-40, 40) + 0.5  # ties if c is 1 or 2
+        if data.draw(st.booleans()):
+            a[rng.random(a.shape) < 0.05] = rng.integers(-40, 40) + 0.5  # ties if c is 1 or 2
         # R_max 1 admits these z, whatever the tiles: the larger ones put the
         # products outside the packing bound
         z_of = {w: 2.0 ** -data.draw(st.integers(6, 40)) for w in (2, 3, 4)}
         w = rng.choice([1, 2, 2, 3, 4], size=(bi, bj, bl))
-        c_a = np.broadcast_to(rng.choice([0.5, 1.0, 2.0, 7.3, 60.0], (bi, 1, bl)), w.shape)
-        c_b = np.broadcast_to(rng.choice([0.5, 1.0, 2.0, 0.31, 45.0], (1, bj, bl)), w.shape)
-        if not data.draw(st.booleans()):
+        if data.draw(st.booleans()):
+            c_a, c_b = rng.uniform(0.5, 30.0, (bi, 1, bl)), rng.uniform(0.5, 30.0, (1, bj, bl))
+        else:
+            c_a = rng.choice([0.5, 1.0, 2.0, 7.3, 60.0], (bi, 1, bl))
+            c_b = rng.choice([0.5, 1.0, 2.0, 0.31, 45.0], (1, bj, bl))
+        c_a, c_b = np.broadcast_to(c_a, w.shape), np.broadcast_to(c_b, w.shape)
+        moving = data.draw(st.sampled_from(["", "a", "ab"]))  # c_a moves with j, c_b with i
+        if "a" in moving:
             c_a = c_a * rng.choice([1.0, 1.5], size=w.shape)
+        if "b" in moving:
+            c_b = c_b * rng.choice([1.0, 0.75], size=w.shape)
         configs = [[[packing.PackingConfig(mode, int(w[i, j, l]), z_of[int(w[i, j, l])],
                                            float(c_a[i, j, l]), float(c_b[i, j, l]), 1)
                      if w[i, j, l] > 1 else None for l in range(bl)]
@@ -927,9 +764,10 @@ class TestMemoHitPath:
             assert str(got.value) == f"kernel ({i},{j}) subblock {l}: {alone.value}"
             return
         with np.errstate(over="ignore", invalid="ignore"):
-            want = _frozen_tiered(a, b, L, configs)
+            want = oracles.tiered_gemm(a, b, L, configs)
+            calls = oracles.tiered_gemm(a, b, L, configs, packing.packed_subblock_product)
             got = tiered_gemm(a, b, L, plan)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() == calls.tobytes()
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -1063,11 +901,11 @@ class TestPrepareOperands:
                     rejected[side, key] = str(exc)
                     continue
                 with np.errstate(over="ignore", invalid="ignore"):
-                    q = _frozen_quantize(tile(side, rc), c)
+                    q = oracles.quantize(tile(side, rc), c)
                 if mode == packing.SYMMETRIC:
-                    want = _frozen_pack_symmetric(q, q, w, z)[side]
+                    want = oracles.pack_symmetric(q, q, w, z)[side]
                 else:
-                    want = _frozen_pack_asymmetric(q, w, z) if side == 0 else q
+                    want = oracles.pack_asymmetric(q, w, z) if side == 0 else q
                 kept[rc, mode, w, z, c] = want.tobytes()
             memo = work.operands[side]
             assert {k: op.tobytes() for k, op in memo.items()} == kept
@@ -1132,7 +970,7 @@ class TestCompanderScalarTypes:
             got = {kind(c_a).__class__: packing.packed_subblock_product(
                        a, b, packing.PackingConfig(mode, 2, z, kind(c_a), kind(c_b), rmax)
                    ).tobytes() for kind in (float, np.float64, np.float32)}
-            want = _frozen_packed_subblock_product(
+            want = oracles.packed_subblock_product(
                 a, b, packing.PackingConfig(mode, 2, z, c_a, c_b, rmax)).tobytes()
             assert set(got.values()) == {want}
 
