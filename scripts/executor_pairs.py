@@ -23,8 +23,13 @@ imports its checkout's `src/` and times, on the same inputs and plan:
 - `plan_gemm` on a table `load_calibration` reads from the workload's
   `calibration.csv` each call, as `tdgemm multiply` runs them: the median of
   `--reps` calls after one warm-up call. The child first checks that its
-  plan's options are, byte for byte, the plan this checkout saved, so a
-  run also checks that the two checkouts plan alike.
+  plan's options are, byte for byte on every field both checkouts' option
+  records hold, the plan this checkout saved, so a run also checks that the
+  two checkouts plan alike;
+- `setup_ms`, last in the child: the workload's `tdgemm calibrate` and
+  `tdgemm solutions` argv through `cli.main`, as the benchmark's set-up
+  runs them, into a scratch tables directory; the median of
+  `SETUP_REPS` runs.
 
 It prints, per workload and measure, each side's median and IQR over the
 rounds, the median over rounds of the change's time over the parent's in
@@ -55,20 +60,30 @@ sys.path.insert(0, str(ROOT / "src"))
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
-MEASURES = ("tiered_gemm_ms", "prepare_ms", "memo_hit_us", "plan_gemm_ms")
+MEASURES = ("tiered_gemm_ms", "prepare_ms", "memo_hit_us", "plan_gemm_ms", "setup_ms")
+SETUP_REPS = 3
 
-# one round of one side: argv[1] is its src/, argv[2] the inputs, argv[3] reps
+# one round of one side: argv[1] is its src/, argv[2] the inputs, argv[3]
+# reps, argv[4] the set-up runs
 CHILD = r"""
-import json, statistics, sys, time
+import contextlib, io, json, statistics, sys, time
 from types import SimpleNamespace
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from tdgemm import blocking, calibration, controller, packing
+from tdgemm import blocking, calibration, cli, controller, packing
 
 d = np.load(sys.argv[2])
 reps = int(sys.argv[3])
 a, b, L = d["a"], d["b"], int(d["L"])
 plan = SimpleNamespace(mode=str(d["mode"]), options=d["options"])
+
+def setup():
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(d[argv].tolist()) for argv in ("calibrate_argv", "solutions_argv")]
+    if codes != [0, 0]:
+        raise SystemExit(f"set-up exited {codes}")
+    return time.perf_counter() - t0
 
 def median_s(fn, batch=1):
     fn()
@@ -98,24 +113,28 @@ def plan_gemm():
     return controller.plan_gemm(a, b, L, constraint, calib, plan.mode, "single",
                                 w_set=tuple(d["ws"].tolist()))
 
-if plan_gemm().options.tobytes() != d["options"].tobytes():
+got, saved = plan_gemm().options, d["options"]
+if any(got[f].tobytes() != saved[f].tobytes()
+       for f in set(got.dtype.names) & set(saved.dtype.names)):
     raise SystemExit("this checkout's plan differs from the saved plan")
 plan_s = median_s(plan_gemm)
-prep_s = float("nan")  # last, so that its allocations do not precede the other measures
+prep_s = float("nan")  # after the timed calls above, so that its allocations precede none
 if hasattr(packing, "prepare_operands"):
     keys = blocking.operand_keys(plan)
     prep_s = median_s(lambda: packing.prepare_operands(packing.Workspace(L, a.dtype),
                                                        plan.mode, (a, b), keys))
+setup_s = statistics.median(setup() for _ in range(int(sys.argv[4])))  # last: it writes files
 print(json.dumps({"tiered_gemm_ms": gemm_s * 1e3, "prepare_ms": prep_s * 1e3,
                   "memo_hit_us": hit_s * 1e6,
-                  "plan_gemm_ms": plan_s * 1e3}))
+                  "plan_gemm_ms": plan_s * 1e3, "setup_ms": setup_s * 1e3}))
 """
 
 
 def plan_inputs(wl, seed: int, tmp: Path) -> Path:
     """The workload's inputs and this checkout's plan of them, saved to one
     ``.npz`` with the path of the calibration table, the constraint and the
-    W's it was planned from; also the configuration of the memo-hit call: that of the
+    W's it was planned from, and the workload's set-up argv, which write a
+    second tables directory; also the configuration of the memo-hit call: that of the
     plan's first W=2 subblock or, on a plan that packs nothing, companders
     that scale both tiles to at most 16 and the z of that bound."""
     from tdgemm import calibration, cli, controller, packing
@@ -143,7 +162,9 @@ def plan_inputs(wl, seed: int, tmp: Path) -> Path:
     np.savez(path, a=a, b=b, L=wl.L, mode=plan.mode, options=plan.options,
              memo_cfg=np.array(memo_cfg, dtype=np.float64),
              calibration=str(tables / "calibration.csv"), constraint=np.array(wl.constraint),
-             ws=np.array(wl.ws))
+             ws=np.array(wl.ws),
+             calibrate_argv=np.array(wl.calibrate_argv(seed, str(tmp / f"setup-{wl.name}"))),
+             solutions_argv=np.array(wl.solutions_argv(seed, str(tmp / f"setup-{wl.name}"))))
     return path
 
 
@@ -151,7 +172,7 @@ def run_side(checkout: Path, inputs: Path, reps: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", CHILD, str(checkout / "src"), str(inputs),
-                          str(reps)], capture_output=True, text=True, env=env)
+                          str(reps), str(SETUP_REPS)], capture_output=True, text=True, env=env)
     if out.returncode != 0:
         raise SystemExit(f"round in {checkout} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])

@@ -1,14 +1,14 @@
 """Offline measurement artifacts: representation-noise curves m/s(R_max, W),
-throughput profiling F_W, and the compander-solution table (one structured
-array, built per W by an array search over sigma pairs and R_max). All three
-persist as versioned CSV files.
+throughput profiling F_W, and the compander-solution table: a read-only
+structured array of ``SOLUTION_DTYPE`` rows, built per W by an array search
+over sigma pairs and R_max. All three persist as versioned CSV files.
 
 The planner reads only the first two. Under ``uniform_extremes`` every term
 of the noise model scales as (sigma_a * sigma_b)^2, so the SNR-best R_max of
 a W is the same for every sigma pair, and ``controller.build_options`` takes
 it from ``build_offline_solutions`` at the one pair (1, 1). The full table is
 an offline report; ``load_solutions`` and ``lookup_nearest_solution`` read it
-back.
+back, the latter as the nearest rows.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .errors import (
     TableFormatError,
     TimerResolutionError,
 )
-from .noise import (BatchStats, CompanderSolution, combined_distortion, optimal_companders,
-                    signal_power)
+from .noise import BatchStats, combined_distortion, optimal_companders, signal_power
 
 FORMAT_VERSION = 1
 
@@ -58,42 +57,28 @@ class CalibEntry(NamedTuple):
     seed: int
 
 
-@dataclass
 class CalibrationTable:
-    """Calibration entries in measurement (file) order. ``slice``, ``lookup``,
-    ``admitted`` and ``ws`` read an index of them: each (precision, mode,
-    W)'s entries sorted by R_max, in file order among equal R_max. It is
-    built on first use and again once ``entries`` has grown (``add``,
-    ``extend``) or been replaced."""
+    """Calibration entries in measurement (file) order, ``entries``, indexed
+    once, at construction: ``slice``, ``lookup``, ``admitted`` and ``ws`` read
+    each (precision, mode, W)'s entries sorted by R_max, in file order among
+    equal R_max. A table is built from all its entries and not changed."""
 
-    entries: list = field(default_factory=list)
-    _index: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
-
-    def add(self, entry: CalibEntry) -> None:
-        self.entries.append(entry)
-
-    def extend(self, entries) -> None:
-        self.entries.extend(entries)
-
-    def _slices(self) -> dict:
-        indexed, n, slices = self._index
-        if indexed is not self.entries or n != len(indexed):
-            slices = {}
-            for e in sorted(self.entries, key=attrgetter("rmax")):  # a stable sort
-                slices.setdefault(e[:3], []).append(e)  # e[:3]: precision, mode, W
-            self._index = (self.entries, len(self.entries), slices)
-        return slices
+    def __init__(self, entries=()):
+        self.entries = list(entries)
+        self._slices = {}
+        for e in sorted(self.entries, key=attrgetter("rmax")):  # a stable sort
+            self._slices.setdefault(e[:3], []).append(e)  # e[:3]: precision, mode, W
 
     def slice(self, precision: str, mode: str, w: int) -> list:
-        return list(self._slices().get((precision, mode, w), ()))
+        return list(self._slices.get((precision, mode, w), ()))
 
     def ws(self, precision: str, mode: str) -> list:
         """The W's the table holds for (precision, mode), ascending."""
-        return sorted(w for p, m, w in self._slices() if (p, m) == (precision, mode))
+        return sorted(w for p, m, w in self._slices if (p, m) == (precision, mode))
 
     def lookup(self, precision: str, mode: str, w: int, rmax: int) -> CalibEntry:
         """Entry for the key; on duplicate keys the earliest entry wins."""
-        entries = self._slices().get((precision, mode, w), [])
+        entries = self._slices.get((precision, mode, w), [])
         i = bisect_left(entries, rmax, key=attrgetter("rmax"))  # the earliest of equal R_max
         if i == len(entries) or entries[i].rmax != rmax:
             raise CalibrationMissingError(
@@ -101,10 +86,12 @@ class CalibrationTable:
             )
         return entries[i]
 
-    def admitted(self, precision: str, mode: str, w: int, rmax_cap: int | None = None):
-        """Entries usable by the controller: near-zero bias, optional R_max cap."""
-        return [e for e in self._slices().get((precision, mode, w), ())
-                if not (rmax_cap is not None and e.rmax > rmax_cap
+    def admitted(self, precision: str, mode: str, w: int):
+        """Entries usable by the controller: near-zero bias, and no R_max over
+        the (precision, W) cap of ``DEFAULT_RMAX_CAPS``, if it has one."""
+        cap = DEFAULT_RMAX_CAPS.get((precision, w))
+        return [e for e in self._slices.get((precision, mode, w), ())
+                if not (cap is not None and e.rmax > cap
                         or abs(e.mean_err) / e.rmax >= BIAS_LIMIT)]
 
 
@@ -194,14 +181,15 @@ class ProfileEntry:
 class SpeedupProfile:
     entries: list = field(default_factory=list)
 
-    def fw(self, precision: str, mode: str, w: int) -> float:
+    def fw(self, precision: str, mode: str, w: int, L: int) -> float:
+        """The measured gain of W at tile side L; 0 for W=1."""
         if w == 1:
             return 0.0
         for e in self.entries:
-            if (e.precision, e.mode, e.w) == (precision, mode, w):
+            if (e.precision, e.mode, e.w, e.L) == (precision, mode, w, L):
                 return e.fw_percent
         raise CalibrationMissingError(
-            f"no speedup profile entry for ({precision}, {mode}, W={w})"
+            f"no speedup profile entry for ({precision}, {mode}, W={w}, L={L})"
         )
 
 
@@ -296,19 +284,10 @@ def uniform_extremes(sigma_a: float, sigma_b: float):
     return math.sqrt(3.0) * sigma_a, math.sqrt(3.0) * sigma_b
 
 
-# a solution table as a structured array: one record per row, fields in file order
-_SOLUTION_DTYPE = np.dtype([("sigma_a", "f8"), ("sigma_b", "f8"), ("w", "i8"), ("rmax", "i8"),
-                            ("c_a", "f8"), ("c_b", "f8"), ("snr_db", "f8")])
-
-
-class OfflineSolutionTable:
-    """Stored compander solutions, one per (sigma_a, sigma_b, W): ``data`` is a
-    read-only copy of the rows as a structured array of ``_SOLUTION_DTYPE``, in
-    table order."""
-
-    def __init__(self, data):
-        self.data = np.array(data, dtype=_SOLUTION_DTYPE)
-        self.data.flags.writeable = False
+# a solution table: stored compander solutions, one read-only record per
+# (sigma_a, sigma_b, W), fields in file order
+SOLUTION_DTYPE = np.dtype([("sigma_a", "f8"), ("sigma_b", "f8"), ("w", "i8"), ("rmax", "i8"),
+                           ("c_a", "f8"), ("c_b", "f8"), ("snr_db", "f8")])
 
 
 # (sigma pair, R_max) elements per step of the solution build, which bounds
@@ -317,7 +296,7 @@ _BUILD_CHUNK = 1 << 11
 
 
 def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str, mode: str,
-                            L: int, w_set=(2, 3, 4)) -> OfflineSolutionTable:
+                            L: int, w_set=(2, 3, 4)) -> np.ndarray:
     """Precompute the best operating point per (sigma_a, sigma_b, W).
 
     Each sigma pair stands for zero-mean uniform operands
@@ -326,14 +305,14 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
     the optimal companders and the model SNR at every admitted R_max; each
     pair keeps the first R_max, in ascending order, of highest SNR. The SNR
     is ``10 * math.log10`` per element, because ``np.log10`` is not bitwise
-    ``math.log10``. Rows are in W order, then pair order.
+    ``math.log10``. Rows are in W order, then pair order, in a read-only
+    array of ``SOLUTION_DTYPE``.
     """
     ws = sorted(set(w_set))
     pairs = np.array(sigma_pairs, dtype=np.float64).reshape(-1, 2)
-    out = np.empty(len(ws) * len(pairs), dtype=_SOLUTION_DTYPE)
+    out = np.empty(len(ws) * len(pairs), dtype=SOLUTION_DTYPE)
     for k, w in enumerate(ws):
-        admitted = calib.admitted(precision, mode, w,
-                                  rmax_cap=DEFAULT_RMAX_CAPS.get((precision, w)))
+        admitted = calib.admitted(precision, mode, w)
         if not admitted:
             raise CalibrationMissingError(
                 f"no admitted calibration entries for ({precision}, {mode}, W={w})"
@@ -348,28 +327,29 @@ def build_offline_solutions(sigma_pairs, calib: CalibrationTable, precision: str
             a_abs, b_abs = uniform_extremes(sa, sb)
             stats = BatchStats(sigma_a=sa, sigma_b=sb, a_min=-a_abs, a_max=a_abs,
                                b_min=-b_abs, b_max=b_abs, L=L)
-            sol = optimal_companders(stats, rmax, w=w)
-            total = combined_distortion(stats, sol.c_a, sol.c_b, s_repr).total
+            c_a, c_b = optimal_companders(stats, rmax)
+            total = combined_distortion(stats, c_a, c_b, s_repr)
             ratio = signal_power(stats) / total
             snr = 10.0 * np.fromiter(map(math.log10, ratio.ravel().tolist()),
                                      dtype=np.float64, count=ratio.size).reshape(ratio.shape)
             best = (np.arange(len(snr)), snr.argmax(axis=1))
             chunk = rows[p:p + step]
             chunk["rmax"], chunk["c_a"], chunk["c_b"], chunk["snr_db"] = \
-                rmax[best[1]], sol.c_a[best], sol.c_b[best], snr[best]
-    return OfflineSolutionTable(out)
+                rmax[best[1]], c_a[best], c_b[best], snr[best]
+    out.flags.writeable = False
+    return out
 
 
-def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: int):
+def lookup_nearest_solution(table: np.ndarray, sigma_a, sigma_b, w: int) -> np.ndarray:
     """Stored solution of W with the closest sigmas; ties go to the earlier row.
 
     Distance is squared Euclidean in linear sigma. A NaN distance never
     displaces an earlier row, so a NaN query returns the first row of W.
-    The sigmas, floats or arrays, broadcast together; the CompanderSolution
-    returned holds c_a, c_b, rmax and expected_snr_db as arrays of that
-    shape (0-d for float sigmas), one entry per query.
+    The sigmas, floats or arrays, broadcast together; the rows returned, of
+    ``table``'s dtype, have that shape (0-d for float sigmas), one row per
+    query.
     """
-    rows = table.data[table.data["w"] == w]
+    rows = table[table["w"] == w]
     if not len(rows):
         raise CalibrationMissingError(f"solution table has no entries for W={w}")
     qa, qb = np.broadcast_arrays(np.asarray(sigma_a, dtype=np.float64),
@@ -382,9 +362,7 @@ def lookup_nearest_solution(table: OfflineSolutionTable, sigma_a, sigma_b, w: in
     first_nan = np.isnan(d[..., 0])
     d[np.isnan(d)] = np.inf
     near = np.where(first_nan, 0, d.argmin(axis=-1))
-    found = rows[near.reshape(-1)].reshape(qa.shape)
-    return CompanderSolution(c_a=found["c_a"], c_b=found["c_b"], rmax=found["rmax"],
-                             expected_snr_db=found["snr_db"], w=w)
+    return rows[near.reshape(-1)].reshape(qa.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +482,12 @@ def load_speedup(path) -> SpeedupProfile:
 _SAVE_CHUNK = 1 << 10
 
 
-def save_solutions(table: OfflineSolutionTable, path) -> None:
-    data = table.data
-    write_table(path, SOLUTION_HEADER, (row for k in range(0, len(data), _SAVE_CHUNK)
-                                        for row in data[k:k + _SAVE_CHUNK].tolist()))
+def save_solutions(table: np.ndarray, path) -> None:
+    write_table(path, SOLUTION_HEADER, (row for k in range(0, len(table), _SAVE_CHUNK)
+                                        for row in table[k:k + _SAVE_CHUNK].tolist()))
 
 
-def load_solutions(path) -> OfflineSolutionTable:
-    return OfflineSolutionTable(read_table(path, SOLUTION_HEADER, SOLUTION_FIELDS))
+def load_solutions(path) -> np.ndarray:
+    table = np.array(read_table(path, SOLUTION_HEADER, SOLUTION_FIELDS), dtype=SOLUTION_DTYPE)
+    table.flags.writeable = False
+    return table

@@ -106,18 +106,17 @@ def _calibrated_w_set(calib: calibration.CalibrationTable, precision: str, mode:
 def cmd_calibrate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = calibration.CalibrationTable()
+    entries = []
     for w in args.w:
-        entries = calibration.measure_repr_noise(
+        entries += calibration.measure_repr_noise(
             args.l, args.precision, args.mode, w, trials=args.trials, seed=args.seed
         )
-        table.extend(entries)
-        for e in entries:
-            z = packing.compute_z(e.rmax)
-            wef = packing.compute_wef(z, e.rmax, u_sys_of(args.precision))
-            print(f"W={w} rmax={e.rmax} exact-region bound W_ef={wef} rmse={e.rmse:.6g}")
+    for e in entries:
+        z = packing.compute_z(e.rmax)
+        wef = packing.compute_wef(z, e.rmax, u_sys_of(args.precision))
+        print(f"W={e.w} rmax={e.rmax} exact-region bound W_ef={wef} rmse={e.rmse:.6g}")
     path = out_dir / TABLE_FILES["calibration"]
-    calibration.save_calibration(table, path)
+    calibration.save_calibration(calibration.CalibrationTable(entries), path)
     _write_manifest(out_dir, "calibrate", args, {}, [path])
     return 0
 
@@ -153,7 +152,7 @@ def cmd_solutions(args) -> int:
     )
     path = out_dir / TABLE_FILES["solutions"]
     calibration.save_solutions(table, path)
-    print(f"{len(table.data)} solutions over {len(pairs)} sigma pairs")
+    print(f"{len(table)} solutions over {len(pairs)} sigma pairs")
     calib_path = Path(args.tables) / TABLE_FILES["calibration"]
     _write_manifest(out_dir, "solutions", args, {calib_path: _sha256(calib_path)}, [path])
     return 0
@@ -326,14 +325,13 @@ def cmd_sweep(args) -> int:
     # options depend only on the inputs, so every step reuses them: an
     # accelerated kernel runs each subblock's top ladder row, the others W=1
     stats = controller.subblock_stats(a, b, L)
-    ladder, top = controller.option_ladder(
-        controller.build_options(stats, args.mode, args.precision, calib, w_set=(w,)),
-        stats.shape)
+    ladder = controller.build_options(stats, args.mode, args.precision, calib,
+                                      w_set=(w,)).reshape(-1, *stats.shape)
     kernel = np.arange(blocks * blocks).reshape(blocks, blocks, 1)
     for step in range(11):
         pct = 10 * step
         n_acc = round(blocks * blocks * pct / 100)
-        chosen = np.where(kernel < n_acc, top, len(ladder) - 1)
+        chosen = np.where(kernel < n_acc, 0, len(ladder) - 1)
         plan = controller.fixed_plan(args.mode, np.take_along_axis(ladder, chosen[None], 0)[0])
         packed = int((plan.options["w"] > 1).sum())
         t0 = time.perf_counter()

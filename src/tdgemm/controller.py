@@ -2,10 +2,11 @@
 
 Converts an SNR or acceleration target for each L x L output kernel into
 per-subblock packing choices. The options of every subblock of a multiply
-are built in one batched array pass, as one array per W, at one R_max per
-W: the calibration table's SNR-best R_max, which under the zero-mean
-uniform model is the same for every sigma pair, so the solution build at
-the one pair (1, 1) finds it. Each operand tile has its own compander at
+are built in one batched array pass, as one ladder of ``OPTION_DTYPE`` rows:
+a row per W, W descending and W=1 last, at one R_max per W: the
+calibration table's SNR-best R_max, which under the zero-mean uniform model
+is the same for every sigma pair, so the solution build at the one pair
+(1, 1) finds it. Each operand tile has its own compander at
 a W, so the executor quantizes and folds it once. The planner starts every
 subblock at its highest-throughput option and greedily demotes the option
 with the highest predicted distortion until the constraint is met. Under either constraint
@@ -101,7 +102,8 @@ def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int):
     ``sigma_pairs`` holds (sigma_a, sigma_b) per inner index l: shape
     ``(n_l, 2)`` for one kernel, or ``(n_l, 2, kernels)`` for one budget per
     kernel. The signal power adds the subblocks in ascending l. A floor of
-    +inf leaves no budget and one of -inf an unbounded one.
+    +inf leaves no budget, and one of -inf, or a finite one so low that
+    its power ratio overflows (below about -3083 dB), an unbounded one.
     """
     pairs = np.asarray(sigma_pairs, dtype=np.float64)
     if (pairs < 0).any():
@@ -110,7 +112,10 @@ def snr_to_distortion(s_kernel_db: float, sigma_pairs, L: int):
     power = ordered_sum(p * p)
     if math.isinf(s_kernel_db):  # 10 ** inf * 0 would be NaN
         return np.full_like(power, 0.0 if s_kernel_db > 0 else math.inf)
-    return 10.0 ** (-0.1 * s_kernel_db) * L * power
+    try:
+        return 10.0 ** (-0.1 * s_kernel_db) * L * power
+    except OverflowError:
+        return np.full_like(power, math.inf)
 
 
 def _mac_speedup(w: int) -> float:
@@ -118,27 +123,22 @@ def _mac_speedup(w: int) -> float:
     return (w - 1) * 100.0
 
 
-# one option of one subblock, after the flat position ``p`` of the subblock
-OPTION_DTYPE = np.dtype([("p", "i8"), ("l", "i8"), ("w", "i8"), ("c_a", "f8"), ("c_b", "f8"),
-                         ("rmax", "i8"), ("z", "f8"), ("d_hat", "f8"), ("fw_percent", "f8")])
-
-
-def _option_rows(p, n_l, **fields):
-    rows = np.zeros(len(p), dtype=OPTION_DTYPE)
-    rows["p"], rows["l"] = p, p % n_l
-    for name, value in fields.items():
-        rows[name] = value
-    return rows
+# one option of one subblock: its W, companders, R_max, z, predicted
+# distortion and gain in percent
+OPTION_DTYPE = np.dtype([("w", "i8"), ("c_a", "f8"), ("c_b", "f8"), ("rmax", "i8"),
+                         ("z", "f8"), ("d_hat", "f8"), ("fw_percent", "f8")])
 
 
 def build_options(stats: BatchStats, mode: str, precision: str, calib: CalibrationTable,
-                  profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> list:
-    """Options of many subblocks, as one ``OPTION_DTYPE`` array per W.
+                  profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> np.ndarray:
+    """The option ladder of many subblocks: ``OPTION_DTYPE`` rows of shape
+    ``(rows, subblocks)``, one row per W, W descending and W=1 last.
 
     ``stats`` holds one entry per subblock, its last axis l: the subblocks
-    of one kernel, or of a whole multiply. The arrays come in W descending
-    order, W=1 last; each holds the subblocks that have that W, in C order of
-    ``stats``. Where no subblock has a W>1 the W=1 array is the only one.
+    of one kernel, or of a whole multiply, flat in C order on the ladder's
+    second axis. A subblock with a zero sigma has only W=1: its W=1 option
+    fills every row, and a prune starts it on the last, the others on row 0.
+    Where no subblock has a W>1 the W=1 row is the only one.
 
     Each W takes one R_max for every subblock: the one
     ``build_offline_solutions`` finds at the sigma pair (1, 1), which its
@@ -147,36 +147,36 @@ def build_options(stats: BatchStats, mode: str, precision: str, calib: Calibrati
     (``separable_companders``: each tile's from its own absmax), so a tile
     is quantized once for every subblock it enters at that W; the
     distortion prediction is computed from them and the runtime sigmas, in
-    one array pass per W. Without a measured profile the speedup falls back
-    to the MAC-count gain. A W whose
-    measured gain is not positive is left out: W=1 dominates it. A subblock
-    with a zero sigma gets only W=1.
+    one array pass per W. A W's speedup is the profile's entry at tile side
+    ``stats.L``; without a measured profile it falls back to the MAC-count
+    gain. A W whose measured gain is not positive is left out: W=1
+    dominates it.
     """
     sa, sb = stats.sigma_a.reshape(-1), stats.sigma_b.reshape(-1)
     live = np.flatnonzero(~((sa <= 0) | (sb <= 0)))
-    n_l = stats.shape[-1]
-    options = []
-    if live.size:
-        ladder = []  # (w, fw) of every W that can gain
-        for w in sorted(set(w_set), reverse=True):
-            if w < 2:
-                continue
-            fw = profile.fw(precision, mode, w) if profile is not None else _mac_speedup(w)
-            if fw > 0:  # else W=1 is at least as fast, at zero distortion
-                ladder.append((w, fw))
+    gains = []  # (w, fw) of every W that can gain
+    for w in sorted(set(w_set), reverse=True):
+        if w < 2 or not live.size:
+            continue
+        fw = profile.fw(precision, mode, w, stats.L) if profile is not None else _mac_speedup(w)
+        if fw > 0:  # else W=1 is at least as fast, at zero distortion
+            gains.append((w, fw))
+    ladder = np.zeros((len(gains) + 1, sa.size), dtype=OPTION_DTYPE)
+    ladder["w"], ladder["c_a"], ladder["c_b"] = 1, 1.0, 1.0  # W=1, where no W>1 applies
+    if gains:
         best = build_offline_solutions([(1.0, 1.0)], calib, precision, mode, stats.L,
-                                       w_set=[w for w, _ in ladder]).data
+                                       w_set=[w for w, _ in gains])
         rmax_of = dict(zip(best["w"].tolist(), best["rmax"].tolist()))
         sub = stats.take(live)
-        for w, fw in ladder:
+        for row, (w, fw) in zip(ladder, gains):
             rmax = rmax_of[w]
             s_repr = calib.lookup(precision, mode, w, rmax).rmse
-            comp = separable_companders(sub, rmax, w=w)
-            d_hat = combined_distortion(sub, comp.c_a, comp.c_b, s_repr).total
-            options.append(_option_rows(live, n_l, w=w, c_a=comp.c_a, c_b=comp.c_b, rmax=rmax,
-                                        z=packing.compute_z(rmax), d_hat=d_hat, fw_percent=fw))
-    options.append(_option_rows(np.arange(sa.size), n_l, w=1, c_a=1.0, c_b=1.0))
-    return options
+            c_a, c_b = separable_companders(sub, rmax)
+            fields = dict(w=w, c_a=c_a, c_b=c_b, rmax=rmax, z=packing.compute_z(rmax),
+                          d_hat=combined_distortion(sub, c_a, c_b, s_repr), fw_percent=fw)
+            for name, value in fields.items():
+                row[name][live] = value
+    return ladder
 
 
 def _mean(total, n: int):
@@ -325,19 +325,6 @@ def subblock_stats(a: np.ndarray, b: np.ndarray, L: int) -> BatchStats:
                       b_min=of_b(tb.vmin), b_max=of_b(tb.vmax), L=L)
 
 
-def option_ladder(options, shape) -> tuple:
-    """``build_options``' arrays (of subblocks of ``shape``) as one ladder
-    per subblock: every option by row, W descending and W=1 last, shape
-    ``(rows, *shape)``, and each subblock's starting row, 0 where it has a
-    W>1 and the W=1 row where it has not."""
-    ladder = np.zeros((len(options), math.prod(shape)), dtype=OPTION_DTYPE)
-    for r, rows in enumerate(options):
-        ladder[r, rows["p"]] = rows
-    top = np.full(ladder.shape[1], len(options) - 1, dtype=np.intp)
-    top[options[0]["p"]] = 0
-    return ladder.reshape(len(options), *shape), top.reshape(shape)
-
-
 def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint,
               calib: CalibrationTable, mode: str, precision: str,
               profile: SpeedupProfile | None = None, w_set=(2, 3, 4)) -> Plan:
@@ -351,16 +338,16 @@ def plan_gemm(a: np.ndarray, b: np.ndarray, L: int, constraint: KernelConstraint
     options = build_options(stats, mode, precision, calib, profile=profile, w_set=w_set)
     blocks_i, blocks_j, n_l = stats.shape
     n_k = blocks_i * blocks_j
-    ladder, top = option_ladder(options, stats.shape)
     # by ladder row, subblock l and kernel, as _prune takes them
-    ladder = ladder.reshape(len(options), n_k, n_l).transpose(0, 2, 1)
+    ladder = options.reshape(len(options), n_k, n_l).transpose(0, 2, 1)
+    top = np.where(ladder["w"][0] > 1, 0, len(ladder) - 1)
     if constraint.target_snr_db is None:
         limit = dict(floor=constraint.target_accel_percent)
     else:
         pairs = np.stack([stats.sigma_a, stats.sigma_b]).reshape(2, n_k, n_l)
         limit = dict(budget=snr_to_distortion(constraint.target_snr_db,
                                               pairs.transpose(2, 0, 1), L))
-    return _pruned_plan(mode, ladder, top.reshape(n_k, n_l).T, (blocks_i, blocks_j), **limit)
+    return _pruned_plan(mode, ladder, top, (blocks_i, blocks_j), **limit)
 
 
 def fixed_plan(mode: str, options) -> Plan:

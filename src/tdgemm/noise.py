@@ -8,9 +8,10 @@ operand. The representation-induced error enters as a per-element RMSE
 domain through the reverse companding.
 
 The formulas take a BatchStats, one entry per subblock, and arrays that
-broadcast with its shape. Squares are written ``t * t``, which is correctly
-rounded, while ``t ** 2`` of a scalar calls libm ``pow``, which is not
-always.
+broadcast with its shape, and return plain arrays: a noise power, or a
+compander pair ``(c_a, c_b)``. Squares are written ``t * t``, which is
+correctly rounded, while ``t ** 2`` of a scalar calls libm ``pow``, which is
+not always.
 """
 
 from __future__ import annotations
@@ -63,29 +64,6 @@ class BatchStats:
         return np.maximum(np.abs(self.b_min), np.abs(self.b_max))
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    quant_power: float
-    repr_power: float
-
-    @property
-    def total(self) -> float:
-        return self.quant_power + self.repr_power
-
-
-@dataclass(frozen=True)
-class CompanderSolution:
-    """Companders at one R_max, as arrays. ``optimal_companders`` leaves
-    ``expected_snr_db`` None: the planner needs no SNR, and ``np.log10`` is
-    not bitwise ``math.log10``."""
-
-    c_a: float
-    c_b: float
-    rmax: int
-    expected_snr_db: float
-    w: int
-
-
 def quant_noise_power(stats, c_a, c_b):
     """Expected per-element squared error from companding and rounding."""
     if np.any((c_a <= 0) | (c_b <= 0)):
@@ -103,8 +81,9 @@ def signal_power(stats):
     return stats.L * (p * p)
 
 
-def combined_distortion(stats, c_a, c_b, s_repr) -> NoiseBudget:
-    """Quantization plus representation noise power per output element.
+def combined_distortion(stats, c_a, c_b, s_repr):
+    """Quantization plus representation noise power per output element: the
+    total, ``quant_noise_power`` plus the representation term.
 
     ``s_repr`` is the per-element RMSE measured at the (R_max, W) the
     companders imply, expressed in the quantized domain; reverse companding
@@ -113,10 +92,7 @@ def combined_distortion(stats, c_a, c_b, s_repr) -> NoiseBudget:
     if np.any(s_repr < 0):
         raise InvalidConfigError("s_repr must be >= 0")
     e_repr = s_repr / (c_a * c_b)
-    return NoiseBudget(
-        quant_power=quant_noise_power(stats, c_a, c_b),
-        repr_power=e_repr * e_repr,
-    )
+    return quant_noise_power(stats, c_a, c_b) + e_repr * e_repr
 
 
 def c_tot(L: int, a_absmax, b_absmax, rmax):
@@ -126,8 +102,8 @@ def c_tot(L: int, a_absmax, b_absmax, rmax):
     return L * a_absmax * b_absmax / rmax
 
 
-def optimal_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSolution:
-    """Minimum-distortion companders at a fixed R_max.
+def optimal_companders(stats: BatchStats, rmax) -> tuple:
+    """Minimum-distortion companders ``(c_a, c_b)`` at a fixed R_max.
 
     On the constraint c_a * c_b = 1/c_tot the distortion is minimized by
     balancing the two linear quantization terms, giving
@@ -136,18 +112,13 @@ def optimal_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSolution
     if np.any((stats.sigma_a <= 0) | (stats.sigma_b <= 0)):
         raise DegenerateInputError("optimal companders undefined for zero-sigma input")
     ct = c_tot(stats.L, stats.a_absmax, stats.b_absmax, rmax)
-    return CompanderSolution(
-        c_a=np.sqrt(stats.sigma_b / (stats.sigma_a * ct)),
-        c_b=np.sqrt(stats.sigma_a / (stats.sigma_b * ct)),
-        rmax=rmax,
-        expected_snr_db=None,
-        w=w,
-    )
+    return (np.sqrt(stats.sigma_b / (stats.sigma_a * ct)),
+            np.sqrt(stats.sigma_a / (stats.sigma_b * ct)))
 
 
-def separable_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSolution:
-    """Per-operand companders at a fixed R_max: c_a = sqrt(R_max / L) / a_absmax
-    and c_b = sqrt(R_max / L) / b_absmax.
+def separable_companders(stats: BatchStats, rmax) -> tuple:
+    """Per-operand companders ``(c_a, c_b)`` at a fixed R_max:
+    c_a = sqrt(R_max / L) / a_absmax and c_b = sqrt(R_max / L) / b_absmax.
 
     They meet the constraint c_a * c_b = 1/c_tot of ``optimal_companders`` on
     every pairing, and each depends on its own tile alone, so one quantized
@@ -161,5 +132,4 @@ def separable_companders(stats: BatchStats, rmax, w: int = 1) -> CompanderSoluti
     if np.any(rmax < 1):
         raise InvalidConfigError(f"rmax must be >= 1, got {rmax}")
     root = np.sqrt(np.divide(rmax, stats.L))
-    return CompanderSolution(c_a=root / a_abs, c_b=root / b_abs, rmax=rmax,
-                             expected_snr_db=None, w=w)
+    return root / a_abs, root / b_abs

@@ -19,7 +19,6 @@ def plan_of(mode, configs):
                        dtype=controller.OPTION_DTYPE)
     options["w"], options["c_a"], options["c_b"] = 1, 1.0, 1.0
     for i, j, l in np.ndindex(options.shape):
-        options["l"][i, j, l] = l
         cfg = configs[i][j][l]
         if cfg is not None:
             assert cfg.mode == mode

@@ -317,20 +317,19 @@ def plan_kernel_throughput(options_per_l, f_kernel):
     return _choice(options_per_l, idx, trace)
 
 
-def build_options(stats_per_l, mode, precision, calib, profile, w_set, k=0):
-    """One option array per subblock of kernel k, each subblock at flat
-    position ``k * n_l + l``; a W's R_max is the one ``build_solutions``
-    gives the sigma pair (1, 1)."""
+def build_options(stats_per_l, mode, precision, calib, profile, w_set):
+    """One option array per subblock of a kernel; a W's R_max is the one
+    ``build_solutions`` gives the sigma pair (1, 1)."""
     options_per_l = []
     for l in range(stats_per_l.shape[0]):
-        p = k * stats_per_l.shape[0] + l
         stats = stats_per_l.take([l])
         opts = []
         if not (stats.sigma_a.item() <= 0 or stats.sigma_b.item() <= 0):
             for w in sorted(set(w_set), reverse=True):
                 if w < 2:
                     continue
-                fw = profile.fw(precision, mode, w) if profile is not None else (w - 1) * 100.0
+                fw = (profile.fw(precision, mode, w, stats.L) if profile is not None
+                      else (w - 1) * 100.0)
                 if fw <= 0:
                     continue
                 (row,), _ = build_solutions([(1.0, 1.0)], calib, precision, mode, stats.L, (w,))
@@ -340,9 +339,9 @@ def build_options(stats_per_l, mode, precision, calib, profile, w_set, k=0):
                 root = math.sqrt(rmax / stats.L)
                 c_a = root / max(abs(stats.a_min.item()), abs(stats.a_max.item()))
                 c_b = root / max(abs(stats.b_min.item()), abs(stats.b_max.item()))
-                d_hat = noise.combined_distortion(stats, c_a, c_b, s_repr).total
-                opts.append((p, l, w, c_a, c_b, rmax, packing.compute_z(rmax), d_hat.item(), fw))
-        opts.append((p, l, 1, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
+                d_hat = noise.combined_distortion(stats, c_a, c_b, s_repr)
+                opts.append((w, c_a, c_b, rmax, packing.compute_z(rmax), d_hat.item(), fw))
+        opts.append((1, 1.0, 1.0, 0, 0.0, 0.0, 0.0))
         options_per_l.append(np.array(opts, dtype=ctl.OPTION_DTYPE))
     return options_per_l
 
@@ -350,8 +349,8 @@ def build_options(stats_per_l, mode, precision, calib, profile, w_set, k=0):
 def plan_gemm(a, b, L, constraint, calib, mode, precision, profile, w_set):
     """Each kernel's KernelChoice, by ``(i, j)`` in C order."""
     entries = {}
-    for k, (key, stats_per_l) in enumerate(kernel_stats(a, b, L).items()):
-        options = build_options(stats_per_l, mode, precision, calib, profile, w_set, k)
+    for key, stats_per_l in kernel_stats(a, b, L).items():
+        options = build_options(stats_per_l, mode, precision, calib, profile, w_set)
         if constraint.target_snr_db is not None:
             d_kernel = snr_to_distortion(
                 constraint.target_snr_db,
@@ -433,18 +432,16 @@ def build_solutions(sigma_pairs, calib, precision, mode, L, w_set):
     stats = noise.BatchStats(sa, sb, -a_abs, a_abs, -b_abs, b_abs, L=L)
     rows, curves = [], {}
     for w in sorted(set(w_set)):
-        admitted = calib.admitted(precision, mode, w,
-                                  rmax_cap=cal.DEFAULT_RMAX_CAPS.get((precision, w)))
+        admitted = calib.admitted(precision, mode, w)
         if not admitted:
             raise CalibrationMissingError(f"no admitted entries for W={w}")
         snr, c_a, c_b = (np.empty((len(sa), len(admitted))) for _ in range(3))
         best = np.zeros(len(sa), dtype=np.intp)
         for k, e in enumerate(admitted):
-            sol = noise.optimal_companders(stats, e.rmax, w=w)
-            total = noise.combined_distortion(stats, sol.c_a, sol.c_b, e.rmse).total
+            c_a[:, k], c_b[:, k] = noise.optimal_companders(stats, e.rmax)
+            total = noise.combined_distortion(stats, c_a[:, k], c_b[:, k], e.rmse)
             ratio = noise.signal_power(stats) / total
             snr[:, k] = [10.0 * math.log10(x) for x in ratio.tolist()]
-            c_a[:, k], c_b[:, k] = sol.c_a, sol.c_b
             best[snr[:, k] > snr[np.arange(len(sa)), best]] = k
         rows += [(x, y, w, admitted[k].rmax, c_a[p, k].item(), c_b[p, k].item(),
                   snr[p, k].item())
@@ -458,7 +455,7 @@ def nearest_solution(table, sigma_a, sigma_b, w):
     row of W ``w`` nearest the query."""
     best = None
     best_d = None
-    for i, r in enumerate(table.data.tolist()):
+    for i, r in enumerate(table.tolist()):
         if r[2] != w:
             continue
         d = (sigma_a - r[0]) ** 2 + (sigma_b - r[1]) ** 2
@@ -487,7 +484,7 @@ def dump_plan(plan, path):
     write_csv(path, ["i", "j", "l", "W", "c_a", "c_b", "rmax", "d_hat"],
               ((i, j, l, w, repr(c_a), repr(c_b), rmax, repr(d_hat))
                for i, j, l in np.ndindex(plan.options.shape)
-               for _p, _l, w, c_a, c_b, rmax, _z, d_hat, _fw in [plan.options[i, j, l].item()]))
+               for w, c_a, c_b, rmax, _z, d_hat, _fw in [plan.options[i, j, l].item()]))
 
 
 def _lines(path):
@@ -542,10 +539,10 @@ def load_solutions(path):
     lines = _lines(path)
     if any(map(str.strip, lines)):
         try:
-            return np.loadtxt(lines, delimiter=",", dtype=cal._SOLUTION_DTYPE, ndmin=1,
+            return np.loadtxt(lines, delimiter=",", dtype=cal.SOLUTION_DTYPE, ndmin=1,
                               comments=None).tolist()
         except ValueError:
             pass
     rows = _typed_rows(path, lines, cal.SOLUTION_HEADER,
                        (float, float, int, int, float, float, float))
-    return np.array(rows, dtype=cal._SOLUTION_DTYPE).tolist()
+    return np.array(rows, dtype=cal.SOLUTION_DTYPE).tolist()

@@ -27,11 +27,11 @@ def verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def calib48():
-    t = cal.CalibrationTable()
-    t.extend(cal.measure_repr_noise(L, "single", "symmetric", 2, trials=5, seed=SEED))
-    t.extend(cal.measure_repr_noise(L, "single", "asymmetric", 2, trials=5, seed=SEED))
-    t.extend(cal.measure_repr_noise(L, "double", "symmetric", 4, trials=5, seed=SEED))
-    return t
+    return cal.CalibrationTable([
+        *cal.measure_repr_noise(L, "single", "symmetric", 2, trials=5, seed=SEED),
+        *cal.measure_repr_noise(L, "single", "asymmetric", 2, trials=5, seed=SEED),
+        *cal.measure_repr_noise(L, "double", "symmetric", 4, trials=5, seed=SEED),
+    ])
 
 
 def test_criterion_01_exact_region():
@@ -109,9 +109,9 @@ def _measured_point_snr(entry, rng, trials=5):
     dtype = dtype_of(entry.precision)
     ext = 10.0
     st = batch_stats([(ext / math.sqrt(3), ext / math.sqrt(3), -ext, ext, -ext, ext)], L)
-    sol = noise.optimal_companders(st, entry.rmax, w=entry.w)
+    c_a, c_b = noise.optimal_companders(st, entry.rmax)
     cfg = packing.PackingConfig(mode=entry.mode, w=entry.w, z=packing.compute_z(entry.rmax),
-                                c_a=sol.c_a.item(), c_b=sol.c_b.item(), rmax=entry.rmax)
+                                c_a=c_a.item(), c_b=c_b.item(), rmax=entry.rmax)
     cfg.validate()
     p_sig = p_err = 0.0
     for _ in range(trials):
@@ -121,8 +121,7 @@ def _measured_point_snr(entry, rng, trials=5):
         got = packing.packed_subblock_product(a, b, cfg)
         p_sig += float((exact ** 2).sum())
         p_err += float(((got - exact) ** 2).sum())
-    ratio = noise.signal_power(st) / noise.combined_distortion(st, sol.c_a, sol.c_b,
-                                                              entry.rmse).total
+    ratio = noise.signal_power(st) / noise.combined_distortion(st, c_a, c_b, entry.rmse)
     return 10.0 * math.log10(p_sig / p_err), 10.0 * math.log10(ratio.item())
 
 
@@ -166,9 +165,8 @@ def test_criterion_05_packing_count_bound_values():
 def _all_w2_plan(a, b, mode, calib):
     """Each subblock's top ladder row of W=2 options: W=2 wherever it has one."""
     stats = ctl.subblock_stats(a, b, L)
-    ladder, top = ctl.option_ladder(
-        ctl.build_options(stats, mode, "single", calib, w_set=(2,)), stats.shape)
-    return ctl.fixed_plan(mode, np.take_along_axis(ladder, top[None], 0)[0])
+    ladder = ctl.build_options(stats, mode, "single", calib, w_set=(2,))
+    return ctl.fixed_plan(mode, ladder[0].reshape(stats.shape))
 
 
 def test_criterion_06_mode_ordering(calib48):
@@ -218,9 +216,9 @@ def test_criterion_07_error_source_independence():
 def _w2_options(ds):
     """One option array per subblock: W=2 predicting ``ds[l]`` at a 100% gain,
     then W=1."""
-    return [np.array([(l, l, 2, 1.0, 1.0, 100, 2.0 ** -10, d, 100.0),
-                      (l, l, 1, 1.0, 1.0, 0, 0.0, 0.0, 0.0)], dtype=ctl.OPTION_DTYPE)
-            for l, d in enumerate(ds)]
+    return [np.array([(2, 1.0, 1.0, 100, 2.0 ** -10, d, 100.0),
+                      (1, 1.0, 1.0, 0, 0.0, 0.0, 0.0)], dtype=ctl.OPTION_DTYPE)
+            for d in ds]
 
 
 def test_criterion_08_controller_correctness(calib48):

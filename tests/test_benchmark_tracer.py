@@ -99,6 +99,8 @@ def _traced_multiply(tables, tmp_path, mean, snr_db):
 def test_traced_multiply_counts(tables, tmp_path):
     count = _traced_multiply(tables, tmp_path, 0.0, 33)
     assert count("controller.build_options", "n") > 0
+    # every subblock is live: the ladder's W=2 and W=1 rows over all of them
+    assert count("controller.build_options", "n") == 2 * BLOCKS ** 3
     assert count("calibration.load_calibration") == 1
     assert count("calibration.load_solutions") == 0
     assert count("blocking.reorder_block_major") == 4

@@ -24,11 +24,8 @@ SMALL_SWEEP = [(2, b) for b in (1, 2, 4, 8, 16)]
 
 @pytest.fixture(scope="module")
 def small_table():
-    t = cal.CalibrationTable()
-    for mode in packing.MODES:
-        t.extend(cal.measure_repr_noise(12, "single", mode, 2,
-                                        sweep=SMALL_SWEEP, trials=3, seed=5))
-    return t
+    return cal.CalibrationTable([e for mode in packing.MODES for e in cal.measure_repr_noise(
+        12, "single", mode, 2, sweep=SMALL_SWEEP, trials=3, seed=5)])
 
 
 class TestMeasurement:
@@ -77,18 +74,18 @@ class TestMeasurement:
             cal.measure_repr_noise(12, "single", "symmetric", 1)
 
     def test_admission_filters_bias_and_cap(self):
-        t = cal.CalibrationTable()
-        t.add(cal.CalibEntry("double", "symmetric", 4, 1000, 0.0, 1.0, 5, 0))
-        t.add(cal.CalibEntry("double", "symmetric", 4, 2000, 5.0, 9.0, 5, 0))  # biased
-        t.add(cal.CalibEntry("double", "symmetric", 4, 200000, 0.0, 2.0, 5, 0))
-        good = t.admitted("double", "symmetric", 4,
-                          rmax_cap=cal.DEFAULT_RMAX_CAPS[("double", 4)])
-        assert [e.rmax for e in good] == [1000]
+        t = cal.CalibrationTable([
+            cal.CalibEntry("double", "symmetric", 4, 1000, 0.0, 1.0, 5, 0),
+            cal.CalibEntry("double", "symmetric", 4, 2000, 5.0, 9.0, 5, 0),  # biased
+            cal.CalibEntry("double", "symmetric", 4, 200000, 0.0, 2.0, 5, 0),  # over the cap
+        ])
+        assert cal.DEFAULT_RMAX_CAPS[("double", 4)] < 200000
+        assert [e.rmax for e in t.admitted("double", "symmetric", 4)] == [1000]
 
 
 class TestSpeedupProfile:
     def test_w1_gain_zero(self):
-        assert cal.SpeedupProfile().fw("single", "symmetric", 1) == 0.0
+        assert cal.SpeedupProfile().fw("single", "symmetric", 1, 48) == 0.0
 
     def test_profile_measurement(self):
         p = cal.measure_speedup_profile(48, "single", "symmetric", w_set=(2,),
@@ -97,8 +94,13 @@ class TestSpeedupProfile:
         assert e.mac_ratio == 2.0 and e.L == 48 and e.reps == 3
 
     def test_missing_entry(self):
-        with pytest.raises(CalibrationMissingError):
-            cal.SpeedupProfile().fw("single", "symmetric", 2)
+        """No entry, or none at the tile side asked for: a gain measured at
+        one side is not another's, and the error names the side."""
+        prof = cal.SpeedupProfile([cal.ProfileEntry("single", "symmetric", 2, 12, -83.0, 2.0, 5)])
+        assert prof.fw("single", "symmetric", 2, 12) == -83.0
+        for profile in (cal.SpeedupProfile(), prof):
+            with pytest.raises(CalibrationMissingError, match="W=2, L=48"):
+                profile.fw("single", "symmetric", 2, 48)
 
     def test_profile_times_the_calls_tiered_gemm_makes(self, monkeypatch):
         """Each timed side is what ``tiered_gemm`` runs per subblock: the
@@ -179,12 +181,12 @@ def _solution_data(specs):
     """A table's structured array from (sigma_a, sigma_b, W) specs. Each row
     gets a distinct rmax, which names it."""
     return np.array([(sa, sb, w, i, 1.0, 1.0, 0.0) for i, (sa, sb, w) in enumerate(specs)],
-                    dtype=cal._SOLUTION_DTYPE)
+                    dtype=cal.SOLUTION_DTYPE)
 
 
-def _picked(sol):
+def _picked(row):
     """A 0-d lookup result as plain values, in the order of ``_row``."""
-    return (sol.rmax.item(), sol.c_a.item(), sol.c_b.item(), sol.expected_snr_db.item(), sol.w)
+    return tuple(row[f].item() for f in ("rmax", "c_a", "c_b", "snr_db", "w"))
 
 
 def _row(data, i):
@@ -201,24 +203,24 @@ class TestSolutions:
     def test_one_point_grid(self, small_table):
         t = cal.build_offline_solutions([(2.0, 2.0)], small_table,
                                         "single", "symmetric", 12, w_set=(2,))
-        assert len(t.data) == 1 and t.data["w"][0] == 2
+        assert len(t) == 1 and t["w"][0] == 2
 
     def test_grid_point_lookup_exact(self, small_table):
         t = self._solutions(small_table)
         sol = cal.lookup_nearest_solution(t, 4.0, 2.0, 2)
-        assert sol.rmax.shape == () and _picked(sol) == _row(t.data, 1)
+        assert sol.shape == () and _picked(sol) == _row(t, 1)
 
     def test_tie_goes_to_earlier_row(self, small_table):
         t = self._solutions(small_table)
         # (2.5, 1.5) is equidistant from both grid points
-        assert _picked(cal.lookup_nearest_solution(t, 2.5, 1.5, 2)) == _row(t.data, 0)
+        assert _picked(cal.lookup_nearest_solution(t, 2.5, 1.5, 2)) == _row(t, 0)
 
     @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0))
     @settings(max_examples=25)
     def test_nearest_beats_all_rows(self, sa, sb):
         data = _solution_data([(x, y, 2) for x in (0.5, 2.0, 8.0) for y in (0.5, 2.0, 8.0)])
-        got = cal.lookup_nearest_solution(cal.OfflineSolutionTable(data), sa, sb, 2)
-        picked = data[int(got.rmax)]
+        got = cal.lookup_nearest_solution(data, sa, sb, 2)
+        picked = data[int(got["rmax"])]
         d = (sa - picked["sigma_a"]) ** 2 + (sb - picked["sigma_b"]) ** 2
         for r in data:
             assert d <= (sa - r["sigma_a"]) ** 2 + (sb - r["sigma_b"]) ** 2 + 1e-12
@@ -227,14 +229,15 @@ class TestSolutions:
         with pytest.raises(CalibrationMissingError):
             cal.lookup_nearest_solution(self._solutions(small_table), 1.0, 1.0, 3)
 
-    def test_data_is_read_only_and_owned(self):
-        data = _solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2)])
-        t = cal.OfflineSolutionTable(data)
-        with pytest.raises(ValueError):
-            t.data["rmax"][0] = 7
-        data["sigma_a"][1] = 1.0  # the caller's array is not the table's
-        assert t.data["sigma_a"][1] == 4.0
-        assert _picked(cal.lookup_nearest_solution(t, 4.0, 4.0, 2)) == _row(t.data, 1)
+    def test_data_is_read_only_and_owned(self, small_table, tmp_path):
+        """A built or loaded table is a read-only array that owns its data."""
+        built = self._solutions(small_table)
+        cal.save_solutions(built, tmp_path / "s.csv")
+        for t in (built, cal.load_solutions(tmp_path / "s.csv")):
+            assert t.dtype == cal.SOLUTION_DTYPE and t.flags.owndata
+            with pytest.raises(ValueError):
+                t["rmax"][0] = 7
+            assert _picked(cal.lookup_nearest_solution(t, 4.0, 2.0, 2)) == _row(t, 1)
 
 
 # dyadic sigmas: sums, midpoints and squared distances between them are
@@ -266,7 +269,7 @@ def _query(data, specs):
 class TestSolutionIndex:
     def _check(self, table, sa, sb, w):
         try:
-            want = _row(table.data, oracles.nearest_solution(table, sa, sb, w))
+            want = _row(table, oracles.nearest_solution(table, sa, sb, w))
         except CalibrationMissingError:
             with pytest.raises(CalibrationMissingError):
                 cal.lookup_nearest_solution(table, sa, sb, w)
@@ -276,33 +279,31 @@ class TestSolutionIndex:
     @given(_ROWS, st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_linear_scan(self, specs, data):
-        table = cal.OfflineSolutionTable(_solution_data(specs))
+        table = _solution_data(specs)
         for _ in range(4):
             (sa, sb), w = _query(data, specs)
             self._check(table, sa, sb, w)
             self._check(table, sa, sb, data.draw(st.sampled_from([2, 3, 4, 5])))
 
     def test_duplicate_rows_earlier_wins(self):
-        table = cal.OfflineSolutionTable(_solution_data(
-            [(1.0, 1.0, 2), (3.0, 1.0, 2), (1.0, 1.0, 2), (3.0, 1.0, 2)]))
-        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2).rmax == 0
-        assert cal.lookup_nearest_solution(table, 3.0, 1.0, 2).rmax == 1
+        table = _solution_data([(1.0, 1.0, 2), (3.0, 1.0, 2), (1.0, 1.0, 2), (3.0, 1.0, 2)])
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2)["rmax"] == 0
+        assert cal.lookup_nearest_solution(table, 3.0, 1.0, 2)["rmax"] == 1
         # halfway between the duplicates: the first row of all four wins
-        assert cal.lookup_nearest_solution(table, 2.0, 1.0, 2).rmax == 0
+        assert cal.lookup_nearest_solution(table, 2.0, 1.0, 2)["rmax"] == 0
 
     def test_nan_query_returns_first_row_of_w(self):
-        table = cal.OfflineSolutionTable(_solution_data(
-            [(1.0, 1.0, 3), (5.0, 5.0, 2), (0.5, 0.5, 2)]))
+        table = _solution_data([(1.0, 1.0, 3), (5.0, 5.0, 2), (0.5, 0.5, 2)])
         for sa, sb in ((math.nan, 1.0), (1.0, math.nan), (math.inf, -math.inf)):
-            assert cal.lookup_nearest_solution(table, sa, sb, 2).rmax == 1
+            assert cal.lookup_nearest_solution(table, sa, sb, 2)["rmax"] == 1
 
     def test_nan_distance_never_displaces_a_row(self):
-        table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (math.inf, 1.0, 2)]))
+        table = _solution_data([(1.0, 1.0, 2), (math.inf, 1.0, 2)])
         # inf - inf is NaN for the second row; the scan keeps the first
-        assert cal.lookup_nearest_solution(table, math.inf, 1.0, 2).rmax == 0
+        assert cal.lookup_nearest_solution(table, math.inf, 1.0, 2)["rmax"] == 0
         # nor is a NaN distance on the first row, even by an exact match
-        table = cal.OfflineSolutionTable(_solution_data([(math.nan, 1.0, 2), (1.0, 1.0, 2)]))
-        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2).rmax == 0
+        table = _solution_data([(math.nan, 1.0, 2), (1.0, 1.0, 2)])
+        assert cal.lookup_nearest_solution(table, 1.0, 1.0, 2)["rmax"] == 0
 
 
 class TestArrayLookup:
@@ -310,37 +311,34 @@ class TestArrayLookup:
     @settings(max_examples=100, deadline=None)
     def test_matches_linear_scan(self, specs, data, n):
         """Many queries in one call."""
-        table = cal.OfflineSolutionTable(_solution_data(specs))
+        table = _solution_data(specs)
         w = data.draw(st.sampled_from(sorted({r[2] for r in specs})))
         queries = [_query(data, [r for r in specs if r[2] == w])[0] for _ in range(n)]
         got = cal.lookup_nearest_solution(table, [q[0] for q in queries],
                                           [q[1] for q in queries], w)
-        assert got.w == w and got.rmax.shape == (n,)
+        assert got.shape == (n,)
         for k, (sa, sb) in enumerate(queries):
-            assert (got.rmax[k], got.c_a[k], got.c_b[k], got.expected_snr_db[k], w) == \
-                _row(table.data, oracles.nearest_solution(table, sa, sb, w))
+            assert _picked(got[k]) == _row(table, oracles.nearest_solution(table, sa, sb, w))
 
     def test_query_shape_and_broadcast(self):
-        table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2),
-                                                         (9.0, 1.0, 3)]))
+        table = _solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2), (9.0, 1.0, 3)])
         got = cal.lookup_nearest_solution(table, np.array([[0.0, 5.0], [3.0, 1.5]]), 2.0, 2)
         # (3, 2) is equidistant from both rows of W=2: the earlier one wins
-        assert got.rmax.tolist() == [[0, 1], [0, 0]]
-        assert got.c_a.shape == got.expected_snr_db.shape == (2, 2)
+        assert got["rmax"].tolist() == [[0, 1], [0, 0]]
+        assert got.shape == (2, 2) and got.dtype == cal.SOLUTION_DTYPE
 
     def test_loaded_table_matches_built_table(self, tmp_path):
-        table = cal.OfflineSolutionTable(_solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2),
-                                                         (9.0, 1.0, 3), (2.0, 3.0, 3)]))
+        table = _solution_data([(1.0, 1.0, 2), (4.0, 4.0, 2), (9.0, 1.0, 3), (2.0, 3.0, 3)])
         path = tmp_path / "s.csv"
         cal.save_solutions(table, path)
         loaded = cal.load_solutions(path)
-        assert loaded.data.tolist() == table.data.tolist()
+        assert loaded.tolist() == table.tolist()
         for w in (2, 3):
             got = cal.lookup_nearest_solution(loaded, [0.5, 3.0, 8.0], [0.5, 3.0, 1.0], w)
-            want = [cal.lookup_nearest_solution(table, sa, sb, w).rmax
+            want = [cal.lookup_nearest_solution(table, sa, sb, w)["rmax"]
                     for sa, sb in ((0.5, 0.5), (3.0, 3.0), (8.0, 1.0))]
-            assert got.rmax.tolist() == want
-        assert _picked(cal.lookup_nearest_solution(loaded, 9.0, 1.0, 3)) == _row(loaded.data, 2)
+            assert got["rmax"].tolist() == want
+        assert _picked(cal.lookup_nearest_solution(loaded, 9.0, 1.0, 3)) == _row(loaded, 2)
 
 
 _BUILD_CHUNKS = [1, 7, 64, cal._BUILD_CHUNK]
@@ -355,7 +353,7 @@ def _assert_build_matches_oracle(pairs, calib, precision, mode, L, w_set, chunk)
         return None
     with mock.patch.object(cal, "_BUILD_CHUNK", chunk):
         got = cal.build_offline_solutions(pairs, calib, precision, mode, L, w_set=w_set)
-    assert [tuple(map(repr, r)) for r in got.data.tolist()] == \
+    assert [tuple(map(repr, r)) for r in got.tolist()] == \
         [tuple(map(repr, r)) for r in want]
     return got
 
@@ -363,13 +361,11 @@ def _assert_build_matches_oracle(pairs, calib, precision, mode, L, w_set, chunk)
 @pytest.fixture(scope="module")
 def measured_table():
     """Measured entries for both modes and W = 2, 3, 4 at L=12."""
-    t = cal.CalibrationTable()
-    for mode in packing.MODES:
-        for w in (2, 3, 4):
-            t.extend(cal.measure_repr_noise(12, "single", mode, w,
-                                            sweep=SMALL_SWEEP + [(22, 1), (22, 9), (22, 63)],
-                                            trials=2, seed=5))
-    return t
+    return cal.CalibrationTable([
+        e for mode in packing.MODES for w in (2, 3, 4)
+        for e in cal.measure_repr_noise(12, "single", mode, w,
+                                        sweep=SMALL_SWEEP + [(22, 1), (22, 9), (22, 63)],
+                                        trials=2, seed=5)])
 
 
 def _entry(rmax, rmse, mean_err=0.0, w=2, precision="single"):
@@ -384,7 +380,7 @@ class TestBuildMatchesScalarSearch:
         pairs = [(sa, sb) for sa in sigmas for sb in sigmas]
         got = _assert_build_matches_oracle(pairs, measured_table, "single", mode, 12,
                                            (2, 3, 4), chunk)
-        assert got.data["w"].tolist() == [w for w in (2, 3, 4) for _ in pairs]
+        assert got["w"].tolist() == [w for w in (2, 3, 4) for _ in pairs]
 
     @given(st.lists(st.tuples(st.floats(1e-3, 1e4), st.floats(1e-3, 1e4)), max_size=12),
            st.dictionaries(st.sampled_from([2, 3, 4]), st.lists(
@@ -397,11 +393,10 @@ class TestBuildMatchesScalarSearch:
     def test_random_entries(self, pairs, entries, precision, L, chunk):
         """Entries whose repr noise trades against quantization noise near
         R_max, some biased, some over the double W=4 cap, some with rmse 0."""
-        calib = cal.CalibrationTable()
-        for w, specs in entries.items():
-            for rmax, u, bias, zero in specs:
-                rmse = 0.0 if zero else math.sqrt(rmax * u / (18 * L))
-                calib.add(_entry(rmax, rmse, bias * rmax, w, precision))
+        calib = cal.CalibrationTable(
+            [_entry(rmax, 0.0 if zero else math.sqrt(rmax * u / (18 * L)), bias * rmax, w,
+                    precision)
+             for w, specs in entries.items() for rmax, u, bias, zero in specs])
         _assert_build_matches_oracle(pairs, calib, precision, "symmetric", L,
                                      tuple(entries), chunk)
 
@@ -416,11 +411,11 @@ class TestBuildMatchesScalarSearch:
         got = _assert_build_matches_oracle(pairs, calib, "single", "symmetric", 12, (2,), chunk)
         a_abs, b_abs = cal.uniform_extremes(1.0, 2.0)
         stats = batch_stats([(1.0, 2.0, -a_abs, a_abs, -b_abs, b_abs)], 12)
-        sol = optimal_companders(stats, np.array([tie, tie + 1]), w=2)
-        ratio = signal_power(stats) / combined_distortion(stats, sol.c_a, sol.c_b, 0.0).total
+        c_a, c_b = optimal_companders(stats, np.array([tie, tie + 1]))
+        ratio = signal_power(stats) / combined_distortion(stats, c_a, c_b, 0.0)
         snr = [10.0 * math.log10(x) for x in ratio.tolist()]
         assert snr[0] == snr[1]
-        assert got.data["rmax"][0] == tie and got.data["rmax"][2] == tie
+        assert got["rmax"][0] == tie and got["rmax"][2] == tie
 
 
 class TestCalibrationLookup:
@@ -433,22 +428,6 @@ class TestCalibrationLookup:
         t = cal.CalibrationTable(entries=[self._entry(50, 0.5), first, dup])
         assert t.lookup("single", "symmetric", 2, 100) is first
 
-    def test_add_after_lookup_is_seen(self):
-        t = cal.CalibrationTable()
-        t.add(self._entry(100, 1.0))
-        t.lookup("single", "symmetric", 2, 100)
-        late = self._entry(200, 2.0)
-        t.add(late)
-        assert t.lookup("single", "symmetric", 2, 200) is late
-
-    def test_extend_after_lookup_is_seen(self):
-        t = cal.CalibrationTable(entries=[self._entry(100, 1.0)])
-        t.lookup("single", "symmetric", 2, 100)
-        late = [self._entry(300, 3.0), self._entry(100, 9.0, w=3)]
-        t.extend(late)
-        assert t.lookup("single", "symmetric", 2, 300) is late[0]
-        assert t.lookup("single", "symmetric", 3, 100) is late[1]
-
     def test_slice_keeps_file_order_among_equal_rmax(self):
         """``slice`` and ``admitted`` sort by R_max only: entries of one R_max,
         duplicates included, stay in file order."""
@@ -456,16 +435,17 @@ class TestCalibrationLookup:
              self._entry(100, 4.0, w=3), self._entry(100, 5.0), self._entry(200, 6.0)]
         t = cal.CalibrationTable(entries=e)
         assert t.slice("single", "symmetric", 2) == [e[1], e[4], e[5], e[0], e[2]]
-        assert t.admitted("single", "symmetric", 2, rmax_cap=200) == [e[1], e[4], e[5]]
+        with mock.patch.dict(cal.DEFAULT_RMAX_CAPS, {("single", 2): 200}):
+            assert t.admitted("single", "symmetric", 2) == [e[1], e[4], e[5]]
         assert t.slice("single", "symmetric", 3) == [e[3]]
         assert t.slice("single", "asymmetric", 2) == []
         assert t.ws("single", "symmetric") == [2, 3] and t.ws("double", "symmetric") == []
 
     def test_slice_and_ws_see_added_entries(self):
-        t = cal.CalibrationTable(entries=[self._entry(200, 1.0)])
-        assert t.slice("single", "symmetric", 2) == [self._entry(200, 1.0)]
-        t.add(self._entry(100, 2.0))
-        t.extend([self._entry(100, 3.0, w=4)])
+        """The index holds every entry the table is built from; a slice is a
+        copy of it."""
+        t = cal.CalibrationTable(entries=[self._entry(200, 1.0), self._entry(100, 2.0),
+                                          self._entry(100, 3.0, w=4)])
         assert [x.rmax for x in t.slice("single", "symmetric", 2)] == [100, 200]
         assert t.ws("single", "symmetric") == [2, 4]
         t.slice("single", "symmetric", 2).clear()  # a copy: the index is not changed
@@ -478,13 +458,13 @@ class TestCalibrationLookup:
     @settings(max_examples=100, deadline=None)
     def test_index_matches_scans(self, keys, split):
         """``lookup``, ``slice``, ``admitted`` and ``ws`` give what a scan of
-        every entry gives, also for entries added after a first call."""
+        every entry gives, on a table of some of the entries and on one of
+        all of them."""
         entries = [cal.CalibEntry(p, m, w, rmax, 0.01 * rmax * (bias > 7), float(i), 3, 0)
                    for i, (p, m, w, rmax, bias) in enumerate(keys)]
-        t = cal.CalibrationTable(entries=entries[:split])
+        caps = {(p, w): 20 for p in ("single", "double") for w in range(1, 4)}
         for stage in (entries[:split], entries):
-            if stage is entries:
-                t.extend(entries[split:])
+            t = cal.CalibrationTable(entries=stage)
             for p, m, w, rmax in itertools.product(["single", "double"], packing.MODES,
                                                    range(1, 4), [10, 20, 30]):
                 scan = [e for e in stage if e[:4] == (p, m, w, rmax)]
@@ -496,8 +476,9 @@ class TestCalibrationLookup:
                 want = sorted((e for e in stage if e[:3] == (p, m, w)),
                               key=lambda e: e.rmax)
                 assert t.slice(p, m, w) == want
-                assert t.admitted(p, m, w, rmax_cap=20) == [
-                    e for e in want if e.rmax <= 20 and e.mean_err == 0.0]
+                with mock.patch.dict(cal.DEFAULT_RMAX_CAPS, caps):
+                    assert t.admitted(p, m, w) == [
+                        e for e in want if e.rmax <= 20 and e.mean_err == 0.0]
                 assert t.ws(p, m) == sorted({e.w for e in stage if e[:2] == (p, m)})
 
     def test_missing_key_raises(self):
@@ -530,7 +511,7 @@ class TestPersistence:
                                         "single", "symmetric", 12, w_set=(2,))
         p = tmp_path / "o.csv"
         cal.save_solutions(t, p)
-        assert cal.load_solutions(p).data.tolist() == t.data.tolist()
+        assert cal.load_solutions(p).tolist() == t.tolist()
 
     def test_floats_written_as_repr(self, tmp_path):
         """A saved float is its ``repr``, so it reads back as the same float."""
@@ -545,7 +526,7 @@ class TestPersistence:
             f"double,symmetric,4,{100 + i},{x!r},{abs(x)!r},3,0" for i, x in enumerate(floats)]
         assert [(e.mean_err, e.rmse) for e in cal.load_calibration(path).entries] == \
             [(x, abs(x)) for x in floats]
-        sols = cal.OfflineSolutionTable([(x, -x, 2, 7, x, x, x) for x in floats])
+        sols = np.array([(x, -x, 2, 7, x, x, x) for x in floats], dtype=cal.SOLUTION_DTYPE)
         cal.save_solutions(sols, path)
         assert path.read_text().splitlines()[2:] == [
             f"{x!r},{-x!r},2,7,{x!r},{x!r},{x!r}" for x in floats]
@@ -603,7 +584,7 @@ _RANGE_FAULTS = {
 
 
 def _entries(table):
-    return table.data.tolist() if isinstance(table, cal.OfflineSolutionTable) else table.entries
+    return table.tolist() if isinstance(table, np.ndarray) else table.entries
 
 
 class TestMalformedRows:
@@ -679,8 +660,9 @@ _TABLES = {
                     cal.SpeedupProfile([cal.ProfileEntry(*r) for r in rows]), path),
                 oracles.load_speedup),
     "solutions": (cal.SOLUTION_HEADER, cal.SOLUTION_FIELDS,
-                  lambda path: cal.load_solutions(path).data.tolist(),
-                  lambda rows, path: cal.save_solutions(cal.OfflineSolutionTable(rows), path),
+                  lambda path: cal.load_solutions(path).tolist(),
+                  lambda rows, path: cal.save_solutions(
+                      np.array(rows, dtype=cal.SOLUTION_DTYPE), path),
                   oracles.load_solutions),
 }
 
@@ -704,9 +686,8 @@ class TestLoadCalibrationAsFrozen:
 
     @pytest.mark.parametrize("mode", packing.MODES)
     def test_measured(self, tmp_path, mode):
-        table = cal.CalibrationTable()
-        for w in (2, 3, 4):
-            table.extend(cal.measure_repr_noise(12, "single", mode, w, trials=2, seed=4))
+        table = cal.CalibrationTable([e for w in (2, 3, 4) for e in cal.measure_repr_noise(
+            12, "single", mode, w, trials=2, seed=4)])
         path = tmp_path / "c.csv"
         cal.save_calibration(table, path)
         assert _outcome(_calibration_rows, path) == _outcome(oracles.load_calibration, path) \

@@ -525,6 +525,39 @@ class TestMultiplyCommand:
             assert report["w_histogram"] == {"2": 8}
         assert outputs[0] == outputs[1]
 
+    def test_floor_below_a_float_power_ratio_plans_as_minus_infinity(self, workdir, tmp_path):
+        """A finite floor so low that 10 ** (-floor / 10) overflows a float
+        (below about -3083 dB) leaves the distortion unbounded, as -inf dB
+        does, and plans the same."""
+        plans = []
+        for tag, flag in (("inf", "--snr-db=-inf"), ("1e308", "--snr-db=-1e308"),
+                          ("3100", "--snr-db=-3100")):
+            out = tmp_path / tag
+            assert cli.main(["--l", str(L), "--tables", str(workdir / "tables"),
+                             "--out", str(out), "multiply", str(workdir / "a.tgmm"),
+                             str(workdir / "b.tgmm"), flag]) == 0
+            plans.append((out / "plan.csv").read_bytes())
+        assert plans[0] == plans[1] == plans[2]
+
+    def test_speedup_profile_of_another_tile_side_exit_code(self, workdir, tmp_path, capsys):
+        """A multiply plans from the gains profiled at its own tile side: a
+        ``speedup.csv`` of L=12 alone plans an L=12 multiply and fails one of
+        L=24, naming the side."""
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "calibration.csv").write_bytes(
+            (workdir / "tables" / "calibration.csv").read_bytes())
+        calibration.save_speedup(calibration.SpeedupProfile(
+            [calibration.ProfileEntry("single", "symmetric", 2, L, 50.0, 2.0, 5)]),
+            tables / "speedup.csv")
+        codes = [cli.main(["--l", str(side), "--tables", str(tables),
+                           "--out", str(tmp_path / f"o{side}"), "multiply",
+                           str(workdir / "a.tgmm"), str(workdir / "b.tgmm"), "--snr-db", "10"])
+                 for side in (L, 2 * L)]
+        assert codes == [0, 1]
+        assert f"W=2, L={2 * L})" in capsys.readouterr().err
+        assert not (tmp_path / f"o{2 * L}" / "result.tgmm").exists()
+
     def test_verify_names_the_worst_kernel(self, workdir, tmp_path):
         """Under ``--verify`` the report names the kernel of lowest measured
         SNR over the full-tile region, and under an SNR floor counts the

@@ -11,18 +11,18 @@ from tdgemm.blocking import reorder_block_major, tiered_gemm
 from tdgemm.errors import CalibrationMissingError, InfeasibleConstraintError, InvalidConfigError
 
 
-def opt(l, w, d_hat, fw=None):
-    """One ``OPTION_DTYPE`` row of subblock l, as a tuple."""
+def opt(w, d_hat, fw=None):
+    """One ``OPTION_DTYPE`` row, as a tuple."""
     fw = (w - 1) * 100.0 if fw is None else fw
-    return (l, l, w, 1.0, 1.0, 100 * w, 2.0 ** -10, d_hat, fw)
+    return (w, 1.0, 1.0, 100 * w, 2.0 ** -10, d_hat, fw)
 
 
 def synth_options(d_hats_per_l, ws=(2, 1)):
     """One option array per subblock, one row per W; W=1 always has zero
     distortion."""
     out = []
-    for l, ds in enumerate(d_hats_per_l):
-        rows = [opt(l, w, d) for w, d in zip(ws[:-1], ds)] + [opt(l, 1, 0.0)]
+    for ds in d_hats_per_l:
+        rows = [opt(w, d) for w, d in zip(ws[:-1], ds)] + [opt(1, 0.0)]
         out.append(np.array(rows, dtype=ctl.OPTION_DTYPE))
     return out
 
@@ -50,9 +50,12 @@ class TestSnrToDistortion:
         assert ctl.snr_to_distortion(math.inf, [(1.0, 2.0)], 4) == 0.0
 
     def test_minus_infinite_snr_has_no_budget(self):
-        """-inf dB allows any distortion, also where the signal power is 0."""
-        assert ctl.snr_to_distortion(-math.inf, [(1.0, 2.0)], 4) == math.inf
-        assert ctl.snr_to_distortion(-math.inf, [(0.0, 2.0)], 4) == math.inf
+        """-inf dB allows any distortion, also where the signal power is 0,
+        and so does a finite floor whose power ratio overflows a float."""
+        for floor in (-math.inf, -1e308, -3084.0):
+            assert ctl.snr_to_distortion(floor, [(1.0, 2.0)], 4) == math.inf
+            assert ctl.snr_to_distortion(floor, [(0.0, 2.0)], 4) == math.inf
+        assert ctl.snr_to_distortion(-3000.0, [(1.0, 2.0)], 4) == pytest.approx(1.6e301)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -145,20 +148,17 @@ class TestThroughputPlanner:
 
 @pytest.fixture(scope="module")
 def calib():
-    L = 12
-    calib = cal.CalibrationTable()
-    calib.extend(cal.measure_repr_noise(L, "single", "symmetric", 2,
-                                        sweep=[(2, b) for b in (1, 4, 16)],
-                                        trials=3, seed=5))
-    return calib
+    return cal.CalibrationTable(cal.measure_repr_noise(12, "single", "symmetric", 2,
+                                                       sweep=[(2, b) for b in (1, 4, 16)],
+                                                       trials=3, seed=5))
 
 
 def option_lists(stats, calib, **kwargs):
     """Per-subblock option arrays of a ``build_options`` call, symmetric
-    mode, in C order: each subblock's rows in W descending order, W=1 last."""
+    mode, in C order: each subblock's ladder rows in W descending order, W=1
+    last, and only the W=1 row of a subblock that has no other W."""
     options = ctl.build_options(stats, "symmetric", "single", calib, **kwargs)
-    return [np.concatenate([rows[rows["p"] == p] for rows in options])
-            for p in range(len(options[-1]))]
+    return [ladder if ladder[0]["w"] > 1 else ladder[-1:] for ladder in options.T]
 
 
 class TestBuildOptions:
@@ -176,16 +176,18 @@ class TestBuildOptions:
         assert opts["w"].tolist() == [1]
 
     def test_one_array_per_w(self, calib):
-        """W descending, W=1 last; a W array holds only the subblocks that have
-        the W, so the lengths add up to the options built."""
+        """One ladder row per W, W descending and W=1 last, one column per
+        subblock in C order; a subblock without the W holds its W=1 option on
+        that row too, so the rows' lengths add up to rows x subblocks."""
         stats = batch_stats([(2.0, 3.0, -4.0, 4.0, -6.0, 6.0),
                              (0.0, 3.0, -1.0, 1.0, -6.0, 6.0),
                              (1.0, 1.0, -2.0, 2.0, -2.0, 2.0)], 12)
         options = ctl.build_options(stats, "symmetric", "single", calib, w_set=(2,))
-        assert [rows["w"].tolist() for rows in options] == [[2, 2], [1, 1, 1]]
-        assert [rows["p"].tolist() for rows in options] == [[0, 2], [0, 1, 2]]
-        lists = option_lists(stats, calib, w_set=(2,))
-        assert sum(map(len, options)) == sum(map(len, lists)) == 5
+        assert options.dtype == ctl.OPTION_DTYPE
+        assert options["w"].tolist() == [[2, 1, 2], [1, 1, 1]]
+        assert options[0, 1].tolist() == options[1, 1].tolist() == (1, 1.0, 1.0, 0, 0.0, 0.0, 0.0)
+        assert sum(map(len, options)) == 6
+        assert [len(opts) for opts in option_lists(stats, calib, w_set=(2,))] == [2, 1, 2]
 
     def test_d_hat_matches_monte_carlo(self, calib):
         rng = np.random.default_rng(32)
@@ -312,9 +314,9 @@ def draw_kernels(data, ws, n_l, n_kernels, gain=None):
         options = []
         for l in range(n_l):
             live = data.draw(st.booleans()) or data.draw(st.booleans())
-            packed = [opt(l, w, data.draw(_D_HAT), None if gain is None else data.draw(gain))
+            packed = [opt(w, data.draw(_D_HAT), None if gain is None else data.draw(gain))
                       for w in ws[:-1]] if live else []
-            options.append(np.array(packed + [opt(l, 1, 0.0)], dtype=ctl.OPTION_DTYPE))
+            options.append(np.array(packed + [opt(1, 0.0)], dtype=ctl.OPTION_DTYPE))
         kernels.append(options)
     return kernels
 
@@ -424,13 +426,9 @@ class TestLockstepPrune:
 def grid_calib():
     """Measured curves of W = 2, 3, 4 at L=12, over amplitudes spanning the
     input scales."""
-    calib = cal.CalibrationTable()
-    for w in (2, 3, 4):
-        calib.extend(cal.measure_repr_noise(12, "single", "symmetric", w,
-                                            sweep=[(1, 1), (2, 1), (2, 2), (4, 2), (4, 4),
-                                                   (22, 1), (22, 3), (22, 9)],
-                                            trials=2, seed=6))
-    return calib
+    return cal.CalibrationTable([e for w in (2, 3, 4) for e in cal.measure_repr_noise(
+        12, "single", "symmetric", w, sweep=[(1, 1), (2, 1), (2, 2), (4, 2), (4, 4),
+                                             (22, 1), (22, 3), (22, 9)], trials=2, seed=6)])
 
 
 class TestBatchedPlanMatchesPerKernelPlanner:
@@ -486,13 +484,10 @@ class TestBatchedPlanMatchesPerKernelPlanner:
         L = 12
         a = rng.uniform(-4, 4, size=(2 * L, 3 * L)).astype(np.float32)
         b = rng.uniform(-0.1, 0.1, size=(3 * L, 2 * L)).astype(np.float32)
-        def without_p(lists):
-            return [[row[1:] for row in opts.tolist()] for opts in lists]
-
         batched = option_lists(ctl.subblock_stats(a, b, L), grid_calib)
         per_kernel = [opts for stats in oracles.kernel_stats(a, b, L).values()
                       for opts in option_lists(stats, grid_calib)]
-        assert without_p(batched) == without_p(per_kernel)
+        assert [opts.tolist() for opts in batched] == [opts.tolist() for opts in per_kernel]
         assert [len(opts) for opts in batched] == [4] * 12
         assert [opts[-1]["w"] for opts in batched] == [1] * 12
 
@@ -528,11 +523,13 @@ class TestOnePairRmax:
         """Each row holds it, or an R_max whose SNR at that row differs from
         its SNR by rounding alone: there the first maximum of the row and of
         the pair (1, 1) may differ, and either is the best R_max."""
-        calib = cal.CalibrationTable()
+        entries = []
         for rmax, kind, k, u, bias in curve:
             rmse = {"zero": 0.0, "dyadic": 2.0 ** k,
                     "model": math.sqrt(rmax * u / (18 * L))}[kind]
-            calib.add(cal.CalibEntry(precision, "symmetric", w, rmax, bias * rmax, rmse, 3, 0))
+            entries.append(cal.CalibEntry(precision, "symmetric", w, rmax, bias * rmax, rmse,
+                                          3, 0))
+        calib = cal.CalibrationTable(entries)
         sigmas = cal.log_sigma_grid(per_decade=8)
         try:
             rows, curves = oracles.build_solutions([(sa, sb) for sa in sigmas for sb in sigmas],
@@ -552,14 +549,13 @@ class TestOnePairRmax:
     def test_measured_curves(self, mode):
         """On measured curves every row holds it exactly."""
         L = 12
-        calib = cal.CalibrationTable()
-        for w in (2, 3, 4):
-            calib.extend(cal.measure_repr_noise(L, "single", mode, w, trials=2, seed=3))
+        calib = cal.CalibrationTable([e for w in (2, 3, 4) for e in cal.measure_repr_noise(
+            L, "single", mode, w, trials=2, seed=3)])
         sigmas = cal.log_sigma_grid(per_decade=8)
         table = cal.build_offline_solutions([(sa, sb) for sa in sigmas for sb in sigmas], calib,
                                             "single", mode, L, w_set=(2, 3, 4))
         for w in (2, 3, 4):
-            rows = table.data["rmax"][table.data["w"] == w]
+            rows = table["rmax"][table["w"] == w]
             assert set(rows.tolist()) == {planned_rmax(calib, "single", mode, L, w)}
 
 
@@ -606,7 +602,7 @@ class TestDumpPlanBytes:
         options = np.zeros((bi, bj, len(rows)), dtype=ctl.OPTION_DTYPE)
         for k, (i, j) in enumerate(np.ndindex(bi, bj)):
             for l, (rmax, w, x) in enumerate(rows[k % 2::] + rows[:k % 2]):
-                options[i, j, l] = (0, l, w, x, -x, rmax, 2.0 ** -10, x, 0.0)
+                options[i, j, l] = (w, x, -x, rmax, 2.0 ** -10, x, 0.0)
         plan = ctl.Plan("symmetric", options, np.zeros((bi, bj)), np.empty(0, ctl.PRUNE_DTYPE))
         tmp = tmp_path_factory.mktemp("plan")
         ctl.dump_plan(plan, tmp / "got.csv")
@@ -617,7 +613,6 @@ class TestDumpPlanBytes:
 def test_record_fields_unchanged():
     """plan.csv, the prune traces and callers read these fields by name and
     build the records by position."""
-    assert ctl.OPTION_DTYPE.names == ("p", "l", "w", "c_a", "c_b", "rmax", "z", "d_hat",
-                                      "fw_percent")
+    assert ctl.OPTION_DTYPE.names == ("w", "c_a", "c_b", "rmax", "z", "d_hat", "fw_percent")
     assert ctl.PRUNE_DTYPE.names == ("k", "l", "from_w", "to_w", "removed_d_hat", "total_after")
     assert ctl.Plan._fields == ("mode", "options", "total_d_hat", "prune_trace")
